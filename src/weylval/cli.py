@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coeff import format_rat
 from .descriptor import OmegaDescriptor, validate
-from .errors import ParseError, WeylvalError
+from .errors import DeclarationInconsistent, ParseError, WeylvalError
 from .evaluate import (
     eval_element,
     residue,
@@ -32,7 +32,7 @@ from .valuegroup import cmp as value_cmp, value_to_json
 Outcome = Tuple[dict, str, bool]
 
 
-def _load_descriptor(path: str) -> OmegaDescriptor:
+def _read_descriptor(path: str) -> OmegaDescriptor:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -41,6 +41,18 @@ def _load_descriptor(path: str) -> OmegaDescriptor:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     return OmegaDescriptor.from_json(data)
+
+
+def _load_descriptor(path: str) -> OmegaDescriptor:
+    """A descriptor that passes `validate`, so no command runs on a malformed one."""
+    desc = _read_descriptor(path)
+    violations = validate(desc)
+    if violations:
+        first = violations[0]
+        raise DeclarationInconsistent(
+            f"invalid descriptor {path}: {first.rule}: {first.detail}"
+        )
+    return desc
 
 
 def _sign_choice(args: argparse.Namespace) -> Optional[int]:
@@ -52,7 +64,7 @@ def _depth(args: argparse.Namespace, fallback: int = 64) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> Outcome:
-    desc = _load_descriptor(args.desc)
+    desc = _read_descriptor(args.desc)
     violations = validate(desc, prefix_depth=_depth(args, 8))
     report = {
         "violations": [{"rule": v.rule, "detail": v.detail} for v in violations]

@@ -42,12 +42,12 @@ def _int_nth_root(value: int, n: int) -> int | None:
         raise ValueError("negative base")
     if value in (0, 1):
         return value
-    root = round(value ** (1.0 / n))
-    # float seeding only; correctness comes from the exact scan below
-    for candidate in range(max(root - 2, 1), root + 3):
-        if candidate**n == value:
-            return candidate
-    return None
+    # integer Newton from 2^ceil(bits/n) >= the root decreases strictly until
+    # it reaches the floor of the root
+    root = 1 << -(-value.bit_length() // n)
+    while (smaller := ((n - 1) * root + value // root ** (n - 1)) // n) < root:
+        root = smaller
+    return root if root**n == value else None
 
 
 def nth_root(value: Rat, n: int) -> Rat:

@@ -70,16 +70,6 @@ def _concat(*parts: Iterable[Factor]) -> Word:
                     out.append(m)
             else:
                 out.append(f)
-    # collapsing may create new adjacencies around removed factors
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(out) - 1):
-            if _same_generator(out[p], out[p + 1]):
-                m = _merged(out[p], out[p + 1])
-                out[p : p + 2] = [m] if m is not None else []
-                changed = True
-                break
     return tuple(out)
 
 
@@ -251,18 +241,17 @@ def _factor_commutator_raw(ctx: _Ctx, f: Factor, g: Factor) -> List[Emission]:
     # now f = w_i^k; g is x^a or w_j^l with i < j
     i, k = f[1], f[2]
     if k != 1:
-        return _left_power_commutator(ctx, ("w", i, 1), k, g)
+        return _power_commutator(ctx, ("w", i, 1), k, g)
     if g[0] == "x":
         return _base_wx(ctx, i, g[1])
     j, l = g[1], g[2]
     if l != 1:
-        return _right_power_commutator(ctx, f, ("w", j, 1), l)
+        # [f, B^l] = -[B^l, f]
+        return _negated(_power_commutator(ctx, ("w", j, 1), l, f))
     return _base_ww(ctx, i, j)
 
 
-def _left_power_commutator(
-    ctx: _Ctx, base: Factor, k: int, g: Factor
-) -> List[Emission]:
+def _power_commutator(ctx: _Ctx, base: Factor, k: int, g: Factor) -> List[Emission]:
     # [A^k, g] from [A, g]: k > 0 spreads over positions, k < 0 conjugates
     if k < 0:
         inner = _factor_commutator(ctx, base[:-1] + (-k,), g)
@@ -278,39 +267,18 @@ def _left_power_commutator(
     return out
 
 
-def _right_power_commutator(
-    ctx: _Ctx, f: Factor, base: Factor, l: int
-) -> List[Emission]:
-    # [f, B^l] from [f, B]
-    if l < 0:
-        inner = _factor_commutator(ctx, f, base[:-1] + (-l,))
-        wrap = (base[:-1] + (l,),)
-        return [(-c, _concat(wrap, u, wrap)) for c, u in inner]
-    inner = _factor_commutator(ctx, f, base)
-    out: List[Emission] = []
-    for ell in range(1, l + 1):
-        left = (base[:-1] + (ell - 1,),) if ell - 1 else ()
-        right = (base[:-1] + (l - ell,),) if l - ell else ()
-        for c, u in inner:
-            out.append((c, _concat(left, u, right)))
-    return out
-
-
 def _base_wx(ctx: _Ctx, i: int, a: int) -> List[Emission]:
-    # [w_i, x^a]; the base of the tower is [y, x^a] = a x^{a-1}
+    # [w_i, x^a]; the base of the tower is [y, x^a] = a x^{a-1}, and above it
+    # [x^m w_{i-1}^n - beta, x^a] = x^m [w_{i-1}^n, x^a]
     if a == 0:
         return []
     if i == 0:
         return [(Rat(a), _concat((_x(a - 1),)))]
     step = ctx.step(i)
-    inner = _base_wx(ctx, i - 1, a)
-    out: List[Emission] = []
-    for ell in range(1, step.n + 1):
-        left = (_x(step.m), _w(i - 1, step.n - ell)) if step.n - ell else (_x(step.m),)
-        right = (_w(i - 1, ell - 1),) if ell - 1 else ()
-        for c, u in inner:
-            out.append((c, _concat(left, u, right)))
-    return out
+    return [
+        (c, _concat((_x(step.m),), u))
+        for c, u in _factor_commutator(ctx, _w(i - 1, step.n), _x(a))
+    ]
 
 
 def _base_ww(ctx: _Ctx, i: int, j: int) -> List[Emission]:
@@ -327,45 +295,14 @@ def _base_ww(ctx: _Ctx, i: int, j: int) -> List[Emission]:
 # -- exact expansions ------------------------------------------------------------
 
 
-def _expand_unit(ctx: _Ctx, word: Word) -> List[Emission]:
-    """Emissions of (word - 1) for a pure word with all net exponents zero.
-
-    Sorts the word into canonical generator order; each out-of-order swap
-    materializes one commutator, whose value strictly exceeds 0.
-    """
-    out: List[Emission] = []
-    items = list(word)
-    while True:
-        # collapse adjacent same-generator powers first: it is free and exact
-        p = 0
-        while p < len(items) - 1:
-            if _same_generator(items[p], items[p + 1]):
-                m = _merged(items[p], items[p + 1])
-                items[p : p + 2] = [m] if m is not None else []
-                p = max(p - 1, 0)
-            else:
-                p += 1
-        swap_at = None
-        for p in range(len(items) - 1):
-            if _gen_order(items[p]) > _gen_order(items[p + 1]):
-                swap_at = p
-                break
-        if swap_at is None:
-            break
-        f, g = items[swap_at], items[swap_at + 1]
-        prefix, suffix = tuple(items[:swap_at]), tuple(items[swap_at + 2 :])
-        out.append((Rat(1), prefix + (_deferred(f, g),) + suffix))
-        items[swap_at], items[swap_at + 1] = g, f
-    assert not items, "zero-exponent word must sort and cancel to 1"
-    return out
-
-
 def _expand_pure(ctx: _Ctx, word: Word) -> List[Emission]:
     """Emissions of (word - residue(word)) for a pure value-0 word.
 
     If the exponent vector is outside the unit-product lattice, pass to the
     N-th power against a sum-inverse block; inside it, strip one unit product
-    a_s = x^{m_s} w_{s-1}^{n_s} at a time and finish with the unit sort.
+    a_s = x^{m_s} w_{s-1}^{n_s} at a time and finish by sorting the remaining
+    zero-exponent word, which cancels to 1; each reordering swap costs one
+    commutator, whose value strictly exceeds 0.
     """
     exps = _word_exponents(word)
     n_fold = 1
@@ -401,7 +338,9 @@ def _expand_pure(ctx: _Ctx, word: Word) -> List[Emission]:
                 out.append((-scalar / step.beta, _concat(main, (_w(s, 1),))))
                 main = _concat(main, (_x(step.m), _w(s - 1, step.n)))
                 scalar /= step.beta
-    for c, u in _expand_unit(ctx, main):
+    unit, corrections = _sort_word(ctx, main)
+    assert unit == (), "zero-exponent word must sort and cancel to 1"
+    for c, u in corrections:
         out.append((scalar * c, u))
     return out
 
@@ -478,25 +417,6 @@ def _def_value(ctx: _Ctx, f: Factor) -> ValueGroupElement:
     return cached
 
 
-def _bubble_si_right(ctx: _Ctx, word: Word) -> Tuple[Word, List[Emission]]:
-    """Move all sum-inverse blocks to the right; corrections have value > 0."""
-    items = list(word)
-    corrections: List[Emission] = []
-    while True:
-        swap_at = None
-        for p in range(len(items) - 1):
-            if items[p][0] == "si" and items[p + 1][0] != "si":
-                swap_at = p
-                break
-        if swap_at is None:
-            break
-        si, f = items[swap_at], items[swap_at + 1]
-        prefix, suffix = tuple(items[:swap_at]), tuple(items[swap_at + 2 :])
-        corrections.append((Rat(1), prefix + (_deferred(si, f),) + suffix))
-        items[swap_at], items[swap_at + 1] = f, si
-    return tuple(items), corrections
-
-
 def _sort_word(ctx: _Ctx, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
     """Sorted form of a word plus the exact corrections the reordering costs.
 
@@ -513,17 +433,9 @@ def _sort_word(ctx: _Ctx, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
     cached = ctx._sorted.get(word)
     if cached is not None:
         return cached
-    items = [f for f in word if f[0] == "si" or f[-1] != 0]
+    items = list(_concat(word))
     corrections: List[Emission] = []
     while True:
-        p = 0
-        while p < len(items) - 1:
-            if _same_generator(items[p], items[p + 1]):
-                m = _merged(items[p], items[p + 1])
-                items[p : p + 2] = [] if m is None else [m]
-                p = max(p - 1, 0)
-            else:
-                p += 1
         swap_at = None
         for p in range(len(items) - 1):
             f, g = items[p], items[p + 1]
@@ -542,7 +454,7 @@ def _sort_word(ctx: _Ctx, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
         f, g = items[swap_at], items[swap_at + 1]
         prefix, suffix = tuple(items[:swap_at]), tuple(items[swap_at + 2 :])
         corrections.append((Rat(1), prefix + (_deferred(f, g),) + suffix))
-        items[swap_at], items[swap_at + 1] = g, f
+        items = list(_concat(prefix, (g, f), suffix))
     result = (tuple(items), tuple(corrections))
     ctx._sorted[word] = result
     return result
@@ -550,7 +462,8 @@ def _sort_word(ctx: _Ctx, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
 
 def _expand_zero(ctx: _Ctx, word: Word, res: Rat) -> List[Emission]:
     """Exact emissions of (word - res) for a value-0 word; each value > 0."""
-    main, out = _bubble_si_right(ctx, word)
+    main, corrections = _sort_word(ctx, word)
+    out = list(corrections)
     split = len(main)
     while split and main[split - 1][0] == "si":
         split -= 1
@@ -873,7 +786,9 @@ def leading_data(
     return _leading(ctx, _digit_pool(ctx, element))
 
 
-def eval(desc: OmegaDescriptor, element: WeylElement, depth_limit: int = 64) -> Value:
+def eval_element(
+    desc: OmegaDescriptor, element: WeylElement, depth_limit: int = 64
+) -> Value:
     """The valuation v(element); Infinity for the zero element."""
     return leading_data(desc, element, depth_limit).value
 
@@ -893,8 +808,8 @@ def eval_fraction(
     desc: OmegaDescriptor, fraction: WeylFraction, depth_limit: int = 64
 ) -> Value:
     """v(num) - v(den) for a left fraction."""
-    num = eval(desc, fraction.num, depth_limit)
-    den = eval(desc, fraction.den, depth_limit)
+    num = eval_element(desc, fraction.num, depth_limit)
+    den = eval_element(desc, fraction.den, depth_limit)
     if num is INFINITY:
         return INFINITY
     assert isinstance(den, ValueGroupElement)
@@ -1134,11 +1049,11 @@ def equivalent(
     depth_limit: int = 64,
 ) -> bool:
     """a ~ b: equal values and the difference sits strictly higher."""
-    va = eval(desc, a, depth_limit)
-    vb = eval(desc, b, depth_limit)
+    va = eval_element(desc, a, depth_limit)
+    vb = eval_element(desc, b, depth_limit)
     if value_cmp(va, vb) != 0:
         return False
-    return value_cmp(eval(desc, a.sub(b), depth_limit), va) > 0
+    return value_cmp(eval_element(desc, a.sub(b), depth_limit), va) > 0
 
 
 def unit_generators(desc: OmegaDescriptor, r: int) -> List[Tuple[int, ...]]:
@@ -1224,15 +1139,12 @@ def strongly_abelian_sample(
     for _ in range(trials):
         a = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
         b = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
-        va = eval(desc, a, depth_limit)
-        vb = eval(desc, b, depth_limit)
-        vc = eval(desc, commutator(a, b), depth_limit)
+        va = eval_element(desc, a, depth_limit)
+        vb = eval_element(desc, b, depth_limit)
+        vc = eval_element(desc, commutator(a, b), depth_limit)
         bound = va.add(vb) if va is not INFINITY and vb is not INFINITY else INFINITY
         if not (vc is INFINITY or (bound is not INFINITY and vc.cmp(bound) > 0)):
             report.violations.append(
                 {"a": str(a), "b": str(b), "v_a": str(va), "v_b": str(vb), "v_comm": str(vc)}
             )
     return report
-
-
-eval_element = eval

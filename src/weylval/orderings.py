@@ -228,6 +228,3 @@ def extend_ordering(
         terminal_sign=ordering.terminal_sign if has_terminal else 1,
     )
     return ExtensionResult(sign_choice, extended)
-
-
-enumerate = enumerate_orderings

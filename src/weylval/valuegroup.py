@@ -222,7 +222,3 @@ def cmp(a: Value, b: Value) -> int:
 
 def value_to_json(v: Value):
     return v.to_json()
-
-
-def rational_value(q) -> ValueGroupElement:
-    return ValueGroupElement.rational(q)

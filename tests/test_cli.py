@@ -1,0 +1,62 @@
+"""Command-line front end: exit codes and JSON reports."""
+
+import json
+
+import pytest
+
+from weylval.cli import main
+
+from conftest import WORKED_JSON
+
+ZERO_N_JSON = {"steps": [{"m": 1, "n": 0, "beta": "1"}]}
+
+
+@pytest.fixture()
+def desc_file(tmp_path):
+    def write(data: dict) -> str:
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    return write
+
+
+def run(capsys, argv):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestValidationOnLoad:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--expr", "y"],
+            ["residue", "--expr", "x*y^2"],
+            ["sign", "--expr", "y"],
+            ["orderings"],
+            ["extend-check"],
+            ["convert"],
+            ["roundtrip", "--trials", "1"],
+            ["sample-strongly-abelian", "--trials", "1"],
+            ["shadow-compare", "--trials", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_malformed_descriptor_is_a_structured_error(self, capsys, desc_file, argv):
+        # a command that ran on n = 0 would divide by zero
+        code, report = run(capsys, argv[:1] + ["--desc", desc_file(ZERO_N_JSON)] + argv[1:])
+        assert code == 1
+        assert report["error"]["type"] == "DeclarationInconsistent"
+        assert "StepShape: step 1: n must be >= 1" in report["error"]["detail"]
+
+    def test_validate_still_lists_violations(self, capsys, desc_file):
+        code, report = run(capsys, ["validate", "--desc", desc_file(ZERO_N_JSON)])
+        assert code == 1
+        assert report == {
+            "violations": [{"rule": "StepShape", "detail": "step 1: n must be >= 1"}]
+        }
+
+    def test_valid_descriptor_evaluates(self, capsys, desc_file):
+        code, report = run(capsys, ["eval", "--desc", desc_file(WORKED_JSON), "--expr", "y"])
+        assert code == 0
+        assert report == {"value": {"q": "1/2", "k_xi": 0, "k_mu": 0}}

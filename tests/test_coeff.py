@@ -59,6 +59,23 @@ class TestNthRoot:
             base = abs(base)
         assert nth_root(base**n, n) == base
 
+    # beyond float precision (the first two) and float range (the third)
+    @pytest.mark.parametrize(
+        "root, n",
+        [(3**40 + 7, 2), (10**20 + 1, 3), (10**200, 2)],
+        ids=["square", "cube", "square-beyond-float-range"],
+    )
+    def test_large_integer_roots(self, root, n):
+        assert nth_root(Rat(root**n), n) == root
+        with pytest.raises(NoRationalRoot):
+            nth_root(Rat(root**n + 1), n)
+
+    @given(st.integers(2, 10**80), st.integers(2, 7))
+    def test_large_root_of_power(self, root, n):
+        assert nth_root(Rat(root**n, 3**n), n) == Rat(root, 3)
+        with pytest.raises(NoRationalRoot):
+            nth_root(Rat(root**n - 1), n)
+
 
 class TestTwoAdic:
     def test_even_integer(self):

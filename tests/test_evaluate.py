@@ -162,6 +162,27 @@ class TestMonomialGap:
         # unique-minimum control on the same tower
         assert monomial_gap_value(dd, (1, 3, 0)) == rational(1, 4)
 
+    # The w_1 power is not a multiple of the next step's n, so the word is
+    # outside the unit-product lattice and its gap goes through a sum-inverse
+    # block, which the word sorter has to move past the generators.
+    @pytest.mark.parametrize(
+        "fixture, exponents, expected",
+        [
+            ("worked", (1, 1, 2), {"q": "0", "k_xi": 1, "k_mu": 0, "scale": "1/8"}),
+            ("halving", (1, 1, 2), {"q": "1/8"}),
+            ("halving", (2, 3, 2), {"q": "1/8"}),
+            ("constant131", (1, 2, 3), {"q": "1/27"}),
+        ],
+    )
+    def test_gap_through_sum_inverse_block(self, request, fixture, exponents, expected):
+        desc = request.getfixturevalue(fixture)
+        gap = monomial_gap_value(desc, exponents)
+        assert gap == ValueGroupElement.from_json(expected)
+        assert gap == eval_element(desc, omega_element(desc, 2))
+        a, k0, k1 = exponents
+        word = X.pow(a).mul(Y.pow(k0)).mul(omega_element(desc, 1).pow(k1))
+        assert gap == eval_element(desc, word.sub(WeylElement.scalar(residue(desc, word))))
+
 
 class TestUnitGenerators:
     def test_empty_prefix(self, worked):
