@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .coeff import Rat, format_rat, odd_part, parse_rat, sgn, two_adic_valuation, nth_root
 from .errors import (
+    BudgetExceeded,
     DeclarationInconsistent,
     DepthExceeded,
     MissingSignChoice,
@@ -118,6 +119,8 @@ class OmegaDescriptor:
                     f"alpha sign for ({i},{j}) must have 1 <= i < j and sign +-1"
                 )
         self._cache: Dict[int, OmegaStep] = {}
+        # w_1 .. w_K, built by omega_element; always a contiguous prefix
+        self._tower: Dict[int, WeylElement] = {}
         if isinstance(tail, IrrationalTerminal):
             t = tail.value
             if t.k_xi == 0 or t.k_mu != 0:
@@ -350,22 +353,50 @@ def alpha_sign(desc: OmegaDescriptor, i: int, j: int) -> int:
 # -- tower elements -----------------------------------------------------------
 
 
+# Largest y-degree n_1 n_2 ... n_i of a tower element omega_element builds.
+# Halving's w_3 (64) builds in well under a second; constant(1,3,1)'s w_3
+# (729) takes minutes and halving's w_4 (1024) longer.
+TOWER_Y_DEGREE_BUDGET = 256
+
+
 def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
-    """Expanded normal form of w_i; raises NegativeXPower if some m_k < 0."""
+    """Expanded normal form of w_i, built once per descriptor and shared.
+
+    Raises NegativeXPower if some m_k < 0, and BudgetExceeded, before
+    building anything, if the y-degree of w_i is above
+    TOWER_Y_DEGREE_BUDGET.  Errors are raised afresh on every call; only
+    built elements are stored.
+    """
     if i < -1:
         raise ValueError("tower indices start at -1")
     if i == -1:
         return WeylElement.x()
-    element = WeylElement.y()
+    if i == 0:
+        return WeylElement.y()
+    tower = desc._tower
+    if i in tower:
+        return tower[i]
+    degree = 1
     for k in range(1, i + 1):
         step = desc.step(k)
         if step.m < 0:
             raise NegativeXPower(
                 f"step {k} has m = {step.m}; use omega_fraction instead"
             )
+        degree *= step.n
+    if degree > TOWER_Y_DEGREE_BUDGET:
+        raise BudgetExceeded(
+            f"tower element w_{i} has y-degree {degree}, above the budget "
+            f"of {TOWER_Y_DEGREE_BUDGET}"
+        )
+    built = len(tower)
+    element = tower[built] if built else WeylElement.y()
+    for k in range(built + 1, i + 1):
+        step = desc.step(k)
         element = WeylElement.monomial(step.m, 0).mul(element.pow(step.n)).sub(
             WeylElement.scalar(step.beta)
         )
+        tower[k] = element
     return element
 
 

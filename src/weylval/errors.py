@@ -57,6 +57,12 @@ class DepthExceeded(WeylvalError):
         self.consulted = consulted
 
 
+class BudgetExceeded(WeylvalError):
+    """A computation would exceed one of the package's declared size budgets."""
+
+    kind = "BudgetExceeded"
+
+
 class NonzeroValue(WeylvalError):
     """A residue was requested for an element of nonzero value."""
 

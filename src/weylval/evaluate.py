@@ -101,7 +101,6 @@ class _Ctx:
         self._sorted: Dict[Word, Tuple[Word, Tuple[Emission, ...]]] = {}
         self._def_content: Dict[Factor, Tuple[Emission, ...]] = {}
         self._def_values: Dict[Factor, ValueGroupElement] = {}
-        self._tower: Dict[int, WeylElement] = {}
 
     def check(self, step_index: int) -> None:
         if step_index > self.depth_limit:
@@ -679,12 +678,8 @@ def _leading(ctx: _Ctx, pool: Dict[Word, Rat]) -> LeadingData:
 
 def _tower_weyl(ctx: _Ctx, i: int) -> WeylElement:
     """The i-th tower element as a normal-form Weyl algebra element."""
-    cached = ctx._tower.get(i)
-    if cached is None:
-        ctx.check(i)
-        cached = omega_element(ctx.desc, i)
-        ctx._tower[i] = cached
-    return cached
+    ctx.check(i)
+    return omega_element(ctx.desc, i)
 
 
 def _divmod_right(

@@ -117,6 +117,12 @@ class GammaResolution:
     chosen_sign: Optional[int]
 
     def gamma(self, i: int) -> Rat:
+        if not 1 <= i <= len(self.gammas):
+            raise DepthExceeded(
+                f"gamma_{i} is outside the resolved window of "
+                f"{len(self.gammas)} steps",
+                consulted=i,
+            )
         return self.gammas[i - 1]
 
     def to_json(self) -> dict:

@@ -10,7 +10,7 @@ exponents only; `apply_to_poly` enforces that.
 
 from __future__ import annotations
 
-from math import comb
+from math import lcm
 from typing import Dict, Iterable, Tuple, Union
 
 from .coeff import Rat, format_rat
@@ -19,16 +19,20 @@ from .errors import NegativeXPower, NonzeroRequired
 Monomial = Tuple[int, int]  # (x exponent, y exponent)
 
 
-def _falling(c: int, t: int) -> int:
-    """Falling factorial c (c-1) ... (c-t+1); valid for any integer c."""
-    out = 1
-    for s in range(t):
-        out *= c - s
-    return out
+def _integer_terms(terms: Dict[Monomial, Rat]) -> Tuple[list, int]:
+    """The terms as (i, j, numerator) over one shared denominator."""
+    den = lcm(*(coeff.denominator for coeff in terms.values()))
+    return [(i, j, coeff.numerator * (den // coeff.denominator))
+            for (i, j), coeff in terms.items()], den
 
 
 class WeylElement:
-    """A normal-form element of the (Laurent-in-x) Weyl algebra."""
+    """A normal-form element of the (Laurent-in-x) Weyl algebra.
+
+    Elements are immutable values: every operation returns a new element
+    and no code mutates `terms` after construction, so caches (such as the
+    tower elements stored on a descriptor) share them freely.
+    """
 
     __slots__ = ("terms",)
 
@@ -93,23 +97,41 @@ class WeylElement:
         return result
 
     def mul(self, other: "WeylElement") -> "WeylElement":
-        """Exact product; moves every y of self past every x of other."""
-        out: Dict[Monomial, Rat] = {}
-        for (a, b), c1 in self.terms.items():
-            for (c, d), c2 in other.terms.items():
-                # y^b x^c = sum_t C(b,t) falling(c,t) x^{c-t} y^{b-t}
-                for t in range(0, b + 1):
-                    coeff = comb(b, t) * _falling(c, t)
-                    if coeff == 0:
-                        continue
-                    key = (a + c - t, b + d - t)
-                    acc = out.get(key, Rat(0)) + c1 * c2 * coeff
-                    if acc == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+        """Exact product; moves every y of self past every x of other.
+
+        Uses y^b x^c = sum_t C(b,t) c(c-1)...(c-t+1) x^{c-t} y^{b-t}, which
+        stops at t = min(b, c) when c >= 0.  Both operands are scaled to
+        integers over their own common denominator, the sum runs on ints
+        (coefficient t+1 is coefficient t times (b-t)(c-t)/(t+1), an exact
+        division), and each surviving term becomes one Rat at the end.
+        """
         result = WeylElement()
-        result.terms = out
+        if not self.terms or not other.terms:
+            return result
+        left, da = _integer_terms(self.terms)
+        right, db = _integer_terms(other.terms)
+        out: Dict[Monomial, int] = {}
+        get = out.get
+        for a, b, p in left:
+            for c, d, q in right:
+                coeff = p * q
+                last = b if c < 0 or b < c else c
+                t = 0
+                while True:
+                    key = (a + c - t, b + d - t)
+                    acc = get(key, 0) + coeff
+                    # a cancelled key leaves at once: a key that comes back
+                    # moves to the end of the term order
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+                    if t == last:
+                        break
+                    coeff = coeff * (b - t) * (c - t) // (t + 1)
+                    t += 1
+        den = da * db
+        result.terms = {key: Rat(acc, den) for key, acc in out.items()}
         return result
 
     def pow(self, n: int) -> "WeylElement":

@@ -60,3 +60,28 @@ class TestValidationOnLoad:
         code, report = run(capsys, ["eval", "--desc", desc_file(WORKED_JSON), "--expr", "y"])
         assert code == 0
         assert report == {"value": {"q": "1/2", "k_xi": 0, "k_mu": 0}}
+
+
+HALVING_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "halving"}}
+CONSTANT131_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "constant(1,3,1)"}}
+
+
+class TestStructuredLimits:
+    def test_convert_past_the_gamma_window(self, capsys, desc_file):
+        # the default --depth 64 runs past the 8 resolved roots of the rule
+        code, report = run(capsys, ["convert", "--desc", desc_file(HALVING_JSON)])
+        assert code == 1
+        assert report["error"]["type"] == "DepthExceeded"
+        assert "window of 8 steps" in report["error"]["detail"]
+
+    def test_convert_inside_the_gamma_window(self, capsys, desc_file):
+        code, _ = run(capsys, ["convert", "--desc", desc_file(HALVING_JSON), "--depth", "4"])
+        assert code == 0
+
+    def test_tower_element_over_budget(self, capsys, desc_file):
+        # dividing y^729 needs w_3 of constant(1,3,1), of y-degree 3*9*27
+        argv = ["eval", "--desc", desc_file(CONSTANT131_JSON), "--expr", "y^729"]
+        code, report = run(capsys, argv)
+        assert code == 1
+        assert report["error"]["type"] == "BudgetExceeded"
+        assert "w_3" in report["error"]["detail"] and "729" in report["error"]["detail"]

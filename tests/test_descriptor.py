@@ -1,11 +1,15 @@
 """Tower descriptors: JSON format, derived data, and validation rules."""
 
+import time
+
 import pytest
 
 from weylval import (
+    BudgetExceeded,
     DeclarationInconsistent,
     DepthExceeded,
     MissingSignChoice,
+    NegativeXPower,
     OmegaDescriptor,
     ParseError,
     Rat,
@@ -18,6 +22,7 @@ from weylval import (
     validate,
 )
 from weylval.descriptor import (
+    TOWER_Y_DEGREE_BUDGET,
     GroupKind,
     alpha,
     alpha_sign,
@@ -187,6 +192,69 @@ class TestDerivedData:
         assert rule.step_fn(2).n == 9
         with pytest.raises(ParseError):
             builtin_rule("constant(1,1,1)")
+
+
+def rule(name):
+    """A fresh rule descriptor; the session fixtures may already hold built towers."""
+    return OmegaDescriptor.from_json({"steps": [], "tail": {"kind": "rule", "rule": name}})
+
+
+class TestTowerMemo:
+    def test_repeated_call_returns_the_same_object(self):
+        d = rule("halving")
+        w2 = omega_element(d, 2)
+        assert omega_element(d, 2) is w2
+        w3 = omega_element(d, 3)
+        assert omega_element(d, 3) is w3
+        assert omega_element(d, 2) is w2
+        w1 = omega_element(d, 1)
+        assert w3 == WeylElement.x().mul(w2.pow(8)).sub(WeylElement.scalar(1))
+        assert w2 == WeylElement.x().mul(w1.pow(4)).sub(WeylElement.scalar(1))
+
+    def test_descriptors_never_share_entries(self):
+        a, b = rule("halving"), rule("halving")
+        assert omega_element(a, 2) == omega_element(b, 2)
+        assert omega_element(a, 2) is not omega_element(b, 2)
+        c = rule("constant(1,2,3)")
+        assert omega_element(c, 1) == WeylElement({(1, 2): Rat(1), (0, 0): Rat(-3)})
+        assert omega_element(a, 1) == WeylElement({(1, 2): Rat(1), (0, 0): Rat(-1)})
+
+    def test_missing_step_raises_on_every_call(self, single24):
+        w1 = omega_element(single24, 1)
+        for _ in range(2):
+            with pytest.raises(DepthExceeded) as info:
+                omega_element(single24, 2)
+            assert info.value.consulted == 2
+        assert omega_element(single24, 1) is w1
+
+    def test_negative_m_raises_on_every_call(self):
+        d = desc([(1, 2, 1), (-1, 2, 1)])
+        w1 = omega_element(d, 1)
+        for _ in range(2):
+            with pytest.raises(NegativeXPower):
+                omega_element(d, 2)
+        assert omega_element(d, 1) is w1
+
+
+class TestTowerBudget:
+    @pytest.mark.parametrize(
+        "name,i,degree", [("constant(1,3,1)", 3, 729), ("halving", 4, 1024)]
+    )
+    def test_over_budget_raises_at_once(self, name, i, degree):
+        d = rule(name)
+        for _ in range(2):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceeded) as info:
+                omega_element(d, i)
+            assert time.perf_counter() - start < 1.0
+            assert f"w_{i}" in str(info.value) and str(degree) in str(info.value)
+            assert info.value.payload()["type"] == "BudgetExceeded"
+        # the levels below the budget still build
+        assert omega_element(d, i - 1).max_degrees()[1] == degree // d.step(i).n
+
+    def test_halving_w3_builds(self):
+        w3 = omega_element(rule("halving"), 3)
+        assert w3.max_degrees()[1] == 64 <= TOWER_Y_DEGREE_BUDGET
 
 
 def prefix_size_check(d):

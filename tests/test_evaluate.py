@@ -76,6 +76,22 @@ class TestEval:
                 oracle(single24, w1)
             assert info.value.consulted == 2
 
+    def test_depth_limit_holds_with_cached_tower(self):
+        # the tower memo lives on the descriptor; the depth limit of each
+        # call is still checked before a stored element is read
+        d = OmegaDescriptor.from_json({"steps": [], "tail": {"kind": "rule", "rule": "halving"}})
+        e = X.mul(omega_element(d, 2))
+        consulted = []
+        for _ in range(2):
+            with pytest.raises(DepthExceeded) as info:
+                eval_element(d, e, depth_limit=2)
+            consulted.append(info.value.consulted)
+            omega_element(d, 3)
+        assert consulted == [3, 3]
+        with pytest.raises(DepthExceeded) as info:
+            eval_element(d, omega_element(d, 3), depth_limit=1)
+        assert info.value.consulted == 2
+
     def test_bare_prefix_determined_values(self, single24):
         # the one-step prefix fixes v(x) and v(w_0) = v(y), so these values
         # need no division by the undeclared w_1

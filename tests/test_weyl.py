@@ -1,6 +1,7 @@
 """Normal-form arithmetic on the x/y generators and the operator oracle."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +78,73 @@ class TestMul:
         for _ in range(40):
             a, b, c = (random_element(rng, 4, 3, 5) for _ in range(3))
             assert mul(a, b.add(c)) == mul(a, b).add(mul(a, c))
+
+
+def _falling(c, t):
+    out = 1
+    for s in range(t):
+        out *= c - s
+    return out
+
+
+def reference_mul(a, b):
+    """The Leibniz product summed term by term in Rat, as an oracle."""
+    out = {}
+    for (i, j), c1 in a.terms.items():
+        for (k, l), c2 in b.terms.items():
+            for t in range(j + 1):
+                coeff = comb(j, t) * _falling(k, t)
+                if coeff:
+                    key = (i + k - t, j + l - t)
+                    out[key] = out.get(key, Rat(0)) + c1 * c2 * coeff
+    return WeylElement(out)
+
+
+laurent_elements = st.dictionaries(
+    st.tuples(st.integers(-4, 5), st.integers(0, 5)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    max_size=5,
+).map(WeylElement)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_elements, laurent_elements)
+    def test_matches_reference(self, a, b):
+        product = mul(a, b)
+        assert product == reference_mul(a, b)
+        assert all(c != 0 for c in product.terms.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_elements, laurent_elements, laurent_elements)
+    def test_associative(self, a, b, c):
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+    def test_cancels_to_zero(self):
+        # [y, x] = 1, [y^2, x] = 2y, [y, x^-1] = -x^-2
+        inv = WeylElement.monomial(-1, 0)
+        assert mul(Y, X).sub(mul(X, Y)).sub(ONE).is_zero()
+        assert mul(Y.pow(2), X).sub(mul(X, Y.pow(2))).sub(elem({(0, 1): 2})).is_zero()
+        assert mul(Y, inv).sub(mul(inv, Y)).add(WeylElement.monomial(-2, 0)).is_zero()
+        # inside one product: (y - x)(y + x) = y^2 - x^2 + 1, the x*y terms cancel
+        assert mul(Y.sub(X), Y.add(X)).terms == {(0, 2): 1, (2, 0): -1, (0, 0): 1}
+
+    def test_empty_operands(self):
+        f = elem({(1, 2): Rat(2, 3)})
+        for a, b in ((WeylElement.zero(), f), (f, WeylElement.zero())):
+            assert mul(a, b).terms == {}
+        assert mul(WeylElement.zero(), WeylElement.zero()).terms == {}
+
+    def test_negative_x_power(self):
+        # y x^{-1} = x^{-1} y - x^{-2}; the sum does not stop at t = c
+        inv = WeylElement.monomial(-1, 0)
+        assert mul(Y.pow(2), inv) == elem({(-1, 2): 1, (-2, 1): -2, (-3, 0): 2})
+
+    def test_mixed_denominators(self):
+        a = elem({(0, 1): Rat(1, 2), (0, 0): Rat(1, 3)})
+        b = elem({(1, 0): Rat(3, 4), (2, 0): Rat(-5, 6)})
+        assert mul(a, b) == reference_mul(a, b)
+        assert mul(a, b).terms[(0, 0)] == Rat(3, 8)
 
 
 class TestCommutator:
