@@ -17,16 +17,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .coeff import format_rat
 from .descriptor import OmegaDescriptor, validate
 from .errors import DeclarationInconsistent, ParseError, WeylvalError
-from .evaluate import (
-    eval_element,
-    residue,
-    sample_element,
-    shadow_eval,
-    strongly_abelian_sample,
-)
+from .evaluate import Valuation, sample_element, shadow_eval, strongly_abelian_sample
 from .expr import parse_expr
 from .extension import check_extendable, omega_to_z, resolve_gammas, roundtrip_check
-from .orderings import enumerate_orderings, extend_ordering, sign
+from .orderings import enumerate_orderings, extend_ordering
 from .valuegroup import cmp as value_cmp, value_to_json
 
 Outcome = Tuple[dict, str, bool]
@@ -77,23 +71,24 @@ def _cmd_validate(args: argparse.Namespace) -> Outcome:
 def _cmd_eval(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     element = parse_expr(args.expr)
-    value = eval_element(desc, element, _depth(args))
+    value = Valuation(desc, _depth(args)).value(element)
     return {"value": value_to_json(value)}, f"value: {value}", True
 
 
 def _cmd_residue(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     element = parse_expr(args.expr)
-    res = residue(desc, element, _depth(args))
+    res = Valuation(desc, _depth(args)).residue(element)
     return {"residue": format_rat(res)}, f"residue: {format_rat(res)}", True
 
 
 def _cmd_sign(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     element = parse_expr(args.expr)
+    session = Valuation(desc, _depth(args))
     entries = []
     for ordering in enumerate_orderings(desc):
-        s = sign(desc, ordering, element, _depth(args))
+        s = session.sign(ordering, element)
         entries.append({"ordering": ordering.to_json(), "sign": s})
     summary = ", ".join(f"{e['sign']:+d}" for e in entries)
     return {"signs": entries}, f"signs per ordering: {summary}", True
@@ -173,10 +168,11 @@ def _cmd_sample_strongly_abelian(args: argparse.Namespace) -> Outcome:
 def _cmd_shadow_compare(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     rng = random.Random(args.seed)
+    session = Valuation(desc, _depth(args))
     disagreements: List[dict] = []
     for _ in range(args.trials):
         element = sample_element(rng, max_degree=6)
-        main_value = eval_element(desc, element, _depth(args))
+        main_value = session.value(element)
         shadow_value = shadow_eval(desc, element, _depth(args))
         if value_cmp(main_value, shadow_value) != 0:
             disagreements.append(

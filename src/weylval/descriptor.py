@@ -222,6 +222,9 @@ class OmegaDescriptor:
     def from_json(cls, data: dict) -> "OmegaDescriptor":
         if not isinstance(data, dict):
             raise ParseError("descriptor JSON must be an object")
+        for key in ("steps", "alpha_signs"):
+            if not isinstance(data.get(key, []), list):
+                raise ParseError(f"descriptor {key} must be a list")
         steps = []
         for entry in data.get("steps", []):
             try:
@@ -233,6 +236,8 @@ class OmegaDescriptor:
         tail_data = data.get("tail")
         tail: Tail = None
         if tail_data is not None:
+            if not isinstance(tail_data, dict):
+                raise ParseError("descriptor tail must be an object")
             kind = tail_data.get("kind")
             if kind == "irrational":
                 tail = IrrationalTerminal(

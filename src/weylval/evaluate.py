@@ -1,5 +1,9 @@
 """Valuation evaluation on Weyl elements, plus the commutative shadow oracle.
 
+`Valuation(desc, depth_limit)` is the way into the evaluator: a session that
+computes each element's leading data once and reads value, residue and every
+ordering's sign from it.  The free functions open a session per call.
+
 The main path works on pools of terms coeff * word, where a word is a product
 of generator powers x^k, w_i^k and formal sum-inverse blocks.  Levels are
 processed in increasing value order; a level is certified as v(F) as soon as
@@ -7,7 +11,8 @@ the relative residues of its terms do not cancel, otherwise every term is
 rewritten exactly into terms of strictly larger value.
 
 The shadow path re-evaluates the same data on commutative Laurent monomials
-and shares nothing with the main path except the kernel residue map rho.
+and shares nothing with the main path except the kernel residue map rho; it
+reads the descriptor through a session but never a session's leading data.
 """
 
 from __future__ import annotations
@@ -15,13 +20,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
 from .descriptor import OmegaDescriptor, alpha, omega_element, pair_data
-from .errors import DepthExceeded, NonzeroValue
+from .errors import DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, cmp as value_cmp
 from .weyl import WeylElement, WeylFraction, commutator
+
+if TYPE_CHECKING:
+    from .orderings import OrderingDescriptor
 
 # A factor is ("x", k), ("w", i, k) with w_0 = y, or ("si", q_word, n, rho):
 # the formal inverse of sum_{j<n} Q^{n-1-j} rho^j for a pure value-0 word Q
@@ -29,6 +37,7 @@ from .weyl import WeylElement, WeylFraction, commutator
 Factor = tuple
 Word = Tuple[Factor, ...]
 Emission = Tuple[Rat, Word]
+Element = Union[WeylElement, WeylFraction]
 
 
 def _x(k: int) -> Factor:
@@ -89,10 +98,15 @@ def _word_exponents(word: Word) -> Dict[int, int]:
     return {s: k for s, k in out.items() if k}
 
 
-class _Ctx:
-    """Descriptor access with a depth limit and small caches."""
+class Valuation:
+    """One evaluation session: a descriptor read under one depth limit.
 
-    def __init__(self, desc: OmegaDescriptor, depth_limit: int):
+    `value`, `residue` and `sign` read each element's `LeadingData`, which
+    is computed at most once.  The caches are filled under this limit only;
+    the tower elements stored on the descriptor are read after a check.
+    """
+
+    def __init__(self, desc: OmegaDescriptor, depth_limit: int = 64):
         self.desc = desc
         self.depth_limit = depth_limit
         self._values: Dict[int, ValueGroupElement] = {}
@@ -101,6 +115,51 @@ class _Ctx:
         self._sorted: Dict[Word, Tuple[Word, Tuple[Emission, ...]]] = {}
         self._def_content: Dict[Factor, Tuple[Emission, ...]] = {}
         self._def_values: Dict[Factor, ValueGroupElement] = {}
+        self._elements: Dict[WeylElement, LeadingData] = {}
+
+    def leading(self, element: WeylElement) -> LeadingData:
+        """Value, relative residue, and representative parities of an element."""
+        data = self._elements.get(element)
+        if data is None:
+            data = _leading(self, _digit_pool(self, element))
+            self._elements[element] = data
+        return data
+
+    def _parts(self, element: Element) -> Tuple[LeadingData, LeadingData]:
+        # an element is read as the fraction element / 1
+        if isinstance(element, WeylFraction):
+            return self.leading(element.num), self.leading(element.den)
+        return self.leading(element), _UNIT_LEADING
+
+    def value(self, element: Element) -> Value:
+        """v(element), v(num) - v(den) for a fraction; Infinity for zero."""
+        return _quotient_value(*self._parts(element))
+
+    def residue(self, element: Element) -> Rat:
+        """Residue of a value-0 element or fraction; NonzeroValue otherwise."""
+        num, den = self._parts(element)
+        value = _quotient_value(num, den)
+        if value is INFINITY or not value.is_zero():
+            raise NonzeroValue(f"element has value {value}, not 0")
+        # equal values share their canonical representative, which cancels;
+        # the representative of value 0 is the empty word, so over 1 the
+        # relative residue is already the absolute one
+        assert num.ref == den.ref
+        return num.lam / den.lam
+
+    def sign(self, ordering: OrderingDescriptor, element: Element) -> int:
+        """Sign of a nonzero element or fraction under a compatible ordering.
+
+        The sign of the relative residue times the ordering's character on
+        the representative's parities; sign(num / den) = sign(num) sign(den).
+        """
+        num, den = self._parts(element)
+        if num.value is INFINITY:
+            raise NonzeroRequired("the zero element has no sign")
+        assert num.lam and den.lam
+        return sgn(num.lam * den.lam) * ordering.character(
+            num.eps_basis + den.eps_basis, num.eps_terminal + den.eps_terminal
+        )
 
     def check(self, step_index: int) -> None:
         if step_index > self.depth_limit:
@@ -157,7 +216,7 @@ def _signed_root(target: Rat, k: int) -> Rat:
     return nth_root(target, k)
 
 
-def _rho(ctx: _Ctx, vec: Dict[int, int]) -> Rat:
+def _rho(ctx: Valuation, vec: Dict[int, int]) -> Rat:
     """Residue of the zero-value monomial with exponent vector `vec`.
 
     Defined on kernel vectors of the value pairing; reduces the support one
@@ -200,7 +259,7 @@ def _si_sigma(si: Factor) -> Rat:
     return 1 / (n * rho_q ** (n - 1))
 
 
-def _word_residue(ctx: _Ctx, word: Word) -> Rat:
+def _word_residue(ctx: Valuation, word: Word) -> Rat:
     """Residue of a value-0 word: rho of its exponents times block residues."""
     out = _rho(ctx, _word_exponents(word))
     for f in word:
@@ -212,7 +271,7 @@ def _word_residue(ctx: _Ctx, word: Word) -> Rat:
 # -- commutators of generator powers --------------------------------------------
 
 
-def _factor_commutator(ctx: _Ctx, f: Factor, g: Factor) -> Tuple[Emission, ...]:
+def _factor_commutator(ctx: Valuation, f: Factor, g: Factor) -> Tuple[Emission, ...]:
     """[f, g] = f g - g f as emissions; every word has value > v(f) + v(g)."""
     key = (f, g)
     if key in ctx._commutators:
@@ -226,7 +285,7 @@ def _negated(emissions: Iterable[Emission]) -> List[Emission]:
     return [(-c, w) for c, w in emissions]
 
 
-def _factor_commutator_raw(ctx: _Ctx, f: Factor, g: Factor) -> List[Emission]:
+def _factor_commutator_raw(ctx: Valuation, f: Factor, g: Factor) -> List[Emission]:
     if f[0] == "si" or g[0] == "si":
         raise AssertionError("sum-inverse blocks have their own commutator path")
     if f[0] == "x" and g[0] == "x":
@@ -250,7 +309,7 @@ def _factor_commutator_raw(ctx: _Ctx, f: Factor, g: Factor) -> List[Emission]:
     return _base_ww(ctx, i, j)
 
 
-def _power_commutator(ctx: _Ctx, base: Factor, k: int, g: Factor) -> List[Emission]:
+def _power_commutator(ctx: Valuation, base: Factor, k: int, g: Factor) -> List[Emission]:
     # [A^k, g] from [A, g]: k > 0 spreads over positions, k < 0 conjugates
     if k < 0:
         inner = _factor_commutator(ctx, base[:-1] + (-k,), g)
@@ -266,7 +325,7 @@ def _power_commutator(ctx: _Ctx, base: Factor, k: int, g: Factor) -> List[Emissi
     return out
 
 
-def _base_wx(ctx: _Ctx, i: int, a: int) -> List[Emission]:
+def _base_wx(ctx: Valuation, i: int, a: int) -> List[Emission]:
     # [w_i, x^a]; the base of the tower is [y, x^a] = a x^{a-1}, and above it
     # [x^m w_{i-1}^n - beta, x^a] = x^m [w_{i-1}^n, x^a]
     if a == 0:
@@ -280,7 +339,7 @@ def _base_wx(ctx: _Ctx, i: int, a: int) -> List[Emission]:
     ]
 
 
-def _base_ww(ctx: _Ctx, i: int, j: int) -> List[Emission]:
+def _base_ww(ctx: Valuation, i: int, j: int) -> List[Emission]:
     # [w_i, w_j] for i < j, unfolding w_j = x^{m_j} w_{j-1}^{n_j} - beta_j
     step = ctx.step(j)
     out: List[Emission] = []
@@ -294,7 +353,7 @@ def _base_ww(ctx: _Ctx, i: int, j: int) -> List[Emission]:
 # -- exact expansions ------------------------------------------------------------
 
 
-def _expand_pure(ctx: _Ctx, word: Word) -> List[Emission]:
+def _expand_pure(ctx: Valuation, word: Word) -> List[Emission]:
     """Emissions of (word - residue(word)) for a pure value-0 word.
 
     If the exponent vector is outside the unit-product lattice, pass to the
@@ -344,7 +403,7 @@ def _expand_pure(ctx: _Ctx, word: Word) -> List[Emission]:
     return out
 
 
-def _expand_si(ctx: _Ctx, si: Factor) -> List[Emission]:
+def _expand_si(ctx: Valuation, si: Factor) -> List[Emission]:
     """Emissions of (block - residue(block)) for a sum-inverse block."""
     _, q_word, n, rho_q = si
     sigma = _si_sigma(si)
@@ -358,7 +417,7 @@ def _expand_si(ctx: _Ctx, si: Factor) -> List[Emission]:
     return out
 
 
-def _si_commutator(ctx: _Ctx, si: Factor, f: Factor) -> List[Emission]:
+def _si_commutator(ctx: Valuation, si: Factor, f: Factor) -> List[Emission]:
     # [block, f] = -block [S, f] block where S is the inverted sum
     _, q_word, n, rho_q = si
     out: List[Emission] = []
@@ -391,7 +450,7 @@ def _deferred(f: Factor, g: Factor) -> Factor:
     return ("cs" if f[0] == "si" else "cw", f, g)
 
 
-def _def_content(ctx: _Ctx, f: Factor) -> Tuple[Emission, ...]:
+def _def_content(ctx: Valuation, f: Factor) -> Tuple[Emission, ...]:
     kind, a, b = f
     if kind == "cs":
         cached = ctx._def_content.get(f)
@@ -402,7 +461,7 @@ def _def_content(ctx: _Ctx, f: Factor) -> Tuple[Emission, ...]:
     return _factor_commutator(ctx, a, b)
 
 
-def _def_value(ctx: _Ctx, f: Factor) -> ValueGroupElement:
+def _def_value(ctx: Valuation, f: Factor) -> ValueGroupElement:
     cached = ctx._def_values.get(f)
     if cached is None:
         best: Optional[ValueGroupElement] = None
@@ -416,7 +475,7 @@ def _def_value(ctx: _Ctx, f: Factor) -> ValueGroupElement:
     return cached
 
 
-def _sort_word(ctx: _Ctx, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
+def _sort_word(ctx: Valuation, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
     """Sorted form of a word plus the exact corrections the reordering costs.
 
     The sorted form has the x power first, then tower generators by depth,
@@ -459,7 +518,7 @@ def _sort_word(ctx: _Ctx, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
     return result
 
 
-def _expand_zero(ctx: _Ctx, word: Word, res: Rat) -> List[Emission]:
+def _expand_zero(ctx: Valuation, word: Word, res: Rat) -> List[Emission]:
     """Exact emissions of (word - res) for a value-0 word; each value > 0."""
     main, corrections = _sort_word(ctx, word)
     out = list(corrections)
@@ -513,7 +572,7 @@ class CanonicalRef:
     eps_terminal: int
 
 
-def _canonical_ref(ctx: _Ctx, g: Value) -> CanonicalRef:
+def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
     """Canonical generator word with value g, with its two residue parities.
 
     The parities record whether the representative needs one odd copy of the
@@ -592,9 +651,16 @@ class LeadingData:
 
 
 _ZERO_LEADING = LeadingData(INFINITY, None, (), 0, 0)
+_UNIT_LEADING = LeadingData(ValueGroupElement.rational(0), Rat(1), (), 0, 0)
 
 
-def _leading(ctx: _Ctx, pool: Dict[Word, Rat]) -> LeadingData:
+def _quotient_value(num: LeadingData, den: LeadingData) -> Value:
+    if num.value is INFINITY:
+        return INFINITY
+    return num.value.sub(den.value)
+
+
+def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
     """Certify the leading level of a pool of words.
 
     Two zones keep the scan exact yet lazy: ``canon`` holds sorted words (so
@@ -676,7 +742,7 @@ def _leading(ctx: _Ctx, pool: Dict[Word, Rat]) -> LeadingData:
         pending = {w: c for w, c in pending.items() if c}
 
 
-def _tower_weyl(ctx: _Ctx, i: int) -> WeylElement:
+def _tower_weyl(ctx: Valuation, i: int) -> WeylElement:
     """The i-th tower element as a normal-form Weyl algebra element."""
     ctx.check(i)
     return omega_element(ctx.desc, i)
@@ -709,7 +775,7 @@ def _divmod_right(
     return quotient, rest
 
 
-def _digit_pool(ctx: _Ctx, element: WeylElement) -> Dict[Word, Rat]:
+def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
     """Expand an element into the tower digit basis.
 
     Result words have the form x^i w_0^{j_0} ... w_K^{j_K} with every digit
@@ -776,52 +842,34 @@ def _digit_pool(ctx: _Ctx, element: WeylElement) -> Dict[Word, Rat]:
 def leading_data(
     desc: OmegaDescriptor, element: WeylElement, depth_limit: int = 64
 ) -> LeadingData:
-    """Value, relative residue, and representative parities of an element."""
-    ctx = _Ctx(desc, depth_limit)
+    """Leading data of one element, computed in a fresh session.
+
+    The session's element memo is skipped: a one-shot call never reads it
+    again, and hashing a large element costs about a microsecond a term.
+    """
+    ctx = Valuation(desc, depth_limit)
     return _leading(ctx, _digit_pool(ctx, element))
 
 
-def eval_element(
-    desc: OmegaDescriptor, element: WeylElement, depth_limit: int = 64
-) -> Value:
-    """The valuation v(element); Infinity for the zero element."""
-    return leading_data(desc, element, depth_limit).value
+class _OneShot(Valuation):
+    """The session of one free-function call.
+
+    It reads every element through `leading_data`, so code that wraps that
+    name (the benchmark's tracer) sees each leading computation.
+    """
+
+    def leading(self, element: WeylElement) -> LeadingData:
+        return leading_data(self.desc, element, self.depth_limit)
 
 
-def residue(desc: OmegaDescriptor, element: WeylElement, depth_limit: int = 64) -> Rat:
-    """Residue of a value-0 element; NonzeroValue otherwise."""
-    data = leading_data(desc, element, depth_limit)
-    if data.value is INFINITY or not data.value.is_zero():
-        raise NonzeroValue(f"element has value {data.value}, not 0")
-    # the canonical representative of value 0 is the empty word, so lam is
-    # already the absolute residue
-    assert data.ref == ()
-    return data.lam
+def eval_element(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Value:
+    """The valuation of an element or left fraction; Infinity for zero."""
+    return _OneShot(desc, depth_limit).value(element)
 
 
-def eval_fraction(
-    desc: OmegaDescriptor, fraction: WeylFraction, depth_limit: int = 64
-) -> Value:
-    """v(num) - v(den) for a left fraction."""
-    num = eval_element(desc, fraction.num, depth_limit)
-    den = eval_element(desc, fraction.den, depth_limit)
-    if num is INFINITY:
-        return INFINITY
-    assert isinstance(den, ValueGroupElement)
-    return num.sub(den)
-
-
-def residue_fraction(
-    desc: OmegaDescriptor, fraction: WeylFraction, depth_limit: int = 64
-) -> Rat:
-    """Residue of a value-0 fraction as the quotient of relative residues."""
-    num = leading_data(desc, fraction.num, depth_limit)
-    den = leading_data(desc, fraction.den, depth_limit)
-    if num.value is INFINITY or value_cmp(num.value, den.value) != 0:
-        raise NonzeroValue("fraction does not have value 0")
-    # both sides use the same canonical representative, which cancels
-    assert num.ref == den.ref
-    return num.lam / den.lam
+def residue(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Rat:
+    """Residue of a value-0 element or left fraction; NonzeroValue otherwise."""
+    return _OneShot(desc, depth_limit).residue(element)
 
 
 def monomial_gap_value(
@@ -831,7 +879,7 @@ def monomial_gap_value(
 
     `exponents` lists (x, w_0, ..., w_{r-1}) powers.
     """
-    ctx = _Ctx(desc, depth_limit)
+    ctx = Valuation(desc, depth_limit)
     factors: List[Factor] = []
     if exponents and exponents[0]:
         factors.append(_x(exponents[0]))
@@ -867,7 +915,7 @@ def _sgens(key: SKey) -> Dict[int, int]:
     return dict(key[0])
 
 
-def _shadow_value(ctx: _Ctx, key: SKey) -> ValueGroupElement:
+def _shadow_value(ctx: Valuation, key: SKey) -> ValueGroupElement:
     total = ValueGroupElement.rational(0)
     for s, k in key[0]:
         if s == 0:
@@ -877,7 +925,7 @@ def _shadow_value(ctx: _Ctx, key: SKey) -> ValueGroupElement:
     return total
 
 
-def _shadow_residue(ctx: _Ctx, key: SKey) -> Rat:
+def _shadow_residue(ctx: Valuation, key: SKey) -> Rat:
     out = _rho(ctx, _sgens(key))
     for _, n, rho_q in key[1]:
         out *= 1 / (n * rho_q ** (n - 1))
@@ -891,7 +939,7 @@ def _shadow_mul(key: SKey, gens: Dict[int, int], scale_blocks: Iterable[tuple] =
     return _skey(merged, key[1] + tuple(scale_blocks))
 
 
-def _shadow_expand_pure(ctx: _Ctx, gens: Dict[int, int]) -> List[Tuple[Rat, SKey]]:
+def _shadow_expand_pure(ctx: Valuation, gens: Dict[int, int]) -> List[Tuple[Rat, SKey]]:
     """Commutative emissions of (monomial - residue), all of value > 0."""
     gens = {s: k for s, k in gens.items() if k}
     n_fold = 1
@@ -931,7 +979,7 @@ def _shadow_expand_pure(ctx: _Ctx, gens: Dict[int, int]) -> List[Tuple[Rat, SKey
 
 
 def _shadow_power_minus_residue(
-    ctx: _Ctx, s: int, d: int
+    ctx: Valuation, s: int, d: int
 ) -> List[Tuple[Rat, Dict[int, int]]]:
     """a_s^d - beta_s^d as monomials, each containing one positive w_s power."""
     step = ctx.step(s)
@@ -957,7 +1005,7 @@ def _shadow_power_minus_residue(
     return out
 
 
-def _shadow_expand_block(ctx: _Ctx, block: tuple) -> List[Tuple[Rat, SKey]]:
+def _shadow_expand_block(ctx: Valuation, block: tuple) -> List[Tuple[Rat, SKey]]:
     q_gens_t, n, rho_q = block
     sigma = 1 / (n * rho_q ** (n - 1))
     q_gens = dict(q_gens_t)
@@ -984,7 +1032,7 @@ def shadow_eval(
     corrections exist, and cancellations are resolved by the tower rewrite
     a_s - beta_s = w_s alone.
     """
-    ctx = _Ctx(desc, depth_limit)
+    ctx = Valuation(desc, depth_limit)
     pool: Dict[SKey, Rat] = {}
     for (i, j), c in element.terms.items():
         key = _skey({0: i, 1: j})
@@ -1044,11 +1092,11 @@ def equivalent(
     depth_limit: int = 64,
 ) -> bool:
     """a ~ b: equal values and the difference sits strictly higher."""
-    va = eval_element(desc, a, depth_limit)
-    vb = eval_element(desc, b, depth_limit)
-    if value_cmp(va, vb) != 0:
+    session = Valuation(desc, depth_limit)
+    va = session.value(a)
+    if value_cmp(va, session.value(b)) != 0:
         return False
-    return value_cmp(eval_element(desc, a.sub(b), depth_limit), va) > 0
+    return value_cmp(session.value(a.sub(b)), va) > 0
 
 
 def unit_generators(desc: OmegaDescriptor, r: int) -> List[Tuple[int, ...]]:
@@ -1130,13 +1178,14 @@ def strongly_abelian_sample(
 ) -> SampleReport:
     """Check v([a, b]) > v(a) + v(b) on random nonzero pairs."""
     rng = random.Random(seed)
+    session = Valuation(desc, depth_limit)
     report = SampleReport(trials=trials)
     for _ in range(trials):
         a = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
         b = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
-        va = eval_element(desc, a, depth_limit)
-        vb = eval_element(desc, b, depth_limit)
-        vc = eval_element(desc, commutator(a, b), depth_limit)
+        va = session.value(a)
+        vb = session.value(b)
+        vc = session.value(commutator(a, b))
         bound = va.add(vb) if va is not INFINITY and vb is not INFINITY else INFINITY
         if not (vc is INFINITY or (bound is not INFINITY and vc.cmp(bound) > 0)):
             report.violations.append(

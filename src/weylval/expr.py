@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .coeff import Rat
+from .coeff import parse_rat
 from .errors import ParseError
 from .weyl import WeylElement
 
@@ -106,7 +106,7 @@ class _Parser:
             token = self.take()
             if token.kind != "num":
                 raise ParseError(f"exponent must be a number at position {token.pos}")
-            exponent = Rat(token.text)
+            exponent = parse_rat(token.text)
             if exponent.denominator != 1 or exponent < 0:
                 raise ParseError(
                     f"exponent must be a nonnegative integer at position {token.pos}"
@@ -117,7 +117,7 @@ class _Parser:
     def primary(self) -> WeylElement:
         token = self.take()
         if token.kind == "num":
-            return WeylElement.scalar(Rat(token.text))
+            return WeylElement.scalar(parse_rat(token.text))
         if token.kind == "name":
             return WeylElement.x() if token.text == "x" else WeylElement.y()
         if token.kind == "op" and token.text == "(":

@@ -35,7 +35,7 @@ from .errors import (
     SignChoiceForbidden,
     SignChoiceRequired,
 )
-from .evaluate import eval_element
+from .evaluate import Valuation
 from .series import (
     OrePoly,
     PuiseuxSeries,
@@ -642,9 +642,10 @@ def roundtrip_check(
 ) -> RoundtripReport:
     """z_eval after embedding must match eval on the Weyl algebra."""
     zseq = omega_to_z(desc, res, depth)
+    session = Valuation(desc, depth_limit)
     mismatches: List[str] = []
     for element in samples:
-        direct = eval_element(desc, element, depth_limit)
+        direct = session.value(element)
         via_z = z_eval(zseq, embed(element), depth_limit)
         if value_cmp(direct, via_z) != 0:
             mismatches.append(f"{element}: {direct} vs {via_z}")

@@ -6,11 +6,11 @@ basis is the tower generator of maximal 2-adic step depth (x itself when
 every n_i is odd) together with the irrational terminal slot when one is
 declared, so a descriptor carries 1, 2, or 4 compatible orderings.
 
-The sign of a nonzero element is computed from its certified leading data:
-the sign of the residue relative to the canonical representative word, times
-the character evaluated on the representative's two parities.  Squares of
-even representatives have positive residue, which makes the value of the
-representative the only thing that matters.
+The sign of a nonzero element is read by `evaluate.Valuation.sign` from its
+certified leading data: the sign of the residue relative to the canonical
+representative word, times the character evaluated on the representative's
+two parities.  Squares of even representatives have positive residue, which
+makes the value of the representative the only thing that matters.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from .coeff import sgn
 from .descriptor import OmegaDescriptor, basis_slot, omega_element
-from .errors import DeclarationInconsistent, NonzeroRequired, NotExtendable, ParseError
-from .evaluate import SampleReport, eval_element, leading_data, sample_element
+from .errors import DeclarationInconsistent, NotExtendable, ParseError
+from .evaluate import SampleReport, Valuation, _OneShot, sample_element
 from .extension import check_extendable
-from .valuegroup import INFINITY, cmp as value_cmp
+from .valuegroup import cmp as value_cmp
 from .weyl import WeylElement, WeylFraction
 
 
@@ -113,19 +112,6 @@ def enumerate_orderings(desc: OmegaDescriptor) -> List[OrderingDescriptor]:
     ]
 
 
-def _part_sign(
-    desc: OmegaDescriptor,
-    ordering: OrderingDescriptor,
-    element: WeylElement,
-    depth_limit: int,
-) -> int:
-    data = leading_data(desc, element, depth_limit)
-    if data.value is INFINITY:
-        raise NonzeroRequired("the zero element has no sign")
-    assert data.lam is not None and data.lam != 0
-    return sgn(data.lam) * ordering.character(data.eps_basis, data.eps_terminal)
-
-
 def sign(
     desc: OmegaDescriptor,
     ordering: OrderingDescriptor,
@@ -133,11 +119,7 @@ def sign(
     depth_limit: int = 64,
 ) -> int:
     """Sign of a nonzero element or left fraction under one ordering."""
-    if isinstance(element, WeylFraction):
-        return _part_sign(desc, ordering, element.num, depth_limit) * _part_sign(
-            desc, ordering, element.den, depth_limit
-        )
-    return _part_sign(desc, ordering, element, depth_limit)
+    return _OneShot(desc, depth_limit).sign(ordering, element)
 
 
 def compatibility_check(
@@ -155,24 +137,23 @@ def compatibility_check(
     invariance of sign across equivalent elements).
     """
     rng = random.Random(seed)
+    session = Valuation(desc, depth_limit)
     report = SampleReport(trials=trials)
     for _ in range(trials):
         f = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
         g = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
-        s_f = sign(desc, ordering, f, depth_limit)
-        s_g = sign(desc, ordering, g, depth_limit)
-        if sign(desc, ordering, g.mul(g), depth_limit) != 1:
+        s_f = session.sign(ordering, f)
+        s_g = session.sign(ordering, g)
+        if session.sign(ordering, g.mul(g)) != 1:
             report.violations.append({"kind": "square", "g": str(g)})
-        if sign(desc, ordering, f.mul(g), depth_limit) != s_f * s_g:
+        if session.sign(ordering, f.mul(g)) != s_f * s_g:
             report.violations.append(
                 {"kind": "multiplicativity", "f": str(f), "g": str(g)}
             )
-        c = value_cmp(
-            eval_element(desc, f, depth_limit), eval_element(desc, g, depth_limit)
-        )
+        c = value_cmp(session.value(f), session.value(g))
         if c != 0:
             s_low = s_f if c < 0 else s_g
-            if sign(desc, ordering, f.add(g), depth_limit) != s_low:
+            if session.sign(ordering, f.add(g)) != s_low:
                 report.violations.append(
                     {"kind": "equivalence", "f": str(f), "g": str(g)}
                 )
@@ -214,13 +195,14 @@ def extend_ordering(
         raise NotExtendable(
             f"extension condition {violation.condition} fails: {violation.detail}"
         )
-    if sign(desc, ordering, WeylElement.x(), depth_limit) != 1:
+    session = Valuation(desc, depth_limit)
+    if session.sign(ordering, WeylElement.x()) != 1:
         raise NotExtendable("x is negative under this ordering")
     slot = basis_slot(desc)
     sign_choice: Optional[int] = None
     if slot is not None and slot[0] >= 1:
         base = omega_element(desc, slot[1] - 1)
-        sign_choice = sign(desc, ordering, base, depth_limit)
+        sign_choice = session.sign(ordering, base)
     has_terminal = desc.terminal is not None
     extended = OrderingDescriptor(
         omega_index=None,

@@ -155,7 +155,7 @@ class ValueGroupElement:
                 int(data.get("k_mu", 0)),
                 parse_rat(str(data.get("scale", "1"))),
             )
-        except (TypeError, AttributeError) as exc:
+        except (TypeError, AttributeError, ValueError) as exc:
             raise ParseError(f"bad value object {data!r}: {exc}") from None
 
     @classmethod

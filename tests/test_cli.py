@@ -62,6 +62,32 @@ class TestValidationOnLoad:
         assert report == {"value": {"q": "1/2", "k_xi": 0, "k_mu": 0}}
 
 
+def _terminal_value(**fields) -> dict:
+    value = {**WORKED_JSON["tail"]["value"], **fields}
+    return {**WORKED_JSON, "tail": {"kind": "irrational", "value": value}}
+
+
+MALFORMED_JSON = {
+    "tail_number": {**WORKED_JSON, "tail": 5},
+    "steps_number": {**WORKED_JSON, "steps": 5},
+    "alpha_signs_number": {**WORKED_JSON, "alpha_signs": 3},
+    "zero_scale": _terminal_value(scale="0"),
+    "k_xi_text": _terminal_value(k_xi="a"),
+}
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["eval", "--expr", "y"]], ids=lambda c: c[0]
+    )
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_JSON))
+    def test_parse_error_not_traceback(self, capsys, desc_file, shape, command):
+        argv = command[:1] + ["--desc", desc_file(MALFORMED_JSON[shape])] + command[1:]
+        code, report = run(capsys, argv)
+        assert code == 1
+        assert report["error"]["type"] == "ParseError"
+
+
 HALVING_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "halving"}}
 CONSTANT131_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "constant(1,3,1)"}}
 

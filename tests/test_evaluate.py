@@ -1,5 +1,6 @@
-"""Main valuation engine: values, residues, fractions, and the shadow oracle."""
+"""Main valuation engine: values, residues, fractions, sessions, and the shadow oracle."""
 
+import json
 import random
 
 import pytest
@@ -10,22 +11,26 @@ from weylval import (
     NonzeroValue,
     OmegaDescriptor,
     Rat,
+    Valuation,
     ValueGroupElement,
     WeylElement,
     WeylFraction,
     commutator,
+    enumerate_orderings,
     equivalent,
     eval_element,
-    eval_fraction,
     monomial_gap_value,
     omega_element,
     residue,
-    residue_fraction,
     sample_element,
     shadow_eval,
+    sign,
     strongly_abelian_sample,
     unit_generators,
 )
+from weylval import cli, evaluate
+
+from conftest import WORKED_JSON
 
 
 def rational(*args):
@@ -91,6 +96,12 @@ class TestEval:
         with pytest.raises(DepthExceeded) as info:
             eval_element(d, omega_element(d, 3), depth_limit=1)
         assert info.value.consulted == 2
+        # a session's caches are its own: a deep session that evaluated the
+        # element leaves a shallow one as strict as before
+        assert Valuation(d, 64).value(e) == rational(-7, 8)
+        with pytest.raises(DepthExceeded) as info:
+            Valuation(d, 2).value(e)
+        assert info.value.consulted == 3
 
     def test_bare_prefix_determined_values(self, single24):
         # the one-step prefix fixes v(x) and v(w_0) = v(y), so these values
@@ -129,19 +140,77 @@ class TestResidue:
 
 class TestFractions:
     def test_value_difference(self, worked):
-        assert eval_fraction(
+        assert eval_element(
             worked, WeylFraction(Y.pow(2), Y)
         ) == rational(1, 2)
 
     def test_zero_value_unit(self, worked):
         frac = WeylFraction(elem({(1, 2): 1}), WeylElement.scalar(Rat(1)))
-        assert eval_fraction(worked, frac) == rational(0)
-        assert residue_fraction(worked, frac) == Rat(1)
+        assert eval_element(worked, frac) == rational(0)
+        assert residue(worked, frac) == Rat(1)
 
     def test_cancelling_powers(self, worked):
         frac = WeylFraction(Y.pow(2), Y.pow(2))
-        assert eval_fraction(worked, frac) == rational(0)
-        assert residue_fraction(worked, frac) == Rat(1)
+        assert eval_element(worked, frac) == rational(0)
+        assert residue(worked, frac) == Rat(1)
+
+
+def _outcome(query, *args):
+    try:
+        return ("ok", query(*args))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "consulted", None))
+
+
+class TestSession:
+    @pytest.mark.parametrize(
+        "fixture", ["worked", "single_terminal", "halving", "constant131", "single24"]
+    )
+    def test_reads_match_one_shot_calls(self, request, fixture):
+        desc = request.getfixturevalue(fixture)
+        orderings = enumerate_orderings(desc)
+        w1 = omega_element(desc, 1)
+        session = Valuation(desc)
+        rng = random.Random(29)
+        kinds = set()
+        for _ in range(8):
+            f = sample_element(rng, max_degree=5, max_terms=4, coeff_bound=5)
+            g = sample_element(rng, max_degree=4, max_terms=3, coeff_bound=5)
+            for h in (
+                f,
+                g.mul(w1).add(WeylElement.scalar(Rat(3))),
+                WeylFraction(f, g),
+                WeylFraction(f.mul(g), g.mul(f)),
+            ):
+                reads = [_outcome(session.value, h), _outcome(session.residue, h)]
+                reads += [_outcome(session.sign, o, h) for o in orderings]
+                calls = [_outcome(eval_element, desc, h), _outcome(residue, desc, h)]
+                calls += [_outcome(sign, desc, o, h) for o in orderings]
+                assert reads == calls
+                kinds.update(read[0] for read in reads)
+        assert "ok" in kinds
+        # a bare prefix leaves some values undetermined, in both ways alike
+        assert ("DepthExceeded" in kinds) == (fixture == "single24")
+
+    def test_sign_command_reads_one_leading_computation(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "worked.json"
+        path.write_text(json.dumps(WORKED_JSON))
+        runs = []
+        original = evaluate._leading
+
+        def counted(ctx, pool):
+            runs.append(1)
+            return original(ctx, pool)
+
+        monkeypatch.setattr(evaluate, "_leading", counted)
+        assert cli.main(["sign", "--desc", str(path), "--expr", "x*y^2 - 1 + y^3"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["signs"]) == 4
+        assert len(runs) == 1
+
+    def test_element_computed_once(self, worked):
+        session = Valuation(worked)
+        f = elem({(1, 2): 1, (0, 1): 3})
+        assert session.leading(f) is session.leading(elem({(0, 1): 3, (1, 2): 1}))
 
 
 class TestMonomialGap:
@@ -333,7 +402,7 @@ class TestValuationLaws:
             for n in (2, 3):
                 assert eval_element(worked, a.pow(n).sub(b.pow(n))).cmp(base) == 0
             inverse_diff = WeylFraction(b.sub(a), a.mul(b))
-            assert eval_fraction(worked, inverse_diff).cmp(base) == 0
+            assert eval_element(worked, inverse_diff).cmp(base) == 0
 
 
 class TestSampler:

@@ -71,6 +71,9 @@ class TestParseErrors:
             "z",
             "x & y",
             "1//2",
+            "1/0",  # zero denominators
+            "3/0*x",
+            "y^2/0",
         ],
     )
     def test_rejected(self, bad):
