@@ -53,6 +53,13 @@ def _sign_choice(args: argparse.Namespace) -> Optional[int]:
     return int(args.sign_choice) if args.sign_choice is not None else None
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _depth(args: argparse.Namespace, fallback: int = 64) -> int:
     return args.depth if args.depth is not None else fallback
 
@@ -219,7 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sample_flags = argparse.ArgumentParser(add_help=False)
     sample_flags.add_argument(
-        "--trials", type=int, default=500, help="number of samples (default 500)"
+        "--trials",
+        type=positive_int,
+        default=500,
+        help="number of samples, at least 1 (default 500)",
     )
     sample_flags.add_argument(
         "--seed", type=int, default=0, help="RNG seed (default 0)"

@@ -29,6 +29,13 @@ def parse_rat(text: str) -> Rat:
         raise ParseError(f"bad rational literal {text!r}: {exc}") from None
 
 
+def json_int(value) -> int:
+    """int() of a JSON field; a JSON boolean is not taken as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def format_rat(value: Rat) -> str:
     """Render a Rat as "p/q", or "p" when the denominator is 1."""
     if value.denominator == 1:

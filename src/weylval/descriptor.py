@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .coeff import Rat, format_rat, odd_part, parse_rat, sgn, two_adic_valuation, nth_root
+from .coeff import Rat, format_rat, json_int, odd_part, parse_rat, sgn, two_adic_valuation, nth_root
 from .errors import (
     BudgetExceeded,
     DeclarationInconsistent,
@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .valuegroup import INFINITY, Value, ValueGroupElement
-from .weyl import WeylElement, WeylFraction
+from .weyl import WeylElement
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,6 @@ class OmegaDescriptor:
         """Tower index N with v(w_N) irrational, when a terminal is declared."""
         return len(self.explicit_steps) if self.terminal else None
 
-    def xi_scale(self) -> Rat:
-        if self.terminal:
-            return self.terminal.value.xi_scale
-        return Rat(1)
-
     # -- generator values ----------------------------------------------------
 
     def generator_value(self, i: int) -> Value:
@@ -229,7 +224,9 @@ class OmegaDescriptor:
         for entry in data.get("steps", []):
             try:
                 steps.append(
-                    OmegaStep(int(entry["m"]), int(entry["n"]), parse_rat(str(entry["beta"])))
+                    OmegaStep(
+                        json_int(entry["m"]), json_int(entry["n"]), parse_rat(str(entry["beta"]))
+                    )
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad step entry {entry!r}: {exc}") from None
@@ -256,7 +253,8 @@ class OmegaDescriptor:
         alpha_signs: Dict[Tuple[int, int], int] = {}
         for entry in data.get("alpha_signs", []):
             try:
-                alpha_signs[(int(entry["i"]), int(entry["j"]))] = int(entry["sign"])
+                key = (json_int(entry["i"]), json_int(entry["j"]))
+                alpha_signs[key] = json_int(entry["sign"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad alpha sign entry {entry!r}: {exc}") from None
         return cls(steps, tail, alpha_signs)
@@ -386,7 +384,7 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
         step = desc.step(k)
         if step.m < 0:
             raise NegativeXPower(
-                f"step {k} has m = {step.m}; use omega_fraction instead"
+                f"step {k} has m = {step.m}, so w_{i} is not a polynomial in x"
             )
         degree *= step.n
     if degree > TOWER_Y_DEGREE_BUDGET:
@@ -403,23 +401,6 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
         )
         tower[k] = element
     return element
-
-
-def omega_fraction(desc: OmegaDescriptor, i: int) -> WeylFraction:
-    """w_i as a fraction x^{-d} * num, clearing one trailing negative x power.
-
-    Supports all-nonnegative prefixes (denominator 1) and a single negative
-    m at the last step; deeper nesting of negative powers has no closed
-    normal form here and raises NegativeXPower.
-    """
-    if i <= 0:
-        return WeylFraction(omega_element(desc, i), WeylElement.scalar(1))
-    last = desc.step(i)
-    if last.m >= 0:
-        return WeylFraction(omega_element(desc, i), WeylElement.scalar(1))
-    inner = omega_element(desc, i - 1)  # raises if earlier steps are negative too
-    num = inner.pow(last.n).sub(WeylElement.monomial(-last.m, 0).scale(last.beta))
-    return WeylFraction(num, WeylElement.monomial(-last.m, 0))
 
 
 def commutator_value(desc: OmegaDescriptor, i: int, j: int) -> Value:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
 from .descriptor import OmegaDescriptor, alpha, omega_element, pair_data
@@ -31,70 +31,71 @@ from .weyl import WeylElement, WeylFraction, commutator
 if TYPE_CHECKING:
     from .orderings import OrderingDescriptor
 
-# A factor is ("x", k), ("w", i, k) with w_0 = y, or ("si", q_word, n, rho):
-# the formal inverse of sum_{j<n} Q^{n-1-j} rho^j for a pure value-0 word Q
-# with residue rho (the block has value 0 and residue 1/(n rho^{n-1})).
+# A word is a tuple of factors.  A generator power is the int pair (slot, k):
+# slot 0 is x and slot s >= 1 is w_{s-1}, whose value m_s/n_s comes from
+# step s.  The other two factors are a SumInverse block and a Deferred
+# commutator; code tells the three apart by type.
 Factor = tuple
 Word = Tuple[Factor, ...]
 Emission = Tuple[Rat, Word]
 Element = Union[WeylElement, WeylFraction]
 
 
-def _x(k: int) -> Factor:
-    return ("x", k)
+class SumInverse(NamedTuple):
+    """Formal inverse of sum_{j<n} word^{n-1-j} rho^j.
+
+    `word` is a pure value-0 word with residue rho; the block has value 0
+    and residue 1/(n rho^{n-1}).
+    """
+
+    word: Word
+    n: int
+    rho: Rat
 
 
-def _w(i: int, k: int) -> Factor:
-    return ("w", i, k)
+class Deferred(NamedTuple):
+    """Opaque factor standing for the commutator [f, g], expanded lazily.
 
+    Materializing commutator spreads at every reordering swap floods the
+    worklist with words far above the level that eventually certifies; a
+    deferred factor keeps one pending entry per swap and is only unfolded if
+    the level scan actually reaches its value.
+    """
 
-def _gen_order(f: Factor) -> int:
-    # canonical generator order: x before w_0 before w_1 ...
-    return -1 if f[0] == "x" else f[1]
-
-
-def _same_generator(f: Factor, g: Factor) -> bool:
-    if f[0] not in ("x", "w") or g[0] not in ("x", "w"):
-        return False
-    return _gen_order(f) == _gen_order(g)
-
-
-def _merged(f: Factor, g: Factor) -> Optional[Factor]:
-    k = f[-1] + g[-1]
-    if k == 0:
-        return None
-    return f[:-1] + (k,)
+    f: Factor
+    g: Factor
 
 
 def _concat(*parts: Iterable[Factor]) -> Word:
-    """Concatenate factor sequences, collapsing adjacent same-generator powers."""
+    """Concatenate factor sequences, dropping zero powers and merging
+    adjacent powers of one slot."""
     out: List[Factor] = []
     for part in parts:
         for f in part:
-            if f[0] in ("x", "w") and f[-1] == 0:
-                continue
-            if out and _same_generator(out[-1], f):
-                m = _merged(out.pop(), f)
-                if m is not None:
-                    out.append(m)
-            else:
+            if type(f) is not tuple:
                 out.append(f)
+            elif f[1]:
+                if out and type(out[-1]) is tuple and out[-1][0] == f[0]:
+                    k = out[-1][1] + f[1]
+                    if k:
+                        out[-1] = (f[0], k)
+                    else:
+                        out.pop()
+                else:
+                    out.append(f)
     return tuple(out)
 
 
 def _invert_pure(word: Word) -> Word:
-    assert all(f[0] != "si" for f in word)
-    return tuple(f[:-1] + (-f[-1],) for f in reversed(word))
+    return tuple((s, -k) for s, k in reversed(word))
 
 
 def _word_exponents(word: Word) -> Dict[int, int]:
-    """Net exponents keyed by step slot: 0 is x, slot s >= 1 is w_{s-1}."""
+    """Net exponents of the generator powers, keyed by slot."""
     out: Dict[int, int] = {}
     for f in word:
-        if f[0] == "x":
-            out[0] = out.get(0, 0) + f[1]
-        elif f[0] == "w":
-            out[f[1] + 1] = out.get(f[1] + 1, 0) + f[2]
+        if type(f) is tuple:
+            out[f[0]] = out.get(f[0], 0) + f[1]
     return {s: k for s, k in out.items() if k}
 
 
@@ -113,8 +114,8 @@ class Valuation:
         self._commutators: Dict[tuple, Tuple[Emission, ...]] = {}
         self._word_values: Dict[Word, ValueGroupElement] = {}
         self._sorted: Dict[Word, Tuple[Word, Tuple[Emission, ...]]] = {}
-        self._def_content: Dict[Factor, Tuple[Emission, ...]] = {}
-        self._def_values: Dict[Factor, ValueGroupElement] = {}
+        self._def_content: Dict[Deferred, Tuple[Emission, ...]] = {}
+        self._def_values: Dict[Deferred, ValueGroupElement] = {}
         self._elements: Dict[WeylElement, LeadingData] = {}
 
     def leading(self, element: WeylElement) -> LeadingData:
@@ -196,11 +197,9 @@ class Valuation:
         if word not in self._word_values:
             total = ValueGroupElement.rational(0)
             for f in word:
-                if f[0] == "x":
-                    total = total.add(ValueGroupElement.rational(-f[1]))
-                elif f[0] == "w":
-                    total = total.add(self.gen_value(f[1]).scalar_mul(f[2]))
-                elif f[0] in ("cw", "cs"):
+                if type(f) is tuple:
+                    total = total.add(self.gen_value(f[0] - 1).scalar_mul(f[1]))
+                elif type(f) is Deferred:
                     total = total.add(_def_value(self, f))
             self._word_values[word] = total
         return self._word_values[word]
@@ -254,16 +253,15 @@ def _rho(ctx: Valuation, vec: Dict[int, int]) -> Rat:
     return _signed_root(target, data.k_ij)
 
 
-def _si_sigma(si: Factor) -> Rat:
-    _, _, n, rho_q = si
-    return 1 / (n * rho_q ** (n - 1))
+def _si_sigma(si: SumInverse) -> Rat:
+    return 1 / (si.n * si.rho ** (si.n - 1))
 
 
 def _word_residue(ctx: Valuation, word: Word) -> Rat:
     """Residue of a value-0 word: rho of its exponents times block residues."""
     out = _rho(ctx, _word_exponents(word))
     for f in word:
-        if f[0] == "si":
+        if type(f) is SumInverse:
             out *= _si_sigma(f)
     return out
 
@@ -286,67 +284,62 @@ def _negated(emissions: Iterable[Emission]) -> List[Emission]:
 
 
 def _factor_commutator_raw(ctx: Valuation, f: Factor, g: Factor) -> List[Emission]:
-    if f[0] == "si" or g[0] == "si":
+    if type(f) is not tuple or type(g) is not tuple:
         raise AssertionError("sum-inverse blocks have their own commutator path")
-    if f[0] == "x" and g[0] == "x":
+    (s, k), (t, l) = f, g
+    if s == t:
         return []
-    if f[0] == "x":
+    if s == 0 or (t and s > t):
         return _negated(_factor_commutator(ctx, g, f))
-    if g[0] == "w" and f[1] == g[1]:
-        return []
-    if g[0] == "w" and f[1] > g[1]:
-        return _negated(_factor_commutator(ctx, g, f))
-    # now f = w_i^k; g is x^a or w_j^l with i < j
-    i, k = f[1], f[2]
+    # now f = w_{s-1}^k; g is x^l or w_{t-1}^l with s < t
     if k != 1:
-        return _power_commutator(ctx, ("w", i, 1), k, g)
-    if g[0] == "x":
-        return _base_wx(ctx, i, g[1])
-    j, l = g[1], g[2]
+        return _power_commutator(ctx, s, k, g)
+    if t == 0:
+        return _base_wx(ctx, s, l)
     if l != 1:
         # [f, B^l] = -[B^l, f]
-        return _negated(_power_commutator(ctx, ("w", j, 1), l, f))
-    return _base_ww(ctx, i, j)
+        return _negated(_power_commutator(ctx, t, l, f))
+    return _base_ww(ctx, s, t)
 
 
-def _power_commutator(ctx: Valuation, base: Factor, k: int, g: Factor) -> List[Emission]:
-    # [A^k, g] from [A, g]: k > 0 spreads over positions, k < 0 conjugates
+def _power_commutator(ctx: Valuation, s: int, k: int, g: Factor) -> List[Emission]:
+    # [A^k, g] from [A, g] for A in slot s: k > 0 spreads over positions,
+    # k < 0 conjugates
     if k < 0:
-        inner = _factor_commutator(ctx, base[:-1] + (-k,), g)
-        wrap = (base[:-1] + (k,),)
+        inner = _factor_commutator(ctx, (s, -k), g)
+        wrap = ((s, k),)
         return [(-c, _concat(wrap, u, wrap)) for c, u in inner]
-    inner = _factor_commutator(ctx, base, g)
+    inner = _factor_commutator(ctx, (s, 1), g)
     out: List[Emission] = []
     for ell in range(1, k + 1):
-        left = (base[:-1] + (k - ell,),) if k - ell else ()
-        right = (base[:-1] + (ell - 1,),) if ell - 1 else ()
         for c, u in inner:
-            out.append((c, _concat(left, u, right)))
+            out.append((c, _concat(((s, k - ell),), u, ((s, ell - 1),))))
     return out
 
 
-def _base_wx(ctx: Valuation, i: int, a: int) -> List[Emission]:
-    # [w_i, x^a]; the base of the tower is [y, x^a] = a x^{a-1}, and above it
-    # [x^m w_{i-1}^n - beta, x^a] = x^m [w_{i-1}^n, x^a]
+def _base_wx(ctx: Valuation, s: int, a: int) -> List[Emission]:
+    # [w_{s-1}, x^a]; the base of the tower is [y, x^a] = a x^{a-1}, and
+    # above it [x^m w_{s-2}^n - beta, x^a] = x^m [w_{s-2}^n, x^a]
     if a == 0:
         return []
-    if i == 0:
-        return [(Rat(a), _concat((_x(a - 1),)))]
-    step = ctx.step(i)
+    if s == 1:
+        return [(Rat(a), _concat(((0, a - 1),)))]
+    step = ctx.step(s - 1)
     return [
-        (c, _concat((_x(step.m),), u))
-        for c, u in _factor_commutator(ctx, _w(i - 1, step.n), _x(a))
+        (c, _concat(((0, step.m),), u))
+        for c, u in _factor_commutator(ctx, (s - 1, step.n), (0, a))
     ]
 
 
-def _base_ww(ctx: Valuation, i: int, j: int) -> List[Emission]:
-    # [w_i, w_j] for i < j, unfolding w_j = x^{m_j} w_{j-1}^{n_j} - beta_j
-    step = ctx.step(j)
+def _base_ww(ctx: Valuation, s: int, t: int) -> List[Emission]:
+    # [w_{s-1}, w_{t-1}] for s < t, unfolding
+    # w_{t-1} = x^m w_{t-2}^n - beta with step t-1's (m, n, beta)
+    step = ctx.step(t - 1)
     out: List[Emission] = []
-    for c, u in _factor_commutator(ctx, _w(i, 1), _x(step.m)):
-        out.append((c, _concat(u, (_w(j - 1, step.n),))))
-    for c, u in _factor_commutator(ctx, _w(i, 1), _w(j - 1, step.n)):
-        out.append((c, _concat((_x(step.m),), u)))
+    for c, u in _factor_commutator(ctx, (s, 1), (0, step.m)):
+        out.append((c, _concat(u, ((t - 1, step.n),))))
+    for c, u in _factor_commutator(ctx, (s, 1), (t - 1, step.n)):
+        out.append((c, _concat(((0, step.m),), u)))
     return out
 
 
@@ -371,7 +364,7 @@ def _expand_pure(ctx: Valuation, word: Word) -> List[Emission]:
         n_fold = math.lcm(n_fold, n_s // math.gcd(abs(k), n_s))
     if n_fold > 1:
         rho_p = _rho(ctx, exps)
-        si = ("si", word, n_fold, rho_p)
+        si = SumInverse(word, n_fold, rho_p)
         powered = _concat(*([word] * n_fold))
         return [(c, _concat(u, (si,))) for c, u in _expand_pure(ctx, powered)]
     out: List[Emission] = []
@@ -383,18 +376,13 @@ def _expand_pure(ctx: Valuation, word: Word) -> List[Emission]:
         for _ in range(abs(d_s)):
             if d_s > 0:
                 out.append(
-                    (
-                        scalar,
-                        _concat(
-                            main, (_w(s - 1, -step.n), _x(-step.m), _w(s, 1))
-                        ),
-                    )
+                    (scalar, _concat(main, ((s, -step.n), (0, -step.m), (s + 1, 1))))
                 )
-                main = _concat(main, (_w(s - 1, -step.n), _x(-step.m)))
+                main = _concat(main, ((s, -step.n), (0, -step.m)))
                 scalar *= step.beta
             else:
-                out.append((-scalar / step.beta, _concat(main, (_w(s, 1),))))
-                main = _concat(main, (_x(step.m), _w(s - 1, step.n)))
+                out.append((-scalar / step.beta, _concat(main, ((s + 1, 1),))))
+                main = _concat(main, ((0, step.m), (s, step.n)))
                 scalar /= step.beta
     unit, corrections = _sort_word(ctx, main)
     assert unit == (), "zero-exponent word must sort and cancel to 1"
@@ -403,9 +391,9 @@ def _expand_pure(ctx: Valuation, word: Word) -> List[Emission]:
     return out
 
 
-def _expand_si(ctx: Valuation, si: Factor) -> List[Emission]:
+def _expand_si(ctx: Valuation, si: SumInverse) -> List[Emission]:
     """Emissions of (block - residue(block)) for a sum-inverse block."""
-    _, q_word, n, rho_q = si
+    q_word, n, rho_q = si
     sigma = _si_sigma(si)
     pure = _expand_pure(ctx, q_word)
     out: List[Emission] = []
@@ -417,9 +405,9 @@ def _expand_si(ctx: Valuation, si: Factor) -> List[Emission]:
     return out
 
 
-def _si_commutator(ctx: Valuation, si: Factor, f: Factor) -> List[Emission]:
+def _si_commutator(ctx: Valuation, si: SumInverse, f: Factor) -> List[Emission]:
     # [block, f] = -block [S, f] block where S is the inverted sum
-    _, q_word, n, rho_q = si
+    q_word, n, rho_q = si
     out: List[Emission] = []
     for j in range(n):
         a = n - 1 - j
@@ -439,29 +427,17 @@ def _si_commutator(ctx: Valuation, si: Factor, f: Factor) -> List[Emission]:
     return out
 
 
-def _deferred(f: Factor, g: Factor) -> Factor:
-    """Opaque factor standing for the commutator [f, g], expanded lazily.
-
-    Materializing commutator spreads at every reordering swap floods the
-    worklist with words far above the level that eventually certifies; a
-    deferred factor keeps one pending entry per swap and is only unfolded if
-    the level scan actually reaches its value.
-    """
-    return ("cs" if f[0] == "si" else "cw", f, g)
-
-
-def _def_content(ctx: Valuation, f: Factor) -> Tuple[Emission, ...]:
-    kind, a, b = f
-    if kind == "cs":
+def _def_content(ctx: Valuation, f: Deferred) -> Tuple[Emission, ...]:
+    if type(f.f) is SumInverse:
         cached = ctx._def_content.get(f)
         if cached is None:
-            cached = tuple(_si_commutator(ctx, a, b))
+            cached = tuple(_si_commutator(ctx, f.f, f.g))
             ctx._def_content[f] = cached
         return cached
-    return _factor_commutator(ctx, a, b)
+    return _factor_commutator(ctx, f.f, f.g)
 
 
-def _def_value(ctx: Valuation, f: Factor) -> ValueGroupElement:
+def _def_value(ctx: Valuation, f: Deferred) -> ValueGroupElement:
     cached = ctx._def_values.get(f)
     if cached is None:
         best: Optional[ValueGroupElement] = None
@@ -478,7 +454,7 @@ def _def_value(ctx: Valuation, f: Factor) -> ValueGroupElement:
 def _sort_word(ctx: Valuation, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
     """Sorted form of a word plus the exact corrections the reordering costs.
 
-    The sorted form has the x power first, then tower generators by depth,
+    The sorted form has the generator powers first, in slot order,
     then sum-inverse blocks in encounter order, with adjacent equal
     generators merged and zero powers dropped.  Only the word itself is
     sorted — a finite bubble pass — while every materialized commutator is
@@ -497,21 +473,16 @@ def _sort_word(ctx: Valuation, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
         swap_at = None
         for p in range(len(items) - 1):
             f, g = items[p], items[p + 1]
-            if f[0] == "si":
-                if g[0] != "si":
-                    swap_at = p
-                    break
+            if type(g) is SumInverse:
                 continue
-            if g[0] == "si":
-                continue
-            if _gen_order(f) > _gen_order(g):
+            if type(f) is SumInverse or f[0] > g[0]:
                 swap_at = p
                 break
         if swap_at is None:
             break
         f, g = items[swap_at], items[swap_at + 1]
         prefix, suffix = tuple(items[:swap_at]), tuple(items[swap_at + 2 :])
-        corrections.append((Rat(1), prefix + (_deferred(f, g),) + suffix))
+        corrections.append((Rat(1), prefix + (Deferred(f, g),) + suffix))
         items = list(_concat(prefix, (g, f), suffix))
     result = (tuple(items), tuple(corrections))
     ctx._sorted[word] = result
@@ -523,7 +494,7 @@ def _expand_zero(ctx: Valuation, word: Word, res: Rat) -> List[Emission]:
     main, corrections = _sort_word(ctx, word)
     out = list(corrections)
     split = len(main)
-    while split and main[split - 1][0] == "si":
+    while split and type(main[split - 1]) is SumInverse:
         split -= 1
     pure, blocks = main[:split], main[split:]
     rho_p = _rho(ctx, _word_exponents(pure))
@@ -619,15 +590,10 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
     assert target.denominator == 1
     combo = _solve_int_combo(coeffs, int(target))
     slots = {i: 2 * c for i, c in enumerate(combo)}
-    slots[b] = slots.get(b, 0) + eps_b
-    factors: List[Factor] = []
-    if slots.get(0):
-        factors.append(_x(slots[0]))
-    for i in range(1, r + 1):
-        if slots.get(i):
-            factors.append(_w(i - 1, slots[i]))
+    slots[b] += eps_b
+    factors = [(s, k) for s, k in slots.items() if k]
     if c_t:
-        factors.append(_w(len(desc.explicit_steps), c_t))
+        factors.append((len(desc.explicit_steps) + 1, c_t))
     return CanonicalRef(tuple(factors), eps_b, c_t & 1)
 
 
@@ -639,8 +605,8 @@ class LeadingData:
     """Certified leading behavior of an element.
 
     value: v(F); lam: residue of F relative to the canonical representative
-    (None only when F = 0); ref: the representative word; the parities feed
-    the ordering sign computation.
+    (None only when F = 0); ref: the representative word of (slot, k)
+    powers; the parities feed the ordering sign computation.
     """
 
     value: Value
@@ -696,9 +662,7 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
                 still[w] = still.get(w, Rat(0)) + c
         while queue:
             w, c = queue.pop()
-            spot = next(
-                (p for p, f in enumerate(w) if f[0] in ("cw", "cs")), None
-            )
+            spot = next((p for p, f in enumerate(w) if type(f) is Deferred), None)
             if spot is None:
                 sw, corrections = _sort_word(ctx, w)
                 canon[sw] = canon.get(sw, Rat(0)) + c
@@ -801,9 +765,9 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
         for (i, j), c in terms.items():
             factors: List[Factor] = []
             if i:
-                factors.append(_x(i))
+                factors.append((0, i))
             if j:
-                factors.append(_w(0, j))
+                factors.append((1, j))
             word = tuple(factors) + suffix
             acc = pool.get(word, Rat(0)) + c
             if acc:
@@ -831,7 +795,7 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
         while rest.terms:
             rest, digit = _divmod_right(rest, divisor, d_index, lead_x)
             if digit.terms:
-                head = (_w(index, power),) if power else ()
+                head = ((index + 1, power),) if power else ()
                 rec(digit, head + suffix)
             power += 1
 
@@ -877,16 +841,10 @@ def monomial_gap_value(
 ) -> Value:
     """v(word - residue(word)) for the value-0 monomial with given exponents.
 
-    `exponents` lists (x, w_0, ..., w_{r-1}) powers.
+    `exponents` lists (x, w_0, ..., w_{r-1}) powers, that is, one per slot.
     """
     ctx = Valuation(desc, depth_limit)
-    factors: List[Factor] = []
-    if exponents and exponents[0]:
-        factors.append(_x(exponents[0]))
-    for slot, k in enumerate(exponents[1:], start=0):
-        if k:
-            factors.append(_w(slot, k))
-    word = tuple(factors)
+    word = tuple((s, k) for s, k in enumerate(exponents) if k)
     if not ctx.word_value(word).is_zero():
         raise NonzeroValue("monomial must have value 0")
     res = _word_residue(ctx, word)

@@ -6,11 +6,12 @@ free sign in the non-2-divisible case), and the conversion state machine
 that turns an omega tower into a z-sequence entry by entry.
 
 The conversion keeps its remainder symbolic: a list of records
-(scalar, x-exponent, atoms), where each atom is an opaque value-0 factor
+(scalar, x-exponent, atoms, z), where each atom is an opaque value-0 factor
 with a closed-form residue (the root cofactors B_i, their inverses, and
-the cofactor tails S_{i,j}) or a single z variable.  Commutation
-corrections add at least 1 to a record's value, which puts them above
-every emission and above the terminal, so they are dropped at birth.
+the cofactor tails S_{i,j}) and z is the index of the record's one z
+variable, or None.  Commutation corrections add at least 1 to a record's
+value, which puts them above every emission and above the terminal, so
+they are dropped at birth.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def cofactor_tail_residue(
 
 @dataclass(frozen=True)
 class _Atom:
-    kind: str  # "z" | "B" | "Binv" | "S"
+    kind: str  # "B" | "Binv" | "S"
     i: int
     j: int = 0
 
@@ -289,12 +290,7 @@ class _Record:
     scalar: Rat
     xexp: Rat
     atoms: Tuple[_Atom, ...]
-
-    def z_pos(self) -> Optional[int]:
-        for p, a in enumerate(self.atoms):
-            if a.kind == "z":
-                return p
-        return None
+    z: Optional[int]
 
 
 class _Conversion:
@@ -330,7 +326,7 @@ class _Conversion:
         raise AssertionError(f"no scalar residue for atom {a}")
 
     def _residue(self, rec: _Record) -> Rat:
-        assert rec.z_pos() is None
+        assert rec.z is None
         out = rec.scalar
         for a in rec.atoms:
             out *= self._atom_residue(a)
@@ -357,7 +353,7 @@ class _Conversion:
         if a.kind == "B":
             tail_atoms, tail_scalar = self._s_atom(a.i, 1)
             return [
-                _Record(d.scalar * tail_scalar, d.xexp, d.atoms + tail_atoms)
+                _Record(d.scalar * tail_scalar, d.xexp, d.atoms + tail_atoms, d.z)
                 for d in self.devs[a.i]
             ]
         if a.kind == "S":
@@ -366,7 +362,7 @@ class _Conversion:
                 return []
             tail_atoms, tail_scalar = self._s_atom(a.i, a.j + 1)
             return [
-                _Record(d.scalar * tail_scalar, d.xexp, d.atoms + tail_atoms)
+                _Record(d.scalar * tail_scalar, d.xexp, d.atoms + tail_atoms, d.z)
                 for d in self.devs[a.i]
             ]
         if a.kind == "Binv":
@@ -375,7 +371,7 @@ class _Conversion:
             for d in self._atom_dev(_Atom("B", a.i)):
                 out.append(
                     _Record(
-                        -d.scalar / bbar, d.xexp, (_Atom("Binv", a.i),) + d.atoms
+                        -d.scalar / bbar, d.xexp, (_Atom("Binv", a.i),) + d.atoms, d.z
                     )
                 )
             return out
@@ -384,7 +380,7 @@ class _Conversion:
     def _telescope(self, rec: _Record) -> List[_Record]:
         """rec minus its residue part: replace each atom in turn by its
         deviation, folding the residues of the atoms after it."""
-        assert rec.z_pos() is None
+        assert rec.z is None
         out: List[_Record] = []
         for p, a in enumerate(rec.atoms):
             suffix = Rat(1)
@@ -396,6 +392,7 @@ class _Conversion:
                         rec.scalar * d.scalar * suffix,
                         rec.xexp + d.xexp,
                         rec.atoms[:p] + d.atoms,
+                        d.z,
                     )
                 )
         return out
@@ -408,25 +405,11 @@ class _Conversion:
         def walk(records: List[_Record]) -> List[_Record]:
             out: List[_Record] = []
             for rec in records:
-                p = rec.z_pos()
-                if p is None:
+                if rec.z is None:
                     out.append(rec)
                     continue
-                z = rec.atoms[p]
-                out.append(
-                    _Record(
-                        rec.scalar * gamma,
-                        rec.xexp - r,
-                        rec.atoms[:p] + rec.atoms[p + 1 :],
-                    )
-                )
-                out.append(
-                    _Record(
-                        rec.scalar,
-                        rec.xexp,
-                        rec.atoms[:p] + (_Atom("z", z.i + 1),) + rec.atoms[p + 1 :],
-                    )
-                )
+                out.append(_Record(rec.scalar * gamma, rec.xexp - r, rec.atoms, None))
+                out.append(_Record(rec.scalar, rec.xexp, rec.atoms, rec.z + 1))
             return out
 
         self.C = walk(self.C)
@@ -439,7 +422,7 @@ class _Conversion:
         def keep(rec: _Record) -> bool:
             if rec.scalar == 0:
                 return False
-            if rec.z_pos() is None:
+            if rec.z is None:
                 return -rec.xexp + self.sigma < 1
             if last_r is None:
                 return True
@@ -456,7 +439,7 @@ class _Conversion:
         best: Optional[Rat] = None
         group: List[_Record] = []
         for rec in self.C:
-            if rec.z_pos() is not None:
+            if rec.z is not None:
                 assert rec.xexp < self.sigma
                 continue
             value = -rec.xexp
@@ -506,25 +489,25 @@ class _Conversion:
                             gamma_emitted * d.scalar * suffix,
                             d.xexp,
                             prefix + d.atoms,
+                            d.z,
                         )
                     )
         for rec in consumed:
             new_parts.extend(
-                _Record(t.scalar, t.xexp + mn, t.atoms)
+                _Record(t.scalar, t.xexp + mn, t.atoms, t.z)
                 for t in self._telescope(rec)
             )
-        shifted_rest = [_Record(r.scalar, r.xexp + mn, r.atoms) for r in rest]
+        shifted_rest = [_Record(r.scalar, r.xexp + mn, r.atoms, r.z) for r in rest]
 
-        z_index = len(self.entries)
         primary = _Record(
-            Rat(1), self.sigma + mn, (_Atom("z", z_index),) + self._b_atoms(self.k)
+            Rat(1), self.sigma + mn, self._b_atoms(self.k), len(self.entries)
         )
         dev_new = [primary] + new_parts + shifted_rest
         self.devs[self.k + 1] = dev_new
 
         b_new: Tuple[_Atom, ...] = (_Atom("B", self.k + 1),) if step.n >= 2 else ()
         self.C = [
-            _Record(r.scalar, r.xexp, r.atoms + b_new)
+            _Record(r.scalar, r.xexp, r.atoms + b_new, r.z)
             for r in new_parts + shifted_rest
         ]
         self.sigma += mn
@@ -577,7 +560,7 @@ class _Conversion:
                 r = head_val + self.sigma
                 gamma = -res_head / self.bbar
                 self._emit(r, gamma)
-                folded = _Record(gamma, self.sigma - r, self._b_atoms(self.k))
+                folded = _Record(gamma, self.sigma - r, self._b_atoms(self.k), None)
                 consumed_ids = {id(h) for h in heads}
                 keep = [rec for rec in self.C if id(rec) not in consumed_ids]
                 replaced: List[_Record] = []

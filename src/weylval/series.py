@@ -120,30 +120,12 @@ class PuiseuxSeries:
         ]
         return PuiseuxSeries.make(pairs, bound)
 
-    def pow(self, n: int) -> "PuiseuxSeries":
-        assert n >= 0
-        out = PuiseuxSeries.scalar(Rat(1))
-        for _ in range(n):
-            out = out.mul(self)
-        return out
-
-    def shift_exp(self, dq: Rat) -> "PuiseuxSeries":
-        """Multiply by x^{-dq}."""
-        bound = None if self.known_up_to is None else self.known_up_to + dq
-        return PuiseuxSeries(
-            tuple((q + dq, c) for q, c in self.terms), bound
-        )
-
     def delta(self) -> "PuiseuxSeries":
         """Derivative: x^{-q} goes to -q x^{-q-1}; the horizon shifts by 1."""
         bound = None if self.known_up_to is None else self.known_up_to + 1
         return PuiseuxSeries.make(
             [(q + 1, -q * c) for q, c in self.terms if q != 0], bound
         )
-
-    def truncate(self, bound: Rat) -> "PuiseuxSeries":
-        new_bound = bound if self.known_up_to is None else min(bound, self.known_up_to)
-        return PuiseuxSeries.make(self.terms, new_bound)
 
     def __str__(self) -> str:
         parts = [
@@ -231,9 +213,6 @@ class OrePoly:
     def is_zero_record(self) -> bool:
         return all(c.is_exact_zero() for c in self.coeffs)
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coeff(self, i: int) -> PuiseuxSeries:
         return self.coeffs[i] if i < len(self.coeffs) else PuiseuxSeries.zero()
 
@@ -266,12 +245,6 @@ class OrePoly:
         return " + ".join(parts) if parts else "0"
 
 
-def _iter_delta(p: PuiseuxSeries, k: int) -> PuiseuxSeries:
-    for _ in range(k):
-        p = p.delta()
-    return p
-
-
 def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
     """Product with t^i * p = sum_k C(i,k) p^{(k)} t^{i-k}."""
     n = len(f.coeffs) + len(g.coeffs)
@@ -282,8 +255,11 @@ def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
         for j, q_j in enumerate(g.coeffs):
             if q_j.is_exact_zero():
                 continue
+            derivative = q_j
             for k in range(i + 1):
-                part = p_i.mul(_iter_delta(q_j, k)).scale(Rat(math.comb(i, k)))
+                if k:
+                    derivative = derivative.delta()
+                part = p_i.mul(derivative).scale(Rat(math.comb(i, k)))
                 acc[i - k + j] = acc[i - k + j].add(part)
     return OrePoly.make(acc)
 
@@ -563,8 +539,11 @@ def _naive_substitution_eval(
         used = depth if cap is None else min(depth, cap)
         s = a_series(zseq, used, exact=True)
         total = PuiseuxSeries.zero()
+        power = PuiseuxSeries.scalar(Rat(1))
         for j, q_j in enumerate(f.coeffs):
-            total = total.add(q_j.mul(s.pow(j)))
+            if j:
+                power = power.mul(s)
+            total = total.add(q_j.mul(power))
         lead = total.leading()
         if lead is None and total.known_up_to is not None:
             raise TruncationLoss(

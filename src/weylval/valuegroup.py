@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .coeff import Rat, format_rat, parse_rat
+from .coeff import Rat, format_rat, json_int, parse_rat
 from .errors import ParseError
 
 
@@ -81,11 +81,6 @@ class ValueGroupElement:
     __neg__ = neg
     __sub__ = sub
 
-    def __mul__(self, k: int) -> "ValueGroupElement":
-        return self.scalar_mul(k)
-
-    __rmul__ = __mul__
-
     # -- order --------------------------------------------------------------
 
     def cmp(self, other: "Value") -> int:
@@ -100,18 +95,6 @@ class ValueGroupElement:
         if self.k_mu != other.k_mu:
             return -1 if self.k_mu > other.k_mu else 1
         return 0
-
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
 
     def is_zero(self) -> bool:
         return self.q == 0 and self.k_xi == 0 and self.k_mu == 0
@@ -151,8 +134,8 @@ class ValueGroupElement:
         try:
             return cls(
                 parse_rat(str(data.get("q", "0"))),
-                int(data.get("k_xi", 0)),
-                int(data.get("k_mu", 0)),
+                json_int(data.get("k_xi", 0)),
+                json_int(data.get("k_mu", 0)),
                 parse_rat(str(data.get("scale", "1"))),
             )
         except (TypeError, AttributeError, ValueError) as exc:
@@ -181,18 +164,6 @@ class VInfinity:
 
     def cmp(self, other) -> int:
         return 0 if isinstance(other, VInfinity) else 1
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, VInfinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, VInfinity)
-
-    def __ge__(self, other):
-        return True
 
     def __eq__(self, other):
         return isinstance(other, VInfinity)

@@ -89,13 +89,6 @@ class WeylElement:
     def sub(self, other: "WeylElement") -> "WeylElement":
         return self.add(other.neg())
 
-    def scale(self, c) -> "WeylElement":
-        c = Rat(c)
-        result = WeylElement()
-        if c != 0:
-            result.terms = {key: coeff * c for key, coeff in self.terms.items()}
-        return result
-
     def mul(self, other: "WeylElement") -> "WeylElement":
         """Exact product; moves every y of self past every x of other.
 
@@ -158,9 +151,6 @@ class WeylElement:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def min_x_exponent(self) -> int:
-        return min((i for i, _ in self.terms), default=0)
 
     def max_degrees(self) -> Tuple[int, int]:
         if not self.terms:

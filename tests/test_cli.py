@@ -67,12 +67,29 @@ def _terminal_value(**fields) -> dict:
     return {**WORKED_JSON, "tail": {"kind": "irrational", "value": value}}
 
 
+def _first_step(**fields) -> dict:
+    steps = [{**WORKED_JSON["steps"][0], **fields}] + WORKED_JSON["steps"][1:]
+    return {**WORKED_JSON, "steps": steps}
+
+
+def _alpha_sign(**fields) -> dict:
+    return {**WORKED_JSON, "alpha_signs": [{**WORKED_JSON["alpha_signs"][0], **fields}]}
+
+
 MALFORMED_JSON = {
     "tail_number": {**WORKED_JSON, "tail": 5},
     "steps_number": {**WORKED_JSON, "steps": 5},
     "alpha_signs_number": {**WORKED_JSON, "alpha_signs": 3},
     "zero_scale": _terminal_value(scale="0"),
     "k_xi_text": _terminal_value(k_xi="a"),
+    # a JSON boolean is not an integer, although Python's int() takes it
+    "m_boolean": _first_step(m=True),
+    "n_boolean": _first_step(n=True),
+    "i_boolean": _alpha_sign(i=True),
+    "j_boolean": _alpha_sign(j=True),
+    "sign_boolean": _alpha_sign(sign=True),
+    "k_xi_boolean": _terminal_value(k_xi=True),
+    "k_mu_boolean": _terminal_value(k_mu=False),
 }
 
 
@@ -86,6 +103,17 @@ class TestMalformedJson:
         code, report = run(capsys, argv)
         assert code == 1
         assert report["error"]["type"] == "ParseError"
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["roundtrip", "sample-strongly-abelian", "shadow-compare"])
+    def test_below_one_is_a_usage_error(self, capsys, desc_file, command, trials):
+        # a check that ran no samples would report a pass
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--desc", desc_file(WORKED_JSON), "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials: must be at least 1" in capsys.readouterr().err
 
 
 HALVING_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "halving"}}

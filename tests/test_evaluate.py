@@ -268,6 +268,31 @@ class TestMonomialGap:
         word = X.pow(a).mul(Y.pow(k0)).mul(omega_element(desc, 1).pow(k1))
         assert gap == eval_element(desc, word.sub(WeylElement.scalar(residue(desc, word))))
 
+    def test_cancelling_gaps_expand_a_sum_inverse_block(self, worked, monkeypatch):
+        # A = x^-2 y^-3 w_1^-2 and B = x y w_1^2 have value 0, and A - rho_A and
+        # B - rho_B lead at the same level with relative residues lam_A and
+        # lam_B; lam_B (A - rho_A) - lam_A (B - rho_B) cancels there, and the
+        # next level is reached through the expansion of a sum-inverse block.
+        # Pinned: the value and residue the evaluator gives.
+        calls = []
+        original = evaluate._expand_si
+        monkeypatch.setattr(
+            evaluate, "_expand_si", lambda *args: calls.append(args) or original(*args)
+        )
+        session = Valuation(worked)
+        gaps = []
+        for word in (((0, -2), (1, -3), (2, -2)), ((0, 1), (1, 1), (2, 2))):
+            rho = evaluate._word_residue(session, word)
+            gaps.append((word, rho, evaluate._leading(session, {word: Rat(1), (): -rho})))
+        (a, rho_a, lead_a), (b, rho_b, lead_b) = gaps
+        assert lead_a.value == lead_b.value
+        assert not calls
+        pool = {a: lead_b.lam, b: -lead_a.lam, (): lead_a.lam * rho_b - lead_b.lam * rho_a}
+        combined = evaluate._leading(session, pool)
+        assert combined.value.cmp(lead_a.value) > 0
+        assert (combined.value, combined.lam) == (rational(1, 4), Rat(-3, 2))
+        assert calls
+
 
 class TestUnitGenerators:
     def test_empty_prefix(self, worked):

@@ -12,6 +12,7 @@ from weylval import (
     RoundtripReport,
     SignChoiceForbidden,
     SignChoiceRequired,
+    WeylElement,
     ZSequence,
     check_extendable,
     cofactor_tail,
@@ -27,6 +28,7 @@ from weylval import (
     sample_element,
     tail_count,
     validate,
+    z_eval,
 )
 
 
@@ -330,6 +332,33 @@ class TestConversion:
             assert total.q == Rat(1, 2)
             assert total.k_xi == 1
             assert total.xi_scale == Rat(1, 3)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_negative_first_step_converts_through_the_head_branches(self, sign):
+        # with m_1 < 0 the conversion reads the residues of its remainder
+        # heads and telescopes them, which no fixture tower reaches
+        xi_eighth = {"q": "0", "k_xi": 1, "k_mu": 0, "scale": "1/8"}
+        d = desc(
+            [(-1, 2, 4), (1, 2, 9), (3, 4, 1)],
+            tail={"kind": "irrational", "value": xi_eighth},
+            signs=[(1, 2, 1), (1, 3, 1), (2, 3, 1)],
+        )
+        assert validate(d) == []
+        z = omega_to_z(d, resolve_gammas(d, sign_choice=sign), depth=16)
+        assert z.explicit_entries == [
+            (Rat(-1, 2), Rat(2)),
+            (Rat(0), Rat(3, 4)),
+            (Rat(1, 2), Rat(-9, 64)),
+            (Rat(3, 4), sign * Rat(1, 24)),
+        ]
+        # omega_element refuses m < 0, so the tower is built as Laurent products
+        w = WeylElement.y()
+        for i in range(4):
+            if i:
+                step = d.step(i)
+                w = WeylElement.monomial(step.m, 0).mul(w.pow(step.n))
+                w = w.sub(WeylElement.scalar(step.beta))
+            assert z_eval(z, embed(w)) == d.generator_value(i)
 
 
 class TestRoundtrip:
