@@ -30,8 +30,9 @@ def parse_rat(text: str) -> Rat:
 
 
 def json_int(value) -> int:
-    """int() of a JSON field; a JSON boolean is not taken as 0 or 1."""
-    if isinstance(value, bool):
+    """int() of a JSON field; a JSON boolean is not taken as 0 or 1, and a
+    JSON float is not truncated."""
+    if isinstance(value, (bool, float)):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -58,12 +58,15 @@ class InfiniteRule:
 
     `window` is the declared prefix window: the maximal 2-adic depth of the
     value group must already be attained by the steps inside it (checked by
-    the ordering machinery when it applies).
+    the ordering machinery when it applies).  `limit` is the closed-form sum
+    of the step ratios m_i/n_i over every i >= 1, or None when some ratio is
+    not positive, so that the partial sums are not known to increase.
     """
 
     name: str
     step_fn: Callable[[int], OmegaStep]
     declared_kind: str
+    limit: Optional[Rat]
     window: int = 8
 
 
@@ -83,7 +86,10 @@ def builtin_rule(name: str) -> InfiniteRule:
     text = name.strip()
     if text == "halving":
         return InfiniteRule(
-            "halving", lambda i: OmegaStep(1, 2**i, Rat(1)), GroupKind.TWO_DIVISIBLE
+            "halving",
+            lambda i: OmegaStep(1, 2**i, Rat(1)),
+            GroupKind.TWO_DIVISIBLE,
+            Rat(1),
         )
     match = _CONSTANT_RE.match(text)
     if match:
@@ -97,6 +103,7 @@ def builtin_rule(name: str) -> InfiniteRule:
             f"constant({m},{n},{format_rat(beta)})",
             lambda i: OmegaStep(m, n**i, beta),
             kind,
+            Rat(m, n - 1) if m > 0 else None,
         )
     raise ParseError(f"unknown builtin rule {name!r}")
 
@@ -463,6 +470,37 @@ def prefix_sum(desc: OmegaDescriptor, k: int) -> Rat:
     return total
 
 
+def level_limit(desc: OmegaDescriptor) -> Optional[Rat]:
+    """r* = sup of the levels h_k = sum_{i<=k} m_i/n_i over k >= 1, on a rule.
+
+    None on a terminal or bare-prefix descriptor, and wherever a step past
+    the first has a ratio that is not positive: only a strictly increasing
+    h_k stays below its supremum at every k.
+    """
+    rule = desc.rule
+    if rule is None or rule.limit is None:
+        return None
+    total = rule.limit
+    for i, step in enumerate(desc.explicit_steps, start=1):
+        if i >= 2 and step.m <= 0:
+            return None
+        total += step.ratio() - rule.step_fn(i).ratio()
+    return total
+
+
+def rule_data_window(desc: OmegaDescriptor) -> int:
+    """Steps 1..k of a rule descriptor that hold every explicit step and
+    every stored sign, and a rule step past them with index at least 2.
+
+    Past this window there are only rule steps with default signs, each of
+    the shape of the one inside, so a check over the window sees every
+    datum the descriptor gives.
+    """
+    assert desc.rule is not None
+    last = max((j for _, j in desc.alpha_signs), default=0)
+    return max(last, len(desc.explicit_steps), 1) + 1
+
+
 # -- validation ----------------------------------------------------------------
 
 
@@ -475,11 +513,15 @@ class Violation:
 def validate(desc: OmegaDescriptor, prefix_depth: int = 8) -> List[Violation]:
     """Check descriptor well-formedness over the first `prefix_depth` steps.
 
-    Returns a list of violations (empty means valid as far as checked).
+    On a rule the check also covers `rule_data_window`, so no explicit step
+    or stored sign goes unchecked, and the levels h_k must stay below 1 at
+    every k, not only inside the window.  Returns a list of violations
+    (empty means valid as far as checked).
     """
     out: List[Violation] = []
-    depth = prefix_depth
-    if not desc.rule:
+    if desc.rule:
+        depth = max(prefix_depth, rule_data_window(desc))
+    else:
         depth = min(prefix_depth, len(desc.explicit_steps))
 
     steps = []
@@ -513,6 +555,19 @@ def validate(desc: OmegaDescriptor, prefix_depth: int = 8) -> List[Violation]:
                 Violation("PrefixSum", f"partial sum at k = {k} is not negative")
             )
             break
+    if desc.rule and not out:
+        # h_k increases strictly to r*, so every h_k < 1 iff r* <= 1; r*
+        # exists, as StepShape found every ratio past step 1 positive
+        limit = level_limit(desc)
+        assert limit is not None
+        if limit > 1:
+            out.append(
+                Violation(
+                    "PrefixSum",
+                    f"partial sums past step {depth} reach 0: the levels h_k "
+                    "tend to r* > 1",
+                )
+            )
     if desc.terminal:
         n = len(desc.explicit_steps)
         t = desc.terminal.value

@@ -12,11 +12,18 @@ the cofactor tails S_{i,j}) and z is the index of the record's one z
 variable, or None.  Commutation corrections add at least 1 to a record's
 value, which puts them above every emission and above the terminal, so
 they are dropped at birth.
+
+A record's level is the entry exponent it would emit, and no record ever
+gives rise to one below its own level.  Every entry exponent is below 1,
+and on a rule every one is at most some tower level h_k, which increases
+strictly to r* (`level_limit`).  So records at or above min(1, r*) can
+never be emitted and are dropped; without that, the remainder on
+constant(1,3,1) grows threefold per entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +34,9 @@ from .descriptor import (
     alpha_sign,
     basis_slot,
     group_kind,
+    level_limit,
     omega_element,
+    rule_data_window,
 )
 from .errors import (
     ConversionInternalError,
@@ -71,7 +80,7 @@ class ExtendViolation:
 
 def _prefix_window(desc: OmegaDescriptor) -> int:
     if desc.rule is not None:
-        return desc.rule.window
+        return max(desc.rule.window, rule_data_window(desc))
     return len(desc.explicit_steps)
 
 
@@ -111,20 +120,24 @@ def check_extendable(desc: OmegaDescriptor) -> Optional[ExtendViolation]:
 
 @dataclass(frozen=True)
 class GammaResolution:
-    """Real roots gamma_i with gamma_i^{n_i} = beta_i, signs pinned by alpha."""
+    """Real roots gamma_i with gamma_i^{n_i} = beta_i, signs pinned by alpha.
+
+    `gammas` holds the roots over the prefix window; `gamma(i)` is the one
+    accessor, and resolves a rule's deeper roots on demand by the same sign
+    rules.
+    """
 
     gammas: Tuple[Rat, ...]
     free_choice_index: Optional[int]
     chosen_sign: Optional[int]
+    desc: OmegaDescriptor = field(compare=False, repr=False)
 
     def gamma(self, i: int) -> Rat:
-        if not 1 <= i <= len(self.gammas):
-            raise DepthExceeded(
-                f"gamma_{i} is outside the resolved window of "
-                f"{len(self.gammas)} steps",
-                consulted=i,
-            )
-        return self.gammas[i - 1]
+        if i < 1:
+            raise ValueError("step indices are 1-based")
+        if i <= len(self.gammas):
+            return self.gammas[i - 1]
+        return gamma_tilde(self.desc, i, self.free_choice_index, self.chosen_sign)
 
     def to_json(self) -> dict:
         out: dict = {"gammas": [format_rat(g) for g in self.gammas]}
@@ -151,7 +164,7 @@ def gamma_tilde(
     free_index: Optional[int],
     chosen_sign: Optional[int],
 ) -> Rat:
-    """One resolved root; callers beyond the resolved prefix use this directly."""
+    """One resolved root; `GammaResolution.gamma` calls this past the window."""
     step = desc.step(i)
     if step.n % 2 == 1:
         return nth_root(step.beta, step.n)
@@ -196,7 +209,9 @@ def resolve_gammas(
     gammas = tuple(
         gamma_tilde(desc, i, free_index, sign_choice) for i in range(1, count + 1)
     )
-    return GammaResolution(gammas, free_index, sign_choice if free_index else None)
+    return GammaResolution(
+        gammas, free_index, sign_choice if free_index else None, desc
+    )
 
 
 # -- cofactor machinery ---------------------------------------------------------------
@@ -304,15 +319,8 @@ class _Conversion:
         self.bbar = Rat(1)   # product of root-cofactor residues
         self.C: List[_Record] = []
         self.devs: Dict[int, List[_Record]] = {}
-
-    # -- gamma access --------------------------------------------------------
-
-    def _gamma(self, i: int) -> Rat:
-        if i <= len(self.res.gammas):
-            return self.res.gamma(i)
-        return gamma_tilde(
-            self.desc, i, self.res.free_choice_index, self.res.chosen_sign
-        )
+        limit = level_limit(desc)
+        self.cut = Rat(1) if limit is None else min(Rat(1), limit)
 
     # -- atom data -----------------------------------------------------------
 
@@ -344,8 +352,7 @@ class _Conversion:
         n = self.desc.step(i).n
         assert 1 <= j <= n - 1
         if j == n - 1:
-            coeff = Rat(tail_count(n, 1, j)) * self._gamma(i) ** 0
-            return (), coeff
+            return (), Rat(tail_count(n, 1, j))
         return (_Atom("S", i, j),), Rat(1)
 
     def _atom_dev(self, a: _Atom) -> List[_Record]:
@@ -417,16 +424,34 @@ class _Conversion:
             self.devs[i] = walk(self.devs[i])
 
     def _prune(self) -> None:
+        """Drop every record whose level, or bound on it, reaches the cut.
+
+        A z-free record's level is sigma - xexp, the entry exponent r it
+        would emit as a head.  Nothing at or above the cut min(1, r*) can
+        ever be emitted or consumed, nor can any record descended from it:
+        - `_rewrite` shifts xexp and sigma by the same m/n, so a record's
+          level is invariant;
+        - children from `_telescope`, `_atom_dev` and the `_rewrite` parts
+          never sit below their parent's level, because deviations have
+          positive value;
+        - `_substitute` turns a z-record into a z-free record at level
+          sigma - xexp + r with r > last_r, so sigma - xexp + last_r bounds
+          every level it can reach from below;
+        - every emission and every consumed head is at a level at most
+          h_{k+1} = sigma + m_{k+1}/n_{k+1}; on a rule the levels h_k
+          increase strictly to r*, so that is below r*, and every entry
+          exponent is below 1.
+        """
         last_r = self.entries[-1][0] if self.entries else None
 
         def keep(rec: _Record) -> bool:
             if rec.scalar == 0:
                 return False
             if rec.z is None:
-                return -rec.xexp + self.sigma < 1
+                return -rec.xexp + self.sigma < self.cut
             if last_r is None:
                 return True
-            return -rec.xexp + self.sigma + last_r < 1
+            return -rec.xexp + self.sigma + last_r < self.cut
 
         self.C = [r for r in self.C if keep(r)]
         for i in list(self.devs):
@@ -467,7 +492,7 @@ class _Conversion:
         """Close step k+1: build omega_{k+1} from omega_k's decomposition."""
         step = self.desc.step(self.k + 1)
         mn = Rat(step.m, step.n)
-        g = self._gamma(self.k + 1)
+        g = self.res.gamma(self.k + 1)
         consumed_ids = {id(rec) for rec in consumed}
         rest = [rec for rec in self.C if id(rec) not in consumed_ids]
 
@@ -478,11 +503,16 @@ class _Conversion:
             b_indices = [
                 i for i in range(1, self.k + 1) if self.desc.step(i).n >= 2
             ]
+            # suffixes[pos] is the product of the residues after b_indices[pos]
+            suffixes = [Rat(1)]
+            for i in reversed(b_indices[1:]):
+                suffixes.append(
+                    suffixes[-1] * root_cofactor_residue(self.desc, self.res, i)
+                )
+            suffixes.reverse()
             for pos, j in enumerate(b_indices):
                 prefix = tuple(_Atom("B", i) for i in b_indices[:pos])
-                suffix = Rat(1)
-                for i in b_indices[pos + 1 :]:
-                    suffix *= root_cofactor_residue(self.desc, self.res, i)
+                suffix = suffixes[pos]
                 for d in self._atom_dev(_Atom("B", j)):
                     new_parts.append(
                         _Record(
@@ -537,7 +567,7 @@ class _Conversion:
                     return ZSequence(self.entries, ZTerminal(total))
                 if len(self.entries) >= self.depth:
                     return ZSequence(self.entries, None)
-                gamma = self._gamma(self.k + 1) / self.bbar
+                gamma = self.res.gamma(self.k + 1) / self.bbar
                 self._emit(w.q + self.sigma, gamma)
                 self._rewrite([], emitted=True)
                 continue
@@ -572,7 +602,7 @@ class _Conversion:
             assert not terminal_here
             assert isinstance(w, ValueGroupElement) and w.is_rational()
             res_head = sum((self._residue(h) for h in heads), start=Rat(0))
-            gamma_num = self._gamma(self.k + 1) - res_head
+            gamma_num = self.res.gamma(self.k + 1) - res_head
             if gamma_num == 0:
                 self._rewrite(heads, emitted=False)
                 continue

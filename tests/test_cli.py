@@ -1,6 +1,7 @@
 """Command-line front end: exit codes and JSON reports."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,11 @@ MALFORMED_JSON = {
     "sign_boolean": _alpha_sign(sign=True),
     "k_xi_boolean": _terminal_value(k_xi=True),
     "k_mu_boolean": _terminal_value(k_mu=False),
+    # nor is a JSON float, which int() would truncate
+    "m_float": _first_step(m=1.7),
+    "n_float": _first_step(n=2.0),
+    "sign_float": _alpha_sign(sign=1.0),
+    "k_xi_float": _terminal_value(k_xi=1.5),
 }
 
 
@@ -122,11 +128,48 @@ CONSTANT131_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "constant(1,3,
 
 class TestStructuredLimits:
     def test_convert_past_the_gamma_window(self, capsys, desc_file):
-        # the default --depth 64 runs past the 8 resolved roots of the rule
-        code, report = run(capsys, ["convert", "--desc", desc_file(HALVING_JSON)])
+        # depth 16 runs past the 8 roots resolved up front; deeper roots
+        # resolve on demand, and the entries sit at r_i = h_i
+        for data, n in ((HALVING_JSON, 2), (CONSTANT131_JSON, 3)):
+            path = desc_file(data)
+            code, deep = run(capsys, ["convert", "--desc", path, "--depth", "16"])
+            assert code == 0
+            entries = deep["z_sequence"]["entries"]
+            h = [sum(Fraction(1, n**k) for k in range(1, i + 1)) for i in range(1, 17)]
+            assert [Fraction(e["r"]) for e in entries] == h
+            code, shallow = run(capsys, ["convert", "--desc", path, "--depth", "9"])
+            assert code == 0
+            assert entries[:9] == shallow["z_sequence"]["entries"]
+
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["extend-check"], ["convert", "--depth", "16"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_levels_reaching_one_past_the_window(self, capsys, desc_file, argv):
+        # r* = 1 + 1/1024, so h_10 = 1; a conversion would emit at r = 1
+        data = {
+            "steps": [{"m": 1, "n": 2, "beta": "1"}, {"m": 257, "n": 1024, "beta": "1"}],
+            "tail": {"kind": "rule", "rule": "halving"},
+        }
+        code, report = run(capsys, argv[:1] + ["--desc", desc_file(data)] + argv[1:])
         assert code == 1
-        assert report["error"]["type"] == "DepthExceeded"
-        assert "window of 8 steps" in report["error"]["detail"]
+        if argv == ["validate"]:
+            assert [v["rule"] for v in report["violations"]] == ["PrefixSum"]
+        else:
+            assert report["error"]["type"] == "DeclarationInconsistent"
+            assert "PrefixSum" in report["error"]["detail"]
+
+    def test_stored_sign_past_the_window(self, capsys, desc_file):
+        # alpha(9,10) = -1 against the default alpha(9,11) = +1 breaks
+        # extension condition 2 at step 9
+        data = dict(HALVING_JSON, alpha_signs=[{"i": 9, "j": 10, "sign": -1}])
+        path = desc_file(data)
+        code, report = run(capsys, ["extend-check", "--desc", path])
+        assert code == 1
+        assert report["violation"]["indices"] == [9, 10, 11]
+        code, report = run(capsys, ["convert", "--desc", path, "--depth", "16"])
+        assert code == 1
+        assert report["error"]["type"] == "NotExtendable"
 
     def test_convert_inside_the_gamma_window(self, capsys, desc_file):
         code, _ = run(capsys, ["convert", "--desc", desc_file(HALVING_JSON), "--depth", "4"])

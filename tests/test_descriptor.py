@@ -27,8 +27,10 @@ from weylval.descriptor import (
     alpha,
     alpha_sign,
     builtin_rule,
+    level_limit,
     pair_data,
     prefix_sum,
+    rule_data_window,
 )
 
 
@@ -193,6 +195,33 @@ class TestDerivedData:
         with pytest.raises(ParseError):
             builtin_rule("constant(1,1,1)")
 
+    @pytest.mark.parametrize(
+        "steps, rule_name, limit",
+        [
+            ([], "halving", Rat(1)),
+            ([], "constant(1,3,1)", Rat(1, 2)),
+            ([], "constant(2,5,1)", Rat(1, 2)),
+            # explicit steps replace the rule's first steps: 1 + 1/4 - 1/2
+            ([(1, 4, 1)], "halving", Rat(3, 4)),
+            # -1/2 + 1/9 + sum_{i>=3} 1/3^i
+            ([(-1, 2, 4), (1, 9, 1)], "constant(1,3,1)", Rat(-1, 3)),
+            # ratios that are not positive leave the levels unbounded below r*
+            ([], "constant(0,3,1)", None),
+            ([], "constant(-1,3,1)", None),
+            ([(1, 2, 1), (-1, 4, 1)], "halving", None),
+        ],
+    )
+    def test_level_limit_on_rules(self, steps, rule_name, limit):
+        d = desc(steps, tail={"kind": "rule", "rule": rule_name})
+        assert level_limit(d) == limit
+        if limit is not None:
+            levels = [prefix_sum(d, k) + 1 for k in range(1, 12)]
+            assert all(a < b < limit for a, b in zip(levels, levels[1:]))
+
+    def test_level_limit_needs_a_rule(self, worked, single24):
+        assert level_limit(worked) is None
+        assert level_limit(single24) is None
+
 
 def rule(name):
     """A fresh rule descriptor; the session fixtures may already hold built towers."""
@@ -323,3 +352,33 @@ class TestValidate:
             ],
         )
         assert validate(d) == []
+
+    def test_rule_levels_below_one_past_the_window(self):
+        # r* = 1 + 1/1024: h_k < 1 up to k = 9, and h_10 = 1
+        halving = {"kind": "rule", "rule": "halving"}
+        d = desc([(1, 2, 1), (257, 1024, 1)], tail=halving)
+        assert all(prefix_sum(d, k) < 0 for k in range(1, 10))
+        assert prefix_sum(d, 10) == 0
+        assert self.rules(validate(d)) == {"PrefixSum"}
+        # r* = 1 - 1/1024 stays below 1
+        assert validate(desc([(1, 2, 1), (255, 1024, 1)], tail=halving)) == []
+
+    def test_every_explicit_step_of_a_rule_is_checked(self):
+        steps = [(1, 2**i, 1) for i in range(1, 9)]
+        halving = {"kind": "rule", "rule": "halving"}
+        assert validate(desc(steps + [(1, 512, 1)], tail=halving)) == []
+        violations = validate(desc(steps + [(1, 512, 0)], tail=halving))
+        assert [(v.rule, v.detail) for v in violations] == [
+            ("StepShape", "step 9: beta must be nonzero")
+        ]
+
+    def test_rule_steps_past_the_first_are_checked_at_any_depth(self):
+        d = desc([], tail={"kind": "rule", "rule": "constant(-1,3,1)"})
+        assert "StepShape" in self.rules(validate(d, prefix_depth=1))
+
+    def test_rule_data_window(self):
+        halving = {"kind": "rule", "rule": "halving"}
+        assert rule_data_window(desc([], tail=halving)) == 2
+        assert rule_data_window(desc([(1, 2, 1)] * 3, tail=halving)) == 4
+        signs = [{"i": 9, "j": 10, "sign": -1}]
+        assert rule_data_window(desc([], tail=halving, alpha_signs=signs)) == 11

@@ -1,8 +1,11 @@
 """Extendability checks, root resolution, cofactor algebra, and the
 tower-to-z-sequence conversion with its round trip."""
 
+import random
+
 import pytest
 
+from weylval import extension
 from weylval import (
     NotExtendable,
     OmegaDescriptor,
@@ -13,6 +16,7 @@ from weylval import (
     SignChoiceForbidden,
     SignChoiceRequired,
     WeylElement,
+    WeylvalError,
     ZSequence,
     check_extendable,
     cofactor_tail,
@@ -30,6 +34,8 @@ from weylval import (
     validate,
     z_eval,
 )
+from weylval.descriptor import level_limit
+from weylval.extension import _Conversion
 
 
 def desc(steps, tail=None, signs=None):
@@ -359,6 +365,74 @@ class TestConversion:
                 w = WeylElement.monomial(step.m, 0).mul(w.pow(step.n))
                 w = w.sub(WeylElement.scalar(step.beta))
             assert z_eval(z, embed(w)) == d.generator_value(i)
+
+
+def random_rule_descriptor(rng):
+    """0-2 explicit steps, then halving or constant(m,n,beta)."""
+    steps = []
+    for i in range(rng.randint(0, 2)):
+        m = rng.randint(-2, 2) if i == 0 else rng.randint(1, 3)
+        beta = rng.choice(["1", "1", "-1", "4", "9", "1/4", "8", "-8", "16"])
+        steps.append({"m": m, "n": rng.choice([1, 2, 3, 4, 6, 8]), "beta": beta})
+    if rng.random() < 0.4:
+        name = "halving"
+    else:
+        m, n = rng.randint(1, 3), rng.choice([2, 3, 4, 5, 7])
+        name = f"constant({m},{n},{rng.choice(['1', '1', '-1', '2'])})"
+    signs = [
+        {"i": i, "j": j, "sign": rng.choice([1, -1])}
+        for i in range(1, 6)
+        for j in range(i + 1, 7)
+        if rng.random() < 0.08
+    ]
+    data = {"steps": steps, "tail": {"kind": "rule", "rule": name}, "alpha_signs": signs}
+    return OmegaDescriptor.from_json(data)
+
+
+def conversion_outcome(d, sign, depth):
+    try:
+        return omega_to_z(d, resolve_gammas(d, sign), depth).to_json()
+    except WeylvalError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestRecordCut:
+    def test_geometric_rule_keeps_few_records(self, constant131):
+        # records at or above r* = 1/2 are dropped; kept, they grow 3x per
+        # depth, to 35045 at depth 9
+        conversion = _Conversion(constant131, resolve_gammas(constant131), 9)
+        conversion.run()
+        live = len(conversion.C) + sum(len(recs) for recs in conversion.devs.values())
+        assert live <= 2
+
+    def test_record_just_below_the_cut_is_kept(self):
+        # r* = -1/8; a remainder record at level h_3 = -1/4 ties with v(w_2)
+        # and makes the third gamma -7/8, where dropping it would give 1/8
+        d = desc([(-1, 2, "1/4"), (1, 8, 1)], tail={"kind": "rule", "rule": "halving"})
+        assert level_limit(d) == Rat(-1, 8)
+        z = omega_to_z(d, resolve_gammas(d), 4)
+        assert z.explicit_entries[2] == (Rat(-1, 4), Rat(-7, 8))
+
+    def test_cut_changes_no_outcome(self, monkeypatch):
+        rng = random.Random(20261018)
+        compared = cut_below_one = 0
+        while compared < 360:
+            try:
+                d = random_rule_descriptor(rng)
+                if validate(d):
+                    continue
+            except WeylvalError:
+                continue
+            for sign in (None, 1, -1):
+                depth = rng.randint(1, 6)
+                outcome = conversion_outcome(d, sign, depth)
+                with monkeypatch.context() as patch:
+                    patch.setattr(extension, "level_limit", lambda desc: None)
+                    assert conversion_outcome(d, sign, depth) == outcome
+                compared += 1
+                if isinstance(outcome, dict) and level_limit(d) < 1:
+                    cut_below_one += 1
+        assert cut_below_one >= 20
 
 
 class TestRoundtrip:
