@@ -39,6 +39,7 @@ Factor = tuple
 Word = Tuple[Factor, ...]
 Emission = Tuple[Rat, Word]
 Element = Union[WeylElement, WeylFraction]
+_ZERO_VALUE = ValueGroupElement.rational(0)
 
 
 class SumInverse(NamedTuple):
@@ -195,7 +196,7 @@ class Valuation:
 
     def word_value(self, word: Word) -> ValueGroupElement:
         if word not in self._word_values:
-            total = ValueGroupElement.rational(0)
+            total = _ZERO_VALUE
             for f in word:
                 if type(f) is tuple:
                     total = total.add(self.gen_value(f[0] - 1).scalar_mul(f[1]))
@@ -617,13 +618,19 @@ class LeadingData:
 
 
 _ZERO_LEADING = LeadingData(INFINITY, None, (), 0, 0)
-_UNIT_LEADING = LeadingData(ValueGroupElement.rational(0), Rat(1), (), 0, 0)
+_UNIT_LEADING = LeadingData(_ZERO_VALUE, Rat(1), (), 0, 0)
 
 
 def _quotient_value(num: LeadingData, den: LeadingData) -> Value:
     if num.value is INFINITY:
         return INFINITY
     return num.value.sub(den.value)
+
+
+def _accumulate(pool: Dict[Word, Rat], word: Word, c: Rat) -> None:
+    """pool[word] += c, a missing word counting as 0."""
+    old = pool.get(word)
+    pool[word] = c if old is None else old + c
 
 
 def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
@@ -636,10 +643,7 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
     certification level are carried along but never paid for.
     """
     canon: Dict[Word, Rat] = {}
-    pending: Dict[Word, Rat] = {}
-    for w, c in pool.items():
-        if c:
-            pending[w] = pending.get(w, Rat(0)) + c
+    pending = {w: c for w, c in pool.items() if c}
     while True:
         level: Optional[ValueGroupElement] = None
         for zone in (canon, pending):
@@ -659,15 +663,15 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
             if ctx.word_value(w).cmp(level) == 0:
                 queue.append((w, c))
             else:
-                still[w] = still.get(w, Rat(0)) + c
+                _accumulate(still, w, c)
         while queue:
             w, c = queue.pop()
             spot = next((p for p, f in enumerate(w) if type(f) is Deferred), None)
             if spot is None:
                 sw, corrections = _sort_word(ctx, w)
-                canon[sw] = canon.get(sw, Rat(0)) + c
+                _accumulate(canon, sw, c)
                 for cc, cu in corrections:
-                    still[cu] = still.get(cu, Rat(0)) + c * cc
+                    _accumulate(still, cu, c * cc)
                 continue
             head, tail = w[:spot], w[spot + 1 :]
             for cc, u in _def_content(ctx, w[spot]):
@@ -676,7 +680,7 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
                 if ctx.word_value(nw).cmp(level) == 0:
                     queue.append((nw, nc))
                 else:
-                    still[nw] = still.get(nw, Rat(0)) + nc
+                    _accumulate(still, nw, nc)
         pending = still
         group = [
             (w, c)
@@ -701,7 +705,7 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
             del canon[w]
             for cc, ww in _expand_zero(ctx, rel, res):
                 nw = _concat(ref.word, ww)
-                pending[nw] = pending.get(nw, Rat(0)) + c * cc
+                _accumulate(pending, nw, c * cc)
         canon = {w: c for w, c in canon.items() if c}
         pending = {w: c for w, c in pending.items() if c}
 
@@ -762,18 +766,17 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
     pool: Dict[Word, Rat] = {}
 
     def emit(terms: Dict[Tuple[int, int], Rat], suffix: Word) -> None:
+        # digit expansions are unique, so each word is emitted at most once:
+        # the suffix holds one factor (slot, power >= 1) per enclosing
+        # division of nonzero power, in rising slots >= 2, and x^i y^j sits
+        # in slots 0 and 1
         for (i, j), c in terms.items():
             factors: List[Factor] = []
             if i:
                 factors.append((0, i))
             if j:
                 factors.append((1, j))
-            word = tuple(factors) + suffix
-            acc = pool.get(word, Rat(0)) + c
-            if acc:
-                pool[word] = acc
-            else:
-                pool.pop(word, None)
+            pool[tuple(factors) + suffix] = c
 
     def rec(part: WeylElement, suffix: Word) -> None:
         if not part.terms:

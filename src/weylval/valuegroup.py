@@ -42,10 +42,12 @@ class ValueGroupElement:
     xi_scale: Rat = Rat(1)
 
     def __post_init__(self):
+        if self.k_xi == 0 and self.xi_scale == 1:
+            return
         if self.xi_scale <= 0:
             raise ValueError("xi_scale must be a positive rational")
         # normalize: elements without an irrational part carry scale 1
-        if self.k_xi == 0 and self.xi_scale != 1:
+        if self.k_xi == 0:
             object.__setattr__(self, "xi_scale", Rat(1))
 
     # -- arithmetic ---------------------------------------------------------
@@ -75,6 +77,8 @@ class ValueGroupElement:
         return self.add(other.neg())
 
     def scalar_mul(self, k: int) -> "ValueGroupElement":
+        if k == 1:
+            return self
         return ValueGroupElement(self.q * k, self.k_xi * k, self.k_mu * k, self.xi_scale)
 
     __add__ = add
@@ -87,11 +91,18 @@ class ValueGroupElement:
         """-1, 0, or 1.  Larger k_mu means smaller value (mu is positive)."""
         if isinstance(other, VInfinity):
             return -1
-        real = _sign_a_plus_b_sqrt2(
-            self.q - other.q, self._xi_coeff() - other._xi_coeff()
-        )
-        if real != 0:
-            return real
+        if self.k_xi == other.k_xi and (self.k_xi == 0 or self.xi_scale == other.xi_scale):
+            # equal sqrt(2) parts: the rational parts decide, cross-multiplied
+            a, b = self.q, other.q
+            lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+            if lhs != rhs:
+                return -1 if lhs < rhs else 1
+        else:
+            real = _sign_a_plus_b_sqrt2(
+                self.q - other.q, self._xi_coeff() - other._xi_coeff()
+            )
+            if real != 0:
+                return real
         if self.k_mu != other.k_mu:
             return -1 if self.k_mu > other.k_mu else 1
         return 0

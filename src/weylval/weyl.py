@@ -72,11 +72,12 @@ class WeylElement:
     def add(self, other: "WeylElement") -> "WeylElement":
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = out.get(key, Rat(0)) + coeff
-            if acc == 0:
-                out.pop(key, None)
-            else:
+            acc = out.get(key)
+            acc = coeff if acc is None else acc + coeff
+            if acc:
                 out[key] = acc
+            else:
+                out.pop(key, None)
         result = WeylElement()
         result.terms = out
         return result
@@ -101,6 +102,13 @@ class WeylElement:
         result = WeylElement()
         if not self.terms or not other.terms:
             return result
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            ((a, b), p), = self.terms.items()
+            ((c, d), q), = other.terms.items()
+            if b == 0 or c == 0:
+                # no y of self meets an x of other: already in normal form
+                result.terms = {(a + c, b + d): p * q}
+                return result
         left, da = _integer_terms(self.terms)
         right, db = _integer_terms(other.terms)
         out: Dict[Monomial, int] = {}
@@ -130,6 +138,13 @@ class WeylElement:
     def pow(self, n: int) -> "WeylElement":
         if n < 0:
             raise ValueError("negative powers are not normal-form elements")
+        if len(self.terms) == 1:
+            ((i, j), c), = self.terms.items()
+            if i == 0 or j == 0:
+                # c x^i and c y^j commute with themselves: no Leibniz terms
+                result = WeylElement()
+                result.terms = {(i * n, j * n): c**n}
+                return result
         result = WeylElement.scalar(1)
         for _ in range(n):
             result = result.mul(self)

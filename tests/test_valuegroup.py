@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weylval import INFINITY, Rat, ValueGroupElement, cmp
+from weylval.valuegroup import _sign_a_plus_b_sqrt2
 
 
 def vge(q, k_xi=0, k_mu=0, scale=Rat(1)):
@@ -15,6 +16,14 @@ elements = st.builds(
     st.fractions(min_value=-50, max_value=50, max_denominator=64),
     st.integers(-6, 6),
     st.integers(-6, 6),
+)
+
+scaled_elements = st.builds(
+    vge,
+    st.fractions(min_value=-4, max_value=4, max_denominator=16),
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+    st.sampled_from([Rat(1), Rat(1, 8), Rat(3, 2)]),
 )
 
 
@@ -44,6 +53,18 @@ class TestOrder:
         assert INFINITY.cmp(vge(10**9)) > 0
         assert vge(10**9).cmp(INFINITY) < 0
         assert INFINITY.cmp(INFINITY) == 0
+
+    def test_equal_xi_count_under_different_scales(self):
+        # 1/2 + xi = 1.914... > 1 + xi/8 = 1.176..., though 1/2 < 1
+        assert vge(Rat(1, 2), k_xi=1).cmp(vge(1, k_xi=1, scale=Rat(1, 8))) > 0
+
+    @given(scaled_elements, scaled_elements)
+    def test_matches_the_sign_of_the_difference(self, a, b):
+        real = _sign_a_plus_b_sqrt2(
+            a.q - b.q, a.k_xi * a.xi_scale - b.k_xi * b.xi_scale
+        )
+        mu = (a.k_mu < b.k_mu) - (a.k_mu > b.k_mu)
+        assert a.cmp(b) == (real or mu)
 
     @given(elements, elements)
     def test_antisymmetry(self, a, b):

@@ -106,6 +106,13 @@ laurent_elements = st.dictionaries(
     max_size=5,
 ).map(WeylElement)
 
+single_terms = st.builds(
+    WeylElement.monomial,
+    st.integers(-4, 5),
+    st.integers(0, 5),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool),
+)
+
 
 class TestIntegerKernel:
     @settings(max_examples=200, deadline=None)
@@ -119,6 +126,19 @@ class TestIntegerKernel:
     @given(laurent_elements, laurent_elements, laurent_elements)
     def test_associative(self, a, b, c):
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+    @settings(max_examples=200, deadline=None)
+    @given(single_terms, single_terms)
+    def test_single_terms_match_reference(self, a, b):
+        # c x^a * d x^c y^d and c x^a y^b * d y^d skip the Leibniz sum
+        assert mul(a, b) == reference_mul(a, b)
+
+    def test_single_terms_in_normal_form(self):
+        assert mul(WeylElement.monomial(-2, 0, 3), elem({(5, 1): Rat(1, 2)})).terms == {
+            (3, 1): Rat(3, 2)
+        }
+        assert mul(elem({(1, 2): 2}), Y.pow(3)).terms == {(1, 5): 2}
+        assert mul(Y, X).terms == {(1, 1): 1, (0, 0): 1}
 
     def test_cancels_to_zero(self):
         # [y, x] = 1, [y^2, x] = 2y, [y, x^-1] = -x^-2
@@ -145,6 +165,43 @@ class TestIntegerKernel:
         b = elem({(1, 0): Rat(3, 4), (2, 0): Rat(-5, 6)})
         assert mul(a, b) == reference_mul(a, b)
         assert mul(a, b).terms[(0, 0)] == Rat(3, 8)
+
+
+def repeated_mul(a, n):
+    out = ONE
+    for _ in range(n):
+        out = reference_mul(out, a)
+    return out
+
+
+class TestPow:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize(
+        "base",
+        [
+            WeylElement.monomial(3, 0),
+            WeylElement.monomial(-2, 0),
+            WeylElement.monomial(0, 4),
+            WeylElement.monomial(-1, 0, Rat(-2, 3)),
+            WeylElement.monomial(4, 0, 7),
+            WeylElement.monomial(0, 2, Rat(5, 2)),
+            WeylElement.scalar(Rat(-3, 4)),
+            WeylElement.monomial(1, 1, 2),
+            X.add(Y),
+        ],
+    )
+    def test_matches_repeated_mul(self, base, n):
+        power = base.pow(n)
+        assert power == repeated_mul(base, n)
+        assert all(type(c) is Rat and c != 0 for c in power.terms.values())
+
+    def test_zero_element(self):
+        assert WeylElement.zero().pow(0) == ONE
+        assert WeylElement.zero().pow(3).is_zero()
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            X.pow(-1)
 
 
 class TestCommutator:
