@@ -101,17 +101,28 @@ def check_extendable(desc: OmegaDescriptor) -> Optional[ExtendViolation]:
     h = {i: desc.h(i) for i in range(0, window + 1)}
     for i in range(0, window + 1):
         linked = [j for j in range(1, window + 1) if h[i] < h[j]]
-        for a in range(len(linked)):
-            for b in range(a + 1, len(linked)):
-                j, l = linked[a], linked[b]
+        if len(linked) < 2:
+            continue
+        # Signs are +-1, so the first disagreeing pair of a pairwise scan is
+        # (head, l) at the first l whose sign differs from head's.  Each sign
+        # is read once, the first pair's two in h order as that scan reads
+        # them, so a missing stored sign is reported for the same pair.
+        head, first = linked[0], None
+        for l in linked[1:]:
+            if first is None and h[head] <= h[l]:
+                first = alpha_sign(desc, i, head)
+            sign = alpha_sign(desc, i, l)
+            if first is None:
+                first = alpha_sign(desc, i, head)
+            if sign != first:
+                j = head
                 if h[j] > h[l]:
                     j, l = l, j
-                if alpha_sign(desc, i, j) * alpha_sign(desc, i, l) < 0:
-                    return ExtendViolation(
-                        2,
-                        (i, j, l),
-                        f"alpha({i},{j}) and alpha({i},{l}) have opposite signs",
-                    )
+                return ExtendViolation(
+                    2,
+                    (i, j, l),
+                    f"alpha({i},{j}) and alpha({i},{l}) have opposite signs",
+                )
     return None
 
 

@@ -45,7 +45,8 @@ class PuiseuxSeries:
     ) -> "PuiseuxSeries":
         acc: Dict[Rat, Rat] = {}
         for q, c in pairs:
-            acc[q] = acc.get(q, Rat(0)) + c
+            old = acc.get(q)
+            acc[q] = c if old is None else old + c
         out = [
             (q, c)
             for q, c in sorted(acc.items())
@@ -100,19 +101,12 @@ class PuiseuxSeries:
         )
 
     def mul(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        # error horizon: unknown(a) * leading(b), leading(a) * unknown(b),
-        # unknown * unknown
-        va = self.terms[0][0] if self.terms else None
-        vb = other.terms[0][0] if other.terms else None
-        bounds = []
-        if self.known_up_to is not None:
-            if vb is not None:
-                bounds.append(self.known_up_to + vb)
-            if other.known_up_to is not None:
-                bounds.append(self.known_up_to + other.known_up_to)
-        if other.known_up_to is not None and va is not None:
-            bounds.append(other.known_up_to + va)
-        bound = min(bounds) if bounds else None
+        bound = _product_horizon(
+            self.terms[0][0] if self.terms else None,
+            self.known_up_to,
+            other.terms[0][0] if other.terms else None,
+            other.known_up_to,
+        )
         pairs = [
             (qa + qb, ca * cb)
             for qa, ca in self.terms
@@ -145,8 +139,19 @@ def _min_bound(a: Optional[Rat], b: Optional[Rat]) -> Optional[Rat]:
     return min(a, b)
 
 
-def delta(p: PuiseuxSeries) -> PuiseuxSeries:
-    return p.delta()
+def _product_horizon(lead_f, bound_f, lead_g, bound_g):
+    """Horizon of f * g from each factor's leading exponent and horizon (None
+    where absent): unknown(f) * leading(g), unknown * unknown,
+    leading(f) * unknown(g).  Takes Rats, or ints over a common denominator."""
+    bounds = []
+    if bound_f is not None:
+        if lead_g is not None:
+            bounds.append(bound_f + lead_g)
+        if bound_g is not None:
+            bounds.append(bound_f + bound_g)
+    if bound_g is not None and lead_f is not None:
+        bounds.append(bound_g + lead_f)
+    return min(bounds) if bounds else None
 
 
 _TERM_RE = re.compile(
@@ -176,10 +181,6 @@ def parse_series(text: str) -> PuiseuxSeries:
             q = -parse_rat(m.group(2)) if m.group(2) else Rat(0)
             pairs.append((q, c))
     return PuiseuxSeries.make(pairs, bound)
-
-
-def format_series(p: PuiseuxSeries) -> str:
-    return str(p)
 
 
 # -- Ore polynomials ---------------------------------------------------------------
@@ -245,45 +246,149 @@ class OrePoly:
         return " + ".join(parts) if parts else "0"
 
 
+# -- the Ore product kernel ------------------------------------------------------------
+
+# A series over the common denominator D of one product: its terms as
+# (q * D, c) pairs in ascending order, and its horizon as known_up_to * D.
+_Scaled = Tuple[List[Tuple[int, Rat]], Optional[int]]
+_EXACT_ZERO: _Scaled = ([], None)
+
+
+def _common_denominator(coeffs: Sequence[PuiseuxSeries]) -> int:
+    d = 1
+    for p in coeffs:
+        for q, _ in p.terms:
+            d = math.lcm(d, q.denominator)
+        if p.known_up_to is not None:
+            d = math.lcm(d, p.known_up_to.denominator)
+    return d
+
+
+def _to_scaled(p: PuiseuxSeries, d: int) -> _Scaled:
+    bound = p.known_up_to
+    return (
+        [(q.numerator * (d // q.denominator), c) for q, c in p.terms],
+        None if bound is None else bound.numerator * (d // bound.denominator),
+    )
+
+
+def _from_scaled(coeffs: List[_Scaled], d: int) -> OrePoly:
+    return OrePoly.make(
+        [
+            PuiseuxSeries(
+                tuple((Rat(e, d), c) for e, c in terms),
+                None if bound is None else Rat(bound, d),
+            )
+            for terms, bound in coeffs
+        ]
+    )
+
+
+def _derivatives(p: _Scaled, d: int, order: int) -> List[_Scaled]:
+    """p, p', ..., p^{(order)}, cut at the first exact zero."""
+    out: List[_Scaled] = []
+    while p != _EXACT_ZERO and len(out) <= order:
+        out.append(p)
+        terms, bound = p
+        p = (
+            [(e + d, c * Rat(-e, d)) for e, c in terms if e],
+            None if bound is None else bound + d,
+        )
+    return out
+
+
+def _add_scaled(f: _Scaled, g: _Scaled) -> _Scaled:
+    """PuiseuxSeries.add over a common denominator."""
+    bound = _min_bound(f[1], g[1])
+    acc = dict(f[0])
+    for e, c in g[0]:
+        old = acc.get(e)
+        acc[e] = c if old is None else old + c
+    return (
+        sorted((e, c) for e, c in acc.items() if c and (bound is None or e < bound)),
+        bound,
+    )
+
+
+def _ore_product(left: Sequence[_Scaled], right: Sequence[List[_Scaled]]) -> List[_Scaled]:
+    """Coefficients of (sum_i p_i t^i)(sum_j g_j t^j).
+
+    right[j] lists g_j and its derivatives, at least up to order
+    len(left) - 1 or to the first exact zero; t^i g = sum_k C(i,k) g^{(k)}
+    t^{i-k} sends p_i g_j^{(k)} to t^{i-k+j}.  Each part has the horizon of
+    PuiseuxSeries.mul and an output coefficient the least horizon of its
+    parts, as PuiseuxSeries.add would give it, so no term at or past that
+    is computed.
+    """
+    width = max(len(left) + len(right) - 1, 0)
+    bounds: List[Optional[int]] = [None] * width
+    parts = []
+    for i, (p_terms, p_bound) in enumerate(left):
+        if not p_terms and p_bound is None:
+            continue
+        p_lead = p_terms[0][0] if p_terms else None
+        for j, derivs in enumerate(right):
+            for k, (g_terms, g_bound) in enumerate(derivs[: i + 1]):
+                n = i - k + j
+                g_lead = g_terms[0][0] if g_terms else None
+                bounds[n] = _min_bound(
+                    bounds[n], _product_horizon(p_lead, p_bound, g_lead, g_bound)
+                )
+                if p_terms and g_terms:
+                    parts.append((n, math.comb(i, k), p_terms, g_terms))
+    sums: List[Dict[int, Rat]] = [{} for _ in range(width)]
+    for n, comb, p_terms, g_terms in parts:
+        bound, acc = bounds[n], sums[n]
+        for e1, c1 in p_terms:
+            if comb != 1:
+                c1 = comb * c1
+            for e2, c2 in g_terms:
+                e = e1 + e2
+                if bound is not None and e >= bound:
+                    break
+                old = acc.get(e)
+                acc[e] = c1 * c2 if old is None else old + c1 * c2
+    return [
+        (sorted((e, c) for e, c in acc.items() if c), bound)
+        for acc, bound in zip(sums, bounds)
+    ]
+
+
 def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
     """Product with t^i * p = sum_k C(i,k) p^{(k)} t^{i-k}."""
-    n = len(f.coeffs) + len(g.coeffs)
-    acc: List[PuiseuxSeries] = [PuiseuxSeries.zero() for _ in range(max(n, 1))]
-    for i, p_i in enumerate(f.coeffs):
-        if p_i.is_exact_zero():
-            continue
-        for j, q_j in enumerate(g.coeffs):
-            if q_j.is_exact_zero():
-                continue
-            derivative = q_j
-            for k in range(i + 1):
-                if k:
-                    derivative = derivative.delta()
-                part = p_i.mul(derivative).scale(Rat(math.comb(i, k)))
-                acc[i - k + j] = acc[i - k + j].add(part)
-    return OrePoly.make(acc)
+    d = _common_denominator(f.coeffs + g.coeffs)
+    left = [_to_scaled(p, d) for p in f.coeffs]
+    right = [_derivatives(_to_scaled(q, d), d, len(left) - 1) for q in g.coeffs]
+    return _from_scaled(_ore_product(left, right), d)
 
 
 def shift_variable(f: OrePoly, a: PuiseuxSeries) -> OrePoly:
     """Rewrite f over the shifted variable: substitute t = s + a exactly.
 
-    Evaluated by Horner using s^j a = sum_k C(j,k) a^{(k)} s^{j-k}; the
-    skew rule is basis-independent, so the result is again an OrePoly.
+    Evaluated by Horner, each step one product by s + a, using
+    s^j a = sum_k C(j,k) a^{(k)} s^{j-k}; the skew rule is
+    basis-independent, so the result is again an OrePoly.
     """
-    shifted_var = OrePoly.make([a, PuiseuxSeries.scalar(Rat(1))])
-    out = OrePoly.zero()
+    d = _common_denominator(f.coeffs + (a,))
+    # out has at most len(f) - 1 coefficients when it is multiplied
+    shifted_var = [
+        _derivatives(_to_scaled(a, d), d, len(f.coeffs) - 2),
+        [([(0, Rat(1))], None)],
+    ]
+    out: List[_Scaled] = []
     for p_i in reversed(f.coeffs):
-        out = ore_mul(out, shifted_var).add(OrePoly.from_series(p_i))
-    return out
+        out = _ore_product(out, shifted_var)
+        out[0] = _add_scaled(out[0], _to_scaled(p_i, d))
+    return _from_scaled(out, d)
 
 
 def embed(element: WeylElement) -> OrePoly:
     """Exact image of a Weyl element: x^i y^j with y as the skew variable."""
     degree = max((j for (_, j) in element.terms), default=0)
-    coeffs = [PuiseuxSeries.zero() for _ in range(degree + 1)]
+    pairs: List[List[Tuple[Rat, Rat]]] = [[] for _ in range(degree + 1)]
     for (i, j), c in element.terms.items():
-        coeffs[j] = coeffs[j].add(PuiseuxSeries.x_power(Rat(i)).scale(c))
-    return OrePoly.make(coeffs)
+        pairs[j].append((Rat(-i), c))
+    return OrePoly.make([PuiseuxSeries.make(p) for p in pairs])
 
 
 # -- z-sequences --------------------------------------------------------------------

@@ -34,8 +34,8 @@ from weylval import (
     validate,
     z_eval,
 )
-from weylval.descriptor import level_limit
-from weylval.extension import _Conversion
+from weylval.descriptor import alpha_sign, level_limit
+from weylval.extension import ExtendViolation, _Conversion, _prefix_window
 
 
 def desc(steps, tail=None, signs=None):
@@ -71,6 +71,39 @@ IRRATIONAL_THIRD = {
 }
 
 
+def pairwise_extendable(desc):
+    """check_extendable with condition 2 read pair by pair, the reference."""
+    window = _prefix_window(desc)
+    for i in range(1, window + 1):
+        step = desc.step(i)
+        if step.n % 2 == 0 and step.beta < 0:
+            return ExtendViolation(
+                1, (i,), f"step {i} has even n={step.n} with beta<0"
+            )
+    h = {i: desc.h(i) for i in range(0, window + 1)}
+    for i in range(0, window + 1):
+        linked = [j for j in range(1, window + 1) if h[i] < h[j]]
+        for a in range(len(linked)):
+            for b in range(a + 1, len(linked)):
+                j, l = linked[a], linked[b]
+                if h[j] > h[l]:
+                    j, l = l, j
+                if alpha_sign(desc, i, j) * alpha_sign(desc, i, l) < 0:
+                    return ExtendViolation(
+                        2,
+                        (i, j, l),
+                        f"alpha({i},{j}) and alpha({i},{l}) have opposite signs",
+                    )
+    return None
+
+
+def extendable_outcome(check, d):
+    try:
+        return check(d)
+    except WeylvalError as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestCheckExtendable:
     def test_worked_descriptor_passes(self, worked):
         assert check_extendable(worked) is None
@@ -102,6 +135,66 @@ class TestCheckExtendable:
         assert violation is not None
         assert violation.condition == 2
         assert violation.indices == (1, 2, 3)
+
+    def test_disagreement_at_the_third_linked_slot(self):
+        # row 1 links slots 2, 3, 4; alpha(1,4) is the first sign to differ
+        violation = check_extendable(
+            desc(
+                [(1, 2, 1), (1, 4, 1), (1, 8, 1), (1, 16, 1)],
+                signs=[(1, 2, 1), (1, 3, 1), (1, 4, -1), (2, 3, 1), (2, 4, 1), (3, 4, 1)],
+            )
+        )
+        assert violation == ExtendViolation(
+            2, (1, 2, 4), "alpha(1,2) and alpha(1,4) have opposite signs"
+        )
+
+    def test_violating_pair_is_reported_in_h_order(self):
+        # slots 2 and 3 have h = 3 and 2, so the triple lists slot 3 first
+        violation = check_extendable(
+            desc(
+                [(1, 2, 1), (1, 8, 1), (1, 4, 1)],
+                signs=[(1, 2, 1), (1, 3, -1), (2, 3, 1)],
+            )
+        )
+        assert violation.indices == (1, 3, 2)
+
+    def test_matches_the_pairwise_scan(self):
+        rng = random.Random(61)
+        cases = [
+            # row 1 links only slot 2: no sign is read, so none is missing
+            ([(1, 2, 1), (1, 4, 1)], []),
+            # row 1 links slots 2 (h 3) and 3 (h 2), both unsigned: the
+            # scan reads the pair in h order and misses (1, 3) first
+            ([(1, 2, 1), (1, 8, 1), (1, 4, 1)], []),
+        ]
+        for _ in range(300):
+            steps = [
+                (rng.choice((1, 3, 5)), rng.choice((2, 3, 4, 6, 8, 12, 16)), rng.choice((1, 2, -1, -3)))
+                for _ in range(rng.randint(1, 5))
+            ]
+            signs = [
+                (i, j, rng.choice((1, -1)))
+                for j in range(2, len(steps) + 1)
+                for i in range(1, j)
+                if rng.random() < 0.8
+            ]
+            cases.append((steps, signs))
+        outcomes = []
+        for steps, signs in cases:
+            try:
+                d = desc(steps, signs=signs)
+            except WeylvalError:
+                continue
+            expected = extendable_outcome(pairwise_extendable, d)
+            assert extendable_outcome(check_extendable, d) == expected
+            outcomes.append(expected)
+        assert outcomes[:2] == [
+            None,
+            ("MissingSignChoice", "pair (1, 3) needs a stored residue-unit sign"),
+        ]
+        # the batch reaches both conditions, a pass, and a missing sign
+        kinds = {getattr(o, "condition", type(o).__name__) for o in outcomes}
+        assert kinds == {1, 2, "NoneType", "tuple"}
 
     def test_consistent_sign_triple_passes(self):
         ok = desc(

@@ -1,8 +1,10 @@
 """Puiseux coefficients, the skew polynomial ring, and z-sequence valuations."""
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weylval import (
     DepthExceeded,
@@ -18,9 +20,7 @@ from weylval import (
     ZSequence,
     a_series,
     builtin_z_rule,
-    delta,
     embed,
-    format_series,
     normalize,
     ore_mul,
     parse_series,
@@ -116,29 +116,37 @@ class TestPuiseuxSeries:
         assert out.terms == ((Rat(1), Rat(2)),)
         assert out.known_up_to == Rat(5)
 
+    def test_mul_horizon_from_the_right_factor(self):
+        # leading(p) times the unknown tail of q limits the product horizon
+        out = series([(1, 3)]).mul(series([(0, 1)], bound=2))
+        assert out.terms == ((Rat(1), Rat(3)),)
+        assert out.known_up_to == Rat(3)
+        both = series([(0, 1)], bound=4).mul(series([(1, 1)], bound=3))
+        assert both.known_up_to == Rat(3)
+
     def test_cancellation_keeps_horizon(self):
         p = series([(1, 1)], bound=6).sub(series([(1, 1)]))
         assert p.terms == ()
         assert p.known_up_to == Rat(6)
 
     def test_delta_power_rule(self):
-        assert delta(PuiseuxSeries.x_power(Rat(-1, 2))).terms == (
+        assert PuiseuxSeries.x_power(Rat(-1, 2)).delta().terms == (
             (Rat(3, 2), Rat(-1, 2)),
         )
 
     def test_delta_constant(self):
-        assert delta(PuiseuxSeries.scalar(Rat(1))).terms == ()
+        assert PuiseuxSeries.scalar(Rat(1)).delta().terms == ()
 
     def test_delta_linearity(self):
         p = series([(1, 1), (2, 2)])
-        assert delta(p).terms == ((Rat(2), Rat(-1)), (Rat(3), Rat(-4)))
+        assert p.delta().terms == ((Rat(2), Rat(-1)), (Rat(3), Rat(-4)))
 
     def test_delta_raises_value_by_one(self):
         for p in [series([(1, 3)]), series([(-5, 2), (7, 1)])]:
             lead_q = p.terms[0][0]
             if lead_q == 0:
                 continue
-            assert delta(p).terms[0][0] == lead_q + 1
+            assert p.delta().terms[0][0] == lead_q + 1
 
 
 class TestSeriesText:
@@ -147,7 +155,7 @@ class TestSeriesText:
         p = parse_series(text)
         assert p.terms == ((Rat(1, 2), Rat(1)), (Rat(2), Rat(3)))
         assert p.known_up_to == Rat(5)
-        assert format_series(p) == text
+        assert str(p) == text
 
     def test_roundtrip_random(self):
         rng = random.Random(17)
@@ -158,7 +166,7 @@ class TestSeriesText:
             ]
             bound = Rat(20) if rng.random() < 0.5 else None
             p = PuiseuxSeries.make(pairs, bound)
-            assert parse_series(format_series(p)) == p
+            assert parse_series(str(p)) == p
 
     def test_parse_errors(self):
         for bad in ["x^", "1*x^(1/2) + +", "O(x)", "q"]:
@@ -222,6 +230,77 @@ class TestOreMul:
         there = shift_variable(f, a)
         back = shift_variable(there, a.neg())
         assert back == f
+
+
+def reference_ore_mul(f, g):
+    """Term-by-term product: every part goes through PuiseuxSeries.add."""
+    n = len(f.coeffs) + len(g.coeffs)
+    acc = [PuiseuxSeries.zero() for _ in range(max(n, 1))]
+    for i, p_i in enumerate(f.coeffs):
+        if p_i.is_exact_zero():
+            continue
+        for j, q_j in enumerate(g.coeffs):
+            if q_j.is_exact_zero():
+                continue
+            derivative = q_j
+            for k in range(i + 1):
+                if k:
+                    derivative = derivative.delta()
+                part = p_i.mul(derivative).scale(Rat(math.comb(i, k)))
+                acc[i - k + j] = acc[i - k + j].add(part)
+    return OrePoly.make(acc)
+
+
+def reference_shift(f, a):
+    """Horner over reference_ore_mul by s + a."""
+    shifted_var = OrePoly.make([a, PuiseuxSeries.scalar(Rat(1))])
+    out = OrePoly.zero()
+    for p_i in reversed(f.coeffs):
+        out = reference_ore_mul(out, shifted_var).add(OrePoly.from_series(p_i))
+    return out
+
+
+# Exponents over mixed denominators, negative ones included; a horizon may
+# sit on a series with no terms, and coefficients from a small pool cancel.
+exponents = st.builds(
+    Rat, st.integers(-6, 8), st.sampled_from([1, 1, 2, 3, 4, 6])
+)
+puiseux = st.builds(
+    lambda pairs, bound: PuiseuxSeries.make(
+        [(q, Rat(c)) for q, c in pairs], bound
+    ),
+    st.lists(st.tuples(exponents, st.integers(-2, 2)), max_size=3),
+    st.none() | exponents,
+)
+ore_polys = st.lists(puiseux, max_size=4).map(OrePoly.make)
+
+X = PuiseuxSeries.x_power(Rat(1))
+CANCELLING = OrePoly.make([PuiseuxSeries.scalar(Rat(1)), X.neg()])
+
+
+class TestOreKernelAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(ore_polys, ore_polys)
+    # (1 - x t) x = x - x^2 t - x: coefficient 0 cancels to exact zero
+    @example(CANCELLING, OrePoly.from_series(X))
+    @example(
+        OrePoly.make([series([(0, 1)], bound=3), X.neg()]),
+        OrePoly.from_series(X),
+    )
+    @example(OrePoly.from_series(series([], bound=Rat(1, 2))), Y)
+    @example(OrePoly.zero(), Y)
+    def test_ore_mul(self, f, g):
+        assert ore_mul(f, g) == reference_ore_mul(f, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ore_polys, puiseux)
+    # t - x shifted by x: coefficient 0 cancels to exact zero
+    @example(OrePoly.make([X.neg(), PuiseuxSeries.scalar(Rat(1))]), X)
+    @example(Y, series([(Rat(-1, 2), 3)], bound=Rat(5, 3)))
+    @example(OrePoly.from_series(series([(1, 2)])), PuiseuxSeries.zero())
+    @example(OrePoly.make([series([], bound=2), series([(0, 1)])]), X)
+    def test_shift_variable(self, f, a):
+        assert shift_variable(f, a) == reference_shift(f, a)
 
 
 class TestZSequence:
