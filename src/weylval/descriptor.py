@@ -591,6 +591,21 @@ def validate(desc: OmegaDescriptor, prefix_depth: int = 8) -> List[Violation]:
             Violation("SignConstancy", "beta signs differ across even-n steps")
         )
 
+    # every pair of even-n steps needs a stored sign; a rule defaults to +1
+    if desc.rule is None:
+        missing = [
+            (i, j)
+            for i in range(1, depth + 1)
+            for j in range(i + 1, depth + 1)
+            if _is_stored_sign_pair(desc, i, j) and (i, j) not in desc.alpha_signs
+        ]
+        out.extend(
+            Violation("MissingSignChoice", f"pair {key} needs a stored residue-unit sign")
+            for key in missing
+        )
+        if missing:
+            return out
+
     # triple condition: alpha_{a,b} alpha_{a,c} alpha_{b,c} > 0 when
     # h_a = h_b <= h_c (indices include 0 = x with h_0 = 0)
     indices = list(range(0, depth + 1))
@@ -604,15 +619,11 @@ def validate(desc: OmegaDescriptor, prefix_depth: int = 8) -> List[Violation]:
             for c in indices:
                 if c in (a, b) or h_vals[c] < h_vals[a]:
                     continue
-                try:
-                    product = (
-                        alpha_sign(desc, a, b)
-                        * alpha_sign(desc, a, c)
-                        * alpha_sign(desc, b, c)
-                    )
-                except MissingSignChoice as exc:
-                    out.append(Violation("MissingSignChoice", str(exc)))
-                    return out
+                product = (
+                    alpha_sign(desc, a, b)
+                    * alpha_sign(desc, a, c)
+                    * alpha_sign(desc, b, c)
+                )
                 if product <= 0:
                     out.append(
                         Violation(

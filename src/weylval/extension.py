@@ -7,8 +7,8 @@ that turns an omega tower into a z-sequence entry by entry.
 
 The conversion keeps its remainder symbolic: a list of records
 (scalar, x-exponent, atoms, z), where each atom is an opaque value-0 factor
-with a closed-form residue (the root cofactors B_i, their inverses, and
-the cofactor tails S_{i,j}) and z is the index of the record's one z
+with a closed-form residue, one cofactor tail S_{i,j} of step i (the root
+cofactor B_i is S_{i,0}), and z is the index of the record's one z
 variable, or None.  Commutation corrections add at least 1 to a record's
 value, which puts them above every emission and above the terminal, so
 they are dropped at birth.
@@ -24,7 +24,7 @@ constant(1,3,1) grows threefold per entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import Rat, format_rat, nth_root
@@ -148,7 +148,7 @@ class GammaResolution:
             raise ValueError("step indices are 1-based")
         if i <= len(self.gammas):
             return self.gammas[i - 1]
-        return gamma_tilde(self.desc, i, self.free_choice_index, self.chosen_sign)
+        return _gamma_tilde(self.desc, i, self.free_choice_index, self.chosen_sign)
 
     def to_json(self) -> dict:
         out: dict = {"gammas": [format_rat(g) for g in self.gammas]}
@@ -169,7 +169,7 @@ def _linked_sign(desc: OmegaDescriptor, i: int, window: int) -> Optional[int]:
     return None
 
 
-def gamma_tilde(
+def _gamma_tilde(
     desc: OmegaDescriptor,
     i: int,
     free_index: Optional[int],
@@ -218,7 +218,7 @@ def resolve_gammas(
             raise SignChoiceRequired("sign choice must be +1 or -1")
     count = _prefix_window(desc)
     gammas = tuple(
-        gamma_tilde(desc, i, free_index, sign_choice) for i in range(1, count + 1)
+        _gamma_tilde(desc, i, free_index, sign_choice) for i in range(1, count + 1)
     )
     return GammaResolution(
         gammas, free_index, sign_choice if free_index else None, desc
@@ -228,19 +228,17 @@ def resolve_gammas(
 # -- cofactor machinery ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def tail_count(n: int, k: int, j: int) -> int:
-    """Coefficient table of the cofactor tails: prefix sums of the previous row.
+    """Coefficient table of the cofactor tails: C(k+j-1, j).
 
-    tail_count(n, k, 1) = k; tail_count(n, k, j+1) = sum of the first k
-    entries of row j.  Row j has n - j entries; the prefix one past the
-    end (k = n - j + 1) is accepted and equals the full row-(j-1) total,
-    which is the residue multiplier of the depth-(j-1) tail.
+    Row 0 (the root cofactor) is all ones and row j+1 holds the prefix sums
+    of row j, whose closed form is the hockey-stick identity.  Row j has
+    n - j entries; for j >= 1 the prefix one past the end (k = n - j + 1)
+    is accepted and equals the full row-(j-1) total, which is the residue
+    multiplier of the depth-(j-1) tail.
     """
-    assert 1 <= j <= n and 1 <= k <= n - j + 1
-    if j == 1:
-        return k
-    return sum(tail_count(n, l, j - 1) for l in range(1, k + 1))
+    assert 0 <= j <= n and 1 <= k <= n - j + 1
+    return comb(k + j - 1, j)
 
 
 def _base_ore(desc: OmegaDescriptor, i: int) -> OrePoly:
@@ -250,55 +248,31 @@ def _base_ore(desc: OmegaDescriptor, i: int) -> OrePoly:
     return embed(omega_element(desc, i - 1)).scale_series(factor)
 
 
-def _ore_pow(f: OrePoly, n: int) -> OrePoly:
-    out = OrePoly.from_series(PuiseuxSeries.scalar(Rat(1)))
-    for _ in range(n):
-        out = ore_mul(out, f)
-    return out
-
-
-def root_cofactor(desc: OmegaDescriptor, res: GammaResolution, i: int) -> OrePoly:
-    """B_i = sum_{j=1..n} b_i^{n-j} gamma^{j-1}, the cofactor with
-    (b_i - gamma) B_i = b_i^n - beta_i."""
-    step = desc.step(i)
-    b = _base_ore(desc, i)
-    g = res.gamma(i)
-    out = OrePoly.zero()
-    for j in range(1, step.n + 1):
-        out = out.add(_ore_pow(b, step.n - j).scale_series(
-            PuiseuxSeries.scalar(g ** (j - 1))
-        ))
-    return out
-
-
 def cofactor_tail(
     desc: OmegaDescriptor, res: GammaResolution, i: int, j: int
 ) -> OrePoly:
-    """S_{i,j} with (b_i - gamma) S_{i,j+1} = S_{i,j} - residue(S_{i,j})."""
-    step = desc.step(i)
-    assert 1 <= j <= step.n - 1
+    """S_{i,j} = sum_{k=1..n-j} C(k+j-1, j) gamma^{k-1} b_i^{n-j-k}.
+
+    S_{i,0} is the root cofactor, (b_i - gamma) S_{i,0} = b_i^n - beta_i,
+    and (b_i - gamma) S_{i,j+1} = S_{i,j} - residue(S_{i,j}).
+    """
+    n = desc.step(i).n
+    assert 0 <= j <= n - 1
     b = _base_ore(desc, i)
     g = res.gamma(i)
     out = OrePoly.zero()
-    for k in range(1, step.n - j + 1):
-        coeff = Rat(tail_count(step.n, k, j)) * g ** (k - 1)
-        out = out.add(_ore_pow(b, step.n - j - k).scale_series(
-            PuiseuxSeries.scalar(coeff)
-        ))
+    for k in range(1, n - j + 1):
+        coeff = Rat(tail_count(n, k, j)) * g ** (k - 1)
+        out = ore_mul(out, b).add(OrePoly.from_series(PuiseuxSeries.scalar(coeff)))
     return out
-
-
-def root_cofactor_residue(desc: OmegaDescriptor, res: GammaResolution, i: int) -> Rat:
-    step = desc.step(i)
-    return step.n * res.gamma(i) ** (step.n - 1)
 
 
 def cofactor_tail_residue(
     desc: OmegaDescriptor, res: GammaResolution, i: int, j: int
 ) -> Rat:
-    step = desc.step(i)
-    total = tail_count(step.n, step.n - j, j + 1)
-    return total * res.gamma(i) ** (step.n - j - 1)
+    """S_{i,j} at b_i = gamma: C(n, j+1) gamma^{n-j-1}."""
+    n = desc.step(i).n
+    return tail_count(n, n - j, j + 1) * res.gamma(i) ** (n - j - 1)
 
 
 # -- the conversion state machine -----------------------------------------------------
@@ -306,9 +280,10 @@ def cofactor_tail_residue(
 
 @dataclass(frozen=True)
 class _Atom:
-    kind: str  # "B" | "Binv" | "S"
+    """The cofactor tail S_{i,j}, for 0 <= j <= n_i - 2 (S_{i,n_i-1} is 1)."""
+
     i: int
-    j: int = 0
+    j: int
 
 
 @dataclass(frozen=True)
@@ -327,7 +302,7 @@ class _Conversion:
         self.entries: List[Tuple[Rat, Rat]] = []
         self.k = 0
         self.sigma = Rat(0)  # sum of m_i/n_i over closed steps
-        self.bbar = Rat(1)   # product of root-cofactor residues
+        self.bbar = Rat(1)   # product of the residues of S_{i,0}
         self.C: List[_Record] = []
         self.devs: Dict[int, List[_Record]] = {}
         limit = level_limit(desc)
@@ -336,13 +311,7 @@ class _Conversion:
     # -- atom data -----------------------------------------------------------
 
     def _atom_residue(self, a: _Atom) -> Rat:
-        if a.kind == "B":
-            return root_cofactor_residue(self.desc, self.res, a.i)
-        if a.kind == "Binv":
-            return 1 / root_cofactor_residue(self.desc, self.res, a.i)
-        if a.kind == "S":
-            return cofactor_tail_residue(self.desc, self.res, a.i, a.j)
-        raise AssertionError(f"no scalar residue for atom {a}")
+        return cofactor_tail_residue(self.desc, self.res, a.i, a.j)
 
     def _residue(self, rec: _Record) -> Rat:
         assert rec.z is None
@@ -353,61 +322,36 @@ class _Conversion:
 
     # -- record algebra --------------------------------------------------------
 
-    def _b_atoms(self, upto: int) -> Tuple[_Atom, ...]:
-        return tuple(
-            _Atom("B", i) for i in range(1, upto + 1) if self.desc.step(i).n >= 2
-        )
+    def _tail(self, i: int, j: int) -> Tuple[_Atom, ...]:
+        """S_{i,j} as atoms: none for the constant last tail."""
+        return (_Atom(i, j),) if j < self.desc.step(i).n - 1 else ()
 
-    def _s_atom(self, i: int, j: int) -> Tuple[Tuple[_Atom, ...], Rat]:
-        """S_{i,j} as (atoms, scalar): degree-0 tails fold to their constant."""
-        n = self.desc.step(i).n
-        assert 1 <= j <= n - 1
-        if j == n - 1:
-            return (), Rat(tail_count(n, 1, j))
-        return (_Atom("S", i, j),), Rat(1)
+    def _b_atoms(self, upto: int) -> Tuple[_Atom, ...]:
+        return tuple(a for i in range(1, upto + 1) for a in self._tail(i, 0))
 
     def _atom_dev(self, a: _Atom) -> List[_Record]:
-        """atom - residue(atom), as records (uses the live deviation store)."""
-        if a.kind == "B":
-            tail_atoms, tail_scalar = self._s_atom(a.i, 1)
-            return [
-                _Record(d.scalar * tail_scalar, d.xexp, d.atoms + tail_atoms, d.z)
-                for d in self.devs[a.i]
-            ]
-        if a.kind == "S":
-            n = self.desc.step(a.i).n
-            if a.j + 1 > n - 1:
-                return []
-            tail_atoms, tail_scalar = self._s_atom(a.i, a.j + 1)
-            return [
-                _Record(d.scalar * tail_scalar, d.xexp, d.atoms + tail_atoms, d.z)
-                for d in self.devs[a.i]
-            ]
-        if a.kind == "Binv":
-            bbar = root_cofactor_residue(self.desc, self.res, a.i)
-            out = []
-            for d in self._atom_dev(_Atom("B", a.i)):
-                out.append(
-                    _Record(
-                        -d.scalar / bbar, d.xexp, (_Atom("Binv", a.i),) + d.atoms, d.z
-                    )
-                )
-            return out
-        raise AssertionError(f"no deviation for atom {a}")
+        """S_{i,j} - residue = (b_i - gamma) S_{i,j+1}, as records (uses the
+        live deviation store)."""
+        tail = self._tail(a.i, a.j + 1)
+        return [
+            _Record(d.scalar, d.xexp, d.atoms + tail, d.z) for d in self.devs[a.i]
+        ]
 
     def _telescope(self, rec: _Record) -> List[_Record]:
         """rec minus its residue part: replace each atom in turn by its
         deviation, folding the residues of the atoms after it."""
         assert rec.z is None
+        # suffixes[p] is the product of the residues after atom p
+        suffixes = [Rat(1)]
+        for a in reversed(rec.atoms[1:]):
+            suffixes.append(suffixes[-1] * self._atom_residue(a))
+        suffixes.reverse()
         out: List[_Record] = []
         for p, a in enumerate(rec.atoms):
-            suffix = Rat(1)
-            for b in rec.atoms[p + 1 :]:
-                suffix *= self._atom_residue(b)
             for d in self._atom_dev(a):
                 out.append(
                     _Record(
-                        rec.scalar * d.scalar * suffix,
+                        rec.scalar * d.scalar * suffixes[p],
                         rec.xexp + d.xexp,
                         rec.atoms[:p] + d.atoms,
                         d.z,
@@ -503,36 +447,16 @@ class _Conversion:
         """Close step k+1: build omega_{k+1} from omega_k's decomposition."""
         step = self.desc.step(self.k + 1)
         mn = Rat(step.m, step.n)
-        g = self.res.gamma(self.k + 1)
         consumed_ids = {id(rec) for rec in consumed}
         rest = [rec for rec in self.C if id(rec) not in consumed_ids]
 
         new_parts: List[_Record] = []
         if emitted:
-            gamma_emitted = self.entries[-1][1]
             # gamma * (prod B_i - prod of their residues), telescoped
-            b_indices = [
-                i for i in range(1, self.k + 1) if self.desc.step(i).n >= 2
-            ]
-            # suffixes[pos] is the product of the residues after b_indices[pos]
-            suffixes = [Rat(1)]
-            for i in reversed(b_indices[1:]):
-                suffixes.append(
-                    suffixes[-1] * root_cofactor_residue(self.desc, self.res, i)
-                )
-            suffixes.reverse()
-            for pos, j in enumerate(b_indices):
-                prefix = tuple(_Atom("B", i) for i in b_indices[:pos])
-                suffix = suffixes[pos]
-                for d in self._atom_dev(_Atom("B", j)):
-                    new_parts.append(
-                        _Record(
-                            gamma_emitted * d.scalar * suffix,
-                            d.xexp,
-                            prefix + d.atoms,
-                            d.z,
-                        )
-                    )
+            gamma_emitted = self.entries[-1][1]
+            new_parts = self._telescope(
+                _Record(gamma_emitted, Rat(0), self._b_atoms(self.k), None)
+            )
         for rec in consumed:
             new_parts.extend(
                 _Record(t.scalar, t.xexp + mn, t.atoms, t.z)
@@ -546,13 +470,13 @@ class _Conversion:
         dev_new = [primary] + new_parts + shifted_rest
         self.devs[self.k + 1] = dev_new
 
-        b_new: Tuple[_Atom, ...] = (_Atom("B", self.k + 1),) if step.n >= 2 else ()
+        b_new = self._tail(self.k + 1, 0)
         self.C = [
             _Record(r.scalar, r.xexp, r.atoms + b_new, r.z)
             for r in new_parts + shifted_rest
         ]
         self.sigma += mn
-        self.bbar *= step.n * g ** (step.n - 1)
+        self.bbar *= cofactor_tail_residue(self.desc, self.res, self.k + 1, 0)
         self.k += 1
 
     def run(self) -> ZSequence:

@@ -57,6 +57,18 @@ class TestValidationOnLoad:
             "violations": [{"rule": "StepShape", "detail": "step 1: n must be >= 1"}]
         }
 
+    def test_validate_names_every_missing_sign(self, capsys, desc_file):
+        data = {
+            "steps": [{"m": 1, "n": 2**k, "beta": "1"} for k in (1, 2, 3)],
+            "alpha_signs": [{"i": 1, "j": 2, "sign": 1}],
+        }
+        code, report = run(capsys, ["validate", "--desc", desc_file(data)])
+        assert code == 1
+        assert [v["detail"] for v in report["violations"]] == [
+            "pair (1, 3) needs a stored residue-unit sign",
+            "pair (2, 3) needs a stored residue-unit sign",
+        ]
+
     def test_valid_descriptor_evaluates(self, capsys, desc_file):
         code, report = run(capsys, ["eval", "--desc", desc_file(WORKED_JSON), "--expr", "y"])
         assert code == 0

@@ -331,6 +331,18 @@ class TestValidate:
         d = desc([(1, 4, 1), (1, 4, 1), (1, 4, 1)])
         assert "MissingSignChoice" in self.rules(validate(d))
 
+    def test_every_missing_sign_is_named(self):
+        # heights 1/2, 3/4, 7/8 differ, so no triple condition asks for a
+        # sign, yet eval and extend-check need alpha(1,3) and alpha(2,3)
+        d = desc(
+            [(1, 2, 1), (1, 4, 1), (1, 8, 1)],
+            alpha_signs=[{"i": 1, "j": 2, "sign": 1}],
+        )
+        assert [(v.rule, v.detail) for v in validate(d)] == [
+            ("MissingSignChoice", "pair (1, 3) needs a stored residue-unit sign"),
+            ("MissingSignChoice", "pair (2, 3) needs a stored residue-unit sign"),
+        ]
+
     def test_triple_condition(self):
         d = desc(
             [(1, 4, 1), (1, 4, 1), (1, 4, 1)],

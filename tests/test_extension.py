@@ -26,8 +26,6 @@ from weylval import (
     omega_to_z,
     ore_mul,
     resolve_gammas,
-    root_cofactor,
-    root_cofactor_residue,
     roundtrip_check,
     sample_element,
     tail_count,
@@ -267,13 +265,20 @@ class TestResolveGammas:
 
 class TestTailCounts:
     def test_first_row_counts_up(self):
+        assert [tail_count(4, k, 0) for k in (1, 2, 3, 4)] == [1, 1, 1, 1]
         assert [tail_count(4, k, 1) for k in (1, 2, 3)] == [1, 2, 3]
 
     def test_later_rows_are_prefix_sums(self):
         assert [tail_count(4, k, 2) for k in (1, 2)] == [1, 3]
         assert tail_count(4, 1, 3) == 1
+        for n in range(2, 9):
+            for j in range(0, n - 1):
+                for k in range(1, n - j):
+                    prefix = sum(tail_count(n, l, j) for l in range(1, k + 1))
+                    assert tail_count(n, k, j + 1) == prefix
 
     def test_one_past_the_end_is_the_row_total(self):
+        assert tail_count(4, 4, 1) == 4
         assert tail_count(4, 3, 2) == 6
         assert tail_count(4, 2, 3) == 4
         assert tail_count(3, 2, 2) == 3
@@ -281,7 +286,7 @@ class TestTailCounts:
 
     def test_row_total_law(self):
         for n in range(2, 7):
-            for j in range(1, n):
+            for j in range(0, n):
                 total = sum(tail_count(n, k, j) for k in range(1, n - j + 1))
                 assert tail_count(n, n - j, j + 1) == total
 
@@ -292,6 +297,10 @@ class TestTailCounts:
             tail_count(4, 1, 5)
         with pytest.raises(AssertionError):
             tail_count(4, 0, 1)
+        with pytest.raises(AssertionError):
+            tail_count(4, 6, 0)
+        with pytest.raises(AssertionError):
+            tail_count(4, 1, -1)
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +320,7 @@ class TestCofactorAlgebra:
         step = d.step(i)
         b = base_root(d, i)
         b_minus_gamma = b.sub(scalar_poly(res.gamma(i)))
-        lhs = ore_mul(b_minus_gamma, root_cofactor(d, res, i))
+        lhs = ore_mul(b_minus_gamma, cofactor_tail(d, res, i, 0))
         rhs = ore_pow(b, step.n).sub(scalar_poly(step.beta))
         assert lhs == rhs
 
@@ -320,9 +329,9 @@ class TestCofactorAlgebra:
         d, res = mixed
         b = base_root(d, i)
         b_minus_gamma = b.sub(scalar_poly(res.gamma(i)))
-        cofactor = root_cofactor(d, res, i)
+        cofactor = cofactor_tail(d, res, i, 0)
         lhs = ore_mul(b_minus_gamma, cofactor_tail(d, res, i, 1))
-        rhs = cofactor.sub(scalar_poly(root_cofactor_residue(d, res, i)))
+        rhs = cofactor.sub(scalar_poly(cofactor_tail_residue(d, res, i, 0)))
         assert lhs == rhs
 
     @pytest.mark.parametrize("i", [1, 2])
@@ -331,7 +340,7 @@ class TestCofactorAlgebra:
         step = d.step(i)
         b = base_root(d, i)
         b_minus_gamma = b.sub(scalar_poly(res.gamma(i)))
-        for j in range(1, step.n - 1):
+        for j in range(0, step.n - 1):
             lhs = ore_mul(b_minus_gamma, cofactor_tail(d, res, i, j + 1))
             rhs = cofactor_tail(d, res, i, j).sub(
                 scalar_poly(cofactor_tail_residue(d, res, i, j))
@@ -341,17 +350,17 @@ class TestCofactorAlgebra:
     def test_residue_closed_forms(self, mixed):
         d, res = mixed
         # step 1: n=3, gamma=2; step 2: n=4, gamma=1
-        assert root_cofactor_residue(d, res, 1) == Rat(12)
+        assert cofactor_tail_residue(d, res, 1, 0) == Rat(12)
         assert cofactor_tail_residue(d, res, 1, 1) == Rat(6)
         assert cofactor_tail_residue(d, res, 1, 2) == Rat(1)
-        assert root_cofactor_residue(d, res, 2) == Rat(4)
+        assert cofactor_tail_residue(d, res, 2, 0) == Rat(4)
         assert cofactor_tail_residue(d, res, 2, 1) == Rat(6)
         assert cofactor_tail_residue(d, res, 2, 2) == Rat(4)
         assert cofactor_tail_residue(d, res, 2, 3) == Rat(1)
 
     def test_worked_first_cofactor_residue(self, worked):
         res = resolve_gammas(worked, sign_choice=1)
-        assert root_cofactor_residue(worked, res, 1) == Rat(2)
+        assert cofactor_tail_residue(worked, res, 1, 0) == Rat(2)
 
 
 class TestConversion:
@@ -381,7 +390,7 @@ class TestConversion:
         res = resolve_gammas(worked, sign_choice=1)
         z = omega_to_z(worked, res, depth=2)
         gamma2 = z.explicit_entries[1][1]
-        assert gamma2 == res.gamma(2) / root_cofactor_residue(worked, res, 1)
+        assert gamma2 == res.gamma(2) / cofactor_tail_residue(worked, res, 1, 0)
 
     def test_halving_rule_entries(self, halving):
         res = resolve_gammas(halving)
@@ -402,6 +411,60 @@ class TestConversion:
             (Rat(4, 9), Rat(1, 3)),
             (Rat(13, 27), Rat(1, 27)),
         ]
+
+    @pytest.mark.parametrize(
+        "rule, n",
+        [
+            ("constant(1,3,1)", 3),
+            ("constant(1,5,1)", 5),
+            ("constant(2,5,1)", 5),
+            ("halving", 2),
+        ],
+    )
+    def test_rule_entries_in_closed_form_to_depth_20(self, rule, n):
+        # r_i = h_i, the i-th tower level, and gamma_i = n^{-i(i-1)/2}
+        d = desc([], tail={"kind": "rule", "rule": rule})
+        z = omega_to_z(d, resolve_gammas(d), depth=20)
+        levels = [sum(d.step(k).ratio() for k in range(1, i + 1)) for i in range(1, 21)]
+        assert z.explicit_entries == [
+            (levels[i - 1], Rat(1, n ** (i * (i - 1) // 2))) for i in range(1, 21)
+        ]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cofactor_tails_of_a_sixth_root_step(self, rng, sign):
+        # n_1 = 6 and n_2 = n_3 = 3 give the conversion records whose atoms
+        # are the tails S_{i,j} with j >= 1, which no fixture tower reaches
+        xi_twentieth = {"q": "0", "k_xi": 1, "k_mu": 0, "scale": "1/20"}
+        d = desc(
+            [(1, 6, 1), (1, 3, 1), (1, 3, 8)],
+            tail={"kind": "irrational", "value": xi_twentieth},
+        )
+        assert validate(d) == []
+        res = resolve_gammas(d, sign_choice=sign)
+        z = omega_to_z(d, res, depth=16)
+        assert z.explicit_entries == [
+            (Rat(1, 6), sign * Rat(1)),
+            (Rat(1, 2), sign * Rat(1, 6)),
+            (Rat(5, 6), sign * Rat(1, 24)),
+        ]
+        assert z.terminal.value.q == Rat(5, 6)
+        samples = [sample_element(rng, max_degree=5) for _ in range(15)]
+        assert roundtrip_check(d, res, samples, depth=16).ok
+
+    def test_tail_deviations_reach_the_terminal_value(self):
+        # the fourth entry depends on S_{i,j} - res = (b_i - gamma) S_{i,j+1}
+        # for j >= 1: with that S_{i,j+1} read as 1 it would be 35/131072,
+        # and z_eval of w_2 would miss the terminal value
+        xi_third = {"q": "0", "k_xi": 1, "k_mu": 0, "scale": "1/3"}
+        d = desc(
+            [(1, 4, 16), (1, 5, 32)],
+            tail={"kind": "irrational", "value": xi_third},
+            signs=[(1, 2, -1)],
+        )
+        assert validate(d) == []
+        z = omega_to_z(d, resolve_gammas(d, sign_choice=1), depth=16)
+        assert z.explicit_entries[3] == (Rat(17, 20), Rat(7, 32768))
+        assert z_eval(z, embed(omega_element(d, 2))) == d.generator_value(2)
 
     def test_entries_increase_and_stay_below_one(self, halving, constant131):
         for d in (halving, constant131):
