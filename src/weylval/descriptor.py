@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .valuegroup import INFINITY, Value, ValueGroupElement
-from .weyl import WeylElement
+from .weyl import IntTerm, WeylElement, _integer_terms
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,8 @@ class OmegaDescriptor:
         self._cache: Dict[int, OmegaStep] = {}
         # w_1 .. w_K, built by omega_element; always a contiguous prefix
         self._tower: Dict[int, WeylElement] = {}
+        # the same elements as integer terms over one denominator
+        self._tower_ints: Dict[int, Tuple[List[IntTerm], int]] = {}
         if isinstance(tail, IrrationalTerminal):
             t = tail.value
             if t.k_xi == 0 or t.k_mu != 0:
@@ -408,6 +410,15 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
         )
         tower[k] = element
     return element
+
+
+def omega_integer_form(desc: OmegaDescriptor, i: int) -> Tuple[List[IntTerm], int]:
+    """w_i as integer terms (x exponent, y exponent, c) over one denominator
+    E, so that w_i = sum c x^a y^b / E; scaled once per descriptor."""
+    form = desc._tower_ints.get(i)
+    if form is None:
+        form = desc._tower_ints[i] = _integer_terms(omega_element(desc, i).terms)
+    return form
 
 
 def commutator_value(desc: OmegaDescriptor, i: int, j: int) -> Value:

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
-from .descriptor import OmegaDescriptor, alpha, omega_element, pair_data
-from .errors import DepthExceeded, NonzeroRequired, NonzeroValue
+from .descriptor import OmegaDescriptor, alpha, omega_integer_form, pair_data
+from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, cmp as value_cmp
-from .weyl import WeylElement, WeylFraction, commutator
+from .weyl import IntTerm, WeylElement, WeylFraction, _int_product, _integer_terms, commutator
 
 if TYPE_CHECKING:
     from .orderings import OrderingDescriptor
@@ -710,47 +710,41 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
         pending = {w: c for w, c in pending.items() if c}
 
 
-def _tower_weyl(ctx: Valuation, i: int) -> WeylElement:
-    """The i-th tower element as a normal-form Weyl algebra element."""
+# Term pairs (quotient term, divisor term) that the digit expansion of one
+# element may hand to the product kernel.  The benchmark's elements need at
+# most 7,692 and y^54 on constant(1,3,1) needs 11,195; y^108 there needs
+# 141,352, and y^728 would run for minutes.
+DIGIT_WORK_BUDGET = 65536
+
+# An element as integer rows {y exponent: {x exponent: numerator}} over one
+# denominator; no row is empty and no numerator is 0.
+Rows = Dict[int, Dict[int, int]]
+
+
+def _tower_divisor(ctx: Valuation, i: int) -> Tuple[List[IntTerm], int]:
+    """The i-th tower element as integer terms over one denominator."""
     ctx.check(i)
-    return omega_element(ctx.desc, i)
-
-
-def _divmod_right(
-    dividend: WeylElement, divisor: WeylElement, d: int, lead_x: int
-) -> Tuple[WeylElement, WeylElement]:
-    """Quotient and remainder with dividend = quotient * divisor + remainder.
-
-    The divisor must have a unique top y-degree term x^lead_x y^d with
-    coefficient 1; the remainder has y-degree below d.  Works over Laurent x
-    powers, so the division never gets stuck on a non-invertible coefficient.
-    """
-    quotient = WeylElement.zero()
-    rest = dividend
-    while rest.terms:
-        deg = max(j for (_, j) in rest.terms)
-        if deg < d:
-            break
-        block = WeylElement(
-            {
-                (i - lead_x, deg - d): c
-                for (i, j), c in rest.terms.items()
-                if j == deg
-            }
-        )
-        quotient = quotient.add(block)
-        rest = rest.sub(block.mul(divisor))
-    return quotient, rest
+    return omega_integer_form(ctx.desc, i)
 
 
 def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
     """Expand an element into the tower digit basis.
 
     Result words have the form x^i w_0^{j_0} ... w_K^{j_K} with every digit
-    below the next step's power, obtained by successive division by tower
-    elements from the deepest one down.  The division absorbs the bulk
+    below the next step's power, obtained by successive right division by
+    tower elements from the deepest one down.  The division absorbs the bulk
     cancellation between plain monomials algebraically, so the level scan
     afterwards starts from words whose values rarely collide.
+
+    The expansion runs on integer `Rows` over one denominator.  A division
+    by a tower element with top term x^lead y^d walks the y-degrees from the
+    top down to d: the row at degree deg becomes the quotient row
+    x^{i - lead} y^{deg - d}, and its product with the divisor (one
+    `_int_product` call) is subtracted, which cancels that row and changes
+    only lower ones.  The denominator grows, by E, only when the divisor's
+    integer form has a denominator E != 1, and each pool word becomes one
+    Rat when it is emitted.  The term pairs handed to the kernel are counted
+    per element; past DIGIT_WORK_BUDGET the expansion raises BudgetExceeded.
 
     The deepest divisor is the last tower element whose value is declared:
     w_N under an irrational terminal after N steps, w_{N-1} on a bare prefix
@@ -764,24 +758,15 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
     else:
         max_index = len(ctx.desc.explicit_steps) - 1
     pool: Dict[Word, Rat] = {}
+    work = 0
 
-    def emit(terms: Dict[Tuple[int, int], Rat], suffix: Word) -> None:
+    def rec(rows: Rows, den: int, suffix: Word) -> None:
         # digit expansions are unique, so each word is emitted at most once:
         # the suffix holds one factor (slot, power >= 1) per enclosing
         # division of nonzero power, in rising slots >= 2, and x^i y^j sits
         # in slots 0 and 1
-        for (i, j), c in terms.items():
-            factors: List[Factor] = []
-            if i:
-                factors.append((0, i))
-            if j:
-                factors.append((1, j))
-            pool[tuple(factors) + suffix] = c
-
-    def rec(part: WeylElement, suffix: Word) -> None:
-        if not part.terms:
-            return
-        deg_y = max(j for (_, j) in part.terms)
+        nonlocal work
+        deg_y = max(rows)
         index, d_index = 0, 1
         while index < max_index:
             n_next = abs(ctx.pair_mn(index + 1)[1])
@@ -789,20 +774,61 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
                 break
             index, d_index = index + 1, d_index * n_next
         if index == 0:
-            emit(part.terms, suffix)
+            for j, row in rows.items():
+                for i, c in row.items():
+                    factors: List[Factor] = []
+                    if i:
+                        factors.append((0, i))
+                    if j:
+                        factors.append((1, j))
+                    pool[tuple(factors) + suffix] = Rat(c, den)
             return
-        divisor = _tower_weyl(ctx, index)
-        lead_x = next(i for (i, j) in divisor.terms if j == d_index)
+        divisor, scale = _tower_divisor(ctx, index)
+        lead_x = next(a for a, b, _ in divisor if b == d_index)
         power = 0
-        rest = part
-        while rest.terms:
-            rest, digit = _divmod_right(rest, divisor, d_index, lead_x)
-            if digit.terms:
-                head = ((index + 1, power),) if power else ()
-                rec(digit, head + suffix)
+        while rows:
+            quotient: Rows = {}
+            for deg in range(max(rows), d_index - 1, -1):
+                row = rows.get(deg)
+                if row is None:
+                    continue
+                block = [(i - lead_x, deg - d_index, c) for i, c in row.items()]
+                quotient[deg - d_index] = {a: c for a, _, c in block}
+                work += len(block) * len(divisor)
+                if work > DIGIT_WORK_BUDGET:
+                    raise BudgetExceeded(
+                        f"digit expansion by w_{index} handed {work} term pairs "
+                        f"to the product kernel, above the budget of {DIGIT_WORK_BUDGET}"
+                    )
+                if scale != 1:
+                    den *= scale
+                    for part in (rows, quotient):
+                        for r in part.values():
+                            for i in r:
+                                r[i] *= scale
+                for (i, j), c in _int_product(block, divisor).items():
+                    r = rows.get(j)
+                    if r is None:
+                        rows[j] = {i: -c}
+                        continue
+                    acc = r.get(i, 0) - c
+                    if acc:
+                        r[i] = acc
+                    else:
+                        del r[i]
+                        if not r:
+                            del rows[j]
+            if rows:
+                rec(rows, den, ((index + 1, power),) + suffix if power else suffix)
+            rows = quotient
             power += 1
 
-    rec(element, ())
+    if element.terms:
+        terms, den = _integer_terms(element.terms)
+        rows: Rows = {}
+        for i, j, c in terms:
+            rows.setdefault(j, {})[i] = c
+        rec(rows, den, ())
     return pool
 
 

@@ -39,6 +39,7 @@ from .descriptor import (
     rule_data_window,
 )
 from .errors import (
+    BudgetExceeded,
     ConversionInternalError,
     DepthExceeded,
     NotExtendable,
@@ -294,6 +295,13 @@ class _Record:
     z: Optional[int]
 
 
+# Records (remainder plus deviation store) a conversion may hold after
+# pruning.  The benchmark's conversions hold at most 1 and the largest in the
+# tests, a rule conversion with its cut lifted, 1,254; with m_1 < 0 the
+# records grow about twelvefold per entry.
+CONVERSION_RECORD_BUDGET = 4096
+
+
 class _Conversion:
     def __init__(self, desc: OmegaDescriptor, res: GammaResolution, depth: int):
         self.desc = desc
@@ -481,8 +489,14 @@ class _Conversion:
 
     def run(self) -> ZSequence:
         max_iter = 8 * (self.depth + _prefix_window(self.desc) + 4)
-        for _ in range(max_iter):
+        for iteration in range(max_iter):
             self._prune()
+            alive = len(self.C) + sum(len(recs) for recs in self.devs.values())
+            if alive > CONVERSION_RECORD_BUDGET:
+                raise BudgetExceeded(
+                    f"conversion holds {alive} records after pruning at iteration "
+                    f"{iteration}, above the budget of {CONVERSION_RECORD_BUDGET}"
+                )
             head_val, heads = self._heads()
             w = self._omega_value()
             terminal_here = (

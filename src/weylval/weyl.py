@@ -11,19 +11,51 @@ exponents only; `apply_to_poly` enforces that.
 from __future__ import annotations
 
 from math import lcm
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .coeff import Rat, format_rat
 from .errors import NegativeXPower, NonzeroRequired
 
 Monomial = Tuple[int, int]  # (x exponent, y exponent)
+IntTerm = Tuple[int, int, int]  # (x exponent, y exponent, integer coefficient)
 
 
-def _integer_terms(terms: Dict[Monomial, Rat]) -> Tuple[list, int]:
+def _integer_terms(terms: Dict[Monomial, Rat]) -> Tuple[List[IntTerm], int]:
     """The terms as (i, j, numerator) over one shared denominator."""
     den = lcm(*(coeff.denominator for coeff in terms.values()))
     return [(i, j, coeff.numerator * (den // coeff.denominator))
             for (i, j), coeff in terms.items()], den
+
+
+def _int_product(left: Iterable[IntTerm], right: List[IntTerm]) -> Dict[Monomial, int]:
+    """The normal-form product of two integer term lists, cancelled keys dropped.
+
+    Uses y^b x^c = sum_t C(b,t) c(c-1)...(c-t+1) x^{c-t} y^{b-t}, which
+    stops at t = min(b, c) when c >= 0; coefficient t+1 is coefficient t
+    times (b-t)(c-t)/(t+1), an exact division.  This is the package's one
+    Leibniz loop: `mul`, `pow` and the evaluator's digit expansion use it.
+    """
+    out: Dict[Monomial, int] = {}
+    get = out.get
+    for a, b, p in left:
+        for c, d, q in right:
+            coeff = p * q
+            last = b if c < 0 or b < c else c
+            t = 0
+            while True:
+                key = (a + c - t, b + d - t)
+                acc = get(key, 0) + coeff
+                # a cancelled key leaves at once: a key that comes back
+                # moves to the end of the term order
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+                if t == last:
+                    break
+                coeff = coeff * (b - t) * (c - t) // (t + 1)
+                t += 1
+    return out
 
 
 class WeylElement:
@@ -93,11 +125,9 @@ class WeylElement:
     def mul(self, other: "WeylElement") -> "WeylElement":
         """Exact product; moves every y of self past every x of other.
 
-        Uses y^b x^c = sum_t C(b,t) c(c-1)...(c-t+1) x^{c-t} y^{b-t}, which
-        stops at t = min(b, c) when c >= 0.  Both operands are scaled to
-        integers over their own common denominator, the sum runs on ints
-        (coefficient t+1 is coefficient t times (b-t)(c-t)/(t+1), an exact
-        division), and each surviving term becomes one Rat at the end.
+        Both operands are scaled to integers over their own common
+        denominator, `_int_product` forms the normal-ordered product on
+        ints, and each surviving term becomes one Rat at the end.
         """
         result = WeylElement()
         if not self.terms or not other.terms:
@@ -111,43 +141,28 @@ class WeylElement:
                 return result
         left, da = _integer_terms(self.terms)
         right, db = _integer_terms(other.terms)
-        out: Dict[Monomial, int] = {}
-        get = out.get
-        for a, b, p in left:
-            for c, d, q in right:
-                coeff = p * q
-                last = b if c < 0 or b < c else c
-                t = 0
-                while True:
-                    key = (a + c - t, b + d - t)
-                    acc = get(key, 0) + coeff
-                    # a cancelled key leaves at once: a key that comes back
-                    # moves to the end of the term order
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-                    if t == last:
-                        break
-                    coeff = coeff * (b - t) * (c - t) // (t + 1)
-                    t += 1
         den = da * db
-        result.terms = {key: Rat(acc, den) for key, acc in out.items()}
+        result.terms = {key: Rat(acc, den) for key, acc in _int_product(left, right).items()}
         return result
 
     def pow(self, n: int) -> "WeylElement":
+        """self^n by n products on ints through `_int_product`, with one Rat
+        per term at the end."""
         if n < 0:
             raise ValueError("negative powers are not normal-form elements")
+        result = WeylElement()
         if len(self.terms) == 1:
             ((i, j), c), = self.terms.items()
             if i == 0 or j == 0:
                 # c x^i and c y^j commute with themselves: no Leibniz terms
-                result = WeylElement()
                 result.terms = {(i * n, j * n): c**n}
                 return result
-        result = WeylElement.scalar(1)
+        right, den = _integer_terms(self.terms)
+        acc: Dict[Monomial, int] = {(0, 0): 1}
         for _ in range(n):
-            result = result.mul(self)
+            acc = _int_product([(i, j, c) for (i, j), c in acc.items()], right)
+        den **= n
+        result.terms = {key: Rat(c, den) for key, c in acc.items()}
         return result
 
     __add__ = add

@@ -1,11 +1,17 @@
 """Command-line front end: exit codes and JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weylval
 from weylval.cli import main
+from weylval.evaluate import DIGIT_WORK_BUDGET
 
 from conftest import WORKED_JSON
 
@@ -25,6 +31,18 @@ def desc_file(tmp_path):
 def run(capsys, argv):
     code = main(argv)
     return code, json.loads(capsys.readouterr().out)
+
+
+def run_process(argv, timeout):
+    """`python -m weylval argv` as a process; a run past `timeout` fails the test."""
+    src = str(Path(weylval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "weylval", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+    return done.returncode, json.loads(done.stdout)
 
 
 class TestValidationOnLoad:
@@ -136,6 +154,16 @@ class TestTrialCount:
 
 HALVING_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "halving"}}
 CONSTANT131_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "constant(1,3,1)"}}
+# a valid bare prefix with m_1 < 0, every alpha sign stored as +1
+M1_NEGATIVE_JSON = {
+    "steps": [
+        {"m": m, "n": n, "beta": str(beta)}
+        for m, n, beta in ((-2, 3, 1), (1, 9, 19683), (1, 6, 64), (3, 7, 2187))
+    ],
+    "alpha_signs": [
+        {"i": i, "j": j, "sign": 1} for i in range(1, 5) for j in range(i + 1, 5)
+    ],
+}
 
 
 class TestStructuredLimits:
@@ -194,3 +222,36 @@ class TestStructuredLimits:
         assert code == 1
         assert report["error"]["type"] == "BudgetExceeded"
         assert "w_3" in report["error"]["detail"] and "729" in report["error"]["detail"]
+
+    def test_digit_expansion_over_budget(self, capsys, desc_file):
+        # y^108 divides by w_2 (y-degree 27) four times over; its expansion
+        # needs 141,352 term pairs, y^81 needs 50,426 and evaluates
+        path = desc_file(CONSTANT131_JSON)
+        code, report = run(capsys, ["eval", "--desc", path, "--expr", "y^108"])
+        assert code == 1
+        assert report["error"]["type"] == "BudgetExceeded"
+        detail = report["error"]["detail"]
+        assert "w_2" in detail and "term pairs" in detail
+        assert int(detail.split(" handed ")[1].split()[0]) > DIGIT_WORK_BUDGET
+        code, report = run(capsys, ["eval", "--desc", path, "--expr", "y^81"])
+        assert code == 0
+        assert report == {"value": {"q": "27", "k_xi": 0, "k_mu": 0}}
+
+    def test_digit_expansion_budget_stops_a_process(self, desc_file):
+        # y^728 is one below the tower budget's reach; unbounded, its digit
+        # expansion runs for minutes
+        argv = ["eval", "--desc", desc_file(CONSTANT131_JSON), "--expr", "y^728"]
+        code, report = run_process(argv, timeout=5)
+        assert code == 1
+        assert report["error"]["type"] == "BudgetExceeded"
+
+    def test_conversion_budget_stops_a_process(self, desc_file):
+        # with m_1 < 0 only the budget bounds the remainder: it holds 84, 594
+        # and 7,092 records after pruning at depths 4, 5 and 6; unbounded,
+        # the conversion runs past 30 s
+        argv = ["convert", "--desc", desc_file(M1_NEGATIVE_JSON), "--sign-choice", "+1"]
+        code, report = run_process(argv, timeout=5)
+        assert code == 1
+        assert report["error"]["type"] == "BudgetExceeded"
+        assert "7092 records" in report["error"]["detail"]
+        assert "iteration 6" in report["error"]["detail"]

@@ -29,8 +29,10 @@ from weylval import (
     unit_generators,
 )
 from weylval import cli, evaluate
+from weylval.descriptor import omega_integer_form
 
 from conftest import WORKED_JSON
+from test_weyl import reference_mul
 
 
 def rational(*args):
@@ -160,6 +162,95 @@ def _outcome(query, *args):
         return ("ok", query(*args))
     except Exception as exc:
         return (type(exc).__name__, str(exc), getattr(exc, "consulted", None))
+
+
+def reference_digit_pool(desc, element, depth_limit=64):
+    """The digit expansion by repeated right division on Rat coefficients,
+    each product summed term by term, as an oracle."""
+    if desc.rule is not None:
+        max_index = depth_limit
+    elif desc.terminal is not None:
+        max_index = len(desc.explicit_steps)
+    else:
+        max_index = len(desc.explicit_steps) - 1
+    pool = {}
+
+    def divmod_right(dividend, divisor, d, lead_x):
+        quotient, rest = WeylElement.zero(), dividend
+        while rest.terms:
+            deg = max(j for _, j in rest.terms)
+            if deg < d:
+                break
+            block = WeylElement(
+                {(i - lead_x, deg - d): c for (i, j), c in rest.terms.items() if j == deg}
+            )
+            quotient = quotient.add(block)
+            rest = rest.sub(reference_mul(block, divisor))
+        return quotient, rest
+
+    def rec(part, suffix):
+        if not part.terms:
+            return
+        deg_y = max(j for _, j in part.terms)
+        index, d_index = 0, 1
+        while index < max_index and d_index * desc.step(index + 1).n <= deg_y:
+            index, d_index = index + 1, d_index * desc.step(index + 1).n
+        if index == 0:
+            for (i, j), c in part.terms.items():
+                pool[((0, i),) * bool(i) + ((1, j),) * bool(j) + suffix] = c
+            return
+        divisor = omega_element(desc, index)
+        lead_x = next(i for (i, j) in divisor.terms if j == d_index)
+        power, rest = 0, part
+        while rest.terms:
+            rest, digit = divmod_right(rest, divisor, d_index, lead_x)
+            rec(digit, ((index + 1, power),) * bool(power) + suffix)
+            power += 1
+
+    rec(element, ())
+    return pool
+
+
+RATIONAL_BETA_STEPS = [
+    [(1, 2, "3/2"), (1, 3, "-5/7")],
+    [(1, 3, "-5/7"), (2, 2, "1/4")],
+    [(0, 2, "2/9"), (1, 2, "7/4"), (1, 2, "-1/3")],
+]
+
+
+class TestDigitPool:
+    @pytest.mark.parametrize("steps", RATIONAL_BETA_STEPS, ids=str)
+    @pytest.mark.parametrize("tail", ["terminal", "prefix"])
+    def test_rational_beta_matches_reference(self, steps, tail):
+        data = {"steps": [{"m": m, "n": n, "beta": b} for m, n, b in steps]}
+        if tail == "terminal":
+            data["tail"] = WORKED_JSON["tail"]
+        d = OmegaDescriptor.from_json(data)
+        # the tower's integer forms have denominators E != 1, so the rows'
+        # denominator grows during the division
+        assert omega_integer_form(d, 1)[1] != 1
+        top = 1
+        for _, n, _ in steps:
+            top *= n
+        rng = random.Random(f"digits:{steps}:{tail}")
+        for _ in range(40):
+            terms = {
+                (rng.randint(-2, 4), rng.randint(0, 2 * top + 1)): Rat(
+                    rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)
+                )
+                for _ in range(rng.randint(1, 6))
+            }
+            element = WeylElement(terms)
+            pool = evaluate._digit_pool(Valuation(d), element)
+            assert pool == reference_digit_pool(d, element)
+
+    def test_fixture_towers_match_reference(self, worked, halving, constant131, single24):
+        rng = random.Random(31)
+        for d in (worked, halving, constant131, single24):
+            for _ in range(10):
+                element = sample_element(rng, max_degree=9)
+                pool = evaluate._digit_pool(Valuation(d), element)
+                assert pool == reference_digit_pool(d, element)
 
 
 class TestSession:

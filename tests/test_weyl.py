@@ -195,6 +195,14 @@ class TestPow:
         assert power == repeated_mul(base, n)
         assert all(type(c) is Rat and c != 0 for c in power.terms.values())
 
+    @settings(max_examples=80, deadline=None)
+    @given(laurent_elements, st.integers(0, 4))
+    def test_rational_elements_match_repeated_mul(self, base, n):
+        # the powers run on ints over den^n: each term's Rat is made once
+        power = base.pow(n)
+        assert power == repeated_mul(base, n)
+        assert all(type(c) is Rat and c != 0 for c in power.terms.values())
+
     def test_zero_element(self):
         assert WeylElement.zero().pow(0) == ONE
         assert WeylElement.zero().pow(3).is_zero()
