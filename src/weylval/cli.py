@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coeff import format_rat
 from .descriptor import OmegaDescriptor, validate
-from .errors import DeclarationInconsistent, ParseError, WeylvalError
+from .errors import DeclarationInconsistent, NotExtendable, ParseError, WeylvalError
 from .evaluate import Valuation, sample_element, shadow_eval, strongly_abelian_sample
 from .expr import parse_expr
 from .extension import check_extendable, omega_to_z, resolve_gammas, roundtrip_check
@@ -122,7 +122,7 @@ def _cmd_extend_check(args: argparse.Namespace) -> Outcome:
         entry: dict = {"ordering": ordering.to_json()}
         try:
             result = extend_ordering(desc, ordering, _depth(args))
-        except WeylvalError as exc:
+        except NotExtendable as exc:
             entry["extendable"] = False
             entry["reason"] = str(exc)
         else:

@@ -56,18 +56,15 @@ class IrrationalTerminal:
 class InfiniteRule:
     """Tail generating steps for every index >= 1.
 
-    `window` is the declared prefix window: the maximal 2-adic depth of the
-    value group must already be attained by the steps inside it (checked by
-    the ordering machinery when it applies).  `limit` is the closed-form sum
-    of the step ratios m_i/n_i over every i >= 1, or None when some ratio is
-    not positive, so that the partial sums are not known to increase.
+    `limit` is the closed-form sum of the step ratios m_i/n_i over every
+    i >= 1, or None when some ratio is not positive, so that the partial
+    sums are not known to increase.
     """
 
     name: str
     step_fn: Callable[[int], OmegaStep]
     declared_kind: str
     limit: Optional[Rat]
-    window: int = 8
 
 
 Tail = Optional[object]  # IrrationalTerminal | InfiniteRule | None
@@ -461,12 +458,8 @@ def basis_slot(desc: OmegaDescriptor) -> Optional[Tuple[int, int]]:
     kind = group_kind(desc)
     if kind == GroupKind.TWO_DIVISIBLE:
         return None
-    if desc.rule:
-        indices = range(1, desc.rule.window + 1)
-    else:
-        indices = range(1, len(desc.explicit_steps) + 1)
     best_h, best_i = 0, 0
-    for i in indices:
+    for i in range(1, data_window(desc) + 1):
         h_i = desc.h(i)
         if h_i > best_h:
             best_h, best_i = h_i, i
@@ -512,6 +505,21 @@ def rule_data_window(desc: OmegaDescriptor) -> int:
     return max(last, len(desc.explicit_steps), 1) + 1
 
 
+# Fewest steps of a rule descriptor that its checks and orderings read.
+RULE_WINDOW = 8
+
+
+def data_window(desc: OmegaDescriptor) -> int:
+    """Steps 1..k that hold every datum the descriptor gives.
+
+    Every explicit step of a finite descriptor; on a rule, at least
+    RULE_WINDOW steps and at least `rule_data_window`.
+    """
+    if desc.rule is None:
+        return len(desc.explicit_steps)
+    return max(RULE_WINDOW, rule_data_window(desc))
+
+
 # -- validation ----------------------------------------------------------------
 
 
@@ -522,18 +530,18 @@ class Violation:
 
 
 def validate(desc: OmegaDescriptor, prefix_depth: int = 8) -> List[Violation]:
-    """Check descriptor well-formedness over the first `prefix_depth` steps.
+    """Check descriptor well-formedness over its `data_window`.
 
-    On a rule the check also covers `rule_data_window`, so no explicit step
-    or stored sign goes unchecked, and the levels h_k must stay below 1 at
-    every k, not only inside the window.  Returns a list of violations
-    (empty means valid as far as checked).
+    A finite descriptor has every explicit step checked.  On a rule the
+    check runs over `prefix_depth` steps where that is deeper than the
+    window, so no explicit step or stored sign goes unchecked, and the
+    levels h_k must stay below 1 at every k, not only inside the window.
+    Returns a list of violations (empty means valid as far as checked).
     """
     out: List[Violation] = []
+    depth = data_window(desc)
     if desc.rule:
-        depth = max(prefix_depth, rule_data_window(desc))
-    else:
-        depth = min(prefix_depth, len(desc.explicit_steps))
+        depth = max(prefix_depth, depth)
 
     steps = []
     for i in range(1, depth + 1):
@@ -592,11 +600,6 @@ def validate(desc: OmegaDescriptor, prefix_depth: int = 8) -> List[Violation]:
 
     # sign constancy over even-n steps
     even_signs = {sgn(s.beta) for s in steps if s.n % 2 == 0}
-    if desc.terminal or desc.rule is None:
-        # finite data: include every explicit step
-        even_signs |= {
-            sgn(s.beta) for s in desc.explicit_steps if s.n % 2 == 0
-        }
     if len(even_signs) > 1:
         out.append(
             Violation("SignConstancy", "beta signs differ across even-n steps")

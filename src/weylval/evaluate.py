@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
-from .descriptor import OmegaDescriptor, alpha, omega_integer_form, pair_data
+from .descriptor import OmegaDescriptor, alpha, data_window, omega_integer_form, pair_data
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, cmp as value_cmp
 from .weyl import IntTerm, WeylElement, WeylFraction, _int_product, _integer_terms, commutator
@@ -115,7 +115,6 @@ class Valuation:
         self._commutators: Dict[tuple, Tuple[Emission, ...]] = {}
         self._word_values: Dict[Word, ValueGroupElement] = {}
         self._sorted: Dict[Word, Tuple[Word, Tuple[Emission, ...]]] = {}
-        self._def_content: Dict[Deferred, Tuple[Emission, ...]] = {}
         self._def_values: Dict[Deferred, ValueGroupElement] = {}
         self._elements: Dict[WeylElement, LeadingData] = {}
 
@@ -286,7 +285,7 @@ def _negated(emissions: Iterable[Emission]) -> List[Emission]:
 
 def _factor_commutator_raw(ctx: Valuation, f: Factor, g: Factor) -> List[Emission]:
     if type(f) is not tuple or type(g) is not tuple:
-        raise AssertionError("sum-inverse blocks have their own commutator path")
+        raise AssertionError("sum-inverse blocks sit at the right end and never commute")
     (s, k), (t, l) = f, g
     if s == t:
         return []
@@ -393,7 +392,13 @@ def _expand_pure(ctx: Valuation, word: Word) -> List[Emission]:
 
 
 def _expand_si(ctx: Valuation, si: SumInverse) -> List[Emission]:
-    """Emissions of (block - residue(block)) for a sum-inverse block."""
+    """Emissions of (block - residue(block)) for a sum-inverse block.
+
+    With S the inverted sum and sigma = 1/S(rho) the block's residue,
+    block - sigma = -sigma (S - S(rho)) block, as the block commutes with S;
+    so every emission ends with the block, and no word ever has a block
+    left of a generator.
+    """
     q_word, n, rho_q = si
     sigma = _si_sigma(si)
     pure = _expand_pure(ctx, q_word)
@@ -402,47 +407,15 @@ def _expand_si(ctx: Valuation, si: SumInverse) -> List[Emission]:
         mid = _concat(*([q_word] * (n - 2 - p)))
         weight = -(p + 1) * rho_q**p * sigma
         for c, u in pure:
-            out.append((weight * c, _concat((si,), mid, u)))
+            out.append((weight * c, _concat(mid, u, (si,))))
     return out
-
-
-def _si_commutator(ctx: Valuation, si: SumInverse, f: Factor) -> List[Emission]:
-    # [block, f] = -block [S, f] block where S is the inverted sum
-    q_word, n, rho_q = si
-    out: List[Emission] = []
-    for j in range(n):
-        a = n - 1 - j
-        if a == 0:
-            continue
-        base = []
-        for p, qf in enumerate(q_word):
-            for c, u in _factor_commutator(ctx, qf, f):
-                base.append((c, _concat(q_word[:p], u, q_word[p + 1 :])))
-        for b in range(a):
-            left = _concat(*([q_word] * (a - 1 - b)))
-            right = _concat(*([q_word] * b))
-            for c, u in base:
-                out.append(
-                    (-(rho_q**j) * c, _concat((si,), left, u, right, (si,)))
-                )
-    return out
-
-
-def _def_content(ctx: Valuation, f: Deferred) -> Tuple[Emission, ...]:
-    if type(f.f) is SumInverse:
-        cached = ctx._def_content.get(f)
-        if cached is None:
-            cached = tuple(_si_commutator(ctx, f.f, f.g))
-            ctx._def_content[f] = cached
-        return cached
-    return _factor_commutator(ctx, f.f, f.g)
 
 
 def _def_value(ctx: Valuation, f: Deferred) -> ValueGroupElement:
     cached = ctx._def_values.get(f)
     if cached is None:
         best: Optional[ValueGroupElement] = None
-        for _, u in _def_content(ctx, f):
+        for _, u in _factor_commutator(ctx, f.f, f.g):
             val = ctx.word_value(u)
             if best is None or val.cmp(best) < 0:
                 best = val
@@ -455,11 +428,11 @@ def _def_value(ctx: Valuation, f: Deferred) -> ValueGroupElement:
 def _sort_word(ctx: Valuation, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
     """Sorted form of a word plus the exact corrections the reordering costs.
 
-    The sorted form has the generator powers first, in slot order,
-    then sum-inverse blocks in encounter order, with adjacent equal
-    generators merged and zero powers dropped.  Only the word itself is
-    sorted — a finite bubble pass — while every materialized commutator is
-    returned unsorted.  Corrections all have value strictly greater than the
+    The sorted form has the generator powers in slot order, with adjacent
+    equal generators merged and zero powers dropped, and then the word's
+    sum-inverse blocks, which every word carries at its right end and which
+    therefore never move.  Only the word itself is sorted — a finite bubble
+    pass — while every materialized commutator is returned unsorted.  Corrections all have value strictly greater than the
     word (full recursive normalization would not terminate for sum-inverse
     blocks, whose normal form is an infinite series of increasing values),
     so callers keep them lazily and sort them only if the worklist ever
@@ -474,9 +447,7 @@ def _sort_word(ctx: Valuation, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
         swap_at = None
         for p in range(len(items) - 1):
             f, g = items[p], items[p + 1]
-            if type(g) is SumInverse:
-                continue
-            if type(f) is SumInverse or f[0] > g[0]:
+            if type(g) is tuple and f[0] > g[0]:
                 swap_at = p
                 break
         if swap_at is None:
@@ -515,28 +486,6 @@ def _expand_zero(ctx: Valuation, word: Word, res: Rat) -> List[Emission]:
 # -- canonical level representative ---------------------------------------------
 
 
-def _extgcd(a: int, b: int) -> Tuple[int, int, int]:
-    if b == 0:
-        return (a, 1, 0)
-    g, s, t = _extgcd(b, a % b)
-    return (g, t, s - (a // b) * t)
-
-
-def _solve_int_combo(coeffs: Sequence[int], target: int) -> List[int]:
-    """Deterministic integer vector c with sum c_i coeffs_i = target."""
-    combo = [0] * len(coeffs)
-    combo[0] = 1
-    g = coeffs[0]
-    for idx in range(1, len(coeffs)):
-        g2, s, t = _extgcd(g, coeffs[idx])
-        combo = [s * c for c in combo]
-        combo[idx] = t
-        g = g2
-    assert g != 0 and target % g == 0
-    scale = target // g
-    return [c * scale for c in combo]
-
-
 @dataclass(frozen=True)
 class CanonicalRef:
     word: Word
@@ -551,6 +500,15 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
     2-torsion basis generator and of the terminal tower element; squares of
     kernel monomials always have positive residue, which makes the choice of
     the even bulk irrelevant for signs.
+
+    The bulk, of value half = (q - eps_b v_b)/2, is written in tower digits.
+    With L_0 = 1, L_i = lcm(L_{i-1}, n_i), e_i = L_i/L_{i-1} and
+    u_i = m_i L_i/n_i, which is prime to e_i, the walk from i = r down to 1
+    takes d_i = (half L_i) u_i^{-1} mod e_i and subtracts d_i m_i/n_i from
+    half, which leaves half L_{i-1} an integer; the integer h left at the
+    end sits on x.  The word is x^{-2h} prod w_{i-1}^{2 d_i}, times
+    w_{b-1}^{eps_b} and the terminal power, so the exponent of every w_{i-1}
+    with i <= r lies in [0, 2 e_i - 1].
     """
     desc = ctx.desc
     assert isinstance(g, ValueGroupElement)
@@ -564,16 +522,13 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
         c_t, rem = divmod(g.k_xi, term.value.k_xi)
         assert rem == 0
         q = g.q - c_t * term.value.q
-    if desc.rule:
-        r = max(desc.rule.window, 1)
-    else:
-        r = len(desc.explicit_steps)
-    lcm_n = 1
+    r = data_window(desc)
+    lcms = [1]
     for i in range(1, r + 1):
-        lcm_n = math.lcm(lcm_n, ctx.step(i).n)
-    while lcm_n % q.denominator:
+        lcms.append(math.lcm(lcms[-1], ctx.step(i).n))
+    while lcms[-1] % q.denominator:
         r += 1
-        lcm_n = math.lcm(lcm_n, ctx.step(r).n)
+        lcms.append(math.lcm(lcms[-1], ctx.step(r).n))
     h_max, b = 0, 0
     for i in range(1, r + 1):
         h_i = desc.h(i)
@@ -584,15 +539,18 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
         eps_b = 1
     v_b = Rat(-1) if b == 0 else ctx.step(b).ratio()
     half = (q - eps_b * v_b) / 2
-    coeffs = [-lcm_n] + [
-        ctx.step(i).m * (lcm_n // ctx.step(i).n) for i in range(1, r + 1)
-    ]
-    target = half * lcm_n
-    assert target.denominator == 1
-    combo = _solve_int_combo(coeffs, int(target))
-    slots = {i: 2 * c for i, c in enumerate(combo)}
-    slots[b] += eps_b
-    factors = [(s, k) for s, k in slots.items() if k]
+    exps = [0] * (r + 1)
+    exps[b] = eps_b
+    for i in range(r, 0, -1):
+        step = ctx.step(i)
+        e_i = lcms[i] // lcms[i - 1]
+        u_i = step.m * lcms[i] // step.n
+        d_i = (half * lcms[i]).numerator * pow(u_i, -1, e_i) % e_i
+        half -= d_i * step.ratio()
+        exps[i] += 2 * d_i
+    assert half.denominator == 1
+    exps[0] -= 2 * half.numerator
+    factors = [(s, k) for s, k in enumerate(exps) if k]
     if c_t:
         factors.append((len(desc.explicit_steps) + 1, c_t))
     return CanonicalRef(tuple(factors), eps_b, c_t & 1)
@@ -674,7 +632,7 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
                     _accumulate(still, cu, c * cc)
                 continue
             head, tail = w[:spot], w[spot + 1 :]
-            for cc, u in _def_content(ctx, w[spot]):
+            for cc, u in _factor_commutator(ctx, w[spot].f, w[spot].g):
                 nw = _concat(head, u, tail)
                 nc = c * cc
                 if ctx.word_value(nw).cmp(level) == 0:

@@ -33,10 +33,10 @@ from .descriptor import (
     OmegaDescriptor,
     alpha_sign,
     basis_slot,
+    data_window,
     group_kind,
     level_limit,
     omega_element,
-    rule_data_window,
 )
 from .errors import (
     BudgetExceeded,
@@ -79,12 +79,6 @@ class ExtendViolation:
         }
 
 
-def _prefix_window(desc: OmegaDescriptor) -> int:
-    if desc.rule is not None:
-        return max(desc.rule.window, rule_data_window(desc))
-    return len(desc.explicit_steps)
-
-
 def check_extendable(desc: OmegaDescriptor) -> Optional[ExtendViolation]:
     """None when both extension conditions hold over the step prefix.
 
@@ -92,7 +86,7 @@ def check_extendable(desc: OmegaDescriptor) -> Optional[ExtendViolation]:
     exists).  Condition 2: for h_i < h_j <= h_l the alpha signs alpha(i,j)
     and alpha(i,l) agree; index 0 is the x slot with h = 0.
     """
-    window = _prefix_window(desc)
+    window = data_window(desc)
     for i in range(1, window + 1):
         step = desc.step(i)
         if step.n % 2 == 0 and step.beta < 0:
@@ -134,7 +128,7 @@ def check_extendable(desc: OmegaDescriptor) -> Optional[ExtendViolation]:
 class GammaResolution:
     """Real roots gamma_i with gamma_i^{n_i} = beta_i, signs pinned by alpha.
 
-    `gammas` holds the roots over the prefix window; `gamma(i)` is the one
+    `gammas` holds the roots over the data window; `gamma(i)` is the one
     accessor, and resolves a rule's deeper roots on demand by the same sign
     rules.
     """
@@ -184,7 +178,7 @@ def _gamma_tilde(
     if free_index is not None and i == free_index:
         assert chosen_sign in (1, -1)
         return chosen_sign * root
-    window = max(_prefix_window(desc), i + 1)
+    window = max(data_window(desc), i + 1)
     sign = _linked_sign(desc, i, window)
     if sign is None:
         raise ConversionInternalError(
@@ -217,7 +211,7 @@ def resolve_gammas(
             )
         if sign_choice not in (1, -1):
             raise SignChoiceRequired("sign choice must be +1 or -1")
-    count = _prefix_window(desc)
+    count = data_window(desc)
     gammas = tuple(
         _gamma_tilde(desc, i, free_index, sign_choice) for i in range(1, count + 1)
     )
@@ -488,7 +482,7 @@ class _Conversion:
         self.k += 1
 
     def run(self) -> ZSequence:
-        max_iter = 8 * (self.depth + _prefix_window(self.desc) + 4)
+        max_iter = 8 * (self.depth + data_window(self.desc) + 4)
         for iteration in range(max_iter):
             self._prune()
             alive = len(self.C) + sum(len(recs) for recs in self.devs.values())

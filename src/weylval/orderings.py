@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from .descriptor import OmegaDescriptor, basis_slot, omega_element
+from .descriptor import OmegaDescriptor, basis_slot
 from .errors import DeclarationInconsistent, NotExtendable, ParseError
 from .evaluate import SampleReport, Valuation, _OneShot, sample_element
 from .extension import check_extendable
@@ -186,9 +186,10 @@ def extend_ordering(
     x is negative under the ordering (the extension ring contains fractional
     powers of x, which are squares there, so x must be positive).  Otherwise
     the root sign is forced by positivity of the maximal-depth generator,
-    and the extension ring carries a unique compatible ordering: its value
-    group's rational part is fully divisible, leaving only the terminal
-    slot's sign to survive.
+    whose sign is the ordering's omega sign (w_{b-1} is its own
+    representative, with residue 1), and the extension ring carries a
+    unique compatible ordering: its value group's rational part is fully
+    divisible, leaving only the terminal slot's sign to survive.
     """
     violation = check_extendable(desc)
     if violation is not None:
@@ -201,8 +202,7 @@ def extend_ordering(
     slot = basis_slot(desc)
     sign_choice: Optional[int] = None
     if slot is not None and slot[0] >= 1:
-        base = omega_element(desc, slot[1] - 1)
-        sign_choice = session.sign(ordering, base)
+        sign_choice = ordering.omega_sign
     has_terminal = desc.terminal is not None
     extended = OrderingDescriptor(
         omega_index=None,

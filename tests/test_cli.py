@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import weylval
+from weylval import BudgetExceeded, cli
 from weylval.cli import main
 from weylval.evaluate import DIGIT_WORK_BUDGET
 
@@ -255,3 +256,73 @@ class TestStructuredLimits:
         assert report["error"]["type"] == "BudgetExceeded"
         assert "7092 records" in report["error"]["detail"]
         assert "iteration 6" in report["error"]["detail"]
+
+
+# Steps (1,3^i,1) for i = 1..8: every one inside the rule's default window
+# of 8 has odd n
+ODD_STEPS = [{"m": 1, "n": 3**i, "beta": "1"} for i in range(1, 9)]
+
+
+def _terminal(scale: str) -> dict:
+    return {"kind": "irrational", "value": {"q": "0", "k_xi": 1, "k_mu": 0, "scale": scale}}
+
+
+class TestValidTowersAnswer:
+    def test_eval_x_on_a_deep_digit_tower(self, desc_file):
+        # a representative of v(x) = -1 outside tower digits, such as
+        # w_0^-26244 w_1^52488 ..., takes minutes to read a residue from
+        data = {
+            "steps": [{"m": 1, "n": 4, "beta": "1/4"}],
+            "tail": {"kind": "rule", "rule": "constant(1,3,1)"},
+        }
+        code, report = run_process(["eval", "--desc", desc_file(data), "--expr", "x"], timeout=10)
+        assert code == 0
+        assert report == {"value": {"q": "-1", "k_xi": 0, "k_mu": 0}}
+
+    def test_basis_slot_past_the_default_window(self, capsys, desc_file):
+        # step 9, (1,2,1), is the first even one: the basis generator is w_8
+        data = {
+            "steps": ODD_STEPS + [{"m": 1, "n": 2, "beta": "1"}],
+            "tail": {"kind": "rule", "rule": "constant(1,3,1)"},
+        }
+        path = desc_file(data)
+        code, report = run(capsys, ["orderings", "--desc", path])
+        assert code == 0
+        assert [o["basis"] for o in report["orderings"]] == [{"omega_index": 8}] * 2
+        code, report = run(capsys, ["convert", "--desc", path, "--depth", "12"])
+        assert code == 1
+        assert report["error"]["type"] == "SignChoiceRequired"
+        argv = ["convert", "--desc", path, "--depth", "3", "--sign-choice", "+1"]
+        code, report = run(capsys, argv)
+        assert code == 0
+        assert report["gammas"]["free_choice_index"] == 9
+
+    def test_every_explicit_step_is_validated(self, capsys, desc_file):
+        data = {"steps": ODD_STEPS + [{"m": 0, "n": 1, "beta": "0"}], "tail": _terminal("1/1000000")}
+        code, report = run(capsys, ["validate", "--desc", desc_file(data)])
+        assert code == 1
+        assert [v["detail"] for v in report["violations"]] == [
+            "step 9: beta must be nonzero",
+            "step 9: m must be positive beyond step 1",
+        ]
+
+    def test_extend_check_reads_the_root_sign_from_the_ordering(self, capsys, desc_file):
+        # the basis generator w_3 has y-degree 3*9*27 = 729, past the tower budget
+        steps = ODD_STEPS[:3] + [{"m": 1, "n": 2, "beta": "1"}]
+        data = {"steps": steps, "tail": _terminal("1/1000")}
+        code, report = run(capsys, ["extend-check", "--desc", desc_file(data)])
+        assert code == 0
+        entries = report["orderings"]
+        assert len(entries) == 4
+        for entry in entries:
+            assert entry["extendable"] is True
+            assert entry["sign_choice"] == entry["ordering"]["signs"][0]
+
+    def test_extend_check_ends_on_other_errors(self, capsys, desc_file, monkeypatch):
+        def over_budget(*args):
+            raise BudgetExceeded("over budget")
+
+        monkeypatch.setattr(cli, "extend_ordering", over_budget)
+        code, report = run(capsys, ["extend-check", "--desc", desc_file(WORKED_JSON)])
+        assert code == 1
+        assert report["error"]["type"] == "BudgetExceeded"

@@ -27,6 +27,7 @@ from weylval.descriptor import (
     alpha,
     alpha_sign,
     builtin_rule,
+    data_window,
     level_limit,
     pair_data,
     prefix_sum,
@@ -387,6 +388,14 @@ class TestValidate:
     def test_rule_steps_past_the_first_are_checked_at_any_depth(self):
         d = desc([], tail={"kind": "rule", "rule": "constant(-1,3,1)"})
         assert "StepShape" in self.rules(validate(d, prefix_depth=1))
+
+    def test_data_window(self, worked, halving, constant131, single24, single_terminal):
+        assert [
+            data_window(d) for d in (worked, halving, constant131, single24, single_terminal)
+        ] == [2, 8, 8, 1, 1]
+        steps = [(1, 3**i, 1) for i in range(1, 10)]
+        assert data_window(desc(steps)) == 9
+        assert data_window(desc(steps, tail={"kind": "rule", "rule": "halving"})) == 10
 
     def test_rule_data_window(self):
         halving = {"kind": "rule", "rule": "halving"}

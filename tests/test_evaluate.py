@@ -1,6 +1,7 @@
 """Main valuation engine: values, residues, fractions, sessions, and the shadow oracle."""
 
 import json
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from weylval import (
     eval_element,
     monomial_gap_value,
     omega_element,
+    parse_expr,
     residue,
     sample_element,
     shadow_eval,
@@ -383,6 +385,75 @@ class TestMonomialGap:
         assert combined.value.cmp(lead_a.value) > 0
         assert (combined.value, combined.lam) == (rational(1, 4), Rat(-3, 2))
         assert calls
+
+
+# Steps (1,8,-8), (1,6,-1) under a terminal: a representative of v(x) whose
+# bulk is not in tower digits can need the square root of 8
+NO_RATIONAL_ROOT_JSON = {
+    "steps": [{"m": 1, "n": 8, "beta": "-8"}, {"m": 1, "n": 6, "beta": "-1"}],
+    "tail": {"kind": "irrational", "value": {"q": "0", "k_xi": 1, "k_mu": 0, "scale": "1/100"}},
+    "alpha_signs": [{"i": 1, "j": 2, "sign": 1}],
+}
+
+
+def digit_bounds(desc, r):
+    """{i: 2 e_i - 1} for tower slots i = 1..r, with e_i = L_i / L_{i-1}."""
+    bounds, lcm = {}, 1
+    for i in range(1, r + 1):
+        deeper = math.lcm(lcm, desc.step(i).n)
+        bounds[i] = 2 * (deeper // lcm) - 1
+        lcm = deeper
+    return bounds
+
+
+class TestCanonicalRef:
+    @pytest.mark.parametrize(
+        "fixture", ["worked", "halving", "constant131", "single24", "single_terminal"]
+    )
+    def test_digits_stay_within_their_bound(self, request, fixture):
+        desc = request.getfixturevalue(fixture)
+        session = Valuation(desc)
+        # tower slots 1..r hold w_0..w_{r-1}; a terminal w_N sits in slot N + 1
+        r = 8 if desc.rule else len(desc.explicit_steps)
+        slots = list(range(r + 1)) + ([r + 1] if desc.terminal else [])
+        bounds = digit_bounds(desc, r)
+        rng = random.Random(7)
+        for _ in range(60):
+            word = tuple((s, rng.randint(-40, 40)) for s in slots)
+            value = session.word_value(word)
+            ref = evaluate._canonical_ref(session, value)
+            assert session.word_value(ref.word) == value
+            for s, k in ref.word:
+                if s in bounds:
+                    assert 0 <= k <= bounds[s]
+                else:
+                    assert s == 0 or (desc.terminal and s == r + 1)
+
+    def test_representative_needs_no_irrational_root(self):
+        desc = OmegaDescriptor.from_json(NO_RATIONAL_ROOT_JSON)
+        for text, q in (("x", -1), ("6*x^6 + 9*x^3*y^2", -6)):
+            element = parse_expr(text)
+            assert eval_element(desc, element) == rational(q)
+            assert shadow_eval(desc, element) == rational(q)
+
+
+class TestSumInverseBlocks:
+    @pytest.mark.parametrize(
+        "fixture, exponents",
+        [("worked", (1, 1, 2)), ("halving", (2, 3, 2)), ("constant131", (1, 2, 3))],
+    )
+    def test_emissions_end_with_their_block(self, request, fixture, exponents):
+        session = Valuation(request.getfixturevalue(fixture))
+        word = tuple((s, k) for s, k in enumerate(exponents) if k)
+        (si,) = {u[-1] for _, u in evaluate._expand_pure(session, word)}
+        assert type(si) is evaluate.SumInverse
+        emissions = evaluate._expand_si(session, si)
+        assert emissions
+        for _, u in emissions:
+            assert u[-1] == si
+            # no generator or commutator right of a block
+            first = next(p for p, f in enumerate(u) if type(f) is evaluate.SumInverse)
+            assert all(type(f) is evaluate.SumInverse for f in u[first:])
 
 
 class TestUnitGenerators:

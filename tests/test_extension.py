@@ -32,8 +32,8 @@ from weylval import (
     validate,
     z_eval,
 )
-from weylval.descriptor import alpha_sign, level_limit
-from weylval.extension import ExtendViolation, _Conversion, _prefix_window
+from weylval.descriptor import alpha_sign, data_window, level_limit
+from weylval.extension import ExtendViolation, _Conversion
 
 
 def desc(steps, tail=None, signs=None):
@@ -71,7 +71,7 @@ IRRATIONAL_THIRD = {
 
 def pairwise_extendable(desc):
     """check_extendable with condition 2 read pair by pair, the reference."""
-    window = _prefix_window(desc)
+    window = data_window(desc)
     for i in range(1, window + 1):
         step = desc.step(i)
         if step.n % 2 == 0 and step.beta < 0:
