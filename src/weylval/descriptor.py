@@ -22,7 +22,6 @@ from .errors import (
     DeclarationInconsistent,
     DepthExceeded,
     MissingSignChoice,
-    NegativeXPower,
     ParseError,
 )
 from .valuegroup import INFINITY, Value, ValueGroupElement
@@ -371,7 +370,7 @@ TOWER_Y_DEGREE_BUDGET = 256
 def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
     """Expanded normal form of w_i, built once per descriptor and shared.
 
-    Raises NegativeXPower if some m_k < 0, and BudgetExceeded, before
+    An m_k < 0 makes w_i Laurent in x.  Raises BudgetExceeded, before
     building anything, if the y-degree of w_i is above
     TOWER_Y_DEGREE_BUDGET.  Errors are raised afresh on every call; only
     built elements are stored.
@@ -387,12 +386,7 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
         return tower[i]
     degree = 1
     for k in range(1, i + 1):
-        step = desc.step(k)
-        if step.m < 0:
-            raise NegativeXPower(
-                f"step {k} has m = {step.m}, so w_{i} is not a polynomial in x"
-            )
-        degree *= step.n
+        degree *= desc.step(k).n
     if degree > TOWER_Y_DEGREE_BUDGET:
         raise BudgetExceeded(
             f"tower element w_{i} has y-degree {degree}, above the budget "

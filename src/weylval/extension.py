@@ -232,7 +232,8 @@ def tail_count(n: int, k: int, j: int) -> int:
     is accepted and equals the full row-(j-1) total, which is the residue
     multiplier of the depth-(j-1) tail.
     """
-    assert 0 <= j <= n and 1 <= k <= n - j + 1
+    if not (0 <= j <= n and 1 <= k <= n - j + 1):
+        raise ValueError(f"tail_count({n}, {k}, {j}) is outside the table")
     return comb(k + j - 1, j)
 
 
@@ -252,7 +253,8 @@ def cofactor_tail(
     and (b_i - gamma) S_{i,j+1} = S_{i,j} - residue(S_{i,j}).
     """
     n = desc.step(i).n
-    assert 0 <= j <= n - 1
+    if not 0 <= j <= n - 1:
+        raise ValueError(f"cofactor tail S_{{{i},{j}}} needs 0 <= j < n = {n}")
     b = _base_ore(desc, i)
     g = res.gamma(i)
     out = OrePoly.zero()

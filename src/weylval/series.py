@@ -8,7 +8,10 @@ these coefficients with the commutation rule (variable * p = p * variable
 
 A ZSequence carries the data z_{i+1} = z_i - gamma_{i+1} x^{-r_{i+1}} with
 z_0 = y, finished by an irrational terminal value, an infinite rule with a
-limit r*, or nothing (a bare prefix).  z_eval dispatches on the tail kind.
+limit r*, or nothing (a bare prefix).  z_eval serves every tail with one
+loop: it rewrites an element over z_0, z_1, ... one entry at a time and
+stops at the first expansion whose least term value v(q_j) + j v(z_k) is
+attained once, as in MacLane's key-polynomial expansions.
 """
 
 from __future__ import annotations
@@ -435,6 +438,16 @@ class ZSequence:
             if r >= 1 or (last is not None and r <= last):
                 raise ParseError("z-sequence exponents must increase and stay < 1")
             last = r
+        terminal = self.terminal
+        if terminal is not None:
+            t = terminal.value
+            if t.k_xi == 0 or t.k_mu != 0:
+                raise ParseError("z-sequence terminal value must be irrational")
+            if last is not None and t.cmp(ValueGroupElement.rational(last)) <= 0:
+                raise ParseError(
+                    f"z-sequence terminal value {t} must lie above the last "
+                    f"exponent {format_rat(last)}"
+                )
 
     @property
     def terminal(self) -> Optional[ZTerminal]:
@@ -526,163 +539,82 @@ def translate_y(zseq: ZSequence, ell: int) -> Tuple[PuiseuxSeries, ZSequence]:
 # -- z-sequence valuations ------------------------------------------------------------
 
 
-def _terminal_eval(
-    zseq: ZSequence, f: OrePoly
-) -> Tuple[Value, Optional[Rat]]:
-    k = len(zseq.explicit_entries)
-    t_hat = zseq.terminal.value
-    g = shift_variable(f, a_series(zseq, k, exact=True))
-    best: Optional[ValueGroupElement] = None
-    best_j = -1
-    residue_coeff: Optional[Rat] = None
-    pending: List[ValueGroupElement] = []
-    for j, q_j in enumerate(g.coeffs):
-        exact, floor = q_j.value_floor()
-        if floor is INFINITY:
-            continue
-        cand = floor.add(t_hat.scalar_mul(j))
-        if exact:
-            if best is None or cand.cmp(best) < 0:
-                best, best_j = cand, j
-        else:
-            pending.append(cand)
-    if best is None:
-        if pending:
-            raise TruncationLoss("all coefficients are unknown at this precision")
-        return INFINITY, None
-    for bound in pending:
-        if bound.cmp(best) < 0:
-            raise TruncationLoss("an unknown coefficient could undercut the minimum")
-    if best.is_zero():
-        lead = g.coeffs[best_j].leading()
-        assert lead is not None and best_j == 0 and lead[0] == 0
-        residue_coeff = lead[1]
-    return best, residue_coeff
-
-
-def _stabilized_eval(
-    zseq: ZSequence, f: OrePoly, depth_limit: int
-) -> Tuple[Value, Optional[Rat]]:
-    """Limit-1 regime: iterate exact single-entry shifts until stable."""
-    g = f
-    prev_profile = None
-    for k in range(1, depth_limit + 1):
-        r_k, gamma_k = zseq.entry(k)
-        g = shift_variable(
-            g, PuiseuxSeries.make([(r_k, gamma_k)])
-        )
-        profile = tuple(
-            (lead[0] if (lead := q_j.leading()) else None) for q_j in g.coeffs
-        )
-        r_next = zseq.entry(k + 1)[0]
-        unique_at_zero = bool(profile) and profile[0] is not None
-        if unique_at_zero:
-            v0 = profile[0]
-            for j in range(1, len(g.coeffs)):
-                exact, floor = g.coeffs[j].value_floor()
-                if floor is INFINITY:
-                    continue
-                assert isinstance(floor, ValueGroupElement)
-                if not floor.q + j * r_next > v0:
-                    unique_at_zero = False
-                    break
-        if unique_at_zero and profile == prev_profile:
-            lead = g.coeffs[0].leading()
-            assert lead is not None
-            return (
-                ValueGroupElement.rational(lead[0]),
-                lead[1] if lead[0] == 0 else None,
-            )
-        prev_profile = profile
-    raise DepthExceeded(
-        f"coefficient values did not stabilize within {depth_limit} rounds",
-        consulted=depth_limit,
-    )
-
-
 def _z_eval_full(
     zseq: ZSequence, f: OrePoly, depth_limit: int
 ) -> Tuple[Value, Optional[Rat]]:
+    """(value, residue or None); the certificate is in z_eval's docstring.
+    The terminal's v(z_N) is irrational, so no two candidates tie there and
+    an unknown bound equal to the minimum cannot cancel it."""
     if f.is_zero_record():
         return INFINITY, None
-    if zseq.terminal is not None:
-        return _terminal_eval(zseq, f)
-    if zseq.rule is not None:
-        if zseq.rule.limit < 1:
-            # below limit 1, plain commutative substitution IS the valuation
-            return _naive_substitution_eval(zseq, f, depth_limit)
-        return _stabilized_eval(zseq, f, depth_limit)
-    raise DepthExceeded("bare z-sequence prefix defines no tail regime")
+    if zseq.terminal is None and zseq.rule is None:
+        raise DepthExceeded("bare z-sequence prefix defines no tail regime")
+    last = len(zseq.explicit_entries) if zseq.rule is None else None
+    g, k = f, 0
+    while True:
+        at_terminal = k == last
+        if at_terminal:
+            v_z = zseq.terminal.value
+        else:
+            r_next, gamma_next = zseq.entry(k + 1)
+            v_z = ValueGroupElement.rational(r_next)
+        exact: List[Tuple[ValueGroupElement, int]] = []
+        bounds: List[ValueGroupElement] = []
+        for j, q_j in enumerate(g.coeffs):
+            is_exact, floor = q_j.value_floor()
+            if floor is INFINITY:
+                continue
+            cand = floor.add(v_z.scalar_mul(j))
+            if is_exact:
+                exact.append((cand, j))
+            else:
+                bounds.append(cand)
+        if not exact:
+            raise TruncationLoss("all coefficients are unknown at this precision")
+        best, best_j = exact[0]
+        for cand, j in exact[1:]:
+            if cand.cmp(best) < 0:
+                best, best_j = cand, j
+        if at_terminal:
+            if any(bound.cmp(best) < 0 for bound in bounds):
+                raise TruncationLoss(
+                    "an unknown coefficient could undercut the minimum"
+                )
+        elif sum(cand.cmp(best) == 0 for cand, _ in exact) > 1 or any(
+            bound.cmp(best) <= 0 for bound in bounds
+        ):
+            if zseq.rule is not None and k >= depth_limit:
+                raise DepthExceeded(
+                    f"no certified minimum within {depth_limit} shifts",
+                    consulted=k + 1,
+                )
+            g = shift_variable(g, PuiseuxSeries.make([(r_next, gamma_next)]))
+            k += 1
+            continue
+        if not best.is_zero():
+            return best, None
+        residue = g.coeffs[best_j].leading()[1]
+        return best, residue * gamma_next ** best_j if best_j else residue
 
 
 def z_eval(zseq: ZSequence, f: OrePoly, depth_limit: int = 64) -> Value:
-    """v(f) for the valuation defined by the z-sequence."""
+    """v(f) for the valuation defined by the z-sequence.
+
+    f is rewritten over z_k = z_{k-1} - gamma_k x^{-r_k} one entry at a
+    time, f = sum_j q_j z_k^j, until the least v(q_j) + j v(z_k) is attained
+    at one j only; that minimum is v(f).  Proof: v(z_k) = r_{k+1}, since
+    z_k = gamma_{k+1} x^{-r_{k+1}} + z_{k+1} and v(z_{k+1}) > r_{k+1}, so
+    the terms have the values of the candidates, and a unique minimum is the
+    value of the sum by the valuation axiom.  A terminal sequence reaches its
+    terminal; a rule raises DepthExceeded after `depth_limit` shifts, a bare
+    prefix at once, and TruncationLoss marks coefficients too imprecise.
+    """
     return _z_eval_full(zseq, f, depth_limit)[0]
 
 
-def _naive_substitution_eval(
-    zseq: ZSequence, f: OrePoly, depth_limit: int
-) -> Tuple[Value, Optional[Rat]]:
-    """Verdict of plain commutative substitution.
-
-    Substitutes exact prefix sums of the sequence for the variable using
-    ordinary commutative arithmetic — every twist correction already baked
-    into the coefficients stays, none is compensated — and returns the first
-    verdict that survives a doubling of the prefix length.  A zero verdict
-    must survive deg(f)+1 distinct prefixes, since a prefix sum can happen
-    to be a root of the coefficient polynomial.
-
-    For limit < 1 this is the defining formula of the valuation; at limit 1
-    it is the documented wrong baseline that the shifted-basis evaluation
-    corrects.
-    """
-    degree = max(len(f.coeffs) - 1, 0)
-    cap = None if zseq.rule is not None else len(zseq.explicit_entries)
-    verdicts: List[Value] = []
-    depth = 1 if cap is None else cap
-    while True:
-        used = depth if cap is None else min(depth, cap)
-        s = a_series(zseq, used, exact=True)
-        total = PuiseuxSeries.zero()
-        power = PuiseuxSeries.scalar(Rat(1))
-        for j, q_j in enumerate(f.coeffs):
-            if j:
-                power = power.mul(s)
-            total = total.add(q_j.mul(power))
-        lead = total.leading()
-        if lead is None and total.known_up_to is not None:
-            raise TruncationLoss(
-                "coefficients are too imprecise for a substitution verdict"
-            )
-        value: Value = (
-            INFINITY if lead is None else ValueGroupElement.rational(lead[0])
-        )
-        residue = lead[1] if lead is not None and lead[0] == 0 else None
-        verdicts.append(value)
-        if cap is not None and used == cap:
-            return value, residue
-        needed = 2 if lead is not None else max(2, degree + 1)
-        window = verdicts[-needed:]
-        if len(window) == needed and all(u.cmp(window[0]) == 0 for u in window):
-            return value, residue
-        if depth >= depth_limit:
-            raise DepthExceeded(
-                f"substitution verdict did not stabilize within {depth_limit}",
-                consulted=depth,
-            )
-        depth *= 2
-
-
-def z_eval_naive(zseq: ZSequence, f: OrePoly, depth_limit: int = 64) -> Value:
-    """Deliberately-naive path: commutative substitution regardless of the
-    tail regime.  Kept as the documented wrong baseline for limit-1
-    sequences; agrees with z_eval only when the limit stays below 1."""
-    if f.is_zero_record():
-        return INFINITY
-    return _naive_substitution_eval(zseq, f, depth_limit)[0]
-
-
 def z_residue(zseq: ZSequence, f: OrePoly, depth_limit: int = 64) -> Rat:
+    """Residue of a value-0 element: lc(q_j) gamma_{k+1}^j at its certified
+    minimum, where q_j z_k^j leads with lc(q_j) (gamma_{k+1} x^{-r_{k+1}})^j."""
     value, coeff = _z_eval_full(zseq, f, depth_limit)
     if value is INFINITY or not value.is_zero():
         raise NonzeroValue(f"element has value {value}, not 0")

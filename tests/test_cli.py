@@ -279,6 +279,26 @@ class TestValidTowersAnswer:
         assert code == 0
         assert report == {"value": {"q": "-1", "k_xi": 0, "k_mu": 0}}
 
+    def test_eval_on_a_laurent_tower(self, capsys, desc_file):
+        # m_1 = -1: w_1 = x^-1 y^2 + 3 is Laurent in x
+        data = {"steps": [{"m": -1, "n": 2, "beta": "-3"}], "tail": _terminal("1/1000")}
+        code, report = run(capsys, ["eval", "--desc", desc_file(data), "--expr", "y^2"])
+        assert code == 0
+        assert report == {"value": {"q": "-1", "k_xi": 0, "k_mu": 0}}
+
+    @pytest.mark.parametrize(
+        "steps", [[(-1, 2, 4)], [(-1, 3, 8), (1, 2, 1)]], ids=["one-step", "two-step"]
+    )
+    def test_roundtrip_on_a_laurent_tower(self, capsys, desc_file, steps):
+        data = {
+            "steps": [{"m": m, "n": n, "beta": str(b)} for m, n, b in steps],
+            "tail": _terminal("1/1000"),
+        }
+        argv = ["roundtrip", "--desc", desc_file(data), "--sign-choice", "+1", "--trials", "100"]
+        code, report = run(capsys, argv)
+        assert code == 0
+        assert report["ok"] and report["trials"] == 100
+
     def test_basis_slot_past_the_default_window(self, capsys, desc_file):
         # step 9, (1,2,1), is the first even one: the basis generator is w_8
         data = {

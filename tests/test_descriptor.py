@@ -9,7 +9,6 @@ from weylval import (
     DeclarationInconsistent,
     DepthExceeded,
     MissingSignChoice,
-    NegativeXPower,
     OmegaDescriptor,
     ParseError,
     Rat,
@@ -17,8 +16,10 @@ from weylval import (
     WeylElement,
     basis_slot,
     commutator_value,
+    eval_element,
     group_kind,
     omega_element,
+    shadow_eval,
     validate,
 )
 from weylval.descriptor import (
@@ -257,13 +258,17 @@ class TestTowerMemo:
             assert info.value.consulted == 2
         assert omega_element(single24, 1) is w1
 
-    def test_negative_m_raises_on_every_call(self):
-        d = desc([(1, 2, 1), (-1, 2, 1)])
-        w1 = omega_element(d, 1)
-        for _ in range(2):
-            with pytest.raises(NegativeXPower):
-                omega_element(d, 2)
-        assert omega_element(d, 1) is w1
+    def test_negative_m_builds_a_laurent_tower(self):
+        # m_1 < 0: w_1 = x^-1 y^3 - 8 and w_2 are Laurent in x
+        xi = {"q": "0", "k_xi": 1, "k_mu": 0, "scale": "1/1000"}
+        d = desc([(-1, 3, 8), (1, 2, 1)], tail={"kind": "irrational", "value": xi})
+        assert validate(d) == []
+        w1, w2 = omega_element(d, 1), omega_element(d, 2)
+        assert w1 == WeylElement({(-1, 3): Rat(1), (0, 0): Rat(-8)})
+        assert w2 == WeylElement.x().mul(w1.pow(2)).sub(WeylElement.scalar(1))
+        assert eval_element(d, w2) == d.generator_value(2)
+        for element in (w2, w2.mul(WeylElement.y()), WeylElement.x().mul(w2), w2.pow(2)):
+            assert eval_element(d, element).cmp(shadow_eval(d, element)) == 0
 
 
 class TestTowerBudget:

@@ -28,7 +28,6 @@ from weylval import (
     tilde_eval,
     translate_y,
     z_eval,
-    z_eval_naive,
     z_residue,
 )
 from weylval.series import ZRule, ZTerminal
@@ -78,6 +77,21 @@ def limit_half():
     return ZSequence(
         [], ZRule("approach_half", lambda i: (Rat(1, 2) - Rat(1, 2 ** (i + 1)), Rat(1)), Rat(1, 2))
     )
+
+
+def geometric_rule(limit, seed=0):
+    """r_i = limit - limit/2^i with gammas drawn from a fixed seed."""
+    limit = Rat(limit)
+    draw = random.Random(seed)
+    gammas = [Rat(draw.choice([1, 2, -1, 3])) for _ in range(96)]
+    return ZSequence(
+        [], ZRule(f"to {limit}", lambda i: (limit - limit / 2**i, gammas[i - 1]), limit)
+    )
+
+
+def z_variable(zseq, k):
+    """z_k = y - a_k over the y-basis."""
+    return Y.sub(OrePoly.from_series(a_series(zseq, k, exact=True)))
 
 
 class TestPuiseuxSeries:
@@ -327,6 +341,17 @@ class TestZSequence:
         with pytest.raises(ParseError):
             ZSequence([(Rat(3, 2), Rat(1))], None)
 
+    def test_terminal_must_lie_above_the_last_exponent(self):
+        # xi/2 = sqrt(2)/2 is about 0.707
+        for r in (Rat(3, 4), Rat(71, 100)):
+            with pytest.raises(ParseError):
+                ZSequence([(Rat(1, 2), Rat(1)), (r, Rat(1))], ZTerminal(xi((1, 2))))
+        assert ZSequence([(Rat(7, 10), Rat(1))], ZTerminal(xi((1, 2)))).terminal
+
+    def test_terminal_must_be_irrational(self):
+        with pytest.raises(ParseError):
+            ZSequence([(Rat(1, 2), Rat(1))], ZTerminal(rational(3, 4)))
+
     def test_a_series_honest_vs_exact(self, limit_one):
         honest = a_series(limit_one, 2)
         assert honest.known_up_to == Rat(7, 8)
@@ -403,6 +428,12 @@ class TestZEvalTerminal:
         with pytest.raises(TruncationLoss):
             z_eval(terminal_seq, f)
 
+    def test_depth_limit_does_not_stop_a_terminal(self, terminal_seq3):
+        # z_3 sits at the terminal, three shifts away
+        z3 = z_variable(terminal_seq3, 3)
+        for depth_limit in (0, 1, 2):
+            assert z_eval(terminal_seq3, z3, depth_limit) == xi((2, 3))
+
 
 class TestZEvalLimitBelowOne:
     def test_variable(self, limit_half):
@@ -420,6 +451,63 @@ class TestZEvalLimitBelowOne:
         assert z_eval(limit_half, g).cmp(z_eval(limit_half, f).scalar_mul(2)) == 0
 
 
+class TestZEvalLimitNineTenths:
+    def test_square_of_a_variable(self):
+        # (y - a_2)^2 = z_2^2 carries a -a_2' term of value r_1 + 1 = 29/20
+        # over y; commutative substitution reads that as its value
+        nine_tenths = geometric_rule(Rat(9, 10))
+        z2 = z_variable(nine_tenths, 2)
+        assert z_eval(nine_tenths, z2) == rational(63, 80)
+        assert z_eval(nine_tenths, ore_mul(z2, z2)) == rational(63, 40)
+
+
+class TestZEvalRuleTails:
+    @pytest.mark.parametrize("limit", [Rat(1, 2), Rat(3, 4), Rat(9, 10), Rat(1)])
+    def test_values_are_multiplicative(self, limit):
+        rng = random.Random(20261018)
+        zseq = geometric_rule(limit, seed=7)
+
+        def factor():
+            pick = rng.random()
+            if pick < 0.6:
+                return z_variable(zseq, rng.randint(0, 4))
+            if pick < 0.75:
+                return OrePoly.from_series(
+                    PuiseuxSeries.x_power(Rat(rng.randint(-4, 4), rng.choice([1, 2, 4])))
+                )
+            coeffs = [
+                series([(Rat(rng.randint(-4, 8), rng.choice([1, 2, 4, 8])), rng.randint(1, 3))])
+                for _ in range(rng.randint(1, 3))
+            ]
+            return OrePoly.make(coeffs)
+
+        for _ in range(16):
+            f, g = factor(), ore_mul(factor(), factor())
+            total = z_eval(zseq, f).add(z_eval(zseq, g))
+            assert z_eval(zseq, ore_mul(f, g)).cmp(total) == 0
+
+    def test_residue_at_a_higher_power(self):
+        zseq = geometric_rule(Rat(1, 2), seed=3)
+        r1, gamma1 = zseq.entry(1)
+        # x^{r_1} y has value 0 over z_0, led by x^{r_1} (gamma_1 x^{-r_1})
+        f = OrePoly.make([PuiseuxSeries.zero(), PuiseuxSeries.x_power(r1)])
+        assert z_residue(zseq, f) == gamma1
+        # adding 5 ties at value 0; over z_1 it is (gamma_1 + 5) + x^{r_1} z_1
+        f = OrePoly.make([PuiseuxSeries.scalar(Rat(5)), PuiseuxSeries.x_power(r1)])
+        assert z_residue(zseq, f) == gamma1 + 5
+
+    def test_all_unknown_coefficients(self, limit_one):
+        f = OrePoly.make([series([], bound=3), series([], bound=1)])
+        with pytest.raises(TruncationLoss):
+            z_eval(limit_one, f)
+
+    def test_depth_limit_counts_shifts(self, limit_one):
+        z5 = z_variable(limit_one, 5)
+        with pytest.raises(DepthExceeded):
+            z_eval(limit_one, z5, depth_limit=4)
+        assert z_eval(limit_one, z5, depth_limit=5) == rational(63, 64)
+
+
 class TestZEvalLimitOne:
     def test_variable(self, limit_one):
         assert z_eval(limit_one, Y) == rational(1, 2)
@@ -429,13 +517,6 @@ class TestZEvalLimitOne:
         f = Y.sub(OrePoly.from_series(a2))
         square = ore_mul(f, f)
         assert z_eval(limit_one, square) == rational(7, 4)
-        assert z_eval_naive(limit_one, square) == rational(3, 2)
-
-    def test_naive_agrees_on_easy_input(self, limit_one):
-        assert z_eval_naive(limit_one, Y) == rational(1, 2)
-        assert z_eval_naive(
-            limit_one, OrePoly.from_series(PuiseuxSeries.x_power(Rat(-3)))
-        ) == rational(3)
 
     def test_residue(self, limit_one):
         assert z_residue(limit_one, OrePoly.from_series(PuiseuxSeries.scalar(Rat(7)))) == Rat(7)
