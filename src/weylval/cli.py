@@ -60,6 +60,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _depth(args: argparse.Namespace, fallback: int = 64) -> int:
     return args.depth if args.depth is not None else fallback
 
@@ -218,7 +225,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--desc", required=True, metavar="FILE", help="descriptor JSON file"
     )
     desc_flags.add_argument(
-        "--depth", type=int, default=None, help="expansion depth limit (default 64)"
+        "--depth",
+        type=non_negative_int,
+        default=None,
+        help="expansion depth limit, at least 0 (default 64)",
     )
     expr_flags = argparse.ArgumentParser(add_help=False)
     expr_flags.add_argument(

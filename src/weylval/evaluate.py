@@ -8,11 +8,14 @@ The main path works on pools of terms coeff * word, where a word is a product
 of generator powers x^k, w_i^k and formal sum-inverse blocks.  Levels are
 processed in increasing value order; a level is certified as v(F) as soon as
 the relative residues of its terms do not cancel, otherwise every term is
-rewritten exactly into terms of strictly larger value.
+rewritten exactly into terms of strictly larger value.  The scan compares
+words on int `Key`s, (num, den, k_xi) for num/den + k_xi xi, and builds one
+`ValueGroupElement` per certified level.
 
 The shadow path re-evaluates the same data on commutative Laurent monomials
 and shares nothing with the main path except the kernel residue map rho; it
-reads the descriptor through a session but never a session's leading data.
+reads the descriptor through a session but never a session's leading data
+or keys, and sums its values as `ValueGroupElement`s.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Se
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
 from .descriptor import OmegaDescriptor, alpha, data_window, omega_integer_form, pair_data
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
-from .valuegroup import INFINITY, Value, ValueGroupElement, cmp as value_cmp
+from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2, cmp as value_cmp
 from .weyl import IntTerm, WeylElement, WeylFraction, _int_product, _integer_terms, commutator
 
 if TYPE_CHECKING:
@@ -40,6 +43,23 @@ Word = Tuple[Factor, ...]
 Emission = Tuple[Rat, Word]
 Element = Union[WeylElement, WeylFraction]
 _ZERO_VALUE = ValueGroupElement.rational(0)
+
+# A value num/den + k_xi xi as ints, with den > 0 and left unreduced.  xi is
+# the session's `scale` times sqrt(2): the terminal is the only source of an
+# irrational part, and it refuses a nonzero k_mu.
+Key = Tuple[int, int, int]
+
+
+def _key_cmp(a: Key, b: Key, scale: Rat) -> int:
+    """-1, 0 or 1 as the value of key a is below, equal to or above b's."""
+    (na, da, ka), (nb, db, kb) = a, b
+    if ka == kb:
+        lhs, rhs = na * db, nb * da
+        return -1 if lhs < rhs else (1 if lhs > rhs else 0)
+    # a - b times da db scale.den > 0
+    return _sign_a_plus_b_sqrt2(
+        (na * db - nb * da) * scale.denominator, (ka - kb) * scale.numerator * da * db
+    )
 
 
 class SumInverse(NamedTuple):
@@ -106,16 +126,22 @@ class Valuation:
     `value`, `residue` and `sign` read each element's `LeadingData`, which
     is computed at most once.  The caches are filled under this limit only;
     the tower elements stored on the descriptor are read after a check.
+
+    The level scan compares words on int `Key`s: each generator value is read
+    once through `gen_value` and kept as a key, and a word's key is the sum
+    of its factors' keys.  The shadow reads `gen_value` and keeps its own
+    `ValueGroupElement` arithmetic.
     """
 
     def __init__(self, desc: OmegaDescriptor, depth_limit: int = 64):
         self.desc = desc
         self.depth_limit = depth_limit
+        self.scale = desc.terminal.value.xi_scale if desc.terminal else Rat(1)
         self._values: Dict[int, ValueGroupElement] = {}
+        self._gen_keys: Dict[int, Key] = {}
         self._commutators: Dict[tuple, Tuple[Emission, ...]] = {}
-        self._word_values: Dict[Word, ValueGroupElement] = {}
+        self._keys: Dict[Word, Key] = {}
         self._sorted: Dict[Word, Tuple[Word, Tuple[Emission, ...]]] = {}
-        self._def_values: Dict[Deferred, ValueGroupElement] = {}
         self._elements: Dict[WeylElement, LeadingData] = {}
 
     def leading(self, element: WeylElement) -> LeadingData:
@@ -193,16 +219,52 @@ class Valuation:
             self._values[i] = self.desc.generator_value(i)
         return self._values[i]
 
-    def word_value(self, word: Word) -> ValueGroupElement:
-        if word not in self._word_values:
-            total = _ZERO_VALUE
+    def gen_key(self, i: int) -> Key:
+        key = self._gen_keys.get(i)
+        if key is None:
+            value = self.gen_value(i)
+            key = (value.q.numerator, value.q.denominator, value.k_xi)
+            self._gen_keys[i] = key
+        return key
+
+    def word_key(self, word: Word) -> Key:
+        """The key of v(word); sum-inverse blocks have value 0.
+
+        A deferred factor [f, g] takes the least key of its commutator's
+        words, cached as the key of the one-factor word (Deferred(f, g),).
+        """
+        key = self._keys.get(word)
+        if key is not None:
+            return key
+        if len(word) == 1 and type(word[0]) is Deferred:
+            f = word[0]
+            for _, u in _factor_commutator(self, f.f, f.g):
+                k = self.word_key(u)
+                if key is None or _key_cmp(k, key, self.scale) < 0:
+                    key = k
+            assert key is not None, "deferred commutator has empty content"
+        else:
+            num, den, k_xi = 0, 1, 0
             for f in word:
                 if type(f) is tuple:
-                    total = total.add(self.gen_value(f[0] - 1).scalar_mul(f[1]))
+                    n, d, k = self.gen_key(f[0] - 1)
+                    n, k = n * f[1], k * f[1]
                 elif type(f) is Deferred:
-                    total = total.add(_def_value(self, f))
-            self._word_values[word] = total
-        return self._word_values[word]
+                    n, d, k = self.word_key((f,))
+                else:
+                    continue
+                if d == den:
+                    num += n
+                else:
+                    num, den = num * d + n * den, den * d
+                k_xi += k
+            key = (num, den, k_xi)
+        self._keys[word] = key
+        return key
+
+    def key_value(self, key: Key) -> ValueGroupElement:
+        num, den, k_xi = key
+        return ValueGroupElement(Rat(num, den), k_xi, 0, self.scale)
 
 
 # -- kernel residue map rho -----------------------------------------------------
@@ -411,20 +473,6 @@ def _expand_si(ctx: Valuation, si: SumInverse) -> List[Emission]:
     return out
 
 
-def _def_value(ctx: Valuation, f: Deferred) -> ValueGroupElement:
-    cached = ctx._def_values.get(f)
-    if cached is None:
-        best: Optional[ValueGroupElement] = None
-        for _, u in _factor_commutator(ctx, f.f, f.g):
-            val = ctx.word_value(u)
-            if best is None or val.cmp(best) < 0:
-                best = val
-        assert best is not None, "deferred commutator has empty content"
-        cached = best
-        ctx._def_values[f] = cached
-    return cached
-
-
 def _sort_word(ctx: Valuation, word: Word) -> Tuple[Word, Tuple[Emission, ...]]:
     """Sorted form of a word plus the exact corrections the reordering costs.
 
@@ -598,27 +646,33 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
     equal content merges and cancels eagerly) and ``pending`` holds raw words
     not yet sorted.  Sorting happens only for pending words whose value equals
     the level under inspection; reordering corrections above the eventual
-    certification level are carried along but never paid for.
+    certification level are carried along but never paid for.  Levels are
+    int keys: a scan takes each pending word's key once and splits the level
+    from the rest with it.
     """
     canon: Dict[Word, Rat] = {}
     pending = {w: c for w, c in pool.items() if c}
+    word_key, scale = ctx.word_key, ctx.scale
     while True:
-        level: Optional[ValueGroupElement] = None
-        for zone in (canon, pending):
-            for w, c in zone.items():
-                if not c:
-                    continue
-                val = ctx.word_value(w)
-                if level is None or val.cmp(level) < 0:
-                    level = val
+        level: Optional[Key] = None
+        for w, c in canon.items():
+            if c:
+                key = word_key(w)
+                if level is None or _key_cmp(key, level, scale) < 0:
+                    level = key
+        keyed: List[Tuple[Word, Rat, Key]] = []
+        for w, c in pending.items():
+            if c:
+                key = word_key(w)
+                keyed.append((w, c, key))
+                if level is None or _key_cmp(key, level, scale) < 0:
+                    level = key
         if level is None:
             return _ZERO_LEADING
         still: Dict[Word, Rat] = {}
         queue: List[Tuple[Word, Rat]] = []
-        for w, c in pending.items():
-            if not c:
-                continue
-            if ctx.word_value(w).cmp(level) == 0:
+        for w, c, key in keyed:
+            if _key_cmp(key, level, scale) == 0:
                 queue.append((w, c))
             else:
                 _accumulate(still, w, c)
@@ -635,7 +689,7 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
             for cc, u in _factor_commutator(ctx, w[spot].f, w[spot].g):
                 nw = _concat(head, u, tail)
                 nc = c * cc
-                if ctx.word_value(nw).cmp(level) == 0:
+                if _key_cmp(word_key(nw), level, scale) == 0:
                     queue.append((nw, nc))
                 else:
                     _accumulate(still, nw, nc)
@@ -643,12 +697,13 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
         group = [
             (w, c)
             for w, c in canon.items()
-            if c and ctx.word_value(w).cmp(level) == 0
+            if c and _key_cmp(word_key(w), level, scale) == 0
         ]
         if not group:
             canon = {w: c for w, c in canon.items() if c}
             continue
-        ref = _canonical_ref(ctx, level)
+        value = ctx.key_value(level)
+        ref = _canonical_ref(ctx, value)
         inv_ref = _invert_pure(ref.word)
         members = []
         lam = Rat(0)
@@ -658,7 +713,7 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
             members.append((w, c, rel, res))
             lam += c * res
         if lam != 0:
-            return LeadingData(level, lam, ref.word, ref.eps_basis, ref.eps_terminal)
+            return LeadingData(value, lam, ref.word, ref.eps_basis, ref.eps_terminal)
         for w, c, rel, res in members:
             del canon[w]
             for cc, ww in _expand_zero(ctx, rel, res):
@@ -832,7 +887,8 @@ def monomial_gap_value(
     """
     ctx = Valuation(desc, depth_limit)
     word = tuple((s, k) for s, k in enumerate(exponents) if k)
-    if not ctx.word_value(word).is_zero():
+    num, _, k_xi = ctx.word_key(word)
+    if num or k_xi:
         raise NonzeroValue("monomial must have value 0")
     res = _word_residue(ctx, word)
     pool = {word: Rat(1)}

@@ -10,7 +10,8 @@ Grammar (no juxtaposition; ^ binds tighter than *; * preserves written order):
 
 NUMBER is an integer or p/q rational literal.  Exponents must be nonnegative
 integers.  The printer in `weyl.WeylElement.__str__` emits this grammar, so
-parse/print round-trips.
+parse/print round-trips.  A power whose estimated cost is above
+EXPR_WORK_BUDGET raises BudgetExceeded before it is computed.
 """
 
 from __future__ import annotations
@@ -19,8 +20,38 @@ import re
 from dataclasses import dataclass
 
 from .coeff import parse_rat
-from .errors import ParseError
-from .weyl import WeylElement
+from .errors import BudgetExceeded, ParseError
+from .weyl import WeylElement, _integer_terms
+
+# Work units one power in an expression may cost: the term pairs that
+# `WeylElement.pow`'s linear loop hands to the product kernel, each weighed
+# by the 64-bit words of the result's coefficients, plus those coefficients'
+# bits.  On a 2-vCPU Xeon, (x+1)^600 costs 3,606,600 units and parses in
+# 0.2 s; (x+1)^2000 would cost 128 million and take 3.3 s, and 3^99999999
+# would build a 158-million-bit integer.  A power of c x^i or c y^j makes no pairs, so
+# x^100000000000000000000 costs nothing.
+EXPR_WORK_BUDGET = 1 << 22
+
+
+def _power_work(base: WeylElement, n: int) -> int:
+    """Work units of base^n, from bounds on its size.
+
+    Over the common denominator, each factor adds about the bits of the
+    numerators' absolute sum and of the denominator; base^k, k < n, has at
+    most (k dx + 1)(k dy + 1) terms, dx and dy being the largest x and y
+    exponents of base, and each meets every term of base once.
+    """
+    if not base.terms:
+        return 0
+    terms, den = _integer_terms(base.terms)
+    bits = n * (sum(abs(c) for _, _, c in terms).bit_length() + den.bit_length() - 2)
+    dx = max(i for i, _, _ in terms)
+    dy = max(j for _, j, _ in terms)
+    if len(terms) == 1 and (dx == 0 or dy == 0):
+        return bits
+    s1, s2 = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+    pairs = len(terms) * (n + (dx + dy) * s1 + dx * dy * s2)
+    return pairs * (1 + bits // 64) + bits
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[xy])|(?P<op>[-+*^()]))"
@@ -111,7 +142,14 @@ class _Parser:
                 raise ParseError(
                     f"exponent must be a nonnegative integer at position {token.pos}"
                 )
-            base = base.pow(int(exponent))
+            n = int(exponent)
+            work = _power_work(base, n)
+            if work > EXPR_WORK_BUDGET:
+                raise BudgetExceeded(
+                    f"power {n} at position {token.pos} needs {work} work units, "
+                    f"above the budget of {EXPR_WORK_BUDGET}"
+                )
+            base = base.pow(n)
         return base
 
     def primary(self) -> WeylElement:

@@ -5,6 +5,9 @@ scale are exact rationals, k_xi and k_mu are integers, and mu is a positive
 infinitesimal (smaller than every positive rational).  Comparisons are exact:
 the sqrt(2) part is decided by comparing squares, never by floating point.
 A separate Infinity sentinel represents the value of 0.
+
+`_sign_a_plus_b_sqrt2` serves both `ValueGroupElement.cmp` and the int value
+keys of the evaluator's level scan (`evaluate._key_cmp`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import ParseError
 
 
 def _sign_a_plus_b_sqrt2(a: Rat, b: Rat) -> int:
-    """Exact sign of a + b*sqrt(2)."""
+    """Exact sign of a + b*sqrt(2), for rationals or ints."""
     if b == 0:
         return -1 if a < 0 else (1 if a > 0 else 0)
     if a == 0:

@@ -153,6 +153,29 @@ class TestTrialCount:
         assert "--trials: must be at least 1" in capsys.readouterr().err
 
 
+class TestDepth:
+    @pytest.mark.parametrize(
+        "command", [["convert", "--sign-choice", "+1"], ["validate"], ["orderings"]],
+        ids=lambda c: c[0],
+    )
+    def test_negative_is_a_usage_error(self, capsys, desc_file, command):
+        # a conversion to depth -3 emitted 0 entries and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(command[:1] + ["--desc", desc_file(WORKED_JSON), "--depth", "-3"] + command[1:])
+        assert exc.value.code == 2
+        assert "--depth: must be at least 0" in capsys.readouterr().err
+
+    def test_zero_keeps_its_meaning(self, capsys, desc_file):
+        path = desc_file(WORKED_JSON)
+        argv = ["convert", "--desc", path, "--depth", "0", "--sign-choice", "+1"]
+        code, report = run(capsys, argv)
+        assert code == 0
+        assert report["z_sequence"] == {"entries": [], "tail": None}
+        code, report = run(capsys, ["eval", "--desc", path, "--depth", "0", "--expr", "y"])
+        assert code == 1
+        assert report["error"]["type"] == "DepthExceeded"
+
+
 HALVING_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "halving"}}
 CONSTANT131_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "constant(1,3,1)"}}
 # a valid bare prefix with m_1 < 0, every alpha sign stored as +1
@@ -245,6 +268,14 @@ class TestStructuredLimits:
         code, report = run_process(argv, timeout=5)
         assert code == 1
         assert report["error"]["type"] == "BudgetExceeded"
+
+    def test_expression_budget_stops_a_process(self, desc_file):
+        # the linear powering loop would run for minutes
+        argv = ["eval", "--desc", desc_file(WORKED_JSON), "--expr", "(x+1)^5000"]
+        code, report = run_process(argv, timeout=5)
+        assert code == 1
+        assert report["error"]["type"] == "BudgetExceeded"
+        assert "1975400000 work units" in report["error"]["detail"]
 
     def test_conversion_budget_stops_a_process(self, desc_file):
         # with m_1 < 0 only the budget bounds the remainder: it holds 84, 594

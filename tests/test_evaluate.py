@@ -1,10 +1,14 @@
 """Main valuation engine: values, residues, fractions, sessions, and the shadow oracle."""
 
+import functools
 import json
 import math
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weylval import (
     DepthExceeded,
@@ -420,9 +424,9 @@ class TestCanonicalRef:
         rng = random.Random(7)
         for _ in range(60):
             word = tuple((s, rng.randint(-40, 40)) for s in slots)
-            value = session.word_value(word)
+            value = session.key_value(session.word_key(word))
             ref = evaluate._canonical_ref(session, value)
-            assert session.word_value(ref.word) == value
+            assert session.key_value(session.word_key(ref.word)) == value
             for s, k in ref.word:
                 if s in bounds:
                     assert 0 <= k <= bounds[s]
@@ -435,6 +439,98 @@ class TestCanonicalRef:
             element = parse_expr(text)
             assert eval_element(desc, element) == rational(q)
             assert shadow_eval(desc, element) == rational(q)
+
+
+def reference_word_value(session, word):
+    """v(word) summed as ValueGroupElements, factor by factor.
+
+    A generator power adds its generator value times its exponent, a
+    deferred commutator the least value of its words, and a sum-inverse
+    block nothing.
+    """
+    total = rational(0)
+    for f in word:
+        if type(f) is tuple:
+            total = total.add(session.gen_value(f[0] - 1).scalar_mul(f[1]))
+        elif type(f) is evaluate.Deferred:
+            values = [
+                reference_word_value(session, u)
+                for _, u in evaluate._factor_commutator(session, f.f, f.g)
+            ]
+            total = total.add(min(values, key=functools.cmp_to_key(lambda a, b: a.cmp(b))))
+    return total
+
+
+KEYS = st.tuples(st.integers(-60, 60), st.integers(1, 12), st.integers(-3, 3))
+SCALES = st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12).filter(
+    lambda q: q > 0
+)
+
+
+def sign_with_sqrt2(p, r):
+    """Sign of p + r sqrt(2) for fractions, with sqrt(2) to 50 digits.
+
+    The test's numerators and denominators are below 1,000, so a nonzero
+    p + r sqrt(2) is far above the rounding error.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sqrt2 = Decimal(2).sqrt()
+        d = Decimal(p.numerator) / p.denominator + Decimal(r.numerator) / r.denominator * sqrt2
+    return (d > 0) - (d < 0)
+
+
+class TestValueKeys:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(KEYS, KEYS, st.integers(0, 4), SCALES)
+    # 2/3 against sqrt(2)/2, and 1 against sqrt(2)/2: close enough that a
+    # key comparison which drops a denominator factor gets the sign wrong
+    @example((2, 3, 0), (0, 1, 1), 0, Fraction(1, 2))
+    @example((0, 1, 1), (1, 1, 0), 0, Fraction(1, 2))
+    def test_comparison_agrees_with_the_value_group(self, a, b, equal, scale):
+        if equal:
+            # the same value over a multiplied denominator
+            b = (a[0] * equal, a[1] * equal, a[2])
+        want = sign_with_sqrt2(
+            Fraction(a[0], a[1]) - Fraction(b[0], b[1]), (a[2] - b[2]) * scale
+        )
+        assert ValueGroupElement(Fraction(a[0], a[1]), a[2], 0, scale).cmp(
+            ValueGroupElement(Fraction(b[0], b[1]), b[2], 0, scale)
+        ) == want
+        assert evaluate._key_cmp(a, b, scale) == want
+        assert evaluate._key_cmp(b, a, scale) == -want
+
+    @pytest.mark.parametrize(
+        "fixture", ["worked", "halving", "constant131", "single24", "single_terminal"]
+    )
+    def test_word_keys_match_the_reference_sum(self, request, fixture):
+        desc = request.getfixturevalue(fixture)
+        session, reference = Valuation(desc), Valuation(desc)
+        # slots 0..r hold x, w_0..w_{r-1}; a terminal w_N sits in slot N + 1
+        r = 6 if desc.rule else len(desc.explicit_steps)
+        slots = list(range(r + 1)) + ([r + 1] if desc.terminal else [])
+        block = evaluate.SumInverse(((1, 2),), 2, Rat(1))
+        rng = random.Random(11)
+        previous = None
+        for _ in range(150):
+            word = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.3:
+                    # commutators of low slots keep the expansion small
+                    s, t = rng.sample(slots[:4], 2)
+                    f, g = (s, rng.randint(1, 3)), (t, rng.randint(-2, 3) or 1)
+                    word.append(evaluate.Deferred(f, g))
+                else:
+                    word.append((rng.choice(slots), rng.randint(-9, 9) or 1))
+            if rng.random() < 0.2:
+                word.append(block)
+            word = tuple(word)
+            key = session.word_key(word)
+            want = reference_word_value(reference, word)
+            assert session.key_value(key) == want
+            if previous is not None:
+                assert evaluate._key_cmp(key, previous[0], session.scale) == want.cmp(previous[1])
+            previous = (key, want)
 
 
 class TestSumInverseBlocks:

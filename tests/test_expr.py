@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylval import ParseError, Rat, WeylElement, format_expr, parse_expr
+from weylval import BudgetExceeded, ParseError, Rat, WeylElement, format_expr, parse_expr
+from weylval.expr import EXPR_WORK_BUDGET
 
 
 def elem(terms):
@@ -79,6 +80,31 @@ class TestParseErrors:
     def test_rejected(self, bad):
         with pytest.raises(ParseError):
             parse_expr(bad)
+
+
+class TestPowerBudget:
+    @pytest.mark.parametrize(
+        "text, work",
+        [
+            ("(x+1)^2000", 128_066_000),  # 3.3 s unbounded
+            ("3^99999999*x", 99_999_999),  # a 158-million-bit coefficient
+            ("(x*y)^300", 9_045_050),
+            ("((x+1)^100)^100", 7_850_810_700),
+        ],
+    )
+    def test_over_budget_raises_before_powering(self, text, work):
+        assert work > EXPR_WORK_BUDGET
+        with pytest.raises(BudgetExceeded, match=f"needs {work} work units"):
+            parse_expr(text)
+
+    def test_one_term_powers_of_one_generator_cost_nothing(self):
+        assert parse_expr("x^100000000000000000000") == elem({(10**20, 0): 1})
+        assert parse_expr("(-y)^100000000000000000001") == elem({(0, 10**20 + 1): -1})
+
+    def test_under_budget_powers_as_before(self):
+        base = elem({(1, 0): 1, (0, 0): 1})
+        assert parse_expr("(x+1)^300") == base.pow(300)
+        assert parse_expr("2^4000000") == WeylElement.scalar(Rat(2) ** 4000000)
 
 
 class TestRoundtrip:
