@@ -228,7 +228,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--depth",
         type=non_negative_int,
         default=None,
-        help="expansion depth limit, at least 0 (default 64)",
+        help=(
+            "depth limit, at least 0 (default 64); an evaluation counts a step "
+            "against it when it reads a generator's value or chooses a divisor"
+        ),
     )
     expr_flags = argparse.ArgumentParser(add_help=False)
     expr_flags.add_argument(

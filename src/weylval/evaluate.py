@@ -29,7 +29,7 @@ from .coeff import Rat, nth_root, sgn, two_adic_valuation
 from .descriptor import OmegaDescriptor, alpha, data_window, omega_integer_form, pair_data
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2, cmp as value_cmp
-from .weyl import IntTerm, WeylElement, WeylFraction, _int_product, _integer_terms, commutator
+from .weyl import WeylElement, WeylFraction, _int_product, _integer_terms, commutator
 
 if TYPE_CHECKING:
     from .orderings import OrderingDescriptor
@@ -124,8 +124,12 @@ class Valuation:
     """One evaluation session: a descriptor read under one depth limit.
 
     `value`, `residue` and `sign` read each element's `LeadingData`, which
-    is computed at most once.  The caches are filled under this limit only;
-    the tower elements stored on the descriptor are read after a check.
+    is computed at most once, by `leading_data`.  A step counts against the
+    depth limit when a generator's value is read (`gen_value`) or a divisor
+    is chosen (`_digit_pool` divides by w_i for i <= depth_limit only).
+    Residues, commutators and the canonical representative read the
+    descriptor directly: they serve words whose generator values were read
+    first, or a level already certified.
 
     The level scan compares words on int `Key`s: each generator value is read
     once through `gen_value` and kept as a key, and a word's key is the sum
@@ -148,7 +152,7 @@ class Valuation:
         """Value, relative residue, and representative parities of an element."""
         data = self._elements.get(element)
         if data is None:
-            data = _leading(self, _digit_pool(self, element))
+            data = leading_data(self, element)
             self._elements[element] = data
         return data
 
@@ -188,36 +192,19 @@ class Valuation:
             num.eps_basis + den.eps_basis, num.eps_terminal + den.eps_terminal
         )
 
-    def check(self, step_index: int) -> None:
-        if step_index > self.depth_limit:
-            raise DepthExceeded(
-                f"depth limit {self.depth_limit} exceeded at step {step_index}",
-                consulted=step_index,
-            )
-
-    def step(self, i: int):
-        self.check(i)
-        return self.desc.step(i)
-
-    def pair_mn(self, s: int) -> Tuple[int, int]:
-        if s > 0:
-            self.check(s)
-        return self.desc.pair_mn(s)
-
-    def beta(self, s: int) -> Rat:
-        if s > 0:
-            self.check(s)
-        return self.desc.beta(s)
-
     def gen_value(self, i: int) -> ValueGroupElement:
-        if i not in self._values:
-            if i >= 0:
-                if self.desc.terminal_index == i:
-                    self.check(i)
-                else:
-                    self.check(i + 1)
-            self._values[i] = self.desc.generator_value(i)
-        return self._values[i]
+        """v(w_i), read once; step i + 1 counts against the depth limit,
+        or step i when w_i carries the terminal value."""
+        value = self._values.get(i)
+        if value is None:
+            step = i if i == self.desc.terminal_index else i + 1
+            if i >= 0 and step > self.depth_limit:
+                raise DepthExceeded(
+                    f"depth limit {self.depth_limit} exceeded at step {step}",
+                    consulted=step,
+                )
+            value = self._values[i] = self.desc.generator_value(i)
+        return value
 
     def gen_key(self, i: int) -> Key:
         key = self._gen_keys.get(i)
@@ -289,18 +276,18 @@ def _rho(ctx: Valuation, vec: Dict[int, int]) -> Rat:
     supp = sorted(vec)
     if len(supp) == 1:
         b = supp[0]
-        m_b, n_b = ctx.pair_mn(b)
+        m_b, n_b = ctx.desc.pair_mn(b)
         if b == 0 or m_b != 0:
             raise AssertionError("exponent vector is not a kernel vector")
         # gcd(|m|, n) = 1 forces n_b = 1 here, so w_{b-1} itself has residue beta_b
-        return ctx.beta(b) ** vec[b]
+        return ctx.desc.beta(b) ** vec[b]
     if len(supp) == 2 and supp[0] == 0:
         b = supp[1]
-        m_b, n_b = ctx.pair_mn(b)
+        m_b, n_b = ctx.desc.pair_mn(b)
         t, r = divmod(vec[b], n_b)
         if r or vec[0] != t * m_b:
             raise AssertionError("exponent vector is not a kernel vector")
-        return ctx.beta(b) ** t
+        return ctx.desc.beta(b) ** t
     a, b = supp[0], supp[1]
     data = pair_data(ctx.desc, a, b)
     if data.k_ij % 2 == 0:
@@ -386,7 +373,7 @@ def _base_wx(ctx: Valuation, s: int, a: int) -> List[Emission]:
         return []
     if s == 1:
         return [(Rat(a), _concat(((0, a - 1),)))]
-    step = ctx.step(s - 1)
+    step = ctx.desc.step(s - 1)
     return [
         (c, _concat(((0, step.m),), u))
         for c, u in _factor_commutator(ctx, (s - 1, step.n), (0, a))
@@ -396,7 +383,7 @@ def _base_wx(ctx: Valuation, s: int, a: int) -> List[Emission]:
 def _base_ww(ctx: Valuation, s: int, t: int) -> List[Emission]:
     # [w_{s-1}, w_{t-1}] for s < t, unfolding
     # w_{t-1} = x^m w_{t-2}^n - beta with step t-1's (m, n, beta)
-    step = ctx.step(t - 1)
+    step = ctx.desc.step(t - 1)
     out: List[Emission] = []
     for c, u in _factor_commutator(ctx, (s, 1), (0, step.m)):
         out.append((c, _concat(u, ((t - 1, step.n),))))
@@ -422,7 +409,7 @@ def _expand_pure(ctx: Valuation, word: Word) -> List[Emission]:
     for s, k in exps.items():
         if s == 0:
             continue
-        n_s = ctx.pair_mn(s)[1]
+        n_s = ctx.desc.pair_mn(s)[1]
         n_fold = math.lcm(n_fold, n_s // math.gcd(abs(k), n_s))
     if n_fold > 1:
         rho_p = _rho(ctx, exps)
@@ -433,7 +420,7 @@ def _expand_pure(ctx: Valuation, word: Word) -> List[Emission]:
     scalar = Rat(1)
     main = word
     for s in sorted(s for s in exps if s != 0):
-        step = ctx.step(s)
+        step = ctx.desc.step(s)
         d_s = exps[s] // step.n
         for _ in range(abs(d_s)):
             if d_s > 0:
@@ -573,10 +560,10 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
     r = data_window(desc)
     lcms = [1]
     for i in range(1, r + 1):
-        lcms.append(math.lcm(lcms[-1], ctx.step(i).n))
+        lcms.append(math.lcm(lcms[-1], desc.step(i).n))
     while lcms[-1] % q.denominator:
         r += 1
-        lcms.append(math.lcm(lcms[-1], ctx.step(r).n))
+        lcms.append(math.lcm(lcms[-1], desc.step(r).n))
     h_max, b = 0, 0
     for i in range(1, r + 1):
         h_i = desc.h(i)
@@ -585,12 +572,12 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
     eps_b = 0
     if q != 0 and two_adic_valuation(q) == -h_max:
         eps_b = 1
-    v_b = Rat(-1) if b == 0 else ctx.step(b).ratio()
+    v_b = Rat(-1) if b == 0 else desc.step(b).ratio()
     half = (q - eps_b * v_b) / 2
     exps = [0] * (r + 1)
     exps[b] = eps_b
     for i in range(r, 0, -1):
-        step = ctx.step(i)
+        step = desc.step(i)
         e_i = lcms[i] // lcms[i - 1]
         u_i = step.m * lcms[i] // step.n
         d_i = (half * lcms[i]).numerator * pow(u_i, -1, e_i) % e_i
@@ -642,24 +629,19 @@ def _accumulate(pool: Dict[Word, Rat], word: Word, c: Rat) -> None:
 def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
     """Certify the leading level of a pool of words.
 
-    Two zones keep the scan exact yet lazy: ``canon`` holds sorted words (so
-    equal content merges and cancels eagerly) and ``pending`` holds raw words
-    not yet sorted.  Sorting happens only for pending words whose value equals
-    the level under inspection; reordering corrections above the eventual
-    certification level are carried along but never paid for.  Levels are
-    int keys: a scan takes each pending word's key once and splits the level
-    from the rest with it.
+    One pass per level keeps the scan exact yet lazy.  ``pending`` holds raw
+    words, and a pass takes each one's int key once, finds the least key and
+    splits that level from the rest.  Only the level's words are sorted, into
+    ``canon``, where equal content merges and cancels eagerly; reordering
+    corrections above the eventual certification level are carried along in
+    ``pending`` but never paid for.  Sorting keeps a word's value, so
+    ``canon`` holds the level alone: the pass certifies it, or finds it empty,
+    or rewrites all of it into ``pending`` at strictly larger values.
     """
-    canon: Dict[Word, Rat] = {}
-    pending = {w: c for w, c in pool.items() if c}
+    pending = pool
     word_key, scale = ctx.word_key, ctx.scale
     while True:
         level: Optional[Key] = None
-        for w, c in canon.items():
-            if c:
-                key = word_key(w)
-                if level is None or _key_cmp(key, level, scale) < 0:
-                    level = key
         keyed: List[Tuple[Word, Rat, Key]] = []
         for w, c in pending.items():
             if c:
@@ -669,6 +651,7 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
                     level = key
         if level is None:
             return _ZERO_LEADING
+        canon: Dict[Word, Rat] = {}
         still: Dict[Word, Rat] = {}
         queue: List[Tuple[Word, Rat]] = []
         for w, c, key in keyed:
@@ -694,13 +677,8 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
                 else:
                     _accumulate(still, nw, nc)
         pending = still
-        group = [
-            (w, c)
-            for w, c in canon.items()
-            if c and _key_cmp(word_key(w), level, scale) == 0
-        ]
+        group = [(w, c) for w, c in canon.items() if c]
         if not group:
-            canon = {w: c for w, c in canon.items() if c}
             continue
         value = ctx.key_value(level)
         ref = _canonical_ref(ctx, value)
@@ -715,12 +693,8 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
         if lam != 0:
             return LeadingData(value, lam, ref.word, ref.eps_basis, ref.eps_terminal)
         for w, c, rel, res in members:
-            del canon[w]
             for cc, ww in _expand_zero(ctx, rel, res):
-                nw = _concat(ref.word, ww)
-                _accumulate(pending, nw, c * cc)
-        canon = {w: c for w, c in canon.items() if c}
-        pending = {w: c for w, c in pending.items() if c}
+                _accumulate(pending, _concat(ref.word, ww), c * cc)
 
 
 # Term pairs (quotient term, divisor term) that the digit expansion of one
@@ -732,12 +706,6 @@ DIGIT_WORK_BUDGET = 65536
 # An element as integer rows {y exponent: {x exponent: numerator}} over one
 # denominator; no row is empty and no numerator is 0.
 Rows = Dict[int, Dict[int, int]]
-
-
-def _tower_divisor(ctx: Valuation, i: int) -> Tuple[List[IntTerm], int]:
-    """The i-th tower element as integer terms over one denominator."""
-    ctx.check(i)
-    return omega_integer_form(ctx.desc, i)
 
 
 def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
@@ -761,15 +729,15 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
 
     The deepest divisor is the last tower element whose value is declared:
     w_N under an irrational terminal after N steps, w_{N-1} on a bare prefix
-    of N steps (which leaves v(w_N) undeclared), and up to w_{depth_limit}
-    under an infinite rule.
+    of N steps (which leaves v(w_N) undeclared), and any w_i under an
+    infinite rule; its index is capped at depth_limit in every case, so the
+    divisors read steps 1..depth_limit only.
     """
-    if ctx.desc.rule is not None:
-        max_index = ctx.depth_limit
-    elif ctx.desc.terminal is not None:
-        max_index = len(ctx.desc.explicit_steps)
-    else:
-        max_index = len(ctx.desc.explicit_steps) - 1
+    desc = ctx.desc
+    max_index = ctx.depth_limit
+    if desc.rule is None:
+        top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
+        max_index = min(max_index, top)
     pool: Dict[Word, Rat] = {}
     work = 0
 
@@ -782,7 +750,7 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
         deg_y = max(rows)
         index, d_index = 0, 1
         while index < max_index:
-            n_next = abs(ctx.pair_mn(index + 1)[1])
+            n_next = abs(desc.step(index + 1).n)
             if d_index * n_next > deg_y:
                 break
             index, d_index = index + 1, d_index * n_next
@@ -796,7 +764,7 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
                         factors.append((1, j))
                     pool[tuple(factors) + suffix] = Rat(c, den)
             return
-        divisor, scale = _tower_divisor(ctx, index)
+        divisor, scale = omega_integer_form(desc, index)
         lead_x = next(a for a, b, _ in divisor if b == d_index)
         power = 0
         while rows:
@@ -845,27 +813,24 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
     return pool
 
 
-def leading_data(
-    desc: OmegaDescriptor, element: WeylElement, depth_limit: int = 64
-) -> LeadingData:
-    """Leading data of one element, computed in a fresh session.
+def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
+    """Leading data of one element in a session, past the session's memo.
 
-    The session's element memo is skipped: a one-shot call never reads it
-    again, and hashing a large element costs about a microsecond a term.
+    Every leading computation runs here, so code that wraps this name (the
+    benchmark's tracer) sees each one.
     """
-    ctx = Valuation(desc, depth_limit)
-    return _leading(ctx, _digit_pool(ctx, element))
+    return _leading(session, _digit_pool(session, element))
 
 
 class _OneShot(Valuation):
     """The session of one free-function call.
 
-    It reads every element through `leading_data`, so code that wraps that
-    name (the benchmark's tracer) sees each leading computation.
+    It skips the element memo: a one-shot call never reads it again, and
+    hashing a large element costs about a microsecond a term.
     """
 
     def leading(self, element: WeylElement) -> LeadingData:
-        return leading_data(self.desc, element, self.depth_limit)
+        return leading_data(self, element)
 
 
 def eval_element(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Value:
@@ -947,7 +912,7 @@ def _shadow_expand_pure(ctx: Valuation, gens: Dict[int, int]) -> List[Tuple[Rat,
     for s, k in gens.items():
         if s == 0:
             continue
-        n_s = ctx.pair_mn(s)[1]
+        n_s = ctx.desc.pair_mn(s)[1]
         n_fold = math.lcm(n_fold, n_s // math.gcd(abs(k), n_s))
     if n_fold > 1:
         rho_p = _rho(ctx, gens)
@@ -959,15 +924,15 @@ def _shadow_expand_pure(ctx: Valuation, gens: Dict[int, int]) -> List[Tuple[Rat,
         ]
     # inside the unit-product lattice: telescope across the unit products
     slots = sorted(s for s in gens if s != 0)
-    d = {s: gens[s] // ctx.pair_mn(s)[1] for s in slots}
+    d = {s: gens[s] // ctx.desc.pair_mn(s)[1] for s in slots}
     out: List[Tuple[Rat, SKey]] = []
     prefix_scalar = Rat(1)
     for pos, s in enumerate(slots):
-        step = ctx.step(s)
+        step = ctx.desc.step(s)
         # suffix exponents: remaining unit products beyond position pos
         suffix: Dict[int, int] = {}
         for s2 in slots[pos + 1 :]:
-            step2 = ctx.step(s2)
+            step2 = ctx.desc.step(s2)
             suffix[0] = suffix.get(0, 0) + d[s2] * step2.m
             suffix[s2] = suffix.get(s2, 0) + d[s2] * step2.n
         for c, mono in _shadow_power_minus_residue(ctx, s, d[s]):
@@ -983,7 +948,7 @@ def _shadow_power_minus_residue(
     ctx: Valuation, s: int, d: int
 ) -> List[Tuple[Rat, Dict[int, int]]]:
     """a_s^d - beta_s^d as monomials, each containing one positive w_s power."""
-    step = ctx.step(s)
+    step = ctx.desc.step(s)
     if d == 0:
         return []
     if d < 0:

@@ -29,12 +29,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import Rat, format_rat, nth_root
 from .descriptor import (
-    GroupKind,
     OmegaDescriptor,
     alpha_sign,
     basis_slot,
     data_window,
-    group_kind,
     level_limit,
     omega_element,
 )
@@ -197,7 +195,7 @@ def resolve_gammas(
         raise NotExtendable(f"extension condition {violation.condition} fails: {violation.detail}")
     slot = basis_slot(desc)
     free_index: Optional[int] = None
-    if group_kind(desc) != GroupKind.TWO_DIVISIBLE and slot is not None:
+    if slot is not None:
         height, b = slot
         if height >= 1:
             free_index = b

@@ -175,6 +175,17 @@ class TestDepth:
         assert code == 1
         assert report["error"]["type"] == "DepthExceeded"
 
+    def test_below_the_rule_window(self, capsys, desc_file):
+        # canonical representatives on a rule read 8 steps, which do not
+        # count against the limit
+        path = desc_file(HALVING_JSON)
+        code, report = run(capsys, ["extend-check", "--desc", path, "--depth", "3"])
+        assert code == 0
+        assert report["extendable"] is True
+        code, report = run(capsys, ["eval", "--desc", path, "--depth", "2", "--expr", "y"])
+        assert code == 0
+        assert report["value"]["q"] == "1/2"
+
 
 HALVING_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "halving"}}
 CONSTANT131_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "constant(1,3,1)"}}

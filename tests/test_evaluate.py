@@ -119,6 +119,51 @@ class TestEval:
         assert eval_element(single24, Y) == rational(1, 2)
 
 
+FIXTURE_NAMES = ["worked", "single_terminal", "halving", "constant131", "single24"]
+
+
+def _reads(session, orderings, element):
+    """The value and every sign of an element in a session; None if refused."""
+    try:
+        value = session.value(element)
+        signs = [] if value is INFINITY else [session.sign(o, element) for o in orderings]
+    except DepthExceeded:
+        return None
+    return value, signs
+
+
+class TestDepthFloor:
+    def test_generators_below_the_rule_window(self, halving):
+        # the canonical representative reads the 8-step data window, which
+        # does not count against the limit
+        assert eval_element(halving, Y, depth_limit=1) == rational(1, 2)
+        assert eval_element(halving, X, depth_limit=1) == rational(-1)
+        # y^3 is divided by w_1, whose value is step 2's datum
+        with pytest.raises(DepthExceeded) as info:
+            eval_element(halving, Y.pow(3).mul(X), depth_limit=1)
+        assert info.value.consulted == 2
+        assert eval_element(halving, Y.pow(3).mul(X), depth_limit=2) == rational(1, 2)
+
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_shallow_answers_equal_deep_ones(self, request, fixture):
+        desc = request.getfixturevalue(fixture)
+        orderings = enumerate_orderings(desc)
+        w1 = omega_element(desc, 1)
+        rng = random.Random(f"depth-floor:{fixture}")
+        elements = [X, Y, w1, X.mul(w1), w1.pow(2).add(Y)]
+        elements += [sample_element(rng, max_degree=5, max_terms=4) for _ in range(6)]
+        deep = Valuation(desc)
+        answered = 0
+        for depth in range(9):
+            shallow = Valuation(desc, depth)
+            for element in elements:
+                read = _reads(shallow, orderings, element)
+                if read is not None:
+                    answered += 1
+                    assert read == _reads(deep, orderings, element)
+        assert answered > len(elements)
+
+
 class TestResidue:
     def test_first_unit(self, worked):
         assert residue(worked, elem({(1, 2): 1})) == Rat(1)
@@ -176,9 +221,9 @@ def reference_digit_pool(desc, element, depth_limit=64):
     if desc.rule is not None:
         max_index = depth_limit
     elif desc.terminal is not None:
-        max_index = len(desc.explicit_steps)
+        max_index = min(len(desc.explicit_steps), depth_limit)
     else:
-        max_index = len(desc.explicit_steps) - 1
+        max_index = min(len(desc.explicit_steps) - 1, depth_limit)
     pool = {}
 
     def divmod_right(dividend, divisor, d, lead_x):
@@ -257,6 +302,9 @@ class TestDigitPool:
                 element = sample_element(rng, max_degree=9)
                 pool = evaluate._digit_pool(Valuation(d), element)
                 assert pool == reference_digit_pool(d, element)
+                # the divisor index is capped at the depth limit on every tail
+                pool = evaluate._digit_pool(Valuation(d, 1), element)
+                assert pool == reference_digit_pool(d, element, 1)
 
 
 class TestSession:
@@ -304,10 +352,44 @@ class TestSession:
         assert len(json.loads(capsys.readouterr().out)["signs"]) == 4
         assert len(runs) == 1
 
+    def test_every_leading_computation_is_traced(self, worked, monkeypatch):
+        # a wrapper of `leading_data` sees the session path and the one-shot
+        # path alike, once per element
+        calls = []
+        original = evaluate.leading_data
+
+        def counted(session, element):
+            calls.append(element)
+            return original(session, element)
+
+        monkeypatch.setattr(evaluate, "leading_data", counted)
+        element = parse_expr("x*y^2 - 1 + y^3")
+        session = Valuation(worked)
+        signs = [session.sign(o, element) for o in enumerate_orderings(worked)]
+        assert len(signs) == 4 and calls == [element]
+        calls.clear()
+        assert eval_element(worked, element) == session.value(element)
+        assert calls == [element]
+
     def test_element_computed_once(self, worked):
         session = Valuation(worked)
         f = elem({(1, 2): 1, (0, 1): 3})
         assert session.leading(f) is session.leading(elem({(0, 1): 3, (1, 2): 1}))
+
+
+class TestLevelScan:
+    def test_a_level_that_merges_to_zero(self, worked, monkeypatch):
+        # y*x and x*y sort to the same word at level -1/2 and cancel there;
+        # the sorting correction [y, x] = 1 is all that is left, at level 0
+        certified = []
+        original = evaluate._canonical_ref
+        monkeypatch.setattr(
+            evaluate, "_canonical_ref", lambda *args: certified.append(args[1]) or original(*args)
+        )
+        yx, xy = ((1, 1), (0, 1)), ((0, 1), (1, 1))
+        data = evaluate._leading(Valuation(worked), {yx: Rat(1), xy: Rat(-1)})
+        assert (data.value, data.lam, data.ref) == (rational(0), Rat(1), ())
+        assert certified == [rational(0)]
 
 
 class TestMonomialGap:
