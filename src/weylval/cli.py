@@ -21,7 +21,7 @@ from .evaluate import Valuation, sample_element, shadow_eval, strongly_abelian_s
 from .expr import parse_expr
 from .extension import check_extendable, omega_to_z, resolve_gammas, roundtrip_check
 from .orderings import enumerate_orderings, extend_ordering
-from .valuegroup import cmp as value_cmp, value_to_json
+from .valuegroup import cmp as value_cmp
 
 Outcome = Tuple[dict, str, bool]
 
@@ -86,7 +86,7 @@ def _cmd_eval(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     element = parse_expr(args.expr)
     value = Valuation(desc, _depth(args)).value(element)
-    return {"value": value_to_json(value)}, f"value: {value}", True
+    return {"value": value.to_json()}, f"value: {value}", True
 
 
 def _cmd_residue(args: argparse.Namespace) -> Outcome:
@@ -192,8 +192,8 @@ def _cmd_shadow_compare(args: argparse.Namespace) -> Outcome:
             disagreements.append(
                 {
                     "element": str(element),
-                    "main": value_to_json(main_value),
-                    "shadow": value_to_json(shadow_value),
+                    "main": main_value.to_json(),
+                    "shadow": shadow_value.to_json(),
                 }
             )
     report = {"trials": args.trials, "disagreements": disagreements}

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .coeff import Rat, format_rat, json_int, odd_part, parse_rat, sgn, two_adic_valuation, nth_root
+from .coeff import Rat, format_rat, json_int, odd_part, parse_rat, sgn, nth_root
 from .errors import (
     BudgetExceeded,
     DeclarationInconsistent,
@@ -191,8 +191,10 @@ class OmegaDescriptor:
 
     def h(self, i: int) -> int:
         """2-adic depth of |n_i| (h_0 = 0)."""
-        _, n = self.pair_mn(i)
-        return two_adic_valuation(Rat(abs(n)))
+        n = abs(self.pair_mn(i)[1])
+        if not n:
+            raise ValueError("v_2(0) is undefined")
+        return (n & -n).bit_length() - 1
 
     # -- JSON -----------------------------------------------------------------
 
@@ -449,15 +451,16 @@ def basis_slot(desc: OmegaDescriptor) -> Optional[Tuple[int, int]]:
     b = 0 denotes the x slot (all-odd-n descriptors, H = 0).  None means the
     rational part is 2-divisible (no slot).
     """
-    kind = group_kind(desc)
-    if kind == GroupKind.TWO_DIVISIBLE:
+    if group_kind(desc) == GroupKind.TWO_DIVISIBLE:
         return None
-    best_h, best_i = 0, 0
-    for i in range(1, data_window(desc) + 1):
-        h_i = desc.h(i)
-        if h_i > best_h:
-            best_h, best_i = h_i, i
-    return (best_h, best_i if best_h >= 1 else 0)
+    return two_adic_slot(desc, data_window(desc))
+
+
+def two_adic_slot(desc: OmegaDescriptor, r: int) -> Tuple[int, int]:
+    """(H, b): the largest 2-adic depth h_i over steps 1..r and the first
+    step b attaining it, with b = 0 (x, h_0 = 0) when every n_i is odd."""
+    b = max(range(r + 1), key=desc.h)
+    return desc.h(b), b
 
 
 def prefix_sum(desc: OmegaDescriptor, k: int) -> Rat:

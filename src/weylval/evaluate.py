@@ -14,8 +14,8 @@ words on int `Key`s, (num, den, k_xi) for num/den + k_xi xi, and builds one
 
 The shadow path re-evaluates the same data on commutative Laurent monomials
 and shares nothing with the main path except the kernel residue map rho; it
-reads the descriptor through a session but never a session's leading data
-or keys, and sums its values as `ValueGroupElement`s.
+reads generator values through a session's `gen_value` but never a session's
+leading data or word keys, and sums its values as `ValueGroupElement`s.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
-from .descriptor import OmegaDescriptor, alpha, data_window, omega_integer_form, pair_data
+from .descriptor import OmegaDescriptor, alpha, data_window, omega_integer_form, pair_data, two_adic_slot
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2, cmp as value_cmp
 from .weyl import WeylElement, WeylFraction, _int_product, _integer_terms, commutator
@@ -124,24 +124,24 @@ class Valuation:
     """One evaluation session: a descriptor read under one depth limit.
 
     `value`, `residue` and `sign` read each element's `LeadingData`, which
-    is computed at most once, by `leading_data`.  A step counts against the
-    depth limit when a generator's value is read (`gen_value`) or a divisor
-    is chosen (`_digit_pool` divides by w_i for i <= depth_limit only).
-    Residues, commutators and the canonical representative read the
-    descriptor directly: they serve words whose generator values were read
-    first, or a level already certified.
+    is computed at most once, by `leading_data`; the free functions
+    `eval_element`, `residue` and `orderings.sign` open one session per call.
+    A step counts against the depth limit when a generator's value is read
+    (`gen_key`) or a divisor is chosen (`_digit_pool` divides by w_i for
+    i <= depth_limit only).  Residues, commutators and the canonical
+    representative read the descriptor directly: they serve words whose
+    generator values were read first, or a level already certified.
 
     The level scan compares words on int `Key`s: each generator value is read
-    once through `gen_value` and kept as a key, and a word's key is the sum
-    of its factors' keys.  The shadow reads `gen_value` and keeps its own
-    `ValueGroupElement` arithmetic.
+    once, as a key (`gen_key`), and a word's key is the sum of its factors'
+    keys.  The shadow reads `gen_value`, the same value rebuilt from its key,
+    and keeps its own `ValueGroupElement` arithmetic.
     """
 
     def __init__(self, desc: OmegaDescriptor, depth_limit: int = 64):
         self.desc = desc
         self.depth_limit = depth_limit
         self.scale = desc.terminal.value.xi_scale if desc.terminal else Rat(1)
-        self._values: Dict[int, ValueGroupElement] = {}
         self._gen_keys: Dict[int, Key] = {}
         self._commutators: Dict[tuple, Tuple[Emission, ...]] = {}
         self._keys: Dict[Word, Key] = {}
@@ -192,27 +192,25 @@ class Valuation:
             num.eps_basis + den.eps_basis, num.eps_terminal + den.eps_terminal
         )
 
-    def gen_value(self, i: int) -> ValueGroupElement:
-        """v(w_i), read once; step i + 1 counts against the depth limit,
-        or step i when w_i carries the terminal value."""
-        value = self._values.get(i)
-        if value is None:
+    def gen_key(self, i: int) -> Key:
+        """The key of v(w_i), read once; step i + 1 counts against the depth
+        limit, or step i when w_i carries the terminal value."""
+        key = self._gen_keys.get(i)
+        if key is None:
             step = i if i == self.desc.terminal_index else i + 1
             if i >= 0 and step > self.depth_limit:
                 raise DepthExceeded(
                     f"depth limit {self.depth_limit} exceeded at step {step}",
                     consulted=step,
                 )
-            value = self._values[i] = self.desc.generator_value(i)
-        return value
-
-    def gen_key(self, i: int) -> Key:
-        key = self._gen_keys.get(i)
-        if key is None:
-            value = self.gen_value(i)
+            value = self.desc.generator_value(i)
             key = (value.q.numerator, value.q.denominator, value.k_xi)
             self._gen_keys[i] = key
         return key
+
+    def gen_value(self, i: int) -> ValueGroupElement:
+        """v(w_i), from its key."""
+        return self.key_value(self.gen_key(i))
 
     def word_key(self, word: Word) -> Key:
         """The key of v(word); sum-inverse blocks have value 0.
@@ -536,14 +534,13 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
     kernel monomials always have positive residue, which makes the choice of
     the even bulk irrelevant for signs.
 
-    The bulk, of value half = (q - eps_b v_b)/2, is written in tower digits.
-    With L_0 = 1, L_i = lcm(L_{i-1}, n_i), e_i = L_i/L_{i-1} and
+    The bulk, of value half = (q - eps_b v_b)/2, is written in tower digits
+    on ints.  With L_0 = 1, L_i = lcm(L_{i-1}, n_i), e_i = L_i/L_{i-1} and
     u_i = m_i L_i/n_i, which is prime to e_i, the walk from i = r down to 1
-    takes d_i = (half L_i) u_i^{-1} mod e_i and subtracts d_i m_i/n_i from
-    half, which leaves half L_{i-1} an integer; the integer h left at the
-    end sits on x.  The word is x^{-2h} prod w_{i-1}^{2 d_i}, times
-    w_{b-1}^{eps_b} and the terminal power, so the exponent of every w_{i-1}
-    with i <= r lies in [0, 2 e_i - 1].
+    starts from the integer H_r = half L_r, takes d_i = H_i u_i^{-1} mod e_i
+    and sets H_{i-1} = (H_i - d_i u_i)/e_i, an exact division.  The word is
+    x^{-2 H_0} prod w_{i-1}^{2 d_i}, times w_{b-1}^{eps_b} and the terminal
+    power, so the exponent of every w_{i-1} with i <= r lies in [0, 2 e_i - 1].
     """
     desc = ctx.desc
     assert isinstance(g, ValueGroupElement)
@@ -564,27 +561,24 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
     while lcms[-1] % q.denominator:
         r += 1
         lcms.append(math.lcm(lcms[-1], desc.step(r).n))
-    h_max, b = 0, 0
-    for i in range(1, r + 1):
-        h_i = desc.h(i)
-        if h_i > h_max:
-            h_max, b = h_i, i
-    eps_b = 0
-    if q != 0 and two_adic_valuation(q) == -h_max:
-        eps_b = 1
-    v_b = Rat(-1) if b == 0 else desc.step(b).ratio()
-    half = (q - eps_b * v_b) / 2
+    h_max, b = two_adic_slot(desc, r)
+    eps_b = 1 if q and two_adic_valuation(q) == -h_max else 0
+    # scaled = H_r = (q - eps_b v_b) L_r / 2, with v_0 = -1 from pair_mn(0)
+    m_b, n_b = desc.pair_mn(b)
+    twice = q.numerator * (lcms[r] // q.denominator) - eps_b * m_b * lcms[r] // n_b
+    assert twice % 2 == 0
+    scaled = twice // 2
     exps = [0] * (r + 1)
     exps[b] = eps_b
     for i in range(r, 0, -1):
         step = desc.step(i)
         e_i = lcms[i] // lcms[i - 1]
         u_i = step.m * lcms[i] // step.n
-        d_i = (half * lcms[i]).numerator * pow(u_i, -1, e_i) % e_i
-        half -= d_i * step.ratio()
+        d_i = scaled * pow(u_i, -1, e_i) % e_i
+        scaled, rem = divmod(scaled - d_i * u_i, e_i)
+        assert rem == 0
         exps[i] += 2 * d_i
-    assert half.denominator == 1
-    exps[0] -= 2 * half.numerator
+    exps[0] -= 2 * scaled
     factors = [(s, k) for s, k in enumerate(exps) if k]
     if c_t:
         factors.append((len(desc.explicit_steps) + 1, c_t))
@@ -814,7 +808,8 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
 
 
 def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
-    """Leading data of one element in a session, past the session's memo.
+    """Leading data of one element, computed afresh; `Valuation.leading`
+    calls it once per element and keeps the result.
 
     Every leading computation runs here, so code that wraps this name (the
     benchmark's tracer) sees each one.
@@ -822,25 +817,14 @@ def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
     return _leading(session, _digit_pool(session, element))
 
 
-class _OneShot(Valuation):
-    """The session of one free-function call.
-
-    It skips the element memo: a one-shot call never reads it again, and
-    hashing a large element costs about a microsecond a term.
-    """
-
-    def leading(self, element: WeylElement) -> LeadingData:
-        return leading_data(self, element)
-
-
 def eval_element(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Value:
     """The valuation of an element or left fraction; Infinity for zero."""
-    return _OneShot(desc, depth_limit).value(element)
+    return Valuation(desc, depth_limit).value(element)
 
 
 def residue(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Rat:
     """Residue of a value-0 element or left fraction; NonzeroValue otherwise."""
-    return _OneShot(desc, depth_limit).residue(element)
+    return Valuation(desc, depth_limit).residue(element)
 
 
 def monomial_gap_value(
@@ -1005,14 +989,12 @@ def shadow_eval(
         pool[key] = pool.get(key, Rat(0)) + c
     pool = {k: c for k, c in pool.items() if c}
     while pool:
+        values = {key: _shadow_value(ctx, key) for key in pool}
         level: Optional[ValueGroupElement] = None
-        for key in pool:
-            val = _shadow_value(ctx, key)
+        for val in values.values():
             if level is None or val.cmp(level) < 0:
                 level = val
-        group = sorted(
-            (key for key in pool if _shadow_value(ctx, key).cmp(level) == 0)
-        )
+        group = sorted(key for key, val in values.items() if val.cmp(level) == 0)
         ref = _sgens(group[0])
         inv_ref = {s: -k for s, k in ref.items()}
         lam = Rat(0)

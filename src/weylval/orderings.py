@@ -21,7 +21,7 @@ from typing import List, Optional, Union
 
 from .descriptor import OmegaDescriptor, basis_slot
 from .errors import DeclarationInconsistent, NotExtendable, ParseError
-from .evaluate import SampleReport, Valuation, _OneShot, sample_element
+from .evaluate import SampleReport, Valuation, sample_element
 from .extension import check_extendable
 from .valuegroup import cmp as value_cmp
 from .weyl import WeylElement, WeylFraction
@@ -119,7 +119,7 @@ def sign(
     depth_limit: int = 64,
 ) -> int:
     """Sign of a nonzero element or left fraction under one ordering."""
-    return _OneShot(desc, depth_limit).sign(ordering, element)
+    return Valuation(desc, depth_limit).sign(ordering, element)
 
 
 def compatibility_check(

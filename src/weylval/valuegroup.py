@@ -203,7 +203,3 @@ Value = Union[ValueGroupElement, VInfinity]
 def cmp(a: Value, b: Value) -> int:
     """Three-way comparison usable with either kind of value."""
     return a.cmp(b)
-
-
-def value_to_json(v: Value):
-    return v.to_json()

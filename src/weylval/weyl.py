@@ -66,7 +66,7 @@ class WeylElement:
     tower elements stored on a descriptor) share them freely.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Dict[Monomial, Rat] | None = None):
         self.terms: Dict[Monomial, Rat] = {}
@@ -180,7 +180,13 @@ class WeylElement:
         return isinstance(other, WeylElement) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # taken once: every session that reads an element looks it up in
+        # its element memo, and a large element hashes at about 1 us a term
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     def max_degrees(self) -> Tuple[int, int]:
         if not self.terms:

@@ -94,6 +94,23 @@ class TestValidationOnLoad:
         assert report == {"value": {"q": "1/2", "k_xi": 0, "k_mu": 0}}
 
 
+class TestSuccessReports:
+    def test_validate(self, capsys, desc_file):
+        assert run(capsys, ["validate", "--desc", desc_file(WORKED_JSON)]) == (0, {"violations": []})
+
+    def test_residue(self, capsys, desc_file):
+        argv = ["residue", "--desc", desc_file(WORKED_JSON), "--expr", "x*y^2"]
+        assert run(capsys, argv) == (0, {"residue": "1"})
+
+    def test_shadow_compare(self, capsys, desc_file):
+        argv = ["shadow-compare", "--desc", desc_file(WORKED_JSON), "--trials", "20"]
+        assert run(capsys, argv) == (0, {"trials": 20, "disagreements": []})
+
+    def test_sample_strongly_abelian(self, capsys, desc_file):
+        argv = ["sample-strongly-abelian", "--desc", desc_file(WORKED_JSON), "--trials", "20"]
+        assert run(capsys, argv) == (0, {"trials": 20, "violations": []})
+
+
 def _terminal_value(**fields) -> dict:
     value = {**WORKED_JSON["tail"]["value"], **fields}
     return {**WORKED_JSON, "tail": {"kind": "irrational", "value": value}}

@@ -35,7 +35,8 @@ from weylval import (
     unit_generators,
 )
 from weylval import cli, evaluate
-from weylval.descriptor import omega_integer_form
+from weylval.coeff import two_adic_valuation
+from weylval.descriptor import data_window, omega_integer_form
 
 from conftest import WORKED_JSON
 from test_weyl import reference_mul
@@ -117,6 +118,28 @@ class TestEval:
         assert eval_element(single24, Y.pow(3)) == rational(3, 2)
         assert eval_element(single24, X.mul(Y).pow(2)) == rational(-1)
         assert eval_element(single24, Y) == rational(1, 2)
+
+
+# Bare prefix (0,1,3), (1,2,1): v(y) = m_1/n_1 = 0, so w_0 = y is a unit with
+# residue beta_1 and w_1 = y - 3 has value 1/2
+ZERO_RATIO_JSON = {"steps": [{"m": 0, "n": 1, "beta": "3"}, {"m": 1, "n": 2, "beta": "1"}]}
+
+
+class TestZeroFirstRatio:
+    def test_values_residue_and_signs(self):
+        desc = OmegaDescriptor.from_json(ZERO_RATIO_JSON)
+        w1 = Y.sub(WeylElement.scalar(Rat(3)))
+        assert eval_element(desc, Y) == rational(0)
+        assert residue(desc, Y) == 3
+        assert eval_element(desc, w1) == rational(1, 2)
+        assert eval_element(desc, w1.pow(2)) == rational(1)
+        assert [sign(desc, o, w1) for o in enumerate_orderings(desc)] == [1, -1]
+
+    def test_shadow_compare_agrees(self, capsys, tmp_path):
+        path = tmp_path / "zero_ratio.json"
+        path.write_text(json.dumps(ZERO_RATIO_JSON))
+        assert cli.main(["shadow-compare", "--desc", str(path), "--trials", "50"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"trials": 50, "disagreements": []}
 
 
 FIXTURE_NAMES = ["worked", "single_terminal", "halving", "constant131", "single24"]
@@ -353,8 +376,8 @@ class TestSession:
         assert len(runs) == 1
 
     def test_every_leading_computation_is_traced(self, worked, monkeypatch):
-        # a wrapper of `leading_data` sees the session path and the one-shot
-        # path alike, once per element
+        # a wrapper of `leading_data` sees a session's reads and the free
+        # functions' alike, once per element
         calls = []
         original = evaluate.leading_data
 
@@ -492,7 +515,91 @@ def digit_bounds(desc, r):
     return bounds
 
 
+def reference_canonical_ref(session, g):
+    """The canonical representative by a walk on Fractions: `half`, the
+    bulk's value, loses d_i m_i/n_i per step, read through `step.ratio()`."""
+    desc = session.desc
+    if g.is_zero():
+        return evaluate.CanonicalRef((), 0, 0)
+    c_t = 0
+    q = g.q
+    if g.k_xi:
+        c_t = g.k_xi // desc.terminal.value.k_xi
+        q = g.q - c_t * desc.terminal.value.q
+    r = data_window(desc)
+    lcms = [1]
+    for i in range(1, r + 1):
+        lcms.append(math.lcm(lcms[-1], desc.step(i).n))
+    while lcms[-1] % q.denominator:
+        r += 1
+        lcms.append(math.lcm(lcms[-1], desc.step(r).n))
+    h_max, b = 0, 0
+    for i in range(1, r + 1):
+        if desc.h(i) > h_max:
+            h_max, b = desc.h(i), i
+    eps_b = 1 if q != 0 and two_adic_valuation(q) == -h_max else 0
+    v_b = Rat(-1) if b == 0 else desc.step(b).ratio()
+    half = (q - eps_b * v_b) / 2
+    exps = [0] * (r + 1)
+    exps[b] = eps_b
+    for i in range(r, 0, -1):
+        step = desc.step(i)
+        e_i = lcms[i] // lcms[i - 1]
+        u_i = step.m * lcms[i] // step.n
+        d_i = (half * lcms[i]).numerator * pow(u_i, -1, e_i) % e_i
+        half -= d_i * step.ratio()
+        exps[i] += 2 * d_i
+    assert half.denominator == 1
+    exps[0] -= 2 * half.numerator
+    factors = [(s, k) for s, k in enumerate(exps) if k]
+    if c_t:
+        factors.append((len(desc.explicit_steps) + 1, c_t))
+    return evaluate.CanonicalRef(tuple(factors), eps_b, c_t & 1)
+
+
+# Steps (1,3^i,1) for i <= 8 and then (1,2,1) under constant(1,3,1): the
+# basis generator w_8 sits past the rule's default window
+DEEP_BASIS_JSON = {
+    "steps": [{"m": 1, "n": 3**i, "beta": "1"} for i in range(1, 9)]
+    + [{"m": 1, "n": 2, "beta": "1"}],
+    "tail": {"kind": "rule", "rule": "constant(1,3,1)"},
+}
+
+
 class TestCanonicalRef:
+    @pytest.mark.parametrize(
+        "fixture", FIXTURE_NAMES + ["no_rational_root", "zero_ratio", "deep_basis"]
+    )
+    def test_matches_the_fraction_walk(self, request, fixture):
+        extra = {
+            "no_rational_root": NO_RATIONAL_ROOT_JSON,
+            "zero_ratio": ZERO_RATIO_JSON,
+            "deep_basis": DEEP_BASIS_JSON,
+        }
+        if fixture in extra:
+            desc = OmegaDescriptor.from_json(extra[fixture])
+        else:
+            desc = request.getfixturevalue(fixture)
+        session = Valuation(desc)
+        # on a rule, slots up to 13 read steps past the data window
+        r = 13 if desc.rule else len(desc.explicit_steps)
+        slots = list(range(r + 1)) + ([r + 1] if desc.terminal else [])
+        rng = random.Random(fixture)
+        for _ in range(40):
+            word = tuple((s, rng.randint(-9, 9)) for s in rng.sample(slots, min(3, len(slots))))
+            value = session.key_value(session.word_key(word))
+            assert evaluate._canonical_ref(session, value) == reference_canonical_ref(
+                session, value
+            )
+
+    def test_denominators_past_the_data_window(self, halving):
+        session = Valuation(halving)
+        for k in range(9, 13):
+            value = rational(1, 2**k)
+            ref = evaluate._canonical_ref(session, value)
+            assert ref == reference_canonical_ref(session, value)
+            assert (ref.word, ref.eps_basis) == (((k, 1),), 1)
+
     @pytest.mark.parametrize(
         "fixture", ["worked", "halving", "constant131", "single24", "single_terminal"]
     )
