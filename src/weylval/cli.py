@@ -229,8 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=non_negative_int,
         default=None,
         help=(
-            "depth limit, at least 0 (default 64); an evaluation counts a step "
-            "against it when it reads a generator's value or chooses a divisor"
+            "at least 0; for validate, the rule steps to check (default 8); for "
+            "convert, the z-sequence entries to emit (default 64); otherwise the "
+            "evaluation depth limit (default 64), which counts a step when an "
+            "evaluation reads a generator's value or chooses a divisor"
         ),
     )
     expr_flags = argparse.ArgumentParser(add_help=False)

@@ -74,10 +74,8 @@ def _tokenize(text: str) -> list[_Token]:
             if text[pos:].strip() == "":
                 break
             raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} at {pos}")
-        for kind in ("num", "name", "op"):
-            if match.group(kind) is not None:
-                tokens.append(_Token(kind, match.group(kind), match.start(kind)))
-                break
+        kind = match.lastgroup
+        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
         pos = match.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens

@@ -24,6 +24,7 @@ constant(1,3,1) grows threefold per entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, count
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -80,9 +81,11 @@ class ExtendViolation:
 def check_extendable(desc: OmegaDescriptor) -> Optional[ExtendViolation]:
     """None when both extension conditions hold over the step prefix.
 
-    Condition 1: every even-n step has a positive beta (so the real root
-    exists).  Condition 2: for h_i < h_j <= h_l the alpha signs alpha(i,j)
-    and alpha(i,l) agree; index 0 is the x slot with h = 0.
+    Condition 1: every even-n step has a positive beta, so the real root
+    gamma_i exists.  Condition 2: for h_i < h_j <= h_l the alpha signs
+    alpha(i,j) and alpha(i,l) agree; index 0 is the x slot with h = 0.
+    Through alpha(i, j) = gamma_i^{K_ij} gamma_j^{-K_ji}, condition 2 gives
+    gamma_i one sign, which the conversion reads (`_gamma_tilde`).
     """
     window = data_window(desc)
     for i in range(1, window + 1):
@@ -151,38 +154,54 @@ class GammaResolution:
         return out
 
 
-def _linked_sign(desc: OmegaDescriptor, i: int, window: int) -> Optional[int]:
-    """Sign of gamma_i propagated from any deeper step with larger h."""
-    hi = desc.h(i)
-    for j in range(i + 1, window + 1):
-        if not desc.has_step(j):
-            break
-        if desc.h(j) > hi:
-            return alpha_sign(desc, i, j)
-    return None
-
-
 def _gamma_tilde(
     desc: OmegaDescriptor,
     i: int,
     free_index: Optional[int],
     chosen_sign: Optional[int],
 ) -> Rat:
-    """One resolved root; `GammaResolution.gamma` calls this past the window."""
+    """gamma_i, the real n_i-th root of beta_i, with its sign.
+
+    b_i = x^{m_i/n_i} w_{i-1} has residue gamma_i, and the x powers cancel in
+    alpha's monomial, so alpha(i, j) = gamma_i^{K_ij} gamma_j^{-K_ji} (K from
+    `pair_data`).  For h_j > h_i, K_ij is odd and K_ji even, so alpha(i, j)
+    has the sign of gamma_i; for h_j = h_i both are odd.  An even step takes
+    `chosen_sign` at the free step b; else its sign against a step of larger
+    h, later steps first (on a 2-divisible rule, whose h grows without bound,
+    past the window too); else it shares the largest h with b and takes
+    chosen_sign * alpha(b, i).
+    """
     step = desc.step(i)
-    if step.n % 2 == 1:
-        return nth_root(step.beta, step.n)
     root = nth_root(step.beta, step.n)
-    if free_index is not None and i == free_index:
-        assert chosen_sign in (1, -1)
+    if step.n % 2 == 1:
+        return root
+    if i == free_index:
         return chosen_sign * root
-    window = max(data_window(desc), i + 1)
-    sign = _linked_sign(desc, i, window)
-    if sign is None:
-        raise ConversionInternalError(
-            f"no deeper step pins the sign of gamma_{i}"
+    hi = desc.h(i)
+    if free_index is None:
+        candidates = count(i + 1)
+    else:
+        last = max(data_window(desc), i + 1)
+        candidates = chain(range(i + 1, last + 1), range(1, i))
+    for j in candidates:
+        if desc.has_step(j) and desc.h(j) > hi:
+            return alpha_sign(desc, i, j) * root
+    return chosen_sign * alpha_sign(desc, free_index, i) * root
+
+
+def free_step(desc: OmegaDescriptor) -> Optional[int]:
+    """Run the extension gate, raising NotExtendable on a violation; then the
+    step b of `basis_slot`, whose root sign is free, when its height is at
+    least 1, else None."""
+    violation = check_extendable(desc)
+    if violation is not None:
+        raise NotExtendable(
+            f"extension condition {violation.condition} fails: {violation.detail}"
         )
-    return sign * root
+    slot = basis_slot(desc)
+    if slot is not None and slot[0] >= 1:
+        return slot[1]
+    return None
 
 
 def resolve_gammas(
@@ -190,32 +209,19 @@ def resolve_gammas(
 ) -> GammaResolution:
     """All gamma-tilde over the prefix; the free sign only where the value
     group admits one (non-2-divisible with a deepest even step)."""
-    violation = check_extendable(desc)
-    if violation is not None:
-        raise NotExtendable(f"extension condition {violation.condition} fails: {violation.detail}")
-    slot = basis_slot(desc)
-    free_index: Optional[int] = None
-    if slot is not None:
-        height, b = slot
-        if height >= 1:
-            free_index = b
+    free_index = free_step(desc)
     if free_index is None:
         if sign_choice is not None:
             raise SignChoiceForbidden("this descriptor leaves no free sign")
-    else:
-        if sign_choice is None:
-            raise SignChoiceRequired(
-                f"a sign choice is required at step {free_index}"
-            )
-        if sign_choice not in (1, -1):
-            raise SignChoiceRequired("sign choice must be +1 or -1")
-    count = data_window(desc)
+    elif sign_choice is None:
+        raise SignChoiceRequired(f"a sign choice is required at step {free_index}")
+    elif sign_choice not in (1, -1):
+        raise SignChoiceRequired("sign choice must be +1 or -1")
+    window = data_window(desc)
     gammas = tuple(
-        _gamma_tilde(desc, i, free_index, sign_choice) for i in range(1, count + 1)
+        _gamma_tilde(desc, i, free_index, sign_choice) for i in range(1, window + 1)
     )
-    return GammaResolution(
-        gammas, free_index, sign_choice if free_index else None, desc
-    )
+    return GammaResolution(gammas, free_index, sign_choice, desc)
 
 
 # -- cofactor machinery ---------------------------------------------------------------

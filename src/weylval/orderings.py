@@ -22,7 +22,7 @@ from typing import List, Optional, Union
 from .descriptor import OmegaDescriptor, basis_slot
 from .errors import DeclarationInconsistent, NotExtendable, ParseError
 from .evaluate import SampleReport, Valuation, sample_element
-from .extension import check_extendable
+from .extension import free_step
 from .valuegroup import cmp as value_cmp
 from .weyl import WeylElement, WeylFraction
 
@@ -191,18 +191,11 @@ def extend_ordering(
     unique compatible ordering: its value group's rational part is fully
     divisible, leaving only the terminal slot's sign to survive.
     """
-    violation = check_extendable(desc)
-    if violation is not None:
-        raise NotExtendable(
-            f"extension condition {violation.condition} fails: {violation.detail}"
-        )
+    free = free_step(desc)
     session = Valuation(desc, depth_limit)
     if session.sign(ordering, WeylElement.x()) != 1:
         raise NotExtendable("x is negative under this ordering")
-    slot = basis_slot(desc)
-    sign_choice: Optional[int] = None
-    if slot is not None and slot[0] >= 1:
-        sign_choice = ordering.omega_sign
+    sign_choice = None if free is None else ordering.omega_sign
     has_terminal = desc.terminal is not None
     extended = OrderingDescriptor(
         omega_index=None,

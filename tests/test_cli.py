@@ -158,6 +158,20 @@ class TestMalformedJson:
         assert code == 1
         assert report["error"]["type"] == "ParseError"
 
+    def test_missing_file(self, capsys, tmp_path):
+        code, report = run(capsys, ["validate", "--desc", str(tmp_path / "absent.json")])
+        assert code == 1
+        assert report["error"]["type"] == "ParseError"
+        assert "cannot read descriptor file" in report["error"]["detail"]
+
+    def test_file_that_is_not_json(self, capsys, tmp_path):
+        path = tmp_path / "desc.json"
+        path.write_text("steps: []")
+        code, report = run(capsys, ["validate", "--desc", str(path)])
+        assert code == 1
+        assert report["error"]["type"] == "ParseError"
+        assert "is not valid JSON" in report["error"]["detail"]
+
 
 class TestTrialCount:
     @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -405,3 +419,30 @@ class TestValidTowersAnswer:
         code, report = run(capsys, ["extend-check", "--desc", desc_file(WORKED_JSON)])
         assert code == 1
         assert report["error"]["type"] == "BudgetExceeded"
+
+
+# both steps have h = 2: step 1 carries the free root and step 2 follows it
+EQUAL_DEPTH_JSON = {
+    "steps": [{"m": 1, "n": 4, "beta": "16"}, {"m": 1, "n": 4, "beta": "1"}],
+    "alpha_signs": [{"i": 1, "j": 2, "sign": 1}],
+}
+
+
+class TestExtension:
+    def test_not_every_ordering_extends(self, capsys, desc_file):
+        code = main(["extend-check", "--desc", desc_file(CONSTANT131_JSON)])
+        out = capsys.readouterr()
+        report = json.loads(out.out)
+        assert code == 0
+        assert "1/2 ordering(s) extend" in out.err
+        assert [e["extendable"] for e in report["orderings"]] == [True, False]
+        assert report["orderings"][1]["reason"] == "x is negative under this ordering"
+
+    @pytest.mark.parametrize("sign", ["+1", "-1"])
+    def test_equal_depth_roots_convert(self, capsys, desc_file, sign):
+        argv = ["convert", "--desc", desc_file(EQUAL_DEPTH_JSON), "--sign-choice", sign]
+        code, report = run(capsys, argv)
+        assert code == 0
+        want = ["2", "1"] if sign == "+1" else ["-2", "-1"]
+        assert report["gammas"]["gammas"] == want
+        assert report["z_sequence"]["entries"]

@@ -1,6 +1,7 @@
 """Extendability checks, root resolution, cofactor algebra, and the
 tower-to-z-sequence conversion with its round trip."""
 
+import math
 import random
 
 import pytest
@@ -31,8 +32,8 @@ from weylval import (
     validate,
     z_eval,
 )
-from weylval.descriptor import alpha_sign, data_window, level_limit
-from weylval.extension import ExtendViolation, _Conversion
+from weylval.descriptor import alpha_sign, data_window, level_limit, pair_data
+from weylval.extension import ExtendViolation, _Conversion, free_step
 
 
 def desc(steps, tail=None, signs=None):
@@ -260,6 +261,99 @@ class TestResolveGammas:
             "free_choice_index": 1,
             "chosen_sign": -1,
         }
+
+
+def sign_identity_failures(d, res):
+    """Window pairs (i, j) whose alpha sign is not the sign of
+    gamma_i^{K_ij} gamma_j^{-K_ji}."""
+    window = data_window(d)
+    sgn = {i: 1 if res.gamma(i) > 0 else -1 for i in range(1, window + 1)}
+    out = []
+    for i in range(1, window + 1):
+        for j in range(i + 1, window + 1):
+            p = pair_data(d, i, j)
+            if alpha_sign(d, i, j) != sgn[i] ** (p.k_ij % 2) * sgn[j] ** (p.k_ji % 2):
+                out.append((i, j))
+    return out
+
+
+def resolutions(d):
+    """resolve_gammas under every sign choice the descriptor admits."""
+    choices = (None,) if free_step(d) is None else (1, -1)
+    return [resolve_gammas(d, choice) for choice in choices]
+
+
+def random_extendable(rng):
+    """A valid, extendable descriptor of 1-4 steps with rational roots."""
+    while True:
+        steps = []
+        for idx in range(1, rng.randint(1, 4) + 1):
+            n = rng.choice([1, 2, 3, 4, 4, 6, 8, 12, 16])
+            m = rng.choice([-1, 1, 1, 2]) if idx == 1 else rng.choice([1, 1, 2, 3])
+            if math.gcd(abs(m), n) != 1 or (idx == 1 and m >= n):
+                m = 1 if n > 1 else -1
+            beta = Rat(rng.choice([1, 2, 3, Rat(1, 2)])) ** n
+            if n % 2 == 1 and rng.random() < 0.3:
+                beta = -beta
+            steps.append((m, n, beta))
+        tail = rng.choice(
+            [None, None, IRRATIONAL_THIRD, {"kind": "rule", "rule": "halving"},
+             {"kind": "rule", "rule": "constant(1,3,1)"}]
+        )
+        signs = [
+            (i, j, rng.choice([1, -1]))
+            for i in range(1, len(steps) + 1)
+            for j in range(i + 1, len(steps) + 1)
+            if steps[i - 1][1] % 2 == 0 and steps[j - 1][1] % 2 == 0
+        ]
+        d = desc(steps, tail, signs)
+        if not validate(d) and check_extendable(d) is None:
+            return d
+
+
+class TestRootSigns:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_equal_depth_step_follows_the_free_root(self, sign):
+        # both steps have h = 2: step 1 is free, step 2 follows via alpha(1,2)
+        res = resolve_gammas(desc([(1, 4, 16), (1, 4, 1)], signs=[(1, 2, 1)]), sign)
+        assert res.free_choice_index == 1
+        assert res.gammas == (sign * Rat(2), sign * Rat(1))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("alpha", [1, -1])
+    def test_earlier_deeper_step_pins_the_root(self, alpha, sign):
+        # h_1 = 2 > h_2 = 1 and no step after step 2
+        res = resolve_gammas(desc([(1, 4, 16), (1, 2, 4)], signs=[(1, 2, alpha)]), sign)
+        assert res.free_choice_index == 1
+        assert res.gammas == (sign * Rat(2), alpha * Rat(2))
+
+    def test_two_divisible_rule_scans_past_its_window(self):
+        # h_1 = 9 and halving reaches a larger h first at step 10
+        d = desc([(1, 512, 1)], {"kind": "rule", "rule": "halving"})
+        assert data_window(d) < 10
+        assert resolve_gammas(d).gammas[0] == 1
+
+    def test_fixtures_satisfy_the_sign_identity(
+        self, worked, halving, constant131, single24, single_terminal
+    ):
+        for d in (worked, halving, constant131, single24, single_terminal):
+            for res in resolutions(d):
+                assert sign_identity_failures(d, res) == []
+
+    def test_random_descriptors_satisfy_the_sign_identity(self):
+        rng = random.Random(18)
+        shared = 0
+        for _ in range(150):
+            d = random_extendable(rng)
+            for res in resolutions(d):
+                assert sign_identity_failures(d, res) == [], d.to_json()
+            b, window = free_step(d), data_window(d)
+            top = max(d.h(i) for i in range(1, window + 1))
+            shared += b is not None and any(
+                i != b and d.h(i) == top for i in range(1, window + 1)
+            )
+        # the batch reaches the branch where a root follows the free one
+        assert shared >= 5
 
 
 class TestTailCounts:

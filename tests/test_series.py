@@ -341,6 +341,13 @@ class TestZSequence:
         with pytest.raises(ParseError):
             ZSequence([(Rat(3, 2), Rat(1))], None)
 
+    @pytest.mark.parametrize(
+        "tail", [{"kind": "limit"}, {"kind": "rule", "rule": "doubling"}]
+    )
+    def test_unknown_tail_is_a_parse_error(self, tail):
+        with pytest.raises(ParseError):
+            ZSequence.from_json({"entries": [{"r": "1/2", "gamma": "1"}], "tail": tail})
+
     def test_terminal_must_lie_above_the_last_exponent(self):
         # xi/2 = sqrt(2)/2 is about 0.707
         for r in (Rat(3, 4), Rat(71, 100)):
