@@ -12,16 +12,26 @@ NUMBER is an integer or p/q rational literal.  Exponents must be nonnegative
 integers.  The printer in `weyl.WeylElement.__str__` emits this grammar, so
 parse/print round-trips.  A power whose estimated cost is above
 EXPR_WORK_BUDGET raises BudgetExceeded before it is computed.
+
+The texts the CLI and the benchmark hand to `parse_expr` are mostly printed
+normal forms: an optional leading '-', then terms joined by '+' or '-', each
+an optional integer or p/q coefficient, then optional x[^i], then optional
+y[^j], joined by '*'.  `parse_expr` reads that shape term by term with one
+anchored pattern and adds each term's key and coefficient straight into the
+terms dict, skipping the tokenizer and the grammar walk.  Any other text,
+including every malformed one, takes the grammar path, so its result and
+its errors are the grammar's.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Dict
 
-from .coeff import parse_rat
+from .coeff import Rat, parse_rat
 from .errors import BudgetExceeded, ParseError
-from .weyl import WeylElement, _integer_terms
+from .weyl import Monomial, WeylElement, _integer_terms
 
 # Work units one power in an expression may cost: the term pairs that
 # `WeylElement.pow`'s linear loop hands to the product kernel, each weighed
@@ -29,7 +39,8 @@ from .weyl import WeylElement, _integer_terms
 # bits.  On a 2-vCPU Xeon, (x+1)^600 costs 3,606,600 units and parses in
 # 0.2 s; (x+1)^2000 would cost 128 million and take 3.3 s, and 3^99999999
 # would build a 158-million-bit integer.  A power of c x^i or c y^j makes no pairs, so
-# x^100000000000000000000 costs nothing.
+# x^100000000000000000000 costs nothing.  The normal-form path computes no
+# powers and no products, so it never checks the budget.
 EXPR_WORK_BUDGET = 1 << 22
 
 
@@ -163,13 +174,72 @@ class _Parser:
         raise ParseError(f"expected an operand at position {token.pos}")
 
 
+# One term of a printed normal form and the whitespace around it: an optional
+# coefficient, then optional x[^i], then optional y[^j], with a '*' only
+# between two parts that are there (the conditional groups).  [0-9], not \d,
+# so that a non-ASCII digit takes the grammar path; the lookahead in front of
+# a term refuses an empty one.
+_NF_TERM = (
+    r"\s*(?:(?P<p>[0-9]+)(?:/(?P<q>[0-9]+))?)?"
+    r"(?:(?(p)\s*\*\s*)(?P<x>x)(?:\s*\^\s*(?P<i>[0-9]+))?)?"
+    r"(?:(?(p)\s*\*\s*|(?(x)\s*\*\s*))(?P<y>y)(?:\s*\^\s*(?P<j>[0-9]+))?)?\s*"
+)
+_NF_FIRST = re.compile(r"\s*(-?)(?=\s*[0-9xy])" + _NF_TERM)
+_NF_NEXT = re.compile(r"([-+])(?=\s*[0-9xy])" + _NF_TERM)
+
+
+def _normal_form(text: str) -> WeylElement | None:
+    """The element a printed normal form names, or None for any other text.
+
+    Terms add up as `WeylElement.add` adds them: a repeated key accumulates
+    in place and a key that cancels leaves the dict, so the items and their
+    order are the grammar path's.  A zero denominator and a literal past
+    int's text-conversion limit give None, and the grammar reports them.
+    """
+    terms: Dict[Monomial, Rat] = {}
+    end = len(text)
+    match = _NF_FIRST.match(text)
+    while match is not None:
+        sign, p, q, x, i, y, j = match.groups()
+        try:
+            num = 1 if p is None else int(p)
+            den = 1 if q is None else int(q)
+            key = (0 if x is None else 1 if i is None else int(i),
+                   0 if y is None else 1 if j is None else int(j))
+        except ValueError:
+            return None
+        if not den:
+            return None
+        if num:
+            if sign == "-":
+                num = -num
+            coeff = Rat(num) if q is None else Rat(num, den)
+            acc = terms.get(key)
+            if acc is not None:
+                coeff += acc
+            if coeff:
+                terms[key] = coeff
+            else:
+                del terms[key]
+        pos = match.end()
+        if pos == end:
+            result = WeylElement()
+            result.terms = terms
+            return result
+        match = _NF_NEXT.match(text, pos)
+    return None
+
+
 def parse_expr(text: str) -> WeylElement:
     """Parse expression text into a normal-form Weyl element.
 
     >>> str(parse_expr("(x*y^2 - 1)^2"))
     'x^2*y^4 + 2*x*y^3 - 2*x*y^2 + 1'
     """
-    return _Parser(text).parse()
+    element = _normal_form(text)
+    if element is None:
+        element = _Parser(text).parse()
+    return element
 
 
 def format_expr(element: WeylElement) -> str:

@@ -319,6 +319,15 @@ class TestStructuredLimits:
         assert report["error"]["type"] == "BudgetExceeded"
         assert "1975400000 work units" in report["error"]["detail"]
 
+    def test_residue_too_long_to_print(self, capsys, desc_file):
+        # 2^1000000 is under the expression budget, but its residue has
+        # 301,030 digits, past the interpreter's limit for writing an int
+        argv = ["residue", "--desc", desc_file(WORKED_JSON), "--expr", "2^1000000"]
+        code, report = run(capsys, argv)
+        assert code == 1
+        assert report["error"]["type"] == "BudgetExceeded"
+        assert "numerator has 301030 digits" in report["error"]["detail"]
+
     def test_conversion_budget_stops_a_process(self, desc_file):
         # with m_1 < 0 only the budget bounds the remainder: it holds 84, 594
         # and 7,092 records after pruning at depths 4, 5 and 6; unbounded,

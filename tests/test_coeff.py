@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from weylval import Rat, format_rat, parse_rat
 from weylval.coeff import nth_root, odd_part, sgn, two_adic_valuation
-from weylval.errors import EvenRootOfNegative, NoRationalRoot, ParseError
+from weylval.errors import BudgetExceeded, EvenRootOfNegative, NoRationalRoot, ParseError
 
 
 rationals = st.fractions(
@@ -32,6 +32,16 @@ class TestParseFormat:
     @given(rationals)
     def test_roundtrip(self, q):
         assert parse_rat(format_rat(Rat(q))) == Rat(q)
+
+    @pytest.mark.parametrize("value, part, digits", [
+        (Rat(10**5000), "numerator", 5001),
+        (Rat(-(10**5000 - 1)), "numerator", 5000),
+        (Rat(1, 3**10000), "denominator", 4772),
+    ])
+    def test_past_the_text_limit(self, value, part, digits):
+        # raised at once: the interpreter refuses before writing any digit
+        with pytest.raises(BudgetExceeded, match=f"{part} has {digits} digits"):
+            format_rat(value)
 
 
 class TestNthRoot:

@@ -5,8 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylval import BudgetExceeded, ParseError, Rat, WeylElement, format_expr, parse_expr
-from weylval.expr import EXPR_WORK_BUDGET
+from weylval import (
+    BudgetExceeded, ParseError, Rat, WeylElement, WeylvalError, format_expr, parse_expr,
+    sample_element,
+)
+from weylval.expr import EXPR_WORK_BUDGET, _normal_form, _Parser
 
 
 def elem(terms):
@@ -138,3 +141,114 @@ class TestRoundtrip:
             text = "*".join(rng.choice(atoms) for _ in range(rng.randint(1, 4)))
             f = parse_expr(text)
             assert parse_expr(format_expr(f)) == f
+
+
+def outcome(parse, text):
+    """The terms in item order, or the error's type and message."""
+    try:
+        return list(parse(text).terms.items())
+    except WeylvalError as exc:
+        return type(exc), str(exc)
+
+
+def grammar(text):
+    return _Parser(text).parse()
+
+
+LONG = "1" * 5000  # past int's 4300-digit text-conversion limit
+
+# Pieces of text the normal-form path refuses or must read as the grammar
+# does: other factor orders, juxtaposition, zero coefficients, zero
+# denominators, whitespace inside a power, long literals, non-ASCII digits.
+PIECES = [
+    "x", "y", "x^2", "y^3", "x^0", "3", "1/2", "7/4*x", "2*x", "0", "0*x", "0/5*y",
+    "1/0", "3/0*x", "0/0", "y*x", "y^2*x", "x*3", "x*x", "3*2", "3x", "xy", "-1x",
+    "x y", "x ^ 2", " 2 * x ^ 3 * y ", "1 /2", "x^2^2", "2^3", "(x)", "(x - 1)^2",
+    "x^1/2", LONG, f"{LONG}*x", f"x^{LONG}", "\u0663", "\u0663*x", "x^\u0663", "\u00a0x",
+]
+
+
+@st.composite
+def printed_forms(draw):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=9),
+        max_size=5,
+    ))
+    return format_expr(WeylElement({k: Rat(v) for k, v in terms.items()}))
+
+
+@st.composite
+def built_terms(draw):
+    """A term put together from a coefficient, x and y parts and joins, in
+    either order, with or without the '*' between them."""
+    parts = [draw(st.sampled_from(["", "0", "1", "12", "3/4", "0/5", "1/0", "-2"])),
+             draw(st.sampled_from(["", "x", "x^3", "x ^ 2", "x^0"])),
+             draw(st.sampled_from(["", "y", "y^2", "y^ 10"]))]
+    if draw(st.booleans()):
+        parts = draw(st.permutations(parts))
+    joins = st.sampled_from(["*", "*", " * ", "", " "])
+    text = ""
+    for part in parts:
+        if part:
+            text += (draw(joins) if text else "") + part
+    return text
+
+
+expressions = st.builds(
+    lambda lead, pieces, seps: lead + "".join(
+        (sep if k else "") + piece for k, (sep, piece) in enumerate(zip(seps, pieces))
+    ),
+    st.sampled_from(["", "", "-", "- ", "+", "--", " "]),
+    st.lists(st.one_of(
+        printed_forms(),
+        st.integers(0, 10**6).map(lambda n: format_expr(sample_element(random.Random(n)))),
+        built_terms(),
+        st.sampled_from(PIECES),
+    ), min_size=1, max_size=5),
+    st.lists(st.sampled_from([" + ", " - ", "+", "-", "  -  ", " ", "*", "", " + -"]),
+             min_size=5, max_size=5),
+)
+
+
+class TestNormalFormPath:
+    """`parse_expr` reads printed normal forms without the grammar walk; on
+    every text it agrees with the grammar, in item order and in errors."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(expressions)
+    def test_agrees_with_the_grammar(self, text):
+        assert outcome(parse_expr, text) == outcome(grammar, text)
+
+    @pytest.mark.parametrize("text", [
+        "x^2*y^4 + 2*x*y^3 - 2*x*y^2 + 1",
+        "-3/4*x^6 - y + 9",
+        "2*x + x",  # repeats accumulate in place
+        "x - x + y",  # a cancelled key leaves
+        "x - x + y + x",  # and comes back at the end
+        "0*x + 0/5*y^2 + 1",  # zero coefficients add nothing
+        "  - 2 * x ^ 3 * y  +  x ^ 0  ",
+        "007*x^002",
+    ])
+    def test_takes_printed_normal_forms(self, text):
+        assert _normal_form(text) is not None
+        assert outcome(parse_expr, text) == outcome(grammar, text)
+
+    @pytest.mark.parametrize("text", [
+        "", " ", "(x)", "2^3*x", "x^2^2", "y*x", "x*3", "x*x", "3x", "xy", "-1x",
+        "x y", "+x", "--x", "x + -y", "x +", "1/0", "3/0*x", "0/0", "1 /2", "x^1/2",
+        LONG, f"{LONG}*x", f"0*x^{LONG}", "\u0663*x", "x^\u0663", "x & y", "z",
+    ])
+    def test_refused_shapes_take_the_grammar_path(self, text):
+        assert _normal_form(text) is None
+        assert outcome(parse_expr, text) == outcome(grammar, text)
+
+    def test_refused_shapes_keep_their_errors(self):
+        with pytest.raises(ParseError, match="trailing input at position 1: 'x'"):
+            parse_expr("3x")
+        with pytest.raises(ParseError, match="expected an operand at position 0"):
+            parse_expr("+x")
+        with pytest.raises(ParseError, match="bad rational literal '1/0'"):
+            parse_expr("1/0")
+        with pytest.raises(ParseError, match="Exceeds the limit"):
+            parse_expr(f"x^{LONG}")
