@@ -16,9 +16,14 @@ they are dropped at birth.
 A record's level is the entry exponent it would emit, and no record ever
 gives rise to one below its own level.  Every entry exponent is below 1,
 and on a rule every one is at most some tower level h_k, which increases
-strictly to r* (`level_limit`).  So records at or above min(1, r*) can
-never be emitted and are dropped; without that, the remainder on
-constant(1,3,1) grows threefold per entry.
+strictly to r* (`level_limit`).  So records at or above the cut
+min(1, r*) can never be emitted, and every stored record sits below it:
+each is cut where it is made (`_telescope`, `_substitute`), and the
+deviation store, which keeps its frame, is cut again where sigma moves
+(`_close_step`).  Without the cut, the remainder on constant(1,3,1) grows
+threefold per entry.  `CONVERSION_RECORD_BUDGET` is read in `_fold` as
+each telescoped batch is added, and once more when a step close stores
+its deviation.
 """
 
 from __future__ import annotations
@@ -295,9 +300,12 @@ class _Record:
     z: Optional[int]
 
 
-# Records (remainder plus deviation store) a conversion may hold after
-# pruning.  The benchmark's conversions hold at most 1 and the largest in the
-# tests, a rule conversion with its cut lifted, 1,254; with m_1 < 0 the
+# Records (remainder plus deviation store) a conversion may hold.  Every
+# stored record sits below the cut, so all of them count; `_fold` reads the
+# count as each telescoped batch is added, and `_close_step` once more after
+# storing the new deviation, so no iteration passes the budget by more than
+# one batch.  The benchmark's conversions hold at most 1 and the largest in
+# the tests, a rule conversion with its cut lifted, 1,254; with m_1 < 0 the
 # records grow about twelvefold per entry.
 CONVERSION_RECORD_BUDGET = 4096
 
@@ -313,8 +321,13 @@ class _Conversion:
         self.bbar = Rat(1)   # product of the residues of S_{i,0}
         self.C: List[_Record] = []
         self.devs: Dict[int, List[_Record]] = {}
+        self.iteration = 0
         limit = level_limit(desc)
-        self.cut = Rat(1) if limit is None else min(Rat(1), limit)
+        cut = Rat(1) if limit is None else min(Rat(1), limit)
+        # xexp floors of the cut min(1, r*) (`_below_cut`): sigma - cut, and
+        # sigma + last_r - cut for z-records (None before the first entry)
+        self.floor = -cut
+        self.zfloor: Optional[Rat] = None
 
     # -- atom data -----------------------------------------------------------
 
@@ -337,66 +350,17 @@ class _Conversion:
     def _b_atoms(self, upto: int) -> Tuple[_Atom, ...]:
         return tuple(a for i in range(1, upto + 1) for a in self._tail(i, 0))
 
-    def _atom_dev(self, a: _Atom) -> List[_Record]:
-        """S_{i,j} - residue = (b_i - gamma) S_{i,j+1}, as records (uses the
-        live deviation store)."""
-        tail = self._tail(a.i, a.j + 1)
-        return [
-            _Record(d.scalar, d.xexp, d.atoms + tail, d.z) for d in self.devs[a.i]
-        ]
-
-    def _telescope(self, rec: _Record) -> List[_Record]:
-        """rec minus its residue part: replace each atom in turn by its
-        deviation, folding the residues of the atoms after it."""
-        assert rec.z is None
-        # suffixes[p] is the product of the residues after atom p
-        suffixes = [Rat(1)]
-        for a in reversed(rec.atoms[1:]):
-            suffixes.append(suffixes[-1] * self._atom_residue(a))
-        suffixes.reverse()
-        out: List[_Record] = []
-        for p, a in enumerate(rec.atoms):
-            for d in self._atom_dev(a):
-                out.append(
-                    _Record(
-                        rec.scalar * d.scalar * suffixes[p],
-                        rec.xexp + d.xexp,
-                        rec.atoms[:p] + d.atoms,
-                        d.z,
-                    )
-                )
-        return out
-
-    # -- maintenance -----------------------------------------------------------
-
-    def _substitute(self, r: Rat, gamma: Rat) -> None:
-        """z_l = gamma x^{-r} + z_{l+1} in every stored record."""
-
-        def walk(records: List[_Record]) -> List[_Record]:
-            out: List[_Record] = []
-            for rec in records:
-                if rec.z is None:
-                    out.append(rec)
-                    continue
-                out.append(_Record(rec.scalar * gamma, rec.xexp - r, rec.atoms, None))
-                out.append(_Record(rec.scalar, rec.xexp, rec.atoms, rec.z + 1))
-            return out
-
-        self.C = walk(self.C)
-        for i in list(self.devs):
-            self.devs[i] = walk(self.devs[i])
-
-    def _prune(self) -> None:
-        """Drop every record whose level, or bound on it, reaches the cut.
+    def _below_cut(self, rec: _Record) -> bool:
+        """Whether rec sits below the cut min(1, r*); no other record is kept.
 
         A z-free record's level is sigma - xexp, the entry exponent r it
-        would emit as a head.  Nothing at or above the cut min(1, r*) can
-        ever be emitted or consumed, nor can any record descended from it:
-        - `_rewrite` shifts xexp and sigma by the same m/n, so a record's
-          level is invariant;
-        - children from `_telescope`, `_atom_dev` and the `_rewrite` parts
-          never sit below their parent's level, because deviations have
-          positive value;
+        would emit as a head.  Nothing at or above the cut can ever be
+        emitted or consumed, nor can any record descended from it:
+        - `_close_step` shifts xexp and sigma by the same m/n, so a record's
+          level is invariant (the deviation store keeps its xexp, so it is
+          cut again there);
+        - children from `_telescope` never sit below their parent's level,
+          because deviations have positive value;
         - `_substitute` turns a z-record into a z-free record at level
           sigma - xexp + r with r > last_r, so sigma - xexp + last_r bounds
           every level it can reach from below;
@@ -405,43 +369,42 @@ class _Conversion:
           increase strictly to r*, so that is below r*, and every entry
           exponent is below 1.
         """
-        last_r = self.entries[-1][0] if self.entries else None
+        if rec.z is None:
+            return rec.xexp > self.floor
+        return self.zfloor is None or rec.xexp > self.zfloor
 
-        def keep(rec: _Record) -> bool:
-            if rec.scalar == 0:
-                return False
-            if rec.z is None:
-                return -rec.xexp + self.sigma < self.cut
-            if last_r is None:
-                return True
-            return -rec.xexp + self.sigma + last_r < self.cut
+    def _telescope(self, rec: _Record) -> List[_Record]:
+        """rec minus its residue part, below the cut: replace each atom in
+        turn by its deviation S_{i,j} - residue = (b_i - gamma) S_{i,j+1},
+        read from the live deviation store, folding the residues of the
+        atoms after it."""
+        assert rec.z is None
+        # suffixes[p] is the product of the residues after atom p
+        suffixes = [Rat(1)]
+        for a in reversed(rec.atoms[1:]):
+            suffixes.append(suffixes[-1] * self._atom_residue(a))
+        suffixes.reverse()
+        out: List[_Record] = []
+        for p, a in enumerate(rec.atoms):
+            scalar = rec.scalar * suffixes[p]
+            head, tail = rec.atoms[:p], self._tail(a.i, a.j + 1)
+            for d in self.devs[a.i]:
+                child = _Record(
+                    scalar * d.scalar, rec.xexp + d.xexp, head + d.atoms + tail, d.z
+                )
+                if self._below_cut(child):
+                    out.append(child)
+        return out
 
-        self.C = [r for r in self.C if keep(r)]
-        for i in list(self.devs):
-            self.devs[i] = [r for r in self.devs[i] if keep(r)]
+    # -- maintenance -----------------------------------------------------------
 
-    # -- case machinery ----------------------------------------------------------
-
-    def _heads(self) -> Tuple[Optional[Rat], List[_Record]]:
-        """Minimal value among exact records, with the records attaining it."""
-        best: Optional[Rat] = None
-        group: List[_Record] = []
-        for rec in self.C:
-            if rec.z is not None:
-                assert rec.xexp < self.sigma
-                continue
-            value = -rec.xexp
-            if best is None or value < best:
-                best, group = value, [rec]
-            elif value == best:
-                group.append(rec)
-        return best, group
-
-    def _omega_value(self):
-        try:
-            return self.desc.generator_value(self.k)
-        except DepthExceeded:
-            return None
+    def _check_budget(self) -> None:
+        alive = len(self.C) + sum(len(recs) for recs in self.devs.values())
+        if alive > CONVERSION_RECORD_BUDGET:
+            raise BudgetExceeded(
+                f"conversion holds {alive} records at iteration {self.iteration}, "
+                f"above the budget of {CONVERSION_RECORD_BUDGET}"
+            )
 
     def _emit(self, r: Rat, gamma: Rat) -> None:
         assert gamma != 0
@@ -449,116 +412,152 @@ class _Conversion:
         if self.entries:
             assert r > self.entries[-1][0]
         self.entries.append((r, gamma))
+        self.zfloor = self.floor + r
         self._substitute(r, gamma)
 
-    def _rewrite(self, consumed: List[_Record], emitted: bool) -> None:
-        """Close step k+1: build omega_{k+1} from omega_k's decomposition."""
+    def _substitute(self, r: Rat, gamma: Rat) -> None:
+        """z_l = gamma x^{-r} + z_{l+1} in every stored record, keeping the
+        new records below the cut."""
+
+        def walk(records: List[_Record]) -> List[_Record]:
+            out: List[_Record] = []
+            for rec in records:
+                if rec.z is None:
+                    out.append(rec)
+                    continue
+                xexp = rec.xexp - r
+                if xexp > self.floor:
+                    out.append(_Record(rec.scalar * gamma, xexp, rec.atoms, None))
+                if rec.xexp > self.zfloor:
+                    out.append(_Record(rec.scalar, rec.xexp, rec.atoms, rec.z + 1))
+            return out
+
+        self.C = walk(self.C)
+        for i in list(self.devs):
+            self.devs[i] = walk(self.devs[i])
+
+    def _fold(self, heads: List[_Record], emitted: bool) -> None:
+        """Add to the remainder the `_telescope` deviations of the consumed
+        heads and, when an entry (r, gamma) was just emitted, of its record
+        gamma x^{sigma - r} prod_{i<=k} S_{i,0}; the record budget is read
+        as each batch is added."""
+        if emitted:
+            r, gamma = self.entries[-1]
+            heads = heads + [_Record(gamma, self.sigma - r, self._b_atoms(self.k), None)]
+        for rec in heads:
+            self.C.extend(self._telescope(rec))
+            self._check_budget()
+
+    def _close_step(self, heads: List[_Record], emitted: bool) -> None:
+        """Close step k+1: shift by m/n to the frame of sigma + m/n and fold
+        there, then store omega_{k+1}'s deviation from its root as
+        devs[k+1] and update bbar and k."""
         step = self.desc.step(self.k + 1)
         mn = Rat(step.m, step.n)
-        consumed_ids = {id(rec) for rec in consumed}
-        rest = [rec for rec in self.C if id(rec) not in consumed_ids]
-
-        new_parts: List[_Record] = []
-        if emitted:
-            # gamma * (prod B_i - prod of their residues), telescoped
-            gamma_emitted = self.entries[-1][1]
-            new_parts = self._telescope(
-                _Record(gamma_emitted, Rat(0), self._b_atoms(self.k), None)
-            )
-        for rec in consumed:
-            new_parts.extend(
-                _Record(t.scalar, t.xexp + mn, t.atoms, t.z)
-                for t in self._telescope(rec)
-            )
-        shifted_rest = [_Record(r.scalar, r.xexp + mn, r.atoms, r.z) for r in rest]
-
-        primary = _Record(
-            Rat(1), self.sigma + mn, self._b_atoms(self.k), len(self.entries)
-        )
-        dev_new = [primary] + new_parts + shifted_rest
-        self.devs[self.k + 1] = dev_new
-
-        b_new = self._tail(self.k + 1, 0)
-        self.C = [
-            _Record(r.scalar, r.xexp, r.atoms + b_new, r.z)
-            for r in new_parts + shifted_rest
-        ]
         self.sigma += mn
+        self.floor += mn
+        if self.entries:
+            self.zfloor = self.floor + self.entries[-1][0]
+        # the deviation store keeps its xexp, so its levels rose by m/n
+        for i, recs in self.devs.items():
+            self.devs[i] = [rec for rec in recs if self._below_cut(rec)]
+        self.C = [_Record(rec.scalar, rec.xexp + mn, rec.atoms, rec.z) for rec in self.C]
+        self._fold(
+            [_Record(rec.scalar, rec.xexp + mn, rec.atoms, rec.z) for rec in heads], emitted
+        )
+        primary = _Record(Rat(1), self.sigma, self._b_atoms(self.k), len(self.entries))
+        self.devs[self.k + 1] = ([primary] if self._below_cut(primary) else []) + self.C
+        self._check_budget()
+        b_new = self._tail(self.k + 1, 0)
+        self.C = [_Record(rec.scalar, rec.xexp, rec.atoms + b_new, rec.z) for rec in self.C]
         self.bbar *= cofactor_tail_residue(self.desc, self.res, self.k + 1, 0)
         self.k += 1
 
+    # -- the emission rule ---------------------------------------------------------
+
+    def _heads(self) -> Tuple[Optional[Rat], List[_Record], List[_Record]]:
+        """The least value among z-free records, the records attaining it,
+        and the other records."""
+        best: Optional[Rat] = None
+        heads: List[_Record] = []
+        rest: List[_Record] = []
+        for rec in self.C:
+            if rec.z is None:
+                value = -rec.xexp
+                if best is None or value < best:
+                    rest += heads
+                    best, heads = value, [rec]
+                    continue
+                if value == best:
+                    heads.append(rec)
+                    continue
+            else:
+                assert rec.xexp < self.sigma
+            rest.append(rec)
+        return best, heads, rest
+
+    def _omega_value(self):
+        try:
+            return self.desc.generator_value(self.k)
+        except DepthExceeded:
+            return None
+
     def run(self) -> ZSequence:
+        """Emit entries at the least of v(omega_k) and the heads' value.
+
+        The entry's gamma is gamma_{k+1}, when omega_k is at the least, less
+        the residues of the heads there, over bbar.  A zero gamma emits
+        nothing: with omega_k at the least its step closes, at any depth;
+        otherwise the heads cancel, an internal error.  The depth is read
+        just before an entry is due, so a conversion that holds its entries
+        returns them rather than that error.
+        """
         max_iter = 8 * (self.depth + data_window(self.desc) + 4)
         for iteration in range(max_iter):
-            self._prune()
-            alive = len(self.C) + sum(len(recs) for recs in self.devs.values())
-            if alive > CONVERSION_RECORD_BUDGET:
-                raise BudgetExceeded(
-                    f"conversion holds {alive} records after pruning at iteration "
-                    f"{iteration}, above the budget of {CONVERSION_RECORD_BUDGET}"
-                )
-            head_val, heads = self._heads()
+            self.iteration = iteration
+            head_val, heads, rest = self._heads()
             w = self._omega_value()
-            terminal_here = (
-                self.desc.terminal is not None
-                and self.k == self.desc.terminal_index
-            )
             if w is None and head_val is None:
                 return ZSequence(self.entries, None)
-            w_below = w is not None and (
-                head_val is None
-                or value_cmp(w, ValueGroupElement.rational(head_val)) < 0
-            )
-            if w_below:
-                if terminal_here:
-                    assert isinstance(w, ValueGroupElement)
-                    total = w.add(ValueGroupElement.rational(self.sigma))
-                    return ZSequence(self.entries, ZTerminal(total))
-                if len(self.entries) >= self.depth:
-                    return ZSequence(self.entries, None)
-                gamma = self.res.gamma(self.k + 1) / self.bbar
-                self._emit(w.q + self.sigma, gamma)
-                self._rewrite([], emitted=True)
-                continue
-            head_above = w is None or (
-                head_val is not None
-                and value_cmp(ValueGroupElement.rational(head_val), w) < 0
-            )
-            if head_above:
-                if len(self.entries) >= self.depth:
-                    return ZSequence(self.entries, None)
-                res_head = sum(
-                    (self._residue(h) for h in heads), start=Rat(0)
-                )
-                if res_head == 0:
-                    raise ConversionInternalError(
-                        "remainder heads cancel exactly; a deeper expansion "
-                        "order would be needed"
-                    )
-                assert head_val is not None
-                r = head_val + self.sigma
-                gamma = -res_head / self.bbar
-                self._emit(r, gamma)
-                folded = _Record(gamma, self.sigma - r, self._b_atoms(self.k), None)
-                consumed_ids = {id(h) for h in heads}
-                keep = [rec for rec in self.C if id(rec) not in consumed_ids]
-                replaced: List[_Record] = []
-                for rec in heads + [folded]:
-                    replaced.extend(self._telescope(rec))
-                self.C = keep + replaced
-                continue
-            # equal values: only rational omega values can tie with records
-            assert not terminal_here
-            assert isinstance(w, ValueGroupElement) and w.is_rational()
-            res_head = sum((self._residue(h) for h in heads), start=Rat(0))
-            gamma_num = self.res.gamma(self.k + 1) - res_head
-            if gamma_num == 0:
-                self._rewrite(heads, emitted=False)
+            if head_val is None:
+                order = -1
+            elif w is None:
+                order = 1
+            else:
+                order = value_cmp(w, ValueGroupElement.rational(head_val))
+            omega_at = order <= 0
+            if order < 0:
+                heads, rest = [], self.C
+            if omega_at and self.k == self.desc.terminal_index:
+                total = w.add(ValueGroupElement.rational(self.sigma))
+                return ZSequence(self.entries, ZTerminal(total))
+            # without heads gamma is gamma_{k+1}, never zero, and it is read
+            # only once an entry is due
+            gamma = None
+            if heads:
+                root = self.res.gamma(self.k + 1) if omega_at else 0
+                gamma = root - sum(map(self._residue, heads))
+            if gamma == 0 and omega_at:
+                # omega_k's root cancels the heads: the step closes, no entry
+                self.C = rest
+                self._close_step(heads, emitted=False)
                 continue
             if len(self.entries) >= self.depth:
                 return ZSequence(self.entries, None)
-            self._emit(w.q + self.sigma, gamma_num / self.bbar)
-            self._rewrite(heads, emitted=True)
+            if gamma == 0:
+                raise ConversionInternalError(
+                    "remainder heads cancel exactly; a deeper expansion "
+                    "order would be needed"
+                )
+            if gamma is None:
+                gamma = self.res.gamma(self.k + 1)
+            least = w.q if omega_at else head_val
+            self.C = rest
+            self._emit(least + self.sigma, gamma / self.bbar)
+            if omega_at:
+                self._close_step(heads, emitted=True)
+            else:
+                self._fold(heads, emitted=True)
         raise DepthExceeded(
             f"conversion did not settle within {max_iter} iterations",
             consulted=self.k,
@@ -570,8 +569,6 @@ def omega_to_z(
 ) -> ZSequence:
     """Convert the omega tower to its z-sequence, emitting up to `depth`
     entries; rank-two descriptors finish with the irrational terminal."""
-    if depth == 0 and desc.terminal is None:
-        return ZSequence([], None)
     return _Conversion(desc, res, depth).run()
 
 

@@ -329,15 +329,32 @@ class TestStructuredLimits:
         assert "numerator has 301030 digits" in report["error"]["detail"]
 
     def test_conversion_budget_stops_a_process(self, desc_file):
-        # with m_1 < 0 only the budget bounds the remainder: it holds 84, 594
-        # and 7,092 records after pruning at depths 4, 5 and 6; unbounded,
-        # the conversion runs past 30 s
+        # with m_1 < 0 only the budget bounds the remainder: it holds 84 and
+        # 594 records after 4 and 5 entries, and passes the budget at 4,130
+        # while the sixth entry's deviations are added; unbounded, the
+        # conversion runs past 30 s
         argv = ["convert", "--desc", desc_file(M1_NEGATIVE_JSON), "--sign-choice", "+1"]
         code, report = run_process(argv, timeout=5)
         assert code == 1
         assert report["error"]["type"] == "BudgetExceeded"
-        assert "7092 records" in report["error"]["detail"]
-        assert "iteration 6" in report["error"]["detail"]
+        assert "4130 records" in report["error"]["detail"]
+        assert "iteration 5" in report["error"]["detail"]
+
+    def test_conversion_budget_stops_a_runaway_iteration(self, desc_file):
+        # the ninth entry multiplies 1,932 records; read only once the
+        # iteration ends, they grow past 900,000 and 300 MB first
+        data = {
+            "steps": [
+                {"m": 1, "n": 2, "beta": "9"},
+                {"m": 1, "n": 16, "beta": "43046721"},
+                {"m": 1, "n": 3, "beta": "1/8"},
+            ],
+            "alpha_signs": [{"i": 1, "j": 2, "sign": -1}],
+        }
+        argv = ["convert", "--desc", desc_file(data), "--sign-choice", "+1", "--depth", "12"]
+        code, report = run_process(argv, timeout=10)
+        assert code == 1
+        assert report["error"]["type"] == "BudgetExceeded"
 
 
 # Steps (1,3^i,1) for i = 1..8: every one inside the rule's default window

@@ -615,6 +615,57 @@ class TestConversion:
         for i in range(4):
             assert z_eval(z, embed(omega_element(d, i))) == d.generator_value(i)
 
+    def test_depth_stops_before_a_head_entry(self):
+        # past the bare prefix only remainder heads emit, and depth 2 stops
+        # where the third entry, at a head, was due
+        d = desc([(-1, 3, 27), (1, 3, -27)], signs=[(1, 2, 1)])
+        assert validate(d) == []
+        res = resolve_gammas(d)
+        z = omega_to_z(d, res, depth=2)
+        assert z.explicit_entries == [(Rat(-1, 3), Rat(3)), (Rat(0), Rat(-1, 9))]
+        assert z.terminal is None
+        assert omega_to_z(d, res, depth=3).explicit_entries[2] == (Rat(1, 3), Rat(-1, 243))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_depth_stops_before_a_tied_entry(self, sign):
+        # after four entries v(w_2) = 3/4 ties with the remainder heads, and
+        # depth 4 stops where that tie's entry was due
+        d = desc(
+            [(-1, 6, "1/64"), (1, 4, 81), (3, 4, 16)],
+            signs=[(1, 2, -1), (1, 3, -1), (2, 3, 1)],
+        )
+        assert validate(d) == []
+        res = resolve_gammas(d, sign_choice=sign)
+        z = omega_to_z(d, res, depth=4)
+        assert z.explicit_entries == [
+            (Rat(-1, 6), Rat(-1, 2)),
+            (Rat(1, 12), sign * Rat(-16)),
+            (Rat(1, 3), Rat(1280)),
+            (Rat(7, 12), sign * Rat(-450560, 3)),
+        ]
+        assert z.terminal is None
+        assert omega_to_z(d, res, depth=5).explicit_entries[4][0] == Rat(5, 6)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cancelled_tie_closes_its_step_without_an_entry(self, sign):
+        # the tower above with gamma_3 = +-413614080, the residue sum of the
+        # heads that tie with v(w_2): the tie's gamma is zero, so step 3
+        # closes with no entry, and nothing is left to emit
+        root = 413614080
+        d = desc(
+            [(-1, 6, "1/64"), (1, 4, 81), (3, 4, root**4)],
+            signs=[(1, 2, -1), (1, 3, -1), (2, 3, 1)],
+        )
+        assert validate(d) == []
+        res = resolve_gammas(d, sign_choice=sign)
+        assert res.gamma(3) == sign * root
+        conversion = _Conversion(d, res, 12)
+        z = conversion.run()
+        assert [r for r, _ in z.explicit_entries] == [
+            Rat(-1, 6), Rat(1, 12), Rat(1, 3), Rat(7, 12)
+        ]
+        assert conversion.k == 3
+
 
 def random_rule_descriptor(rng):
     """0-2 explicit steps, then halving or constant(m,n,beta)."""
