@@ -1,9 +1,11 @@
 """Exact valuations on the first Weyl algebra and their Ore extensions.
 
-The package builds valuations from tower descriptors, evaluates values and
-residues exactly over the rationals, enumerates the compatible orderings,
-and converts towers to the z-sequence form living in the Ore extension of
-Puiseux series, with round-trip checks between the two presentations.
+The production core builds valuations from tower descriptors, evaluates
+values and residues exactly over the rationals, enumerates the compatible
+orderings, and converts towers to the z-sequence form living in the Ore
+extension of Puiseux series.  `oracles` is the checking layer beside it:
+the commutative shadow, the round trip through the z-sequence, and the
+samplers behind the axiom checks; the CLI's check subcommands run them.
 
 `Valuation(desc, depth_limit)` is the way into the evaluator: one session
 computes each element's leading data once and reads from it the value, the
@@ -16,7 +18,6 @@ from .descriptor import (
     OmegaDescriptor,
     basis_slot,
     builtin_rule,
-    commutator_value,
     group_kind,
     omega_element,
     validate,
@@ -39,33 +40,26 @@ from .errors import (
     TruncationLoss,
     WeylvalError,
 )
-from .evaluate import (
-    Valuation,
-    equivalent,
-    eval_element,
-    leading_data,
-    monomial_gap_value,
-    residue,
-    sample_element,
-    shadow_eval,
-    strongly_abelian_sample,
-    unit_generators,
-)
+from .evaluate import Valuation, eval_element, leading_data, residue
 from .expr import format_expr, parse_expr
 from .extension import (
     ExtendViolation,
-    RoundtripReport,
     check_extendable,
-    cofactor_tail,
     cofactor_tail_residue,
     omega_to_z,
     resolve_gammas,
-    roundtrip_check,
     tail_count,
+)
+from .oracles import (
+    RoundtripReport,
+    compatibility_check,
+    roundtrip_check,
+    sample_element,
+    shadow_eval,
+    strongly_abelian_sample,
 )
 from .orderings import (
     OrderingDescriptor,
-    compatibility_check,
     enumerate_orderings,
     extend_ordering,
     sign,
@@ -80,10 +74,8 @@ from .series import (
     builtin_z_rule,
     embed,
     ore_mul,
-    parse_series,
     shift_variable,
     tilde_eval,
-    translate_y,
     z_eval,
     z_residue,
 )
@@ -132,28 +124,23 @@ __all__ = [
     "builtin_z_rule",
     "check_extendable",
     "cmp",
-    "cofactor_tail",
     "cofactor_tail_residue",
     "commutator",
-    "commutator_value",
     "compatibility_check",
     "embed",
     "enumerate_orderings",
-    "equivalent",
     "eval_element",
     "extend_ordering",
     "format_expr",
     "format_rat",
     "group_kind",
     "leading_data",
-    "monomial_gap_value",
     "normalize",
     "omega_element",
     "omega_to_z",
     "ore_mul",
     "parse_expr",
     "parse_rat",
-    "parse_series",
     "residue",
     "resolve_gammas",
     "roundtrip_check",
@@ -164,8 +151,6 @@ __all__ = [
     "strongly_abelian_sample",
     "tail_count",
     "tilde_eval",
-    "translate_y",
-    "unit_generators",
     "validate",
     "z_eval",
     "z_residue",

@@ -17,9 +17,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .coeff import format_rat
 from .descriptor import OmegaDescriptor, validate
 from .errors import DeclarationInconsistent, NotExtendable, ParseError, WeylvalError
-from .evaluate import Valuation, sample_element, shadow_eval, strongly_abelian_sample
+from .evaluate import Valuation
 from .expr import parse_expr
-from .extension import check_extendable, omega_to_z, resolve_gammas, roundtrip_check
+from .extension import check_extendable, omega_to_z, resolve_gammas
+from .oracles import roundtrip_check, sample_element, shadow_eval, strongly_abelian_sample
 from .orderings import enumerate_orderings, extend_ordering
 from .valuegroup import cmp as value_cmp
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .coeff import Rat, format_rat, json_int, odd_part, parse_rat, sgn, nth_root
@@ -24,7 +24,7 @@ from .errors import (
     MissingSignChoice,
     ParseError,
 )
-from .valuegroup import INFINITY, Value, ValueGroupElement
+from .valuegroup import Value, ValueGroupElement
 from .weyl import IntTerm, WeylElement, _integer_terms
 
 
@@ -412,25 +412,6 @@ def omega_integer_form(desc: OmegaDescriptor, i: int) -> Tuple[List[IntTerm], in
     if form is None:
         form = desc._tower_ints[i] = _integer_terms(omega_element(desc, i).terms)
     return form
-
-
-def commutator_value(desc: OmegaDescriptor, i: int, j: int) -> Value:
-    """Closed-form value of [w_j, w_i] for -1 <= i < j.
-
-    Equals -v(x y w_1 ... w_{j-1} with w_i omitted); [y, x] is the scalar 1,
-    so (i, j) = (-1, 0) gives 0.
-    """
-    if not (-1 <= i < j):
-        raise ValueError("need -1 <= i < j")
-    total = ValueGroupElement.rational(0)
-    for ell in range(-1, j):
-        if ell == i:
-            continue
-        value = desc.generator_value(ell)
-        if value is INFINITY:
-            raise DepthExceeded("commutator value needs deeper descriptor data")
-        total = total.add(value)
-    return total.neg()
 
 
 # -- value group shape ---------------------------------------------------------

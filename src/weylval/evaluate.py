@@ -1,4 +1,4 @@
-"""Valuation evaluation on Weyl elements, plus the commutative shadow oracle.
+"""Valuation evaluation on Weyl elements: the production evaluator.
 
 `Valuation(desc, depth_limit)` is the way into the evaluator: a session that
 computes each element's leading data once and reads value, residue and every
@@ -12,24 +12,21 @@ rewritten exactly into terms of strictly larger value.  The scan compares
 words on int `Key`s, (num, den, k_xi) for num/den + k_xi xi, and builds one
 `ValueGroupElement` per certified level.
 
-The shadow path re-evaluates the same data on commutative Laurent monomials
-and shares nothing with the main path except the kernel residue map rho; it
-reads generator values through a session's `gen_value` but never a session's
-leading data or word keys, and sums its values as `ValueGroupElement`s.
+The cross-checks of this evaluator (the commutative shadow, the samplers)
+live in `oracles`; of this module they use only `Valuation` and `_rho`.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
 from .descriptor import OmegaDescriptor, alpha, data_window, omega_integer_form, pair_data, two_adic_slot
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
-from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2, cmp as value_cmp
-from .weyl import WeylElement, WeylFraction, _int_product, _integer_terms, commutator
+from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2
+from .weyl import WeylElement, WeylFraction, _int_product, _integer_terms
 
 if TYPE_CHECKING:
     from .orderings import OrderingDescriptor
@@ -134,8 +131,8 @@ class Valuation:
 
     The level scan compares words on int `Key`s: each generator value is read
     once, as a key (`gen_key`), and a word's key is the sum of its factors'
-    keys.  The shadow reads `gen_value`, the same value rebuilt from its key,
-    and keeps its own `ValueGroupElement` arithmetic.
+    keys.  The shadow in `oracles` reads `gen_value`, the same value rebuilt
+    from its key, and keeps its own `ValueGroupElement` arithmetic.
     """
 
     def __init__(self, desc: OmegaDescriptor, depth_limit: int = 64):
@@ -825,318 +822,3 @@ def eval_element(desc: OmegaDescriptor, element: Element, depth_limit: int = 64)
 def residue(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Rat:
     """Residue of a value-0 element or left fraction; NonzeroValue otherwise."""
     return Valuation(desc, depth_limit).residue(element)
-
-
-def monomial_gap_value(
-    desc: OmegaDescriptor, exponents: Sequence[int], depth_limit: int = 64
-) -> Value:
-    """v(word - residue(word)) for the value-0 monomial with given exponents.
-
-    `exponents` lists (x, w_0, ..., w_{r-1}) powers, that is, one per slot.
-    """
-    ctx = Valuation(desc, depth_limit)
-    word = tuple((s, k) for s, k in enumerate(exponents) if k)
-    num, _, k_xi = ctx.word_key(word)
-    if num or k_xi:
-        raise NonzeroValue("monomial must have value 0")
-    res = _word_residue(ctx, word)
-    pool = {word: Rat(1)}
-    pool[()] = pool.get((), Rat(0)) - res
-    return _leading(ctx, pool).value
-
-
-# -- commutative shadow oracle ---------------------------------------------------
-
-# Shadow monomial key: (gens, blocks) where gens is a sorted tuple of
-# (slot, exponent) over slot 0 = X, slot s = the commutative stand-in for
-# w_{s-1}, and blocks is a sorted tuple of commutative sum-inverse markers
-# (gens_of_q, n, rho) with multiplicity.
-SKey = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[tuple, int, Rat], ...]]
-
-
-def _skey(gens: Dict[int, int], blocks: Iterable[tuple] = ()) -> SKey:
-    return (
-        tuple(sorted((s, k) for s, k in gens.items() if k)),
-        tuple(sorted(blocks, key=lambda b: (b[0], b[1]))),
-    )
-
-
-def _sgens(key: SKey) -> Dict[int, int]:
-    return dict(key[0])
-
-
-def _shadow_value(ctx: Valuation, key: SKey) -> ValueGroupElement:
-    total = ValueGroupElement.rational(0)
-    for s, k in key[0]:
-        if s == 0:
-            total = total.add(ValueGroupElement.rational(-k))
-        else:
-            total = total.add(ctx.gen_value(s - 1).scalar_mul(k))
-    return total
-
-
-def _shadow_residue(ctx: Valuation, key: SKey) -> Rat:
-    out = _rho(ctx, _sgens(key))
-    for _, n, rho_q in key[1]:
-        out *= 1 / (n * rho_q ** (n - 1))
-    return out
-
-
-def _shadow_mul(key: SKey, gens: Dict[int, int], scale_blocks: Iterable[tuple] = ()) -> SKey:
-    merged = _sgens(key)
-    for s, k in gens.items():
-        merged[s] = merged.get(s, 0) + k
-    return _skey(merged, key[1] + tuple(scale_blocks))
-
-
-def _shadow_expand_pure(ctx: Valuation, gens: Dict[int, int]) -> List[Tuple[Rat, SKey]]:
-    """Commutative emissions of (monomial - residue), all of value > 0."""
-    gens = {s: k for s, k in gens.items() if k}
-    n_fold = 1
-    for s, k in gens.items():
-        if s == 0:
-            continue
-        n_s = ctx.desc.pair_mn(s)[1]
-        n_fold = math.lcm(n_fold, n_s // math.gcd(abs(k), n_s))
-    if n_fold > 1:
-        rho_p = _rho(ctx, gens)
-        block = (_skey(gens)[0], n_fold, rho_p)
-        powered = {s: k * n_fold for s, k in gens.items()}
-        return [
-            (c, _skey(_sgens(k2), k2[1] + (block,)))
-            for c, k2 in _shadow_expand_pure(ctx, powered)
-        ]
-    # inside the unit-product lattice: telescope across the unit products
-    slots = sorted(s for s in gens if s != 0)
-    d = {s: gens[s] // ctx.desc.pair_mn(s)[1] for s in slots}
-    out: List[Tuple[Rat, SKey]] = []
-    prefix_scalar = Rat(1)
-    for pos, s in enumerate(slots):
-        step = ctx.desc.step(s)
-        # suffix exponents: remaining unit products beyond position pos
-        suffix: Dict[int, int] = {}
-        for s2 in slots[pos + 1 :]:
-            step2 = ctx.desc.step(s2)
-            suffix[0] = suffix.get(0, 0) + d[s2] * step2.m
-            suffix[s2] = suffix.get(s2, 0) + d[s2] * step2.n
-        for c, mono in _shadow_power_minus_residue(ctx, s, d[s]):
-            merged = dict(mono)
-            for s2, k2 in suffix.items():
-                merged[s2] = merged.get(s2, 0) + k2
-            out.append((prefix_scalar * c, _skey(merged)))
-        prefix_scalar *= step.beta ** d[s]
-    return out
-
-
-def _shadow_power_minus_residue(
-    ctx: Valuation, s: int, d: int
-) -> List[Tuple[Rat, Dict[int, int]]]:
-    """a_s^d - beta_s^d as monomials, each containing one positive w_s power."""
-    step = ctx.desc.step(s)
-    if d == 0:
-        return []
-    if d < 0:
-        inner = _shadow_power_minus_residue(ctx, s, -d)
-        out = []
-        for c, mono in inner:
-            merged = {0: d * step.m, s: d * step.n}
-            for k, v in mono.items():
-                merged[k] = merged.get(k, 0) + v
-            out.append((-c * step.beta**d, merged))
-        return out
-    # a^d - beta^d = (a - beta) sum_c a^{d-1-c} beta^c and a - beta is the
-    # next tower variable w_s
-    out = []
-    for c_idx in range(d):
-        power = d - 1 - c_idx
-        mono = {0: power * step.m, s: power * step.n}
-        mono[s + 1] = mono.get(s + 1, 0) + 1
-        out.append((step.beta**c_idx, mono))
-    return out
-
-
-def _shadow_expand_block(ctx: Valuation, block: tuple) -> List[Tuple[Rat, SKey]]:
-    q_gens_t, n, rho_q = block
-    sigma = 1 / (n * rho_q ** (n - 1))
-    q_gens = dict(q_gens_t)
-    pure = _shadow_expand_pure(ctx, q_gens)
-    out: List[Tuple[Rat, SKey]] = []
-    for p in range(n - 1):
-        weight = -(p + 1) * rho_q**p * sigma
-        reps = n - 2 - p
-        for c, key in pure:
-            merged = _sgens(key)
-            for s, k in q_gens.items():
-                merged[s] = merged.get(s, 0) + k * reps
-            out.append((weight * c, _skey(merged, key[1] + (block,))))
-    return out
-
-
-def shadow_eval(
-    desc: OmegaDescriptor, element: WeylElement, depth_limit: int = 64
-) -> Value:
-    """Independent commutative re-evaluation of v(element).
-
-    Maps the normal form to a commutative Laurent polynomial and runs the
-    same level discipline with plain monomial algebra: no commutator
-    corrections exist, and cancellations are resolved by the tower rewrite
-    a_s - beta_s = w_s alone.
-    """
-    ctx = Valuation(desc, depth_limit)
-    pool: Dict[SKey, Rat] = {}
-    for (i, j), c in element.terms.items():
-        key = _skey({0: i, 1: j})
-        pool[key] = pool.get(key, Rat(0)) + c
-    pool = {k: c for k, c in pool.items() if c}
-    while pool:
-        values = {key: _shadow_value(ctx, key) for key in pool}
-        level: Optional[ValueGroupElement] = None
-        for val in values.values():
-            if level is None or val.cmp(level) < 0:
-                level = val
-        group = sorted(key for key, val in values.items() if val.cmp(level) == 0)
-        ref = _sgens(group[0])
-        inv_ref = {s: -k for s, k in ref.items()}
-        lam = Rat(0)
-        members = []
-        for key in group:
-            rel = _shadow_mul(key, inv_ref)
-            res = _shadow_residue(ctx, rel)
-            members.append((key, rel, res))
-            lam += pool[key] * res
-        if lam != 0:
-            return level
-        for key, rel, res in members:
-            c = pool.pop(key)
-            emissions: List[Tuple[Rat, SKey]] = []
-            rel_gens = _sgens(rel)
-            blocks = rel[1]
-            rho_p = _rho(ctx, rel_gens)
-            sigmas = [1 / (n * rq ** (n - 1)) for _, n, rq in blocks]
-            for cc, kk in _shadow_expand_pure(ctx, rel_gens):
-                emissions.append((cc, _skey(_sgens(kk), kk[1] + blocks)))
-            running = rho_p
-            for idx, block in enumerate(blocks):
-                rest = blocks[idx + 1 :]
-                for cc, kk in _shadow_expand_block(ctx, block):
-                    emissions.append(
-                        (running * cc, _skey(_sgens(kk), kk[1] + rest))
-                    )
-                running *= sigmas[idx]
-            for cc, kk in emissions:
-                nk = _shadow_mul(kk, ref)
-                pool[nk] = pool.get(nk, Rat(0)) + c * cc
-        pool = {k: v for k, v in pool.items() if v}
-    return INFINITY
-
-
-# -- derived predicates and samplers ----------------------------------------------
-
-
-def equivalent(
-    desc: OmegaDescriptor,
-    a: WeylElement,
-    b: WeylElement,
-    depth_limit: int = 64,
-) -> bool:
-    """a ~ b: equal values and the difference sits strictly higher."""
-    session = Valuation(desc, depth_limit)
-    va = session.value(a)
-    if value_cmp(va, session.value(b)) != 0:
-        return False
-    return value_cmp(session.value(a.sub(b)), va) > 0
-
-
-def unit_generators(desc: OmegaDescriptor, r: int) -> List[Tuple[int, ...]]:
-    """Generators of the monoid of value-0 monomials over x, w_0..w_{r-1}.
-
-    Vectors list the x exponent first; w exponents are nonnegative, and the
-    x exponent is the unique integer balancing the value to 0.  The list is
-    the set of monoid-minimal solutions inside the box prod [0, n_i], which
-    contains every generator since n_i e_i is itself a solution.
-    """
-    ratios = [desc.step(i).ratio() for i in range(1, r + 1)]
-    ns = [desc.step(i).n for i in range(1, r + 1)]
-    sols: List[Tuple[int, ...]] = []
-
-    def rec(idx: int, vec: List[int], total: Rat) -> None:
-        if idx == r:
-            if any(vec) and total.denominator == 1:
-                sols.append(tuple(vec))
-            return
-        for k in range(ns[idx] + 1):
-            vec.append(k)
-            rec(idx + 1, vec, total + k * ratios[idx])
-            vec.pop()
-
-    rec(0, [], Rat(0))
-    sol_set = set(sols)
-    out = []
-    for s in sols:
-        decomposable = False
-        for s2 in sol_set:
-            if s2 != s and all(a <= b for a, b in zip(s2, s)):
-                rest = tuple(b - a for a, b in zip(s2, s))
-                if any(rest) and rest in sol_set:
-                    decomposable = True
-                    break
-        if not decomposable:
-            x_exp = sum(k * v for k, v in zip(s, ratios))
-            assert x_exp.denominator == 1
-            out.append((int(x_exp),) + s)
-    return sorted(out)
-
-
-def sample_element(
-    rng: random.Random, max_degree: int = 8, max_terms: int = 6, coeff_bound: int = 9
-) -> WeylElement:
-    """Random nonzero element with total degree at most max_degree."""
-    while True:
-        terms: Dict[Tuple[int, int], Rat] = {}
-        for _ in range(rng.randint(1, max_terms)):
-            i = rng.randint(0, max_degree)
-            j = rng.randint(0, max_degree - i)
-            c = rng.randint(-coeff_bound, coeff_bound)
-            if c:
-                terms[(i, j)] = terms.get((i, j), Rat(0)) + Rat(c)
-        element = WeylElement({k: v for k, v in terms.items() if v})
-        if not element.is_zero():
-            return element
-
-
-@dataclass
-class SampleReport:
-    trials: int
-    violations: List[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {"trials": self.trials, "violations": self.violations}
-
-
-def strongly_abelian_sample(
-    desc: OmegaDescriptor,
-    seed: int,
-    trials: int,
-    max_degree: int = 5,
-    depth_limit: int = 64,
-) -> SampleReport:
-    """Check v([a, b]) > v(a) + v(b) on random nonzero pairs."""
-    rng = random.Random(seed)
-    session = Valuation(desc, depth_limit)
-    report = SampleReport(trials=trials)
-    for _ in range(trials):
-        a = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
-        b = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
-        va = session.value(a)
-        vb = session.value(b)
-        vc = session.value(commutator(a, b))
-        bound = va.add(vb) if va is not INFINITY and vb is not INFINITY else INFINITY
-        if not (vc is INFINITY or (bound is not INFINITY and vc.cmp(bound) > 0)):
-            report.violations.append(
-                {"a": str(a), "b": str(b), "v_a": str(va), "v_b": str(vb), "v_comm": str(vc)}
-            )
-    return report

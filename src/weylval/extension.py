@@ -3,15 +3,22 @@
 Three stages: an extendability gate (two sign conditions over the step
 prefix), resolution of the per-step real roots gamma-tilde (with the one
 free sign in the non-2-divisible case), and the conversion state machine
-that turns an omega tower into a z-sequence entry by entry.
+that turns an omega tower into a z-sequence entry by entry.  The
+conversion reads the descriptor, the roots and closed-form residues only:
+it calls neither the evaluator nor the Ore product, so the round trip in
+`oracles` compares two computations that share no code beyond the
+descriptor and the exact arithmetic.
 
 The conversion keeps its remainder symbolic: a list of records
 (scalar, x-exponent, atoms, z), where each atom is an opaque value-0 factor
-with a closed-form residue, one cofactor tail S_{i,j} of step i (the root
-cofactor B_i is S_{i,0}), and z is the index of the record's one z
-variable, or None.  Commutation corrections add at least 1 to a record's
-value, which puts them above every emission and above the terminal, so
-they are dropped at birth.
+with a closed-form residue, one cofactor tail
+S_{i,j} = sum_{k=1..n-j} C(k+j-1, j) gamma_i^{k-1} b_i^{n-j-k} of step i,
+with b_i = x^{m_i/n_i} w_{i-1} and n = n_i (the root cofactor B_i is
+S_{i,0}: (b_i - gamma_i) S_{i,0} = b_i^n - beta_i, and
+(b_i - gamma_i) S_{i,j+1} = S_{i,j} - residue(S_{i,j})), and z is the
+index of the record's one z variable, or None.  Commutation corrections
+add at least 1 to a record's value, which puts them above every emission
+and above the terminal, so they are dropped at birth.
 
 A record's level is the entry exponent it would emit, and no record ever
 gives rise to one below its own level.  Every entry exponent is below 1,
@@ -31,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, count
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .coeff import Rat, format_rat, nth_root
 from .descriptor import (
@@ -40,7 +47,6 @@ from .descriptor import (
     basis_slot,
     data_window,
     level_limit,
-    omega_element,
 )
 from .errors import (
     BudgetExceeded,
@@ -50,18 +56,8 @@ from .errors import (
     SignChoiceForbidden,
     SignChoiceRequired,
 )
-from .evaluate import Valuation
-from .series import (
-    OrePoly,
-    PuiseuxSeries,
-    ZSequence,
-    ZTerminal,
-    embed,
-    ore_mul,
-    z_eval,
-)
+from .series import ZSequence, ZTerminal
 from .valuegroup import ValueGroupElement, cmp as value_cmp
-from .weyl import WeylElement
 
 
 # -- extendability ------------------------------------------------------------------
@@ -244,33 +240,6 @@ def tail_count(n: int, k: int, j: int) -> int:
     if not (0 <= j <= n and 1 <= k <= n - j + 1):
         raise ValueError(f"tail_count({n}, {k}, {j}) is outside the table")
     return comb(k + j - 1, j)
-
-
-def _base_ore(desc: OmegaDescriptor, i: int) -> OrePoly:
-    """b_i = x^{m_i/n_i} omega_{i-1} as an Ore polynomial."""
-    step = desc.step(i)
-    factor = PuiseuxSeries.x_power(Rat(step.m, step.n))
-    return embed(omega_element(desc, i - 1)).scale_series(factor)
-
-
-def cofactor_tail(
-    desc: OmegaDescriptor, res: GammaResolution, i: int, j: int
-) -> OrePoly:
-    """S_{i,j} = sum_{k=1..n-j} C(k+j-1, j) gamma^{k-1} b_i^{n-j-k}.
-
-    S_{i,0} is the root cofactor, (b_i - gamma) S_{i,0} = b_i^n - beta_i,
-    and (b_i - gamma) S_{i,j+1} = S_{i,j} - residue(S_{i,j}).
-    """
-    n = desc.step(i).n
-    if not 0 <= j <= n - 1:
-        raise ValueError(f"cofactor tail S_{{{i},{j}}} needs 0 <= j < n = {n}")
-    b = _base_ore(desc, i)
-    g = res.gamma(i)
-    out = OrePoly.zero()
-    for k in range(1, n - j + 1):
-        coeff = Rat(tail_count(n, k, j)) * g ** (k - 1)
-        out = ore_mul(out, b).add(OrePoly.from_series(PuiseuxSeries.scalar(coeff)))
-    return out
 
 
 def cofactor_tail_residue(
@@ -570,42 +539,3 @@ def omega_to_z(
     """Convert the omega tower to its z-sequence, emitting up to `depth`
     entries; rank-two descriptors finish with the irrational terminal."""
     return _Conversion(desc, res, depth).run()
-
-
-# -- round trip ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundtripReport:
-    trials: int
-    mismatches: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mismatches": list(self.mismatches),
-            "ok": self.ok,
-        }
-
-
-def roundtrip_check(
-    desc: OmegaDescriptor,
-    res: GammaResolution,
-    samples: Sequence[WeylElement],
-    depth: int = 16,
-    depth_limit: int = 64,
-) -> RoundtripReport:
-    """z_eval after embedding must match eval on the Weyl algebra."""
-    zseq = omega_to_z(desc, res, depth)
-    session = Valuation(desc, depth_limit)
-    mismatches: List[str] = []
-    for element in samples:
-        direct = session.value(element)
-        via_z = z_eval(zseq, embed(element), depth_limit)
-        if value_cmp(direct, via_z) != 0:
-            mismatches.append(f"{element}: {direct} vs {via_z}")
-    return RoundtripReport(len(samples), tuple(mismatches))

@@ -1,4 +1,4 @@
-"""Compatible orderings: enumeration, the sign oracle, and the extension map.
+"""Compatible orderings: enumeration, the sign, and the extension map.
 
 An ordering compatible with a tower valuation is pinned by one sign per slot
 of a fixed 2-torsion basis of the value group modulo doubled values.  The
@@ -10,20 +10,21 @@ The sign of a nonzero element is read by `evaluate.Valuation.sign` from its
 certified leading data: the sign of the residue relative to the canonical
 representative word, times the character evaluated on the representative's
 two parities.  Squares of even representatives have positive residue, which
-makes the value of the representative the only thing that matters.
+makes the value of the representative the only thing that matters.  The
+ordering axioms this sign must satisfy are sampled by
+`oracles.compatibility_check`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
+from .coeff import json_int
 from .descriptor import OmegaDescriptor, basis_slot
 from .errors import DeclarationInconsistent, NotExtendable, ParseError
-from .evaluate import SampleReport, Valuation, sample_element
+from .evaluate import Valuation
 from .extension import free_step
-from .valuegroup import cmp as value_cmp
 from .weyl import WeylElement, WeylFraction
 
 
@@ -78,22 +79,28 @@ class OrderingDescriptor:
         if not isinstance(basis, dict):
             raise ParseError("ordering basis must be an object")
         omega_index = basis.get("omega_index")
-        terminal = bool(basis.get("terminal", False))
-        signs = list(data.get("signs", []))
+        terminal = basis.get("terminal", False)
+        if not isinstance(terminal, bool):
+            raise ParseError("ordering basis terminal must be true or false")
+        signs = data.get("signs", [])
+        if not isinstance(signs, list):
+            raise ParseError("ordering signs must be a list")
         expected = (omega_index is not None) + terminal
         if len(signs) != expected:
             raise ParseError(
                 f"ordering needs {expected} signs for its basis, got {len(signs)}"
             )
-        omega_sign = int(signs.pop(0)) if omega_index is not None else 1
-        terminal_sign = int(signs.pop(0)) if terminal else 1
         try:
+            omega_sign = json_int(signs[0]) if omega_index is not None else 1
+            terminal_sign = json_int(signs[-1]) if terminal else 1
             return cls(
-                None if omega_index is None else int(omega_index),
+                None if omega_index is None else json_int(omega_index),
                 terminal,
                 omega_sign,
                 terminal_sign,
             )
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad ordering {data!r}: {exc}") from None
         except DeclarationInconsistent as exc:
             raise ParseError(str(exc)) from None
 
@@ -120,44 +127,6 @@ def sign(
 ) -> int:
     """Sign of a nonzero element or left fraction under one ordering."""
     return Valuation(desc, depth_limit).sign(ordering, element)
-
-
-def compatibility_check(
-    desc: OmegaDescriptor,
-    ordering: OrderingDescriptor,
-    trials: int = 200,
-    seed: int = 0,
-    max_degree: int = 5,
-    depth_limit: int = 64,
-) -> SampleReport:
-    """Sample the ordering axioms the sign oracle must satisfy.
-
-    Per trial: squares are positive, sign is multiplicative, and adding a
-    strictly higher-value element does not change the sign (which is exactly
-    invariance of sign across equivalent elements).
-    """
-    rng = random.Random(seed)
-    session = Valuation(desc, depth_limit)
-    report = SampleReport(trials=trials)
-    for _ in range(trials):
-        f = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
-        g = sample_element(rng, max_degree=max_degree, max_terms=4, coeff_bound=5)
-        s_f = session.sign(ordering, f)
-        s_g = session.sign(ordering, g)
-        if session.sign(ordering, g.mul(g)) != 1:
-            report.violations.append({"kind": "square", "g": str(g)})
-        if session.sign(ordering, f.mul(g)) != s_f * s_g:
-            report.violations.append(
-                {"kind": "multiplicativity", "f": str(f), "g": str(g)}
-            )
-        c = value_cmp(session.value(f), session.value(g))
-        if c != 0:
-            s_low = s_f if c < 0 else s_g
-            if session.sign(ordering, f.add(g)) != s_low:
-                report.violations.append(
-                    {"kind": "equivalence", "f": str(f), "g": str(g)}
-                )
-    return report
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ attained once, as in MacLane's key-polynomial expansions.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -155,35 +154,6 @@ def _product_horizon(lead_f, bound_f, lead_g, bound_g):
     if bound_g is not None and lead_f is not None:
         bounds.append(bound_g + lead_f)
     return min(bounds) if bounds else None
-
-
-_TERM_RE = re.compile(
-    r"^\s*(-?\d+(?:/\d+)?)\s*(?:\*\s*x\^\(\s*(-?\d+(?:/\d+)?)\s*\))?\s*$"
-)
-_O_RE = re.compile(r"O\(x\^\(\s*(-?\d+(?:/\d+)?)\s*\)\)")
-
-
-def parse_series(text: str) -> PuiseuxSeries:
-    """Parse the series text format, e.g. "1*x^(-1/2) + 3*x^(-2) + O(x^(-5))"."""
-    body = text.strip()
-    if body == "0":
-        return PuiseuxSeries.zero()
-    bound: Optional[Rat] = None
-    match = _O_RE.search(body)
-    if match:
-        bound = -parse_rat(match.group(1))
-        body = (body[: match.start()] + body[match.end() :]).strip()
-        body = body.rstrip("+ ").strip()
-    pairs: List[Tuple[Rat, Rat]] = []
-    if body:
-        for chunk in body.split("+"):
-            m = _TERM_RE.match(chunk)
-            if not m:
-                raise ParseError(f"bad series term {chunk.strip()!r}")
-            c = parse_rat(m.group(1))
-            q = -parse_rat(m.group(2)) if m.group(2) else Rat(0)
-            pairs.append((q, c))
-    return PuiseuxSeries.make(pairs, bound)
 
 
 # -- Ore polynomials ---------------------------------------------------------------
@@ -492,16 +462,24 @@ class ZSequence:
 
     @classmethod
     def from_json(cls, data: dict) -> "ZSequence":
-        entries = [
-            (parse_rat(str(e["r"])), parse_rat(str(e["gamma"])))
-            for e in data.get("entries", [])
-        ]
+        if not isinstance(data, dict):
+            raise ParseError("z-sequence JSON must be an object")
+        if not isinstance(data.get("entries", []), list):
+            raise ParseError("z-sequence entries must be a list")
+        entries = []
+        for e in data.get("entries", []):
+            try:
+                entries.append((parse_rat(str(e["r"])), parse_rat(str(e["gamma"]))))
+            except (KeyError, TypeError) as exc:
+                raise ParseError(f"bad z-sequence entry {e!r}: {exc}") from None
         tail_data = data.get("tail")
         tail: Optional[object] = None
         if tail_data is not None:
+            if not isinstance(tail_data, dict):
+                raise ParseError("z-sequence tail must be an object")
             kind = tail_data.get("kind")
             if kind == "irrational":
-                tail = ZTerminal(ValueGroupElement.from_json(tail_data["value"]))
+                tail = ZTerminal(ValueGroupElement.from_json(tail_data.get("value", {})))
             elif kind == "rule":
                 tail = builtin_z_rule(str(tail_data.get("rule", "")))
             else:
@@ -520,20 +498,6 @@ def a_series(zseq: ZSequence, depth: int, exact: bool = False) -> PuiseuxSeries:
     if not exact and zseq.has_entry(depth + 1):
         bound = zseq.entry(depth + 1)[0]
     return PuiseuxSeries.make([(r, g) for r, g in pairs], bound)
-
-
-def translate_y(zseq: ZSequence, ell: int) -> Tuple[PuiseuxSeries, ZSequence]:
-    """Re-base so the new z_0 is the old z_ell.
-
-    Returns (a_ell, shifted sequence); an element f over the old variable
-    corresponds to shift_variable(f, a_ell) over the new one, with equal
-    values.
-    """
-    if ell < 0 or ell > len(zseq.explicit_entries):
-        raise ValueError("translation index outside the explicit entries")
-    a = a_series(zseq, ell, exact=True)
-    shifted = ZSequence(zseq.explicit_entries[ell:], zseq.tail)
-    return a, shifted
 
 
 # -- z-sequence valuations ------------------------------------------------------------

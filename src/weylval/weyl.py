@@ -251,20 +251,12 @@ def normalize(word: Word) -> WeylElement:
     return result
 
 
-def mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    return a.mul(b)
-
-
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """a*b - b*a."""
     return a.mul(b).sub(b.mul(a))
 
 
 Poly1 = list  # dense univariate polynomial over Rat, index = power of t
-
-
-def poly_str(p: Poly1) -> str:
-    return " + ".join(f"{format_rat(c)}*t^{k}" for k, c in enumerate(p) if c != 0) or "0"
 
 
 def apply_to_poly(w: WeylElement, poly: Poly1) -> Poly1:

@@ -15,7 +15,7 @@ from weylval import (
     ValueGroupElement,
     WeylElement,
     basis_slot,
-    commutator_value,
+    commutator,
     eval_element,
     group_kind,
     omega_element,
@@ -158,14 +158,20 @@ class TestDerivedData:
         # odd n steps: the odd-part root is canonical
         assert alpha(constant131, 1, 2) == Rat(1)
 
-    def test_commutator_values(self, worked):
-        zero = ValueGroupElement.rational(Rat(0))
-        assert commutator_value(worked, -1, 0).cmp(zero) == 0
-        assert commutator_value(worked, -1, 1) == ValueGroupElement.rational(Rat(-1, 2))
-        assert commutator_value(worked, 0, 1) == ValueGroupElement.rational(Rat(1))
-        assert commutator_value(worked, 1, 2) == ValueGroupElement.rational(Rat(1, 2))
-        with pytest.raises(ValueError):
-            commutator_value(worked, 1, 1)
+    def test_commutator_values(self, worked, halving, constant131):
+        # v([w_j, w_i]) = -v(x y w_1 ... w_{j-1} with w_i left out), w_{-1} = x
+        expected = {
+            (-1, 0): ("0", "0", "0"),
+            (-1, 1): ("-1/2", "-1/2", "-1/3"),
+            (0, 1): ("1", "1", "1"),
+            (1, 2): ("1/2", "1/2", "2/3"),
+            (0, 2): ("3/4", "3/4", "8/9"),
+            (-1, 2): ("-3/4", "-3/4", "-4/9"),
+        }
+        for (i, j), values in expected.items():
+            for d, q in zip((worked, halving, constant131), values):
+                bracket = commutator(omega_element(d, j), omega_element(d, i))
+                assert eval_element(d, bracket) == ValueGroupElement.rational(Rat(q))
 
     def test_group_kinds(self, worked, halving, constant131, single24):
         assert group_kind(worked) == GroupKind.RANK_TWO

@@ -19,7 +19,6 @@ from weylval import (
     WeylvalError,
     ZSequence,
     check_extendable,
-    cofactor_tail,
     cofactor_tail_residue,
     embed,
     omega_element,
@@ -54,6 +53,20 @@ def base_root(d, i):
     step = d.step(i)
     factor = PuiseuxSeries.x_power(Rat(step.m, step.n))
     return embed(omega_element(d, i - 1)).scale_series(factor)
+
+
+def cofactor_tail(d, res, i, j):
+    """S_{i,j} = sum_{k=1..n-j} C(k+j-1, j) gamma^{k-1} b_i^{n-j-k} as an Ore
+    polynomial, the reference for the conversion's closed-form atoms."""
+    n = d.step(i).n
+    if not 0 <= j <= n - 1:
+        raise ValueError(f"cofactor tail S_{{{i},{j}}} needs 0 <= j < n = {n}")
+    b = base_root(d, i)
+    out = OrePoly.zero()
+    for k in range(1, n - j + 1):
+        coeff = Rat(tail_count(n, k, j)) * res.gamma(i) ** (k - 1)
+        out = ore_mul(out, b).add(scalar_poly(coeff))
+    return out
 
 
 def ore_pow(f, n):

@@ -78,6 +78,12 @@ class TestOrderingDescriptor:
             {"basis": {"omega_index": 0}, "signs": [1, -1]},
             {"basis": {}, "signs": [1]},
             {"basis": {"omega_index": 0}, "signs": [2]},
+            {"basis": {"omega_index": 1}, "signs": ["a"]},
+            {"basis": {"omega_index": "b"}, "signs": [1]},
+            {"basis": {}, "signs": None},
+            {"basis": {"terminal": "false"}, "signs": [1]},
+            {"basis": {"omega_index": 1.7}, "signs": [1]},
+            {"basis": {"omega_index": 0}, "signs": [True]},
         ],
     )
     def test_from_json_rejects_bad_shapes(self, data):

@@ -23,10 +23,8 @@ from weylval import (
     embed,
     normalize,
     ore_mul,
-    parse_series,
     shift_variable,
     tilde_eval,
-    translate_y,
     z_eval,
     z_residue,
 )
@@ -166,26 +164,8 @@ class TestPuiseuxSeries:
 class TestSeriesText:
     def test_spec_format(self):
         text = "1*x^(-1/2) + 3*x^(-2) + O(x^(-5))"
-        p = parse_series(text)
-        assert p.terms == ((Rat(1, 2), Rat(1)), (Rat(2), Rat(3)))
-        assert p.known_up_to == Rat(5)
+        p = PuiseuxSeries.make([(Rat(1, 2), Rat(1)), (Rat(2), Rat(3))], Rat(5))
         assert str(p) == text
-
-    def test_roundtrip_random(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            pairs = [
-                (Rat(rng.randint(-6, 6), rng.randint(1, 4)), Rat(rng.randint(1, 9)))
-                for _ in range(rng.randint(0, 4))
-            ]
-            bound = Rat(20) if rng.random() < 0.5 else None
-            p = PuiseuxSeries.make(pairs, bound)
-            assert parse_series(str(p)) == p
-
-    def test_parse_errors(self):
-        for bad in ["x^", "1*x^(1/2) + +", "O(x)", "q"]:
-            with pytest.raises(ParseError):
-                parse_series(bad)
 
 
 class TestOreMul:
@@ -348,6 +328,21 @@ class TestZSequence:
         with pytest.raises(ParseError):
             ZSequence.from_json({"entries": [{"r": "1/2", "gamma": "1"}], "tail": tail})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            "not a dict",
+            {"entries": 5},
+            {"entries": [5]},
+            {"entries": [{"r": "1/2"}]},
+            {"entries": [{"r": "1/2", "gamma": "1"}], "tail": 5},
+            {"entries": [], "tail": {"kind": "irrational", "value": 5}},
+        ],
+    )
+    def test_from_json_rejects_bad_shapes(self, data):
+        with pytest.raises(ParseError):
+            ZSequence.from_json(data)
+
     def test_terminal_must_lie_above_the_last_exponent(self):
         # xi/2 = sqrt(2)/2 is about 0.707
         for r in (Rat(3, 4), Rat(71, 100)):
@@ -368,22 +363,21 @@ class TestZSequence:
 
 
 class TestTranslate:
+    # Re-basing at z_ell: f over y is shift_variable(f, a_ell) over z_ell,
+    # with a_ell = a_series(seq, ell, exact=True).
     def test_identity(self, terminal_seq3):
-        a0, same = translate_y(terminal_seq3, 0)
+        a0 = a_series(terminal_seq3, 0, exact=True)
         assert a0.terms == ()
-        assert same.explicit_entries == terminal_seq3.explicit_entries
+        assert shift_variable(Y, a0) == Y
 
     def test_slice(self, terminal_seq3):
-        a1, shifted = translate_y(terminal_seq3, 1)
+        a1 = a_series(terminal_seq3, 1, exact=True)
         assert a1.terms == ((Rat(1, 2), Rat(1)),)
-        assert shifted.explicit_entries == terminal_seq3.explicit_entries[1:]
-
-    def test_out_of_range(self, terminal_seq3):
-        with pytest.raises(ValueError):
-            translate_y(terminal_seq3, 4)
+        assert shift_variable(Y, a1) == Y.add(OrePoly.from_series(a1))
 
     def test_value_preservation(self, terminal_seq3):
-        a1, shifted = translate_y(terminal_seq3, 1)
+        a1 = a_series(terminal_seq3, 1, exact=True)
+        shifted = ZSequence(terminal_seq3.explicit_entries[1:], terminal_seq3.tail)
         cases = [
             Y,
             OrePoly.make([PuiseuxSeries.x_power(Rat(-1)), PuiseuxSeries.scalar(Rat(2))]),
