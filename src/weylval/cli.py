@@ -129,7 +129,7 @@ def _cmd_extend_check(args: argparse.Namespace) -> Outcome:
     for ordering in enumerate_orderings(desc):
         entry: dict = {"ordering": ordering.to_json()}
         try:
-            result = extend_ordering(desc, ordering, _depth(args))
+            result = extend_ordering(desc, ordering)
         except NotExtendable as exc:
             entry["extendable"] = False
             entry["reason"] = str(exc)
@@ -231,9 +231,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "at least 0; for validate, the rule steps to check (default 8); for "
-            "convert, the z-sequence entries to emit (default 64); otherwise the "
-            "evaluation depth limit (default 64), which counts a step when an "
-            "evaluation reads a generator's value or chooses a divisor"
+            "convert, the z-sequence entries to emit (default 64); orderings and "
+            "extend-check ignore it; otherwise the evaluation depth limit "
+            "(default 64), which counts a step when an evaluation reads a "
+            "generator's value or chooses a divisor"
         ),
     )
     expr_flags = argparse.ArgumentParser(add_help=False)

@@ -15,9 +15,6 @@ from .errors import BudgetExceeded, EvenRootOfNegative, NoRationalRoot, ParseErr
 
 Rat = Fraction
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
 
 def parse_rat(text: str) -> Rat:
     """Parse "p/q" or "p" (optionally signed) into a Rat.

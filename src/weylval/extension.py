@@ -132,20 +132,26 @@ class GammaResolution:
 
     `gammas` holds the roots over the data window; `gamma(i)` is the one
     accessor, and resolves a rule's deeper roots on demand by the same sign
-    rules.
+    rules, each once: `deeper` keeps them, since the conversion reads every
+    root again at each later entry.
     """
 
     gammas: Tuple[Rat, ...]
     free_choice_index: Optional[int]
     chosen_sign: Optional[int]
     desc: OmegaDescriptor = field(compare=False, repr=False)
+    deeper: Dict[int, Rat] = field(default_factory=dict, compare=False, repr=False)
 
     def gamma(self, i: int) -> Rat:
         if i < 1:
             raise ValueError("step indices are 1-based")
         if i <= len(self.gammas):
             return self.gammas[i - 1]
-        return _gamma_tilde(self.desc, i, self.free_choice_index, self.chosen_sign)
+        root = self.deeper.get(i)
+        if root is None:
+            root = _gamma_tilde(self.desc, i, self.free_choice_index, self.chosen_sign)
+            self.deeper[i] = root
+        return root
 
     def to_json(self) -> dict:
         out: dict = {"gammas": [format_rat(g) for g in self.gammas]}

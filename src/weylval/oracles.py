@@ -7,11 +7,12 @@ the two.  What each shares with the core:
 - The commutative shadow (`shadow_eval`) re-evaluates an element on
   commutative Laurent monomials.  It shares with the main evaluator only the
   kernel residue map `_rho` and the generator values a `Valuation` session
-  reads from the descriptor (`gen_value`); it never reads a session's leading
-  data or word keys, and sums its values as `ValueGroupElement`s.  It is
-  known to be wrong once a cancellation reaches the normal-ordering
-  corrections, which it does not see: it gives 0 for v(w_2) = xi/8 on
-  `worked` and for v(x*y*w_1^2 - 1) = 1/8 on `halving` (ROADMAP F5).
+  reads from the descriptor, each rebuilt from its key
+  (`key_value(gen_key(i))`); it never reads a session's leading data or word
+  keys, and sums its values as `ValueGroupElement`s.  It is known to be
+  wrong once a cancellation reaches the normal-ordering corrections, which
+  it does not see: it gives 0 for v(w_2) = xi/8 on `worked` and for
+  v(x*y*w_1^2 - 1) = 1/8 on `halving` (ROADMAP F5).
 - `roundtrip_check` compares the main evaluator with `z_eval` after
   `omega_to_z`.  The conversion and `z_eval` share no code with the
   evaluator beyond the descriptor and the exact arithmetic (`coeff`,
@@ -64,7 +65,7 @@ def _shadow_value(ctx: Valuation, key: SKey) -> ValueGroupElement:
         if s == 0:
             total = total.add(ValueGroupElement.rational(-k))
         else:
-            total = total.add(ctx.gen_value(s - 1).scalar_mul(k))
+            total = total.add(ctx.key_value(ctx.gen_key(s - 1)).scalar_mul(k))
     return total
 
 

@@ -144,11 +144,7 @@ class ExtensionResult:
         }
 
 
-def extend_ordering(
-    desc: OmegaDescriptor,
-    ordering: OrderingDescriptor,
-    depth_limit: int = 64,
-) -> ExtensionResult:
+def extend_ordering(desc: OmegaDescriptor, ordering: OrderingDescriptor) -> ExtensionResult:
     """Extend one compatible ordering to the Ore ring over Puiseux series.
 
     Raises NotExtendable when the valuation itself does not extend, or when
@@ -158,11 +154,11 @@ def extend_ordering(
     whose sign is the ordering's omega sign (w_{b-1} is its own
     representative, with residue 1), and the extension ring carries a
     unique compatible ordering: its value group's rational part is fully
-    divisible, leaving only the terminal slot's sign to survive.
+    divisible, leaving only the terminal slot's sign to survive.  The sign
+    of x reads no step past the data window, so no depth limit applies.
     """
     free = free_step(desc)
-    session = Valuation(desc, depth_limit)
-    if session.sign(ordering, WeylElement.x()) != 1:
+    if Valuation(desc).sign(ordering, WeylElement.x()) != 1:
         raise NotExtendable("x is negative under this ordering")
     sign_choice = None if free is None else ordering.omega_sign
     has_terminal = desc.terminal is not None

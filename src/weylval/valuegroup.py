@@ -113,9 +113,6 @@ class ValueGroupElement:
     def is_zero(self) -> bool:
         return self.q == 0 and self.k_xi == 0 and self.k_mu == 0
 
-    def is_rational(self) -> bool:
-        return self.k_xi == 0 and self.k_mu == 0
-
     # -- text / JSON --------------------------------------------------------
 
     def __str__(self) -> str:
@@ -184,9 +181,6 @@ class VInfinity:
 
     def __hash__(self):
         return hash("weylval-infinity")
-
-    def is_rational(self) -> bool:
-        return False
 
     def __str__(self) -> str:
         return "infinity"

@@ -662,7 +662,8 @@ def reference_word_value(session, word):
     total = rational(0)
     for f in word:
         if type(f) is tuple:
-            total = total.add(session.gen_value(f[0] - 1).scalar_mul(f[1]))
+            value = session.key_value(session.gen_key(f[0] - 1))
+            total = total.add(value.scalar_mul(f[1]))
         elif type(f) is evaluate.Deferred:
             values = [
                 reference_word_value(session, u)

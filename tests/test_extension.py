@@ -257,6 +257,19 @@ class TestResolveGammas:
         with pytest.raises(SignChoiceForbidden):
             resolve_gammas(halving, sign_choice=1)
 
+    def test_each_deep_root_is_taken_once(self, halving, monkeypatch):
+        # the conversion reads every root again at each later entry; past
+        # the data window the resolution takes each root once and keeps it
+        roots = []
+        nth_root = extension.nth_root
+        monkeypatch.setattr(
+            extension, "nth_root", lambda value, n: roots.append(n) or nth_root(value, n)
+        )
+        res = resolve_gammas(halving)
+        assert len(omega_to_z(halving, res, 64).explicit_entries) == 64
+        assert len(roots) <= 64
+        assert res == resolve_gammas(halving)
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_worked_descriptor_free_sign_sits_at_top_step(self, worked, sign):
         res = resolve_gammas(worked, sign_choice=sign)
