@@ -7,12 +7,12 @@ session memoizes only what its traffic re-reads: generator keys, commutators
 and leading data (`Valuation` says why); word keys and sorts are recomputed.
 
 The main path works on pools of terms coeff * word, where a word is a product
-of generator powers x^k, w_i^k and formal sum-inverse blocks.  Levels are
-processed in increasing value order; a level is certified as v(F) as soon as
-the relative residues of its terms do not cancel, otherwise every term is
-rewritten exactly into terms of strictly larger value.  The scan compares
-words on int `Key`s, (num, den, k_xi) for num/den + k_xi xi, and builds one
-`ValueGroupElement` per certified level.
+of two kinds of factor: generator powers x^k, w_i^k and formal sum-inverse
+blocks.  Levels are processed in increasing value order; a level is
+certified as v(F) as soon as the relative residues of its terms do not
+cancel, otherwise every term is rewritten exactly into terms of strictly
+larger value.  The scan compares words on int `Key`s, (num, den, k_xi) for
+num/den + k_xi xi, and builds one `ValueGroupElement` per certified level.
 
 The cross-checks of this evaluator (the commutative shadow, the samplers)
 live in `oracles`; of this module they use only `Valuation` and `_rho`.
@@ -35,8 +35,8 @@ if TYPE_CHECKING:
 
 # A word is a tuple of factors.  A generator power is the int pair (slot, k):
 # slot 0 is x and slot s >= 1 is w_{s-1}, whose value m_s/n_s comes from
-# step s.  The other two factors are a SumInverse block and a Deferred
-# commutator; code tells the three apart by type.
+# step s.  The other factor is a SumInverse block; code tells the two apart
+# by type.
 Factor = tuple
 Word = Tuple[Factor, ...]
 Emission = Tuple[Rat, Word]
@@ -71,19 +71,6 @@ class SumInverse(NamedTuple):
     word: Word
     n: int
     rho: Rat
-
-
-class Deferred(NamedTuple):
-    """Opaque factor standing for the commutator [f, g], expanded lazily.
-
-    Materializing commutator spreads at every reordering swap floods the
-    worklist with words far above the level that eventually certifies; a
-    deferred factor keeps one pending entry per swap and is only unfolded if
-    the level scan actually reaches its value.
-    """
-
-    f: Factor
-    g: Factor
 
 
 def _concat(*parts: Iterable[Factor]) -> Word:
@@ -140,12 +127,12 @@ class Valuation:
     The session memoizes only what its traffic re-reads: `_gen_keys`, as
     every word key sums generator keys (263,293 of 283,787 lookups hit on
     bench `query`, seed 1, 15 s); `_commutators`, as nested commutators
-    recurse into the same pairs and a deferred factor is keyed through its
-    commutator (1,421 of 2,882 hit over the tests); and `_elements`, as the
-    CLI's `sign` reads every ordering from one session.  Word keys and sorts
-    are recomputed: a query certifies its first level in one pass, so no
-    word is keyed or sorted twice, and a lookup would hash the whole word,
-    which costs about as much as summing its key.
+    recurse into the same pairs (1,249 of 2,336 lookups hit over the
+    tests); and `_elements`, as the CLI's `sign` reads every ordering from
+    one session.  Word keys and sorts are recomputed: a query certifies its
+    first level in one pass, so no word is keyed or sorted twice, and a
+    lookup would hash the whole word, which costs about as much as summing
+    its key.
     """
 
     def __init__(self, desc: OmegaDescriptor, depth_limit: int = 64):
@@ -217,29 +204,18 @@ class Valuation:
         return key
 
     def word_key(self, word: Word) -> Key:
-        """The key of v(word), summed over its factors: sum-inverse blocks
-        have value 0, and a deferred factor [f, g] takes the least key of its
-        commutator's words."""
+        """The key of v(word), summed over its generator powers; sum-inverse
+        blocks have value 0."""
         num, den, k_xi = 0, 1, 0
         for f in word:
             if type(f) is tuple:
                 n, d, k = self.gen_key(f[0] - 1)
                 n, k = n * f[1], k * f[1]
-            elif type(f) is Deferred:
-                least: Optional[Key] = None
-                for _, u in _factor_commutator(self, f.f, f.g):
-                    key = self.word_key(u)
-                    if least is None or _key_cmp(key, least, self.scale) < 0:
-                        least = key
-                assert least is not None, "deferred commutator has empty content"
-                n, d, k = least
-            else:
-                continue
-            if d == den:
-                num += n
-            else:
-                num, den = num * d + n * den, den * d
-            k_xi += k
+                if d == den:
+                    num += n
+                else:
+                    num, den = num * d + n * den, den * d
+                k_xi += k
         return (num, den, k_xi)
 
     def key_value(self, key: Key) -> ValueGroupElement:
@@ -408,7 +384,7 @@ def _expand_pure(ctx: Valuation, word: Word) -> List[Emission]:
         rho_p = _rho(ctx, exps)
         si = SumInverse(word, n_fold, rho_p)
         powered = _concat(*([word] * n_fold))
-        return [(c, _concat(u, (si,))) for c, u in _expand_pure(ctx, powered)]
+        return [(c, u + (si,)) for c, u in _expand_pure(ctx, powered)]
     out: List[Emission] = []
     scalar = Rat(1)
     main = word
@@ -426,7 +402,7 @@ def _expand_pure(ctx: Valuation, word: Word) -> List[Emission]:
                 out.append((-scalar / step.beta, _concat(main, ((s + 1, 1),))))
                 main = _concat(main, ((0, step.m), (s, step.n)))
                 scalar /= step.beta
-    unit, corrections = _sort_word(main)
+    unit, corrections = _sort_word(ctx, main)
     assert unit == (), "zero-exponent word must sort and cancel to 1"
     for c, u in corrections:
         out.append((scalar * c, u))
@@ -453,18 +429,22 @@ def _expand_si(ctx: Valuation, si: SumInverse) -> List[Emission]:
     return out
 
 
-def _sort_word(word: Word) -> Tuple[Word, List[Emission]]:
+def _sort_word(ctx: Valuation, word: Word) -> Tuple[Word, List[Emission]]:
     """Sorted form of a word plus the exact corrections the reordering costs.
 
     The sorted form has the generator powers in slot order, with adjacent
     equal generators merged and zero powers dropped, and then the word's
     sum-inverse blocks, which every word carries at its right end and which
-    therefore never move.  Only the word itself is sorted, by a finite bubble
-    pass, while every materialized commutator is returned unsorted.
-    Corrections all have value strictly greater than the word (full recursive
-    normalization would not terminate for sum-inverse blocks, whose normal
-    form is an infinite series of increasing values), so callers keep them
-    lazily and sort them only if the worklist ever reaches their level.
+    therefore never move.  Each swap f g = g f + [f, g] materializes its
+    commutator at the swap: every word of [f, g], spliced between the prefix
+    and the suffix, becomes a correction.  A splice is a tuple
+    concatenation, so a correction may hold adjacent powers of one slot
+    until it is sorted.  Only the word itself is sorted, by a finite bubble
+    pass, while the corrections are returned unsorted.  They all have value
+    strictly greater than the word (full recursive normalization would not
+    terminate for sum-inverse blocks, whose normal form is an infinite
+    series of increasing values), so callers sort them only if the worklist
+    ever reaches their level.
     """
     items = list(_concat(word))
     corrections: List[Emission] = []
@@ -478,13 +458,14 @@ def _sort_word(word: Word) -> Tuple[Word, List[Emission]]:
         if swap_at is None:
             return tuple(items), corrections
         prefix, suffix = tuple(items[:swap_at]), tuple(items[swap_at + 2 :])
-        corrections.append((Rat(1), prefix + (Deferred(f, g),) + suffix))
+        for c, u in _factor_commutator(ctx, f, g):
+            corrections.append((c, prefix + u + suffix))
         items = list(_concat(prefix, (g, f), suffix))
 
 
 def _expand_zero(ctx: Valuation, word: Word, res: Rat) -> List[Emission]:
     """Exact emissions of (word - res) for a value-0 word; each value > 0."""
-    main, out = _sort_word(word)
+    main, out = _sort_word(ctx, word)
     split = len(main)
     while split and type(main[split - 1]) is SumInverse:
         split -= 1
@@ -493,12 +474,12 @@ def _expand_zero(ctx: Valuation, word: Word, res: Rat) -> List[Emission]:
     sigmas = [_si_sigma(b) for b in blocks]
     assert rho_p * math.prod(sigmas, start=Rat(1)) == res
     for c, u in _expand_pure(ctx, pure):
-        out.append((c, _concat(u, blocks)))
+        out.append((c, u + blocks))
     running = rho_p
     for idx, block in enumerate(blocks):
         rest = blocks[idx + 1 :]
         for c, u in _expand_si(ctx, block):
-            out.append((running * c, _concat(u, rest)))
+            out.append((running * c, u + rest))
         running *= sigmas[idx]
     return out
 
@@ -613,11 +594,12 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
     One pass per level keeps the scan exact yet lazy.  ``pending`` holds raw
     words, and a pass takes each one's int key once, finds the least key and
     splits that level from the rest.  Only the level's words are sorted, into
-    ``canon``, where equal content merges and cancels eagerly; reordering
-    corrections above the eventual certification level are carried along in
-    ``pending`` but never paid for.  Sorting keeps a word's value, so
-    ``canon`` holds the level alone: the pass certifies it, or finds it empty,
-    or rewrites all of it into ``pending`` at strictly larger values.
+    ``canon``, where equal content merges and cancels eagerly.  Sorting keeps
+    a word's value, so ``canon`` holds the level alone: the pass certifies
+    it, or finds it empty, or rewrites all of it into ``pending`` at
+    strictly larger values.  The sorts' corrections sit strictly above the
+    level, so they join ``pending`` unsorted, and only when the level does
+    not certify.
     """
     pending = pool
     word_key, scale = ctx.word_key, ctx.scale
@@ -633,46 +615,32 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
         if level is None:
             return _ZERO_LEADING
         canon: Dict[Word, Rat] = {}
-        still: Dict[Word, Rat] = {}
-        queue: List[Tuple[Word, Rat]] = []
+        pending = {}
+        sorts: List[Tuple[Rat, List[Emission]]] = []
         for w, c, key in keyed:
-            if _key_cmp(key, level, scale) == 0:
-                queue.append((w, c))
-            else:
-                _accumulate(still, w, c)
-        while queue:
-            w, c = queue.pop()
-            spot = next((p for p, f in enumerate(w) if type(f) is Deferred), None)
-            if spot is None:
-                sw, corrections = _sort_word(w)
-                _accumulate(canon, sw, c)
-                for cc, cu in corrections:
-                    _accumulate(still, cu, c * cc)
+            if _key_cmp(key, level, scale):
+                _accumulate(pending, w, c)
                 continue
-            head, tail = w[:spot], w[spot + 1 :]
-            for cc, u in _factor_commutator(ctx, w[spot].f, w[spot].g):
-                nw = _concat(head, u, tail)
-                nc = c * cc
-                if _key_cmp(word_key(nw), level, scale) == 0:
-                    queue.append((nw, nc))
-                else:
-                    _accumulate(still, nw, nc)
-        pending = still
+            sw, corrections = _sort_word(ctx, w)
+            _accumulate(canon, sw, c)
+            sorts.append((c, corrections))
         group = [(w, c) for w, c in canon.items() if c]
-        if not group:
-            continue
-        value = ctx.key_value(level)
-        ref = _canonical_ref(ctx, value)
-        inv_ref = _invert_pure(ref.word)
         members = []
-        lam = Rat(0)
-        for w, c in group:
-            rel = _concat(inv_ref, w)
-            res = _word_residue(ctx, rel)
-            members.append((w, c, rel, res))
-            lam += c * res
-        if lam != 0:
-            return LeadingData(value, lam, ref.word, ref.eps_basis, ref.eps_terminal)
+        if group:
+            value = ctx.key_value(level)
+            ref = _canonical_ref(ctx, value)
+            inv_ref = _invert_pure(ref.word)
+            lam = Rat(0)
+            for w, c in group:
+                rel = _concat(inv_ref, w)
+                res = _word_residue(ctx, rel)
+                members.append((w, c, rel, res))
+                lam += c * res
+            if lam != 0:
+                return LeadingData(value, lam, ref.word, ref.eps_basis, ref.eps_terminal)
+        for c, corrections in sorts:
+            for cc, cu in corrections:
+                _accumulate(pending, cu, c * cc)
         for w, c, rel, res in members:
             for cc, ww in _expand_zero(ctx, rel, res):
                 _accumulate(pending, _concat(ref.word, ww), c * cc)

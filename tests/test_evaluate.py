@@ -1,6 +1,5 @@
 """Main valuation engine: values, residues, fractions, sessions, and the shadow oracle."""
 
-import functools
 import json
 import math
 import random
@@ -20,6 +19,7 @@ from weylval import (
     ValueGroupElement,
     WeylElement,
     WeylFraction,
+    WeylvalError,
     cmp,
     commutator,
     enumerate_orderings,
@@ -437,6 +437,64 @@ class TestLevelScan:
         assert certified == [rational(0)]
 
 
+def word_element(desc, word):
+    """The Weyl element of a word of generator powers: x^k in slot 0, and
+    the tower element w_{s-1} from `omega_element` in slot s >= 1."""
+    out = WeylElement.scalar(1)
+    for s, k in word:
+        out = out.mul(WeylElement.monomial(k, 0) if s == 0 else omega_element(desc, s - 1).pow(k))
+    return out
+
+
+class TestSortWord:
+    @pytest.mark.parametrize(
+        "fixture", ["worked", "halving", "constant131", "single24", "single_terminal"]
+    )
+    def test_sorting_is_an_exact_weyl_identity(self, request, fixture):
+        # word = sorted + sum c u over the corrections, each swap's
+        # commutator spliced in; each u sits strictly above the word
+        desc = request.getfixturevalue(fixture)
+        session = Valuation(desc)
+        # slots 0..3 whose tower element builds, with its y-degree: a bare
+        # prefix stops early
+        degrees = {0: 0}
+        for s in (1, 2, 3):
+            try:
+                degrees[s] = omega_element(desc, s - 1).max_degrees()[1]
+            except WeylvalError:
+                break
+        slots = list(degrees)
+        try:
+            for s in slots:
+                session.gen_key(s - 1)
+            declared = True
+        except DepthExceeded:
+            declared = False
+        rng = random.Random(23)
+        words = []
+        while len(words) < 150:
+            word = []
+            for _ in range(rng.randint(2, 4)):
+                s = rng.choice(slots)
+                word.append((s, rng.randint(-4, 4) if s == 0 else rng.randint(0, 3)))
+            # y-degree 27 at most keeps the products in `word_element` small
+            if sum(degrees[s] * k for s, k in word) <= 27:
+                words.append(tuple(word))
+        swapped = 0
+        for word in words:
+            sorted_word, corrections = evaluate._sort_word(session, word)
+            swapped += bool(corrections)
+            total = word_element(desc, sorted_word)
+            for c, u in corrections:
+                total = total.add(word_element(desc, u).mul(WeylElement.scalar(c)))
+            assert total == word_element(desc, word)
+            if declared:
+                key = session.word_key(word)
+                for _, u in corrections:
+                    assert evaluate._key_cmp(session.word_key(u), key, session.scale) > 0
+        assert swapped > 50
+
+
 class TestMonomialGap:
     def test_single_index(self, worked):
         # x*y^2 - its residue lands at the next tower value
@@ -655,21 +713,14 @@ class TestCanonicalRef:
 def reference_word_value(session, word):
     """v(word) summed as ValueGroupElements, factor by factor.
 
-    A generator power adds its generator value times its exponent, a
-    deferred commutator the least value of its words, and a sum-inverse
-    block nothing.
+    A generator power adds its generator value times its exponent, and a
+    sum-inverse block nothing.
     """
     total = rational(0)
     for f in word:
         if type(f) is tuple:
             value = session.key_value(session.gen_key(f[0] - 1))
             total = total.add(value.scalar_mul(f[1]))
-        elif type(f) is evaluate.Deferred:
-            values = [
-                reference_word_value(session, u)
-                for _, u in evaluate._factor_commutator(session, f.f, f.g)
-            ]
-            total = total.add(min(values, key=functools.cmp_to_key(lambda a, b: a.cmp(b))))
     return total
 
 
@@ -727,13 +778,7 @@ class TestValueKeys:
         for _ in range(150):
             word = []
             for _ in range(rng.randint(1, 5)):
-                if rng.random() < 0.3:
-                    # commutators of low slots keep the expansion small
-                    s, t = rng.sample(slots[:4], 2)
-                    f, g = (s, rng.randint(1, 3)), (t, rng.randint(-2, 3) or 1)
-                    word.append(evaluate.Deferred(f, g))
-                else:
-                    word.append((rng.choice(slots), rng.randint(-9, 9) or 1))
+                word.append((rng.choice(slots), rng.randint(-9, 9) or 1))
             if rng.random() < 0.2:
                 word.append(block)
             word = tuple(word)
@@ -759,7 +804,7 @@ class TestSumInverseBlocks:
         assert emissions
         for _, u in emissions:
             assert u[-1] == si
-            # no generator or commutator right of a block
+            # no generator right of a block
             first = next(p for p, f in enumerate(u) if type(f) is evaluate.SumInverse)
             assert all(type(f) is evaluate.SumInverse for f in u[first:])
 
