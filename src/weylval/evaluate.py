@@ -4,7 +4,9 @@
 computes each element's leading data once and reads value, residue and every
 ordering's sign from it.  The free functions open a session per call.  A
 session memoizes only what its traffic re-reads: generator keys, commutators
-and leading data (`Valuation` says why); word keys and sorts are recomputed.
+and leading data (`Valuation` says why).  Sorts are recomputed, and word keys
+are not stored: a digit pool's words carry theirs from the digit recursion,
+and only the words of a level that does not certify are keyed again.
 
 The main path works on pools of terms coeff * word, where a word is a product
 of two kinds of factor: generator powers x^k, w_i^k and formal sum-inverse
@@ -21,8 +23,9 @@ live in `oracles`; of this module they use only `Valuation` and `_rho`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
 from .descriptor import OmegaDescriptor, alpha, data_window, omega_integer_form, pair_data, two_adic_slot
@@ -35,9 +38,9 @@ if TYPE_CHECKING:
 
 # A word is a tuple of factors.  A generator power is the int pair (slot, k):
 # slot 0 is x and slot s >= 1 is w_{s-1}, whose value m_s/n_s comes from
-# step s.  The other factor is a SumInverse block; code tells the two apart
-# by type.
-Factor = tuple
+# step s.  The other factor is a SumInverse block, not a tuple; code tells
+# the two apart by type.
+Factor = Union[Tuple[int, int], "SumInverse"]
 Word = Tuple[Factor, ...]
 Emission = Tuple[Rat, Word]
 Element = Union[WeylElement, WeylFraction]
@@ -47,6 +50,8 @@ _ZERO_VALUE = ValueGroupElement.rational(0)
 # the session's `scale` times sqrt(2): the terminal is the only source of an
 # irrational part, and it refuses a nonzero k_mu.
 Key = Tuple[int, int, int]
+# A word with its coefficient and key; a digit pool's coefficients may be ints.
+Keyed = Tuple[Word, Union[int, Rat], Key]
 
 
 def _key_cmp(a: Key, b: Key, scale: Rat) -> int:
@@ -61,16 +66,33 @@ def _key_cmp(a: Key, b: Key, scale: Rat) -> int:
     )
 
 
-class SumInverse(NamedTuple):
+def _key_add(a: Key, b: Key, k: int) -> Key:
+    """The key of a + k b, over a's denominator when b's divides it."""
+    (na, da, ka), (nb, db, kb) = a, b
+    if da % db == 0:
+        return (na + k * nb * (da // db), da, ka + k * kb)
+    return (na * db + k * nb * da, da * db, ka + k * kb)
+
+
+class SumInverse:
     """Formal inverse of sum_{j<n} word^{n-1-j} rho^j.
 
     `word` is a pure value-0 word with residue rho; the block has value 0
-    and residue 1/(n rho^{n-1}).
+    and residue 1/(n rho^{n-1}).  A block is identified by (word, n): rho is
+    a function of the word, and hashing it would cost a `Fraction` hash on
+    every lookup of a word that holds the block.
     """
 
-    word: Word
-    n: int
-    rho: Rat
+    __slots__ = ("word", "n", "rho")
+
+    def __init__(self, word: Word, n: int, rho: Rat):
+        self.word, self.n, self.rho = word, n, rho
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SumInverse and (self.word, self.n) == (other.word, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.word, self.n))
 
 
 def _concat(*parts: Iterable[Factor]) -> Word:
@@ -119,20 +141,22 @@ class Valuation:
     generator values were read first, or a level already certified.
 
     The level scan compares words on int `Key`s: each generator value is read
-    once, as a key (`gen_key`), and a word's key is the sum of its factors'
-    keys (`word_key`).  The shadow in `oracles` reads `key_value(gen_key(i))`,
-    the same value rebuilt from its key, and keeps its own
-    `ValueGroupElement` arithmetic.
+    once, as a key (`gen_key`).  A digit pool's word gets its key from the
+    digit recursion; a word made by a sort or an expansion gets it from
+    `word_key`, the sum of its factors' keys.  The shadow in `oracles` reads
+    `key_value(gen_key(i))`, the same value rebuilt from its key, and keeps
+    its own `ValueGroupElement` arithmetic.
 
     The session memoizes only what its traffic re-reads: `_gen_keys`, as
-    every word key sums generator keys (263,293 of 283,787 lookups hit on
-    bench `query`, seed 1, 15 s); `_commutators`, as nested commutators
-    recurse into the same pairs (1,249 of 2,336 lookups hit over the
-    tests); and `_elements`, as the CLI's `sign` reads every ordering from
-    one session.  Word keys and sorts are recomputed: a query certifies its
-    first level in one pass, so no word is keyed or sorted twice, and a
-    lookup would hash the whole word, which costs about as much as summing
-    its key.
+    every digit pool, every division in it and every word key reads
+    generator keys (19,008 of 39,611 lookups hit on bench `query`, seed 1,
+    15 s, whose levels all certify, so that `word_key` is never called);
+    `_commutators`, as nested commutators recurse into the same pairs
+    (1,249 of 2,336 lookups hit over the tests); and `_elements`, as the
+    CLI's `sign` reads every ordering from one session.  Word keys and
+    sorts are not memoized: a query certifies its first level in one pass,
+    so no word is keyed or sorted twice, and a lookup would hash the whole
+    word, which costs about as much as summing its key.
     """
 
     def __init__(self, desc: OmegaDescriptor, depth_limit: int = 64):
@@ -198,25 +222,26 @@ class Valuation:
                     f"depth limit {self.depth_limit} exceeded at step {step}",
                     consulted=step,
                 )
-            value = self.desc.generator_value(i)
-            key = (value.q.numerator, value.q.denominator, value.k_xi)
+            if 0 <= i < step and (pair := self.desc.step(step)).n >= 1:
+                # m/n straight off the step, as `generator_value` builds two
+                # Fractions and a ValueGroupElement and a session misses once
+                # on each generator it reads; it still reads x, the terminal
+                # and any step that `validate` would refuse
+                key = (pair.m, pair.n, 0)
+            else:
+                value = self.desc.generator_value(i)
+                key = (value.q.numerator, value.q.denominator, value.k_xi)
             self._gen_keys[i] = key
         return key
 
     def word_key(self, word: Word) -> Key:
         """The key of v(word), summed over its generator powers; sum-inverse
         blocks have value 0."""
-        num, den, k_xi = 0, 1, 0
+        key = (0, 1, 0)
         for f in word:
             if type(f) is tuple:
-                n, d, k = self.gen_key(f[0] - 1)
-                n, k = n * f[1], k * f[1]
-                if d == den:
-                    num += n
-                else:
-                    num, den = num * d + n * den, den * d
-                k_xi += k
-        return (num, den, k_xi)
+                key = _key_add(key, self.gen_key(f[0] - 1), f[1])
+        return key
 
     def key_value(self, key: Key) -> ValueGroupElement:
         num, den, k_xi = key
@@ -417,7 +442,7 @@ def _expand_si(ctx: Valuation, si: SumInverse) -> List[Emission]:
     so every emission ends with the block, and no word ever has a block
     left of a generator.
     """
-    q_word, n, rho_q = si
+    q_word, n, rho_q = si.word, si.n, si.rho
     sigma = _si_sigma(si)
     pure = _expand_pure(ctx, q_word)
     out: List[Emission] = []
@@ -588,38 +613,33 @@ def _accumulate(pool: Dict[Word, Rat], word: Word, c: Rat) -> None:
     pool[word] = c if old is None else old + c
 
 
-def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
-    """Certify the leading level of a pool of words.
+def _leading(ctx: Valuation, keyed: List[Keyed]) -> LeadingData:
+    """Certify the leading level of a keyed list of words.
 
-    One pass per level keeps the scan exact yet lazy.  ``pending`` holds raw
-    words, and a pass takes each one's int key once, finds the least key and
-    splits that level from the rest.  Only the level's words are sorted, into
-    ``canon``, where equal content merges and cancels eagerly.  Sorting keeps
-    a word's value, so ``canon`` holds the level alone: the pass certifies
-    it, or finds it empty, or rewrites all of it into ``pending`` at
-    strictly larger values.  The sorts' corrections sit strictly above the
-    level, so they join ``pending`` unsorted, and only when the level does
-    not certify.
+    One pass per level keeps the scan exact yet lazy.  A pass finds the
+    least key on its list and splits that level from the ``rest``.  Only the
+    level's words are sorted, into ``canon``, where equal content merges and
+    cancels eagerly.  Sorting keeps a word's value, so ``canon`` holds the
+    level alone: the pass certifies it, or finds it empty, or rewrites all
+    of it at strictly larger values.  Only then is ``pending`` built, from
+    the rest, the sorts' corrections (which sit strictly above the level and
+    join unsorted) and the level's expansions, and the next pass keys it
+    with `word_key`.  The first list is the digit pool, whose words are
+    distinct, so it needs no merge; its coefficients may be ints.
     """
-    pending = pool
     word_key, scale = ctx.word_key, ctx.scale
-    while True:
-        level: Optional[Key] = None
-        keyed: List[Tuple[Word, Rat, Key]] = []
-        for w, c in pending.items():
-            if c:
-                key = word_key(w)
-                keyed.append((w, c, key))
-                if level is None or _key_cmp(key, level, scale) < 0:
-                    level = key
-        if level is None:
-            return _ZERO_LEADING
+    while keyed:
+        level = keyed[0][2]
+        for _, _, key in keyed:
+            if _key_cmp(key, level, scale) < 0:
+                level = key
         canon: Dict[Word, Rat] = {}
-        pending = {}
+        rest: List[Keyed] = []
         sorts: List[Tuple[Rat, List[Emission]]] = []
-        for w, c, key in keyed:
+        for item in keyed:
+            w, c, key = item
             if _key_cmp(key, level, scale):
-                _accumulate(pending, w, c)
+                rest.append(item)
                 continue
             sw, corrections = _sort_word(ctx, w)
             _accumulate(canon, sw, c)
@@ -638,12 +658,15 @@ def _leading(ctx: Valuation, pool: Dict[Word, Rat]) -> LeadingData:
                 lam += c * res
             if lam != 0:
                 return LeadingData(value, lam, ref.word, ref.eps_basis, ref.eps_terminal)
+        pending = {w: c for w, c, _ in rest}
         for c, corrections in sorts:
             for cc, cu in corrections:
                 _accumulate(pending, cu, c * cc)
         for w, c, rel, res in members:
             for cc, ww in _expand_zero(ctx, rel, res):
                 _accumulate(pending, _concat(ref.word, ww), c * cc)
+        keyed = [(w, c, word_key(w)) for w, c in pending.items() if c]
+    return _ZERO_LEADING
 
 
 # Term pairs (quotient term, divisor term) that the digit expansion of one
@@ -657,14 +680,17 @@ DIGIT_WORK_BUDGET = 65536
 Rows = Dict[int, Dict[int, int]]
 
 
-def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
-    """Expand an element into the tower digit basis.
+def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
+    """Expand an element into the tower digit basis, as keyed emissions.
 
     Result words have the form x^i w_0^{j_0} ... w_K^{j_K} with every digit
     below the next step's power, obtained by successive right division by
     tower elements from the deepest one down.  The division absorbs the bulk
     cancellation between plain monomials algebraically, so the level scan
-    afterwards starts from words whose values rarely collide.
+    afterwards starts from words whose values rarely collide.  Each word is
+    emitted once, as (word, coefficient, key): the key of its value rides
+    down the recursion, and the coefficient is the row's int numerator when
+    the row's denominator is 1, and one Rat otherwise.
 
     The expansion runs on integer `Rows` over one denominator.  A division
     by a tower element with top term x^lead y^d walks the y-degrees from the
@@ -672,47 +698,73 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
     x^{i - lead} y^{deg - d}, and its product with the divisor (one
     `_int_product` call) is subtracted, which cancels that row and changes
     only lower ones.  The denominator grows, by E, only when the divisor's
-    integer form has a denominator E != 1, and each pool word becomes one
-    Rat when it is emitted.  The term pairs handed to the kernel are counted
-    per element; past DIGIT_WORK_BUDGET the expansion raises BudgetExceeded.
+    integer form has a denominator E != 1, so it can differ between
+    branches.  The term pairs handed to the kernel are counted per element;
+    past DIGIT_WORK_BUDGET the expansion raises BudgetExceeded.
 
     The deepest divisor is the last tower element whose value is declared:
     w_N under an irrational terminal after N steps, w_{N-1} on a bare prefix
     of N steps (which leaves v(w_N) undeclared), and any w_i under an
     infinite rule; its index is capped at depth_limit in every case, so the
-    divisors read steps 1..depth_limit only.
+    divisors read steps 1..depth_limit only.  A division by w_i reads
+    v(w_i) (`gen_key`) when it emits its first power, and an emission reads
+    v(y) only when it holds y.  A depth refusal there is raised once the
+    expansion is done, so BudgetExceeded takes precedence over it.
     """
     desc = ctx.desc
     max_index = ctx.depth_limit
     if desc.rule is None:
         top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
         max_index = min(max_index, top)
-    pool: Dict[Word, Rat] = {}
+    pool: List[Keyed] = []
+    if not element.terms:
+        return pool
+    terms, den = _integer_terms(element.terms)
+    rows: Rows = {}
+    for i, j, c in terms:
+        rows.setdefault(j, {})[i] = c
+    # the y-degrees n_1 ... n_i of the divisors w_1 .. w_i, up to the element's
+    deg_y, d_index = max(rows), 1
+    degrees: List[int] = []
+    while len(degrees) < max_index:
+        d_index *= abs(desc.step(len(degrees) + 1).n)
+        if d_index > deg_y:
+            break
+        degrees.append(d_index)
+    x_key = ctx.gen_key(-1)
+    refusals: List[DepthExceeded] = []
     work = 0
 
-    def rec(rows: Rows, den: int, suffix: Word) -> None:
+    def read_key(index: int) -> Key:
+        # a depth refusal waits until the expansion ends, as a budget
+        # refusal takes precedence over it
+        try:
+            return ctx.gen_key(index)
+        except DepthExceeded as exc:
+            refusals.append(exc)
+            return (0, 1, 0)
+
+    def rec(rows: Rows, den: int, suffix: Word, key: Key) -> None:
         # digit expansions are unique, so each word is emitted at most once:
         # the suffix holds one factor (slot, power >= 1) per enclosing
         # division of nonzero power, in rising slots >= 2, and x^i y^j sits
-        # in slots 0 and 1
+        # in slots 0 and 1; `key` is the suffix's
         nonlocal work
-        deg_y = max(rows)
-        index, d_index = 0, 1
-        while index < max_index:
-            n_next = abs(desc.step(index + 1).n)
-            if d_index * n_next > deg_y:
-                break
-            index, d_index = index + 1, d_index * n_next
+        index = bisect_right(degrees, max(rows))
         if index == 0:
             for j, row in rows.items():
+                if j:
+                    tail, tail_key = ((1, j),) + suffix, _key_add(key, read_key(0), j)
+                else:
+                    tail, tail_key = suffix, key
                 for i, c in row.items():
-                    factors: List[Factor] = []
                     if i:
-                        factors.append((0, i))
-                    if j:
-                        factors.append((1, j))
-                    pool[tuple(factors) + suffix] = Rat(c, den)
+                        word, word_key = ((0, i),) + tail, _key_add(tail_key, x_key, i)
+                    else:
+                        word, word_key = tail, tail_key
+                    pool.append((word, c if den == 1 else Rat(c, den), word_key))
             return
+        d_index = degrees[index - 1]
         divisor, scale = omega_integer_form(desc, index)
         lead_x = next(a for a, b, _ in divisor if b == d_index)
         power = 0
@@ -749,16 +801,17 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Dict[Word, Rat]:
                         if not r:
                             del rows[j]
             if rows:
-                rec(rows, den, ((index + 1, power),) + suffix if power else suffix)
+                if power:
+                    digit_key = _key_add(key, read_key(index), power)
+                    rec(rows, den, ((index + 1, power),) + suffix, digit_key)
+                else:
+                    rec(rows, den, suffix, key)
             rows = quotient
             power += 1
 
-    if element.terms:
-        terms, den = _integer_terms(element.terms)
-        rows: Rows = {}
-        for i, j, c in terms:
-            rows.setdefault(j, {})[i] = c
-        rec(rows, den, ())
+    rec(rows, den, (), (0, 1, 0))
+    if refusals:
+        raise refusals[0]
     return pool
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylval import (
+    BudgetExceeded,
     DepthExceeded,
     INFINITY,
     NonzeroValue,
@@ -52,6 +53,12 @@ X = WeylElement.x()
 Y = WeylElement.y()
 
 
+def keyed_pool(session, pool):
+    """A pool {word: coeff} as the keyed list `_leading` takes, zero words
+    dropped."""
+    return [(w, c, session.word_key(w)) for w, c in pool.items() if c]
+
+
 def monomial_gap_value(desc, exponents):
     """v(word - residue(word)) for the value-0 word with the given powers of
     (x, w_0, ..., w_{r-1}), one per slot.  Negative powers make Laurent
@@ -64,7 +71,7 @@ def monomial_gap_value(desc, exponents):
         raise NonzeroValue("monomial must have value 0")
     pool = {word: Rat(1)}
     pool[()] = pool.get((), Rat(0)) - evaluate._word_residue(session, word)
-    return evaluate._leading(session, pool).value
+    return evaluate._leading(session, keyed_pool(session, pool)).value
 
 
 def equivalent(desc, a, b):
@@ -183,11 +190,32 @@ class TestDepthFloor:
         # does not count against the limit
         assert eval_element(halving, Y, depth_limit=1) == rational(1, 2)
         assert eval_element(halving, X, depth_limit=1) == rational(-1)
+        # x reads no step at all, and y reads step 1
+        assert eval_element(halving, X.pow(3), depth_limit=0) == rational(-3)
+        with pytest.raises(DepthExceeded) as info:
+            eval_element(halving, Y.add(X), depth_limit=0)
+        assert info.value.consulted == 1
         # y^3 is divided by w_1, whose value is step 2's datum
         with pytest.raises(DepthExceeded) as info:
             eval_element(halving, Y.pow(3).mul(X), depth_limit=1)
         assert info.value.consulted == 2
         assert eval_element(halving, Y.pow(3).mul(X), depth_limit=2) == rational(1, 2)
+
+    def test_a_budget_refusal_comes_before_a_depth_refusal(self, halving, constant131):
+        # under depth limit 1 or 2, y^100 is divided by w_1 or w_2, whose
+        # value lies past the limit; on halving that division also runs past
+        # the work budget, and the budget refusal wins
+        y100 = Y.pow(100)
+        for limit in (1, 2):
+            with pytest.raises(BudgetExceeded) as budget:
+                Valuation(halving, limit).leading(y100)
+            assert str(budget.value) == (
+                f"digit expansion by w_{limit} handed {(65562, 65612)[limit - 1]} "
+                "term pairs to the product kernel, above the budget of 65536"
+            )
+        with pytest.raises(DepthExceeded) as depth:
+            Valuation(constant131, 1).leading(y100)
+        assert str(depth.value) == "depth limit 1 exceeded at step 2"
 
     @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
     def test_shallow_answers_equal_deep_ones(self, request, fixture):
@@ -307,6 +335,17 @@ def reference_digit_pool(desc, element, depth_limit=64):
     return pool
 
 
+def checked_digit_pool(session, element):
+    """The digit pool of `_digit_pool` as {word: coeff}, after checking that
+    each word is emitted once and carries the key of its value."""
+    keyed = evaluate._digit_pool(session, element)
+    pool = {w: c for w, c, _ in keyed}
+    assert len(pool) == len(keyed)
+    for w, _, key in keyed:
+        assert evaluate._key_cmp(key, session.word_key(w), session.scale) == 0
+    return pool
+
+
 RATIONAL_BETA_STEPS = [
     [(1, 2, "3/2"), (1, 3, "-5/7")],
     [(1, 3, "-5/7"), (2, 2, "1/4")],
@@ -329,6 +368,7 @@ class TestDigitPool:
         for _, n, _ in steps:
             top *= n
         rng = random.Random(f"digits:{steps}:{tail}")
+        kinds = set()
         for _ in range(40):
             terms = {
                 (rng.randint(-2, 4), rng.randint(0, 2 * top + 1)): Rat(
@@ -337,19 +377,31 @@ class TestDigitPool:
                 for _ in range(rng.randint(1, 6))
             }
             element = WeylElement(terms)
-            pool = evaluate._digit_pool(Valuation(d), element)
+            pool = checked_digit_pool(Valuation(d), element)
             assert pool == reference_digit_pool(d, element)
+            kinds.update(type(c) for c in pool.values())
+        # emissions over a denominator other than 1 are Rats
+        assert Fraction in kinds
 
     def test_fixture_towers_match_reference(self, worked, halving, constant131, single24):
         rng = random.Random(31)
         for d in (worked, halving, constant131, single24):
             for _ in range(10):
                 element = sample_element(rng, max_degree=9)
-                pool = evaluate._digit_pool(Valuation(d), element)
+                pool = checked_digit_pool(Valuation(d), element)
                 assert pool == reference_digit_pool(d, element)
-                # the divisor index is capped at the depth limit on every tail
-                pool = evaluate._digit_pool(Valuation(d, 1), element)
-                assert pool == reference_digit_pool(d, element, 1)
+                # integer coefficients over integral towers stay ints
+                assert all(type(c) is int for c in pool.values())
+                # the divisor index is capped at the depth limit on every tail,
+                # and a word that holds w_1 reads step 2, past that limit
+                reference = reference_digit_pool(d, element, 1)
+                try:
+                    pool = checked_digit_pool(Valuation(d, 1), element)
+                except DepthExceeded as exc:
+                    assert str(exc) == "depth limit 1 exceeded at step 2"
+                    assert any(f[0] == 2 for w in reference for f in w)
+                else:
+                    assert pool == reference
 
 
 class TestSession:
@@ -432,9 +484,25 @@ class TestLevelScan:
             evaluate, "_canonical_ref", lambda *args: certified.append(args[1]) or original(*args)
         )
         yx, xy = ((1, 1), (0, 1)), ((0, 1), (1, 1))
-        data = evaluate._leading(Valuation(worked), {yx: Rat(1), xy: Rat(-1)})
+        session = Valuation(worked)
+        data = evaluate._leading(session, keyed_pool(session, {yx: Rat(1), xy: Rat(-1)}))
         assert (data.value, data.lam, data.ref) == (rational(0), Rat(1), ())
         assert certified == [rational(0)]
+
+    @pytest.mark.parametrize(
+        "word, expected", [(((0, 1), (1, 1), (2, 1)), rational(-1, 4)), (((2, 1),), rational(0))]
+    )
+    def test_a_word_above_a_cancelling_level_survives(self, worked, word, expected):
+        # y*x - x*y cancels at level -1/2 and leaves [y, x] = 1 at level 0; a
+        # word above the cancelling level waits in the rest of the first pass,
+        # and the lesser of it and the correction leads: x y w_1, of value
+        # -1/4, or else the correction, under w_1 of value 1/4
+        yx, xy = ((1, 1), (0, 1)), ((0, 1), (1, 1))
+        session = Valuation(worked)
+        data = evaluate._leading(session, keyed_pool(session, {yx: Rat(1), xy: Rat(-1), word: 3}))
+        assert data.value == expected
+        element = word_element(worked, word).mul(WeylElement.scalar(3)).add(commutator(Y, X))
+        assert data.value == eval_element(worked, element)
 
 
 def word_element(desc, word):
@@ -565,12 +633,13 @@ class TestMonomialGap:
         gaps = []
         for word in (((0, -2), (1, -3), (2, -2)), ((0, 1), (1, 1), (2, 2))):
             rho = evaluate._word_residue(session, word)
-            gaps.append((word, rho, evaluate._leading(session, {word: Rat(1), (): -rho})))
+            pool = keyed_pool(session, {word: Rat(1), (): -rho})
+            gaps.append((word, rho, evaluate._leading(session, pool)))
         (a, rho_a, lead_a), (b, rho_b, lead_b) = gaps
         assert lead_a.value == lead_b.value
         assert not calls
         pool = {a: lead_b.lam, b: -lead_a.lam, (): lead_a.lam * rho_b - lead_b.lam * rho_a}
-        combined = evaluate._leading(session, pool)
+        combined = evaluate._leading(session, keyed_pool(session, pool))
         assert combined.value.cmp(lead_a.value) > 0
         assert (combined.value, combined.lam) == (rational(1, 4), Rat(-3, 2))
         assert calls
