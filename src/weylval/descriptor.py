@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
 )
 from .valuegroup import Value, ValueGroupElement
-from .weyl import IntTerm, WeylElement, _integer_terms
+from .weyl import LeftTable, WeylElement, _integer_terms
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,11 @@ class OmegaDescriptor:
         self._cache: Dict[int, OmegaStep] = {}
         # w_1 .. w_K, built by omega_element; always a contiguous prefix
         self._tower: Dict[int, WeylElement] = {}
-        # the same elements as integer terms over one denominator
-        self._tower_ints: Dict[int, Tuple[List[IntTerm], int]] = {}
+        # the same elements as integer terms over one denominator, with the
+        # rows y^b w_i made so far
+        self._tower_ints: Dict[int, Tuple[LeftTable, int]] = {}
+        # digit walks over steps 1..r, keyed by r, built by digit_walk
+        self._digit_walks: Dict[int, DigitWalk] = {}
         if isinstance(tail, IrrationalTerminal):
             t = tail.value
             if t.k_xi == 0 or t.k_mu != 0:
@@ -364,8 +367,9 @@ def alpha_sign(desc: OmegaDescriptor, i: int, j: int) -> int:
 
 
 # Largest y-degree n_1 n_2 ... n_i of a tower element omega_element builds.
-# Halving's w_3 (64) builds in well under a second; constant(1,3,1)'s w_3
-# (729) takes minutes and halving's w_4 (1024) longer.
+# On a 2-vCPU Xeon, halving's w_3 (64) builds in 0.03 s; constant(1,3,1)'s
+# w_3 (729) takes 34 s and 91 MB, and halving's w_4 (1024) did not finish
+# in 5 minutes.
 TOWER_Y_DEGREE_BUDGET = 256
 
 
@@ -405,12 +409,17 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
     return element
 
 
-def omega_integer_form(desc: OmegaDescriptor, i: int) -> Tuple[List[IntTerm], int]:
-    """w_i as integer terms (x exponent, y exponent, c) over one denominator
-    E, so that w_i = sum c x^a y^b / E; scaled once per descriptor."""
+def omega_integer_form(desc: OmegaDescriptor, i: int) -> Tuple[LeftTable, int]:
+    """w_i as a `LeftTable` of integer terms (x exponent, y exponent, c) over
+    one denominator E, so that w_i = sum c x^a y^b / E, and E.
+
+    Scaled once per descriptor; the table keeps every row y^b w_i that a
+    digit expansion has asked for, for the next one on the descriptor.
+    """
     form = desc._tower_ints.get(i)
     if form is None:
-        form = desc._tower_ints[i] = _integer_terms(omega_element(desc, i).terms)
+        terms, scale = _integer_terms(omega_element(desc, i).terms)
+        form = desc._tower_ints[i] = (LeftTable(terms), scale)
     return form
 
 
@@ -442,6 +451,37 @@ def two_adic_slot(desc: OmegaDescriptor, r: int) -> Tuple[int, int]:
     step b attaining it, with b = 0 (x, h_0 = 0) when every n_i is odd."""
     b = max(range(r + 1), key=desc.h)
     return desc.h(b), b
+
+
+# (L_r, h_max, b, v_b L_r, digits) over steps 1..r: L_0 = 1 and
+# L_i = lcm(L_{i-1}, n_i); (h_max, b) is `two_adic_slot`; v_b = m_b/n_b is
+# the value of w_{b-1}, with v_0 = -1; digits holds (i, e_i, u_i, u_i^{-1}
+# mod e_i) for i = r down to 1, with e_i = L_i/L_{i-1} and u_i = m_i L_i/n_i.
+DigitWalk = Tuple[int, int, int, int, Tuple[Tuple[int, int, int, int], ...]]
+
+
+def digit_walk(desc: OmegaDescriptor, r: int) -> DigitWalk:
+    """The tables of the canonical digit walk over steps 1..r (`DigitWalk`).
+
+    They depend only on the descriptor and r, so each is built once per
+    descriptor; errors are raised afresh on every call.
+    """
+    walk = desc._digit_walks.get(r)
+    if walk is None:
+        lcms = [1]
+        for i in range(1, r + 1):
+            lcms.append(math.lcm(lcms[-1], desc.step(i).n))
+        h_max, b = two_adic_slot(desc, r)
+        m_b, n_b = desc.pair_mn(b)
+        digits = []
+        for i in range(r, 0, -1):
+            step = desc.step(i)
+            e_i = lcms[i] // lcms[i - 1]
+            u_i = step.m * lcms[i] // step.n
+            digits.append((i, e_i, u_i, pow(u_i, -1, e_i)))
+        walk = (lcms[r], h_max, b, m_b * lcms[r] // n_b, tuple(digits))
+        desc._digit_walks[r] = walk
+    return walk
 
 
 def prefix_sum(desc: OmegaDescriptor, k: int) -> Rat:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
-from .descriptor import OmegaDescriptor, alpha, data_window, omega_integer_form, pair_data, two_adic_slot
+from .descriptor import OmegaDescriptor, alpha, data_window, digit_walk, omega_integer_form, pair_data
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2
 from .weyl import WeylElement, WeylFraction, _int_product, _integer_terms
@@ -534,6 +534,7 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
     and sets H_{i-1} = (H_i - d_i u_i)/e_i, an exact division.  The word is
     x^{-2 H_0} prod w_{i-1}^{2 d_i}, times w_{b-1}^{eps_b} and the terminal
     power, so the exponent of every w_{i-1} with i <= r lies in [0, 2 e_i - 1].
+    The tables of the walk come from `digit_walk`, once per (descriptor, r).
     """
     desc = ctx.desc
     assert isinstance(g, ValueGroupElement)
@@ -548,26 +549,20 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
         assert rem == 0
         q = g.q - c_t * term.value.q
     r = data_window(desc)
-    lcms = [1]
-    for i in range(1, r + 1):
-        lcms.append(math.lcm(lcms[-1], desc.step(i).n))
-    while lcms[-1] % q.denominator:
+    walk = digit_walk(desc, r)
+    while walk[0] % q.denominator:
         r += 1
-        lcms.append(math.lcm(lcms[-1], desc.step(r).n))
-    h_max, b = two_adic_slot(desc, r)
+        walk = digit_walk(desc, r)
+    lcm_r, h_max, b, slot_value, digits = walk
     eps_b = 1 if q and two_adic_valuation(q) == -h_max else 0
-    # scaled = H_r = (q - eps_b v_b) L_r / 2, with v_0 = -1 from pair_mn(0)
-    m_b, n_b = desc.pair_mn(b)
-    twice = q.numerator * (lcms[r] // q.denominator) - eps_b * m_b * lcms[r] // n_b
+    # scaled = H_r = (q - eps_b v_b) L_r / 2
+    twice = q.numerator * (lcm_r // q.denominator) - eps_b * slot_value
     assert twice % 2 == 0
     scaled = twice // 2
     exps = [0] * (r + 1)
     exps[b] = eps_b
-    for i in range(r, 0, -1):
-        step = desc.step(i)
-        e_i = lcms[i] // lcms[i - 1]
-        u_i = step.m * lcms[i] // step.n
-        d_i = scaled * pow(u_i, -1, e_i) % e_i
+    for i, e_i, u_i, inv_u in digits:
+        d_i = scaled * inv_u % e_i
         scaled, rem = divmod(scaled - d_i * u_i, e_i)
         assert rem == 0
         exps[i] += 2 * d_i
@@ -671,8 +666,9 @@ def _leading(ctx: Valuation, keyed: List[Keyed]) -> LeadingData:
 
 # Term pairs (quotient term, divisor term) that the digit expansion of one
 # element may hand to the product kernel.  The benchmark's elements need at
-# most 7,692 and y^54 on constant(1,3,1) needs 11,195; y^108 there needs
-# 141,352, and y^728 would run for minutes.
+# most 7,692 and y^54 on constant(1,3,1) needs 11,195 (0.02 s on a 2-vCPU
+# Xeon); y^108 there needs 141,352 (0.2 s), and y^728 would run for about
+# three minutes and take 151 MB.
 DIGIT_WORK_BUDGET = 65536
 
 # An element as integer rows {y exponent: {x exponent: numerator}} over one
@@ -695,12 +691,15 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
     The expansion runs on integer `Rows` over one denominator.  A division
     by a tower element with top term x^lead y^d walks the y-degrees from the
     top down to d: the row at degree deg becomes the quotient row
-    x^{i - lead} y^{deg - d}, and its product with the divisor (one
-    `_int_product` call) is subtracted, which cancels that row and changes
-    only lower ones.  The denominator grows, by E, only when the divisor's
-    integer form has a denominator E != 1, so it can differ between
-    branches.  The term pairs handed to the kernel are counted per element;
-    past DIGIT_WORK_BUDGET the expansion raises BudgetExceeded.
+    x^{i - lead} y^{deg - d}, and its product with the divisor is
+    subtracted, which cancels that row and changes only lower ones.  All
+    quotient terms of a row share y^{deg - d}, so `_int_product` shifts one
+    row y^{deg - d} w_i of the divisor's `LeftTable`, which the descriptor
+    keeps for every later expansion.  The denominator grows, by E, only when
+    the divisor's integer form has a denominator E != 1, so it can differ
+    between branches.  The term pairs (quotient term, divisor term) are
+    counted per element; past DIGIT_WORK_BUDGET the expansion raises
+    BudgetExceeded.
 
     The deepest divisor is the last tower element whose value is declared:
     w_N under an irrational terminal after N steps, w_{N-1} on a bare prefix
@@ -765,7 +764,8 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
                     pool.append((word, c if den == 1 else Rat(c, den), word_key))
             return
         d_index = degrees[index - 1]
-        divisor, scale = omega_integer_form(desc, index)
+        table, scale = omega_integer_form(desc, index)
+        divisor = table.right
         lead_x = next(a for a, b, _ in divisor if b == d_index)
         power = 0
         while rows:
@@ -788,7 +788,7 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
                         for r in part.values():
                             for i in r:
                                 r[i] *= scale
-                for (i, j), c in _int_product(block, divisor).items():
+                for (i, j), c in _int_product(block, table).items():
                     r = rows.get(j)
                     if r is None:
                         rows[j] = {i: -c}

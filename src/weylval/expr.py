@@ -37,7 +37,7 @@ from .weyl import Monomial, WeylElement, _integer_terms
 # `WeylElement.pow`'s linear loop hands to the product kernel, each weighed
 # by the 64-bit words of the result's coefficients, plus those coefficients'
 # bits.  On a 2-vCPU Xeon, (x+1)^600 costs 3,606,600 units and parses in
-# 0.2 s; (x+1)^2000 would cost 128 million and take 3.3 s, and 3^99999999
+# 0.2 s; (x+1)^2000 would cost 128 million and take 3.4 s, and 3^99999999
 # would build a 158-million-bit integer.  A power of c x^i or c y^j makes no pairs, so
 # x^100000000000000000000 costs nothing.  The normal-form path computes no
 # powers and no products, so it never checks the budget.

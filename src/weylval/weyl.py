@@ -27,26 +27,38 @@ def _integer_terms(terms: Dict[Monomial, Rat]) -> Tuple[List[IntTerm], int]:
             for (i, j), coeff in terms.items()], den
 
 
-def _int_product(left: Iterable[IntTerm], right: List[IntTerm]) -> Dict[Monomial, int]:
-    """The normal-form product of two integer term lists, cancelled keys dropped.
+class LeftTable:
+    """The rows y^b R of one integer right operand R, each made once.
 
-    Uses y^b x^c = sum_t C(b,t) c(c-1)...(c-t+1) x^{c-t} y^{b-t}, which
-    stops at t = min(b, c) when c >= 0; coefficient t+1 is coefficient t
-    times (b-t)(c-t)/(t+1), an exact division.  This is the package's one
-    Leibniz loop: `mul`, `pow` and the evaluator's digit expansion use it.
+    x^a y^b R = x^a (y^b R), so the product of a left term c x^a y^b with R
+    is row b shifted by x^a.  Row b comes straight from
+    y^b x^c = sum_t C(b,t) c(c-1)...(c-t+1) x^{c-t} y^{b-t}, which stops at
+    t = min(b, c) when c >= 0; coefficient t+1 is coefficient t times
+    (b-t)(c-t)/(t+1), an exact division.  This is the package's one Leibniz
+    loop.  Only the rows asked for are made: a row is not built from the one
+    below it, so y^20000 x^100 makes one row of 101 terms, not 20,001 rows.
     """
-    out: Dict[Monomial, int] = {}
-    get = out.get
-    for a, b, p in left:
-        for c, d, q in right:
-            coeff = p * q
+
+    __slots__ = ("right", "rows")
+
+    def __init__(self, right: List[IntTerm]):
+        self.right = right
+        self.rows: Dict[int, List[IntTerm]] = {}
+
+    def row(self, b: int) -> List[IntTerm]:
+        """y^b R as integer terms, cancelled keys dropped."""
+        row = self.rows.get(b)
+        if row is not None:
+            return row
+        out: Dict[Monomial, int] = {}
+        get = out.get
+        for c, d, q in self.right:
+            coeff = q
             last = b if c < 0 or b < c else c
             t = 0
             while True:
-                key = (a + c - t, b + d - t)
+                key = (c - t, b + d - t)
                 acc = get(key, 0) + coeff
-                # a cancelled key leaves at once: a key that comes back
-                # moves to the end of the term order
                 if acc:
                     out[key] = acc
                 else:
@@ -55,6 +67,30 @@ def _int_product(left: Iterable[IntTerm], right: List[IntTerm]) -> Dict[Monomial
                     break
                 coeff = coeff * (b - t) * (c - t) // (t + 1)
                 t += 1
+        row = self.rows[b] = [(i, j, c) for (i, j), c in out.items()]
+        return row
+
+
+def _int_product(left: Iterable[IntTerm], table: LeftTable) -> Dict[Monomial, int]:
+    """The normal-form product of an integer term list and a table's operand.
+
+    Each left term c x^a y^b meets row b of the table: one multiply-add per
+    (left term, row term), cancelled keys dropped.  `mul`, `pow` and the
+    evaluator's digit expansion all multiply here.
+    """
+    out: Dict[Monomial, int] = {}
+    get = out.get
+    row = table.row
+    for a, b, p in left:
+        for c, d, q in row(b):
+            key = (a + c, d)
+            acc = get(key, 0) + p * q
+            # a cancelled key leaves at once: a key that comes back moves
+            # to the end of the term order
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
     return out
 
 
@@ -126,8 +162,10 @@ class WeylElement:
         """Exact product; moves every y of self past every x of other.
 
         Both operands are scaled to integers over their own common
-        denominator, `_int_product` forms the normal-ordered product on
-        ints, and each surviving term becomes one Rat at the end.
+        denominator, and `_int_product` forms the normal-ordered product on
+        ints from one `LeftTable` of other, so left terms that share a
+        y-degree share a row.  Each surviving term becomes one Rat at the
+        end.
         """
         result = WeylElement()
         if not self.terms or not other.terms:
@@ -142,12 +180,13 @@ class WeylElement:
         left, da = _integer_terms(self.terms)
         right, db = _integer_terms(other.terms)
         den = da * db
-        result.terms = {key: Rat(acc, den) for key, acc in _int_product(left, right).items()}
+        product = _int_product(left, LeftTable(right))
+        result.terms = {key: Rat(acc, den) for key, acc in product.items()}
         return result
 
     def pow(self, n: int) -> "WeylElement":
-        """self^n by n products on ints through `_int_product`, with one Rat
-        per term at the end."""
+        """self^n by n products on ints through `_int_product`, all reading
+        one `LeftTable` of self, with one Rat per term at the end."""
         if n < 0:
             raise ValueError("negative powers are not normal-form elements")
         result = WeylElement()
@@ -158,9 +197,10 @@ class WeylElement:
                 result.terms = {(i * n, j * n): c**n}
                 return result
         right, den = _integer_terms(self.terms)
+        table = LeftTable(right)
         acc: Dict[Monomial, int] = {(0, 0): 1}
         for _ in range(n):
-            acc = _int_product([(i, j, c) for (i, j), c in acc.items()], right)
+            acc = _int_product([(i, j, c) for (i, j), c in acc.items()], table)
         den **= n
         result.terms = {key: Rat(c, den) for key, c in acc.items()}
         return result

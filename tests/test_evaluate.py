@@ -35,9 +35,9 @@ from weylval import (
 )
 from weylval import cli, evaluate
 from weylval.coeff import two_adic_valuation
-from weylval.descriptor import data_window, omega_integer_form
+from weylval.descriptor import data_window, omega_integer_form, validate
 
-from conftest import WORKED_JSON
+from conftest import SINGLE_TERMINAL_JSON, WORKED_JSON
 from test_weyl import reference_mul
 
 
@@ -402,6 +402,69 @@ class TestDigitPool:
                     assert any(f[0] == 2 for w in reference for f in w)
                 else:
                     assert pool == reference
+
+
+FIXTURE_JSONS = {
+    "worked": WORKED_JSON,
+    "single_terminal": SINGLE_TERMINAL_JSON,
+    "halving": {"steps": [], "tail": {"kind": "rule", "rule": "halving"}},
+    "constant131": {"steps": [], "tail": {"kind": "rule", "rule": "constant(1,3,1)"}},
+    "single24": {"steps": [{"m": 1, "n": 2, "beta": "4"}]},
+    **{
+        f"rational {steps}": {
+            "steps": [{"m": m, "n": n, "beta": b} for m, n, b in steps],
+            "tail": WORKED_JSON["tail"],
+        }
+        for steps in RATIONAL_BETA_STEPS
+    },
+}
+
+
+class TestDescriptorTables:
+    @pytest.mark.parametrize("name", list(FIXTURE_JSONS))
+    def test_warm_tables_answer_as_fresh_ones(self, name):
+        # a descriptor keeps the rows y^b w_i of its tower elements and the
+        # canonical digit walks; elements read them in either order, at
+        # several depth limits, and must answer as on a fresh descriptor
+        data = FIXTURE_JSONS[name]
+        fresh = OmegaDescriptor.from_json(data)
+        rng = random.Random(f"tables:{name}")
+        batch = [sample_element(rng, max_degree=9) for _ in range(6)]
+        w1 = omega_element(fresh, 1)
+        batch += [
+            Y.pow(12),
+            Y.pow(27),
+            elem({(3, 9): Rat(2, 3), (1, 2): -1, (0, 0): 5}),
+            w1,
+            w1.mul(w1).add(Y),
+            X.mul(Y.pow(5)).mul(w1),
+            Y.pow(40),
+        ]
+        depths = (1, 2, 64)
+        want = {
+            (k, depth): _outcome(
+                evaluate.leading_data, Valuation(OmegaDescriptor.from_json(data), depth), f
+            )
+            for k, f in enumerate(batch)
+            for depth in depths
+        }
+        # a valid descriptor answers; the malformed rational towers only
+        # compare their errors
+        if not validate(fresh):
+            assert "ok" in {outcome[0] for outcome in want.values()}
+        for order in (1, -1):
+            shared = OmegaDescriptor.from_json(data)
+            got = {
+                (k, depth): _outcome(evaluate.leading_data, Valuation(shared, depth), f)
+                for k, f in list(enumerate(batch))[::order]
+                for depth in depths
+            }
+            assert got == want
+            # single24 never divides: its bare prefix declares no v(w_1)
+            warm = any(table.rows for table, _ in shared._tower_ints.values())
+            assert warm == (name != "single24")
+        if name.startswith("rational"):
+            assert omega_integer_form(fresh, 1)[1] != 1
 
 
 class TestSession:

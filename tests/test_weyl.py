@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylval import Rat, WeylElement, apply_to_poly, commutator, normalize
+from weylval.weyl import LeftTable, _integer_terms
 
 
 def elem(terms):
@@ -163,6 +164,34 @@ class TestIntegerKernel:
         b = elem({(1, 0): Rat(3, 4), (2, 0): Rat(-5, 6)})
         assert a.mul(b) == reference_mul(a, b)
         assert a.mul(b).terms[(0, 0)] == Rat(3, 8)
+
+
+class TestLeftTable:
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_elements, st.integers(0, 12))
+    def test_row_is_y_power_times_operand(self, right, b):
+        terms, den = _integer_terms(right.terms)
+        row = LeftTable(terms).row(b)
+        assert len({(i, j) for i, j, _ in row}) == len(row)
+        assert all(c != 0 for _, _, c in row)
+        got = WeylElement({(i, j): Rat(c, den) for i, j, c in row})
+        assert got == reference_mul(Y.pow(b), right)
+
+    def test_a_row_is_made_once(self):
+        table = LeftTable([(2, 1, 3), (-1, 0, -2)])
+        row = table.row(4)
+        assert table.row(4) is row
+        assert list(table.rows) == [4]
+
+    def test_a_high_row_is_made_alone(self):
+        # y^500 x^3 = x^3 y^500 + 1500 x^2 y^499 + 748500 x y^498 + 124251000 y^497,
+        # made without the 500 rows below it
+        table = LeftTable([(3, 0, 1)])
+        row = table.row(500)
+        assert list(table.rows) == [500]
+        assert sorted(row, reverse=True) == [
+            (3, 500, 1), (2, 499, 1500), (1, 498, 748500), (0, 497, 124251000)
+        ]
 
 
 def repeated_mul(a, n):
