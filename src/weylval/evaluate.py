@@ -31,7 +31,7 @@ from .coeff import Rat, nth_root, sgn, two_adic_valuation
 from .descriptor import OmegaDescriptor, alpha, data_window, digit_walk, omega_integer_form, pair_data
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2
-from .weyl import WeylElement, WeylFraction, _int_product, _integer_terms
+from .weyl import Monomial, WeylElement, WeylFraction, _add_shifted, _integer_terms
 
 if TYPE_CHECKING:
     from .orderings import OrderingDescriptor
@@ -693,7 +693,7 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
     top down to d: the row at degree deg becomes the quotient row
     x^{i - lead} y^{deg - d}, and its product with the divisor is
     subtracted, which cancels that row and changes only lower ones.  All
-    quotient terms of a row share y^{deg - d}, so `_int_product` shifts one
+    quotient terms of a row share y^{deg - d}, so `_add_shifted` shifts one
     row y^{deg - d} w_i of the divisor's `LeftTable`, which the descriptor
     keeps for every later expansion.  The denominator grows, by E, only when
     the divisor's integer form has a denominator E != 1, so it can differ
@@ -774,8 +774,8 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
                 row = rows.get(deg)
                 if row is None:
                     continue
-                block = [(i - lead_x, deg - d_index, c) for i, c in row.items()]
-                quotient[deg - d_index] = {a: c for a, _, c in block}
+                block = [(i - lead_x, c) for i, c in row.items()]
+                quotient[deg - d_index] = dict(block)
                 work += len(block) * len(divisor)
                 if work > DIGIT_WORK_BUDGET:
                     raise BudgetExceeded(
@@ -788,7 +788,9 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
                         for r in part.values():
                             for i in r:
                                 r[i] *= scale
-                for (i, j), c in _int_product(block, table).items():
+                product: Dict[Monomial, int] = {}
+                _add_shifted(product, table.row(deg - d_index), block)
+                for (i, j), c in product.items():
                     r = rows.get(j)
                     if r is None:
                         rows[j] = {i: -c}

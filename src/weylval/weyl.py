@@ -27,16 +27,65 @@ def _integer_terms(terms: Dict[Monomial, Rat]) -> Tuple[List[IntTerm], int]:
             for (i, j), coeff in terms.items()], den
 
 
-class LeftTable:
-    """The rows y^b R of one integer right operand R, each made once.
+def _add_leibniz(out: Dict[Monomial, int], right: List[IntTerm], a: int, b: int, p: int) -> None:
+    """Add p x^a y^b R to `out`, R an integer term list, in normal form.
 
-    x^a y^b R = x^a (y^b R), so the product of a left term c x^a y^b with R
-    is row b shifted by x^a.  Row b comes straight from
-    y^b x^c = sum_t C(b,t) c(c-1)...(c-t+1) x^{c-t} y^{b-t}, which stops at
-    t = min(b, c) when c >= 0; coefficient t+1 is coefficient t times
-    (b-t)(c-t)/(t+1), an exact division.  This is the package's one Leibniz
-    loop.  Only the rows asked for are made: a row is not built from the one
-    below it, so y^20000 x^100 makes one row of 101 terms, not 20,001 rows.
+    Uses y^b x^c = sum_t C(b,t) c(c-1)...(c-t+1) x^{c-t} y^{b-t}, which
+    stops at t = min(b, c) when c >= 0; coefficient t+1 is coefficient t
+    times (b-t)(c-t)/(t+1), an exact division.  This is the package's one
+    Leibniz loop.
+    """
+    get = out.get
+    for c, d, q in right:
+        coeff = p * q
+        last = b if c < 0 or b < c else c
+        t = 0
+        while True:
+            key = (a + c - t, b + d - t)
+            acc = get(key, 0) + coeff
+            # a cancelled key leaves at once: a key that comes back moves
+            # to the end of the term order
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+            if t == last:
+                break
+            coeff = coeff * (b - t) * (c - t) // (t + 1)
+            t += 1
+
+
+def _leibniz_row(right: List[IntTerm], b: int) -> List[IntTerm]:
+    """The row y^b R as integer terms, made straight from the Leibniz rule.
+
+    A row is never built from the one below it, so y^20000 x^100 makes one
+    row of 101 terms, not 20,001 rows.
+    """
+    row: Dict[Monomial, int] = {}
+    _add_leibniz(row, right, 0, b, 1)
+    return [(i, j, c) for (i, j), c in row.items()]
+
+
+def _add_shifted(out: Dict[Monomial, int], row: List[IntTerm], terms: Iterable[Tuple[int, int]]) -> None:
+    """Add p x^a (y^b R) to `out` for each (a, p) in `terms`, given the row
+    y^b R: x^a y^b R = x^a (y^b R), one multiply-add per (term, row term)."""
+    get = out.get
+    for a, p in terms:
+        for c, d, q in row:
+            key = (a + c, d)
+            acc = get(key, 0) + p * q
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+
+
+class LeftTable:
+    """The rows y^b R of one integer right operand R, each made once and kept.
+
+    A tower element's table lives on its descriptor, so every digit
+    expansion there reuses the rows the ones before it made.  Only the rows
+    asked for are made.
     """
 
     __slots__ = ("right", "rows")
@@ -48,49 +97,30 @@ class LeftTable:
     def row(self, b: int) -> List[IntTerm]:
         """y^b R as integer terms, cancelled keys dropped."""
         row = self.rows.get(b)
-        if row is not None:
-            return row
-        out: Dict[Monomial, int] = {}
-        get = out.get
-        for c, d, q in self.right:
-            coeff = q
-            last = b if c < 0 or b < c else c
-            t = 0
-            while True:
-                key = (c - t, b + d - t)
-                acc = get(key, 0) + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-                if t == last:
-                    break
-                coeff = coeff * (b - t) * (c - t) // (t + 1)
-                t += 1
-        row = self.rows[b] = [(i, j, c) for (i, j), c in out.items()]
+        if row is None:
+            row = self.rows[b] = _leibniz_row(self.right, b)
         return row
 
 
-def _int_product(left: Iterable[IntTerm], table: LeftTable) -> Dict[Monomial, int]:
-    """The normal-form product of an integer term list and a table's operand.
+def _int_product(left: Iterable[IntTerm], right: List[IntTerm]) -> Dict[Monomial, int]:
+    """The normal-form product of two integer term lists, cancelled keys dropped.
 
-    Each left term c x^a y^b meets row b of the table: one multiply-add per
-    (left term, row term), cancelled keys dropped.  `mul`, `pow` and the
-    evaluator's digit expansion all multiply here.
+    The left terms are grouped by y-degree.  A group of one term goes
+    through the Leibniz loop straight into the output, as a row read once
+    does not pay for its making; a larger group makes its row y^b R once,
+    shifts it by each of its terms and drops it.  So the product holds at
+    most one row besides its output.
     """
-    out: Dict[Monomial, int] = {}
-    get = out.get
-    row = table.row
+    groups: Dict[int, List[Tuple[int, int]]] = {}
     for a, b, p in left:
-        for c, d, q in row(b):
-            key = (a + c, d)
-            acc = get(key, 0) + p * q
-            # a cancelled key leaves at once: a key that comes back moves
-            # to the end of the term order
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
+        groups.setdefault(b, []).append((a, p))
+    out: Dict[Monomial, int] = {}
+    for b, terms in groups.items():
+        if len(terms) == 1:
+            (a, p), = terms
+            _add_leibniz(out, right, a, b, p)
+        else:
+            _add_shifted(out, _leibniz_row(right, b), terms)
     return out
 
 
@@ -163,9 +193,8 @@ class WeylElement:
 
         Both operands are scaled to integers over their own common
         denominator, and `_int_product` forms the normal-ordered product on
-        ints from one `LeftTable` of other, so left terms that share a
-        y-degree share a row.  Each surviving term becomes one Rat at the
-        end.
+        ints, where terms of self that share a y-degree share one row
+        y^b other.  Each surviving term becomes one Rat at the end.
         """
         result = WeylElement()
         if not self.terms or not other.terms:
@@ -180,13 +209,12 @@ class WeylElement:
         left, da = _integer_terms(self.terms)
         right, db = _integer_terms(other.terms)
         den = da * db
-        product = _int_product(left, LeftTable(right))
-        result.terms = {key: Rat(acc, den) for key, acc in product.items()}
+        result.terms = {key: Rat(acc, den) for key, acc in _int_product(left, right).items()}
         return result
 
     def pow(self, n: int) -> "WeylElement":
-        """self^n by n products on ints through `_int_product`, all reading
-        one `LeftTable` of self, with one Rat per term at the end."""
+        """self^n by n products on ints through `_int_product`, each
+        making its rows y^b self anew, with one Rat per term at the end."""
         if n < 0:
             raise ValueError("negative powers are not normal-form elements")
         result = WeylElement()
@@ -197,10 +225,9 @@ class WeylElement:
                 result.terms = {(i * n, j * n): c**n}
                 return result
         right, den = _integer_terms(self.terms)
-        table = LeftTable(right)
         acc: Dict[Monomial, int] = {(0, 0): 1}
         for _ in range(n):
-            acc = _int_product([(i, j, c) for (i, j), c in acc.items()], table)
+            acc = _int_product([(i, j, c) for (i, j), c in acc.items()], right)
         den **= n
         result.terms = {key: Rat(c, den) for key, c in acc.items()}
         return result

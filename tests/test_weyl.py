@@ -1,12 +1,13 @@
 """Normal-form arithmetic on the x/y generators and the operator oracle."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylval import Rat, WeylElement, apply_to_poly, commutator, normalize
+from weylval import Rat, WeylElement, apply_to_poly, commutator, normalize, weyl
 from weylval.weyl import LeftTable, _integer_terms
 
 
@@ -192,6 +193,39 @@ class TestLeftTable:
         assert sorted(row, reverse=True) == [
             (3, 500, 1), (2, 499, 1500), (1, 498, 748500), (0, 497, 124251000)
         ]
+
+
+class TestIntProduct:
+    def test_a_row_is_made_per_shared_y_degree(self, monkeypatch):
+        # (1 + x)(1 + y)^6 holds two terms at each y-degree 0..6, so each
+        # row y^b (1 + x)^3 is made once; (1 + y)^6 holds one, and takes the
+        # Leibniz loop straight into the output
+        paired = ONE.add(X).mul(ONE.add(Y).pow(6))
+        single = ONE.add(Y).pow(6)
+        right = ONE.add(X).pow(3)
+        made = []
+        real = weyl._leibniz_row
+        monkeypatch.setattr(weyl, "_leibniz_row", lambda terms, b: made.append(b) or real(terms, b))
+        assert paired.mul(right) == reference_mul(paired, right)
+        assert sorted(made) == list(range(7))
+        made.clear()
+        assert single.mul(right) == reference_mul(single, right)
+        assert made == []
+
+    def test_a_product_holds_one_row_besides_its_output(self):
+        # rows y^b (1 + x)^40 for b = 0..40 hold about 20 times the terms of
+        # the product; made one at a time, the peak stays near the output
+        left = ONE.add(X).mul(ONE.add(Y).pow(40))
+        right = ONE.add(X).pow(40)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            product = left.mul(right)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(product.terms) == 1722
+        assert peak - before < 3 * (held - before)
 
 
 def repeated_mul(a, n):
