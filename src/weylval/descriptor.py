@@ -124,9 +124,11 @@ class OmegaDescriptor:
         self._cache: Dict[int, OmegaStep] = {}
         # w_1 .. w_K, built by omega_element; always a contiguous prefix
         self._tower: Dict[int, WeylElement] = {}
-        # the same elements as integer terms over one denominator, with the
-        # rows y^b w_i made so far
+        # the same elements as integer rows over one denominator, with the
+        # rows y^b w_i kept so far
         self._tower_ints: Dict[int, Tuple[LeftTable, int]] = {}
+        # the row terms those tables may still keep, shared by all of them
+        self._row_room = [TOWER_ROW_TERM_BUDGET]
         # digit walks over steps 1..r, keyed by r, built by digit_walk
         self._digit_walks: Dict[int, DigitWalk] = {}
         if isinstance(tail, IrrationalTerminal):
@@ -367,10 +369,18 @@ def alpha_sign(desc: OmegaDescriptor, i: int, j: int) -> int:
 
 
 # Largest y-degree n_1 n_2 ... n_i of a tower element omega_element builds.
-# On a 2-vCPU Xeon, halving's w_3 (64) builds in 0.03 s; constant(1,3,1)'s
-# w_3 (729) takes 34 s and 91 MB, and halving's w_4 (1024) did not finish
+# On a 2-vCPU Xeon, halving's w_3 (64) builds in 0.02 s; constant(1,3,1)'s
+# w_3 (729) takes 18 s and 85 MB, and halving's w_4 (1024) did not finish
 # in 5 minutes.
 TOWER_Y_DEGREE_BUDGET = 256
+
+# Most row terms y^b w_i that the `LeftTable`s of one descriptor keep; past
+# it a row is made for each division that asks for it and dropped.  The
+# benchmark keeps at most 1,678 on one descriptor.  One halving descriptor
+# serving 2000 random elements (total degree up to 40, every fourth a y^k,
+# k up to 160) would keep 84,045 row terms and peak at 30 MB; under this
+# budget it peaks at about 19.5 MB, against 18.9 MB keeping no row.
+TOWER_ROW_TERM_BUDGET = 2048
 
 
 def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
@@ -410,16 +420,17 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
 
 
 def omega_integer_form(desc: OmegaDescriptor, i: int) -> Tuple[LeftTable, int]:
-    """w_i as a `LeftTable` of integer terms (x exponent, y exponent, c) over
-    one denominator E, so that w_i = sum c x^a y^b / E, and E.
+    """w_i as a `LeftTable` of integer `Rows` {b: {a: c}} over one
+    denominator E, so that w_i = sum c x^a y^b / E, and E.
 
-    Scaled once per descriptor; the table keeps every row y^b w_i that a
-    digit expansion has asked for, for the next one on the descriptor.
+    Scaled once per descriptor.  The table keeps the rows y^b w_i that a
+    digit expansion has asked for, for the next one on the descriptor, until
+    the tables of the descriptor hold TOWER_ROW_TERM_BUDGET row terms.
     """
     form = desc._tower_ints.get(i)
     if form is None:
-        terms, scale = _integer_terms(omega_element(desc, i).terms)
-        form = desc._tower_ints[i] = (LeftTable(terms), scale)
+        rows, scale = _integer_terms(omega_element(desc, i).terms)
+        form = desc._tower_ints[i] = (LeftTable(rows, desc._row_room), scale)
     return form
 
 

@@ -31,7 +31,7 @@ from .coeff import Rat, nth_root, sgn, two_adic_valuation
 from .descriptor import OmegaDescriptor, alpha, data_window, digit_walk, omega_integer_form, pair_data
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2
-from .weyl import Monomial, WeylElement, WeylFraction, _add_shifted, _integer_terms
+from .weyl import Rows, WeylElement, WeylFraction, _add_shifted, _integer_terms
 
 if TYPE_CHECKING:
     from .orderings import OrderingDescriptor
@@ -611,31 +611,37 @@ def _accumulate(pool: Dict[Word, Rat], word: Word, c: Rat) -> None:
 def _leading(ctx: Valuation, keyed: List[Keyed]) -> LeadingData:
     """Certify the leading level of a keyed list of words.
 
-    One pass per level keeps the scan exact yet lazy.  A pass finds the
-    least key on its list and splits that level from the ``rest``.  Only the
-    level's words are sorted, into ``canon``, where equal content merges and
-    cancels eagerly.  Sorting keeps a word's value, so ``canon`` holds the
-    level alone: the pass certifies it, or finds it empty, or rewrites all
-    of it at strictly larger values.  Only then is ``pending`` built, from
-    the rest, the sorts' corrections (which sit strictly above the level and
-    join unsorted) and the level's expansions, and the next pass keys it
-    with `word_key`.  The first list is the digit pool, whose words are
+    One pass per level keeps the scan exact yet lazy.  A pass compares each
+    word's key once with the least so far, which splits the least level
+    from the ``rest`` as it finds it.  Only the level's words are sorted,
+    into ``canon``, where equal content merges and cancels eagerly.  Sorting
+    keeps a word's value, so ``canon`` holds the level alone: the pass
+    certifies it, or finds it empty, or rewrites all of it at strictly
+    larger values.  Only then is ``pending`` built, from the rest, the
+    sorts' corrections (which sit strictly above the level and join
+    unsorted) and the level's expansions.  The rest keeps its keys, and the
+    next pass keys only the words the corrections and expansions add, with
+    `word_key`.  The first list is the digit pool, whose words are
     distinct, so it needs no merge; its coefficients may be ints.
     """
     word_key, scale = ctx.word_key, ctx.scale
     while keyed:
         level = keyed[0][2]
-        for _, _, key in keyed:
-            if _key_cmp(key, level, scale) < 0:
-                level = key
-        canon: Dict[Word, Rat] = {}
+        least: List[Keyed] = []
         rest: List[Keyed] = []
-        sorts: List[Tuple[Rat, List[Emission]]] = []
         for item in keyed:
-            w, c, key = item
-            if _key_cmp(key, level, scale):
+            order = _key_cmp(item[2], level, scale)
+            if order > 0:
                 rest.append(item)
-                continue
+            elif order == 0:
+                least.append(item)
+            else:
+                rest += least
+                least = [item]
+                level = item[2]
+        canon: Dict[Word, Rat] = {}
+        sorts: List[Tuple[Rat, List[Emission]]] = []
+        for w, c, _ in least:
             sw, corrections = _sort_word(ctx, w)
             _accumulate(canon, sw, c)
             sorts.append((c, corrections))
@@ -654,26 +660,24 @@ def _leading(ctx: Valuation, keyed: List[Keyed]) -> LeadingData:
             if lam != 0:
                 return LeadingData(value, lam, ref.word, ref.eps_basis, ref.eps_terminal)
         pending = {w: c for w, c, _ in rest}
+        keys = {w: key for w, _, key in rest}
         for c, corrections in sorts:
             for cc, cu in corrections:
                 _accumulate(pending, cu, c * cc)
         for w, c, rel, res in members:
             for cc, ww in _expand_zero(ctx, rel, res):
                 _accumulate(pending, _concat(ref.word, ww), c * cc)
-        keyed = [(w, c, word_key(w)) for w, c in pending.items() if c]
+        # a key is a nonempty tuple, so `or` keys only the words rest lacks
+        keyed = [(w, c, keys.get(w) or word_key(w)) for w, c in pending.items() if c]
     return _ZERO_LEADING
 
 
 # Term pairs (quotient term, divisor term) that the digit expansion of one
 # element may hand to the product kernel.  The benchmark's elements need at
 # most 7,692 and y^54 on constant(1,3,1) needs 11,195 (0.02 s on a 2-vCPU
-# Xeon); y^108 there needs 141,352 (0.2 s), and y^728 would run for about
-# three minutes and take 151 MB.
+# Xeon); y^108 there needs 141,352 (0.1 s), and y^728 would run for about
+# 90 s and take 140 MB.
 DIGIT_WORK_BUDGET = 65536
-
-# An element as integer rows {y exponent: {x exponent: numerator}} over one
-# denominator; no row is empty and no numerator is 0.
-Rows = Dict[int, Dict[int, int]]
 
 
 def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
@@ -688,18 +692,19 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
     down the recursion, and the coefficient is the row's int numerator when
     the row's denominator is 1, and one Rat otherwise.
 
-    The expansion runs on integer `Rows` over one denominator.  A division
-    by a tower element with top term x^lead y^d walks the y-degrees from the
-    top down to d: the row at degree deg becomes the quotient row
-    x^{i - lead} y^{deg - d}, and its product with the divisor is
-    subtracted, which cancels that row and changes only lower ones.  All
-    quotient terms of a row share y^{deg - d}, so `_add_shifted` shifts one
-    row y^{deg - d} w_i of the divisor's `LeftTable`, which the descriptor
-    keeps for every later expansion.  The denominator grows, by E, only when
-    the divisor's integer form has a denominator E != 1, so it can differ
-    between branches.  The term pairs (quotient term, divisor term) are
-    counted per element; past DIGIT_WORK_BUDGET the expansion raises
-    BudgetExceeded.
+    The expansion runs on integer `Rows` over one denominator, the product
+    kernel's format.  A division by a tower element with top term
+    x^lead y^d walks the y-degrees from the top down to d: the row at degree
+    deg becomes the quotient row x^{i - lead} y^{deg - d}, and `_add_shifted`
+    subtracts its product with the divisor straight from the dividend's
+    rows, shifting one row y^{deg - d} w_i of the divisor's `LeftTable` by
+    each negated quotient term.  That cancels the row at deg and changes only
+    lower ones.  The table keeps its rows on the descriptor for every later
+    expansion, with the divisor's lead and term count.  The denominator
+    grows, by E, only when the divisor's integer form has a denominator
+    E != 1, so it can differ between branches.  The term pairs (quotient
+    term, divisor term) are counted per element; past DIGIT_WORK_BUDGET the
+    expansion raises BudgetExceeded.
 
     The deepest divisor is the last tower element whose value is declared:
     w_N under an irrational terminal after N steps, w_{N-1} on a bare prefix
@@ -718,10 +723,7 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
     pool: List[Keyed] = []
     if not element.terms:
         return pool
-    terms, den = _integer_terms(element.terms)
-    rows: Rows = {}
-    for i, j, c in terms:
-        rows.setdefault(j, {})[i] = c
+    rows, den = _integer_terms(element.terms)
     # the y-degrees n_1 ... n_i of the divisors w_1 .. w_i, up to the element's
     deg_y, d_index = max(rows), 1
     degrees: List[int] = []
@@ -765,8 +767,7 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
             return
         d_index = degrees[index - 1]
         table, scale = omega_integer_form(desc, index)
-        divisor = table.right
-        lead_x = next(a for a, b, _ in divisor if b == d_index)
+        lead, size = table.lead, table.size
         power = 0
         while rows:
             quotient: Rows = {}
@@ -774,34 +775,21 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
                 row = rows.get(deg)
                 if row is None:
                     continue
-                block = [(i - lead_x, c) for i, c in row.items()]
-                quotient[deg - d_index] = dict(block)
-                work += len(block) * len(divisor)
+                work += len(row) * size
                 if work > DIGIT_WORK_BUDGET:
                     raise BudgetExceeded(
                         f"digit expansion by w_{index} handed {work} term pairs "
                         f"to the product kernel, above the budget of {DIGIT_WORK_BUDGET}"
                     )
+                quotient[deg - d_index] = {i - lead: c for i, c in row.items()}
+                negated = [(i - lead, -c) for i, c in row.items()]
                 if scale != 1:
                     den *= scale
                     for part in (rows, quotient):
                         for r in part.values():
                             for i in r:
                                 r[i] *= scale
-                product: Dict[Monomial, int] = {}
-                _add_shifted(product, table.row(deg - d_index), block)
-                for (i, j), c in product.items():
-                    r = rows.get(j)
-                    if r is None:
-                        rows[j] = {i: -c}
-                        continue
-                    acc = r.get(i, 0) - c
-                    if acc:
-                        r[i] = acc
-                    else:
-                        del r[i]
-                        if not r:
-                            del rows[j]
+                _add_shifted(rows, table.row(deg - d_index), negated)
             if rows:
                 if power:
                     digit_key = _key_add(key, read_key(index), power)

@@ -37,7 +37,7 @@ from .weyl import Monomial, WeylElement, _integer_terms
 # `WeylElement.pow`'s linear loop hands to the product kernel, each weighed
 # by the 64-bit words of the result's coefficients, plus those coefficients'
 # bits.  On a 2-vCPU Xeon, (x+1)^600 costs 3,606,600 units and parses in
-# 0.2 s; (x+1)^2000 would cost 128 million and take 3.4 s, and 3^99999999
+# 0.1 s; (x+1)^2000 would cost 128 million and take 1.6 s, and 3^99999999
 # would build a 158-million-bit integer.  A power of c x^i or c y^j makes no pairs, so
 # x^100000000000000000000 costs nothing.  The normal-form path computes no
 # powers and no products, so it never checks the budget.
@@ -54,14 +54,15 @@ def _power_work(base: WeylElement, n: int) -> int:
     """
     if not base.terms:
         return 0
-    terms, den = _integer_terms(base.terms)
-    bits = n * (sum(abs(c) for _, _, c in terms).bit_length() + den.bit_length() - 2)
-    dx = max(i for i, _, _ in terms)
-    dy = max(j for _, j, _ in terms)
-    if len(terms) == 1 and (dx == 0 or dy == 0):
+    rows, den = _integer_terms(base.terms)
+    coeffs = [c for row in rows.values() for c in row.values()]
+    bits = n * (sum(map(abs, coeffs)).bit_length() + den.bit_length() - 2)
+    dx = max(max(row) for row in rows.values())
+    dy = max(rows)
+    if len(coeffs) == 1 and (dx == 0 or dy == 0):
         return bits
     s1, s2 = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
-    pairs = len(terms) * (n + (dx + dy) * s1 + dx * dy * s2)
+    pairs = len(coeffs) * (n + (dx + dy) * s1 + dx * dy * s2)
     return pairs * (1 + bits // 64) + bits
 
 _TOKEN_RE = re.compile(

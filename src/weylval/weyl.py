@@ -17,67 +17,97 @@ from .coeff import Rat, format_rat
 from .errors import NegativeXPower, NonzeroRequired
 
 Monomial = Tuple[int, int]  # (x exponent, y exponent)
-IntTerm = Tuple[int, int, int]  # (x exponent, y exponent, integer coefficient)
+# The integer kernel's one format: an element as rows {y exponent: {x
+# exponent: numerator}} over one denominator.  No row is empty and no
+# numerator is 0.
+Rows = Dict[int, Dict[int, int]]
+# A row y^b R of a `LeftTable`, grouped by y-degree: [(d, [(c, q), ...]), ...]
+# for the terms q x^c y^d.
+Row = List[Tuple[int, List[Tuple[int, int]]]]
 
 
-def _integer_terms(terms: Dict[Monomial, Rat]) -> Tuple[List[IntTerm], int]:
-    """The terms as (i, j, numerator) over one shared denominator."""
+def _integer_terms(terms: Dict[Monomial, Rat]) -> Tuple[Rows, int]:
+    """The terms as `Rows` over one shared denominator, and the denominator."""
     den = lcm(*(coeff.denominator for coeff in terms.values()))
-    return [(i, j, coeff.numerator * (den // coeff.denominator))
-            for (i, j), coeff in terms.items()], den
+    rows: Rows = {}
+    for (i, j), coeff in terms.items():
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = {}
+        row[i] = coeff.numerator * (den // coeff.denominator)
+    return rows, den
 
 
-def _add_leibniz(out: Dict[Monomial, int], right: List[IntTerm], a: int, b: int, p: int) -> None:
-    """Add p x^a y^b R to `out`, R an integer term list, in normal form.
+def _add_leibniz(out: Rows, right: Rows, a: int, b: int, p: int) -> None:
+    """Add p x^a y^b R to the rows `out`, R integer rows, in normal form.
 
     Uses y^b x^c = sum_t C(b,t) c(c-1)...(c-t+1) x^{c-t} y^{b-t}, which
     stops at t = min(b, c) when c >= 0; coefficient t+1 is coefficient t
     times (b-t)(c-t)/(t+1), an exact division.  This is the package's one
-    Leibniz loop.
+    Leibniz loop.  A numerator that cancels leaves its row, and a row left
+    empty leaves `out`.
     """
     get = out.get
-    for c, d, q in right:
-        coeff = p * q
-        last = b if c < 0 or b < c else c
-        t = 0
-        while True:
-            key = (a + c - t, b + d - t)
-            acc = get(key, 0) + coeff
-            # a cancelled key leaves at once: a key that comes back moves
-            # to the end of the term order
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-            if t == last:
-                break
-            coeff = coeff * (b - t) * (c - t) // (t + 1)
-            t += 1
+    for d, terms in right.items():
+        for c, q in terms.items():
+            coeff = p * q
+            last = b if c < 0 or b < c else c
+            i, j = a + c, b + d
+            t = 0
+            while True:
+                row = get(j)
+                if row is None:
+                    out[j] = {i: coeff}
+                else:
+                    acc = row.get(i, 0) + coeff
+                    if acc:
+                        row[i] = acc
+                    else:
+                        del row[i]
+                        if not row:
+                            del out[j]
+                if t == last:
+                    break
+                coeff = coeff * (b - t) * (c - t) // (t + 1)
+                t += 1
+                i -= 1
+                j -= 1
 
 
-def _leibniz_row(right: List[IntTerm], b: int) -> List[IntTerm]:
-    """The row y^b R as integer terms, made straight from the Leibniz rule.
+def _leibniz_row(right: Rows, b: int) -> Row:
+    """The row y^b R, grouped by y-degree, made straight from the Leibniz rule.
 
     A row is never built from the one below it, so y^20000 x^100 makes one
     row of 101 terms, not 20,001 rows.
     """
-    row: Dict[Monomial, int] = {}
-    _add_leibniz(row, right, 0, b, 1)
-    return [(i, j, c) for (i, j), c in row.items()]
+    rows: Rows = {}
+    _add_leibniz(rows, right, 0, b, 1)
+    return [(d, list(terms.items())) for d, terms in rows.items()]
 
 
-def _add_shifted(out: Dict[Monomial, int], row: List[IntTerm], terms: Iterable[Tuple[int, int]]) -> None:
-    """Add p x^a (y^b R) to `out` for each (a, p) in `terms`, given the row
-    y^b R: x^a y^b R = x^a (y^b R), one multiply-add per (term, row term)."""
-    get = out.get
-    for a, p in terms:
-        for c, d, q in row:
-            key = (a + c, d)
-            acc = get(key, 0) + p * q
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
+def _add_shifted(out: Rows, row: Row, terms: Iterable[Tuple[int, int]]) -> None:
+    """Add p x^a (y^b R) to the rows `out` for each (a, p) in `terms`, given
+    the row y^b R: x^a y^b R = x^a (y^b R).
+
+    One lookup in `out` per y-degree of the row, then one int-keyed
+    multiply-add per (term, row term).  `terms` is read once per y-degree,
+    so it must not be a view of a row of `out`.
+    """
+    for d, entries in row:
+        target = out.get(d)
+        if target is None:
+            target = out[d] = {}
+        get = target.get
+        for a, p in terms:
+            for c, q in entries:
+                i = a + c
+                acc = get(i, 0) + p * q
+                if acc:
+                    target[i] = acc
+                else:
+                    del target[i]
+        if not target:
+            del out[d]
 
 
 class LeftTable:
@@ -85,43 +115,56 @@ class LeftTable:
 
     A tower element's table lives on its descriptor, so every digit
     expansion there reuses the rows the ones before it made.  Only the rows
-    asked for are made.
+    asked for are made, and each is kept in the grouped form `_add_shifted`
+    reads.  The tables of one descriptor share `room`, a one-item list of
+    the row terms they may still keep; a row that does not fit is made and
+    returned, not kept.  `lead` is the x exponent of R's top term x^lead y^d
+    (a divisor's top row is that one term) and `size` is R's term count.
     """
 
-    __slots__ = ("right", "rows")
+    __slots__ = ("right", "lead", "size", "rows", "room")
 
-    def __init__(self, right: List[IntTerm]):
+    def __init__(self, right: Rows, room: List[int]):
         self.right = right
-        self.rows: Dict[int, List[IntTerm]] = {}
+        self.lead = max(right[max(right)]) if right else None
+        self.size = sum(map(len, right.values()))
+        self.rows: Dict[int, Row] = {}
+        self.room = room
 
-    def row(self, b: int) -> List[IntTerm]:
-        """y^b R as integer terms, cancelled keys dropped."""
+    def row(self, b: int) -> Row:
+        """y^b R, grouped by y-degree, cancelled terms dropped."""
         row = self.rows.get(b)
         if row is None:
-            row = self.rows[b] = _leibniz_row(self.right, b)
+            row = _leibniz_row(self.right, b)
+            size = sum(len(entries) for _, entries in row)
+            if size <= self.room[0]:
+                self.room[0] -= size
+                self.rows[b] = row
         return row
 
 
-def _int_product(left: Iterable[IntTerm], right: List[IntTerm]) -> Dict[Monomial, int]:
-    """The normal-form product of two integer term lists, cancelled keys dropped.
+def _int_product(left: Rows, right: Rows) -> Rows:
+    """The normal-form product of two integer `Rows`, as `Rows`.
 
-    The left terms are grouped by y-degree.  A group of one term goes
-    through the Leibniz loop straight into the output, as a row read once
-    does not pay for its making; a larger group makes its row y^b R once,
-    shifts it by each of its terms and drops it.  So the product holds at
-    most one row besides its output.
+    Each row of `left` holds the terms of one y-degree b.  A row of one
+    term goes through the Leibniz loop straight into the output, as a row
+    y^b R read once does not pay for its making; a larger row makes y^b R
+    once, shifts it by each of its terms and drops it.  So the product
+    holds at most one row besides its output.
     """
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for a, b, p in left:
-        groups.setdefault(b, []).append((a, p))
-    out: Dict[Monomial, int] = {}
-    for b, terms in groups.items():
+    out: Rows = {}
+    for b, terms in left.items():
         if len(terms) == 1:
-            (a, p), = terms
+            (a, p), = terms.items()
             _add_leibniz(out, right, a, b, p)
         else:
-            _add_shifted(out, _leibniz_row(right, b), terms)
+            _add_shifted(out, _leibniz_row(right, b), terms.items())
     return out
+
+
+def _rats(rows: Rows, den: int) -> Dict[Monomial, Rat]:
+    """Integer rows over `den` as the terms {(i, j): Rat} of an element."""
+    return {(i, j): Rat(c, den) for j, terms in rows.items() for i, c in terms.items()}
 
 
 class WeylElement:
@@ -191,10 +234,10 @@ class WeylElement:
     def mul(self, other: "WeylElement") -> "WeylElement":
         """Exact product; moves every y of self past every x of other.
 
-        Both operands are scaled to integers over their own common
-        denominator, and `_int_product` forms the normal-ordered product on
-        ints, where terms of self that share a y-degree share one row
-        y^b other.  Each surviving term becomes one Rat at the end.
+        Both operands become integer `Rows` over their own common
+        denominator, and `_int_product` forms the normal-ordered product in
+        that format, where terms of self that share a y-degree share one row
+        y^b other.  The rows are flattened once at the end, one Rat a term.
         """
         result = WeylElement()
         if not self.terms or not other.terms:
@@ -208,13 +251,14 @@ class WeylElement:
                 return result
         left, da = _integer_terms(self.terms)
         right, db = _integer_terms(other.terms)
-        den = da * db
-        result.terms = {key: Rat(acc, den) for key, acc in _int_product(left, right).items()}
+        result.terms = _rats(_int_product(left, right), da * db)
         return result
 
     def pow(self, n: int) -> "WeylElement":
-        """self^n by n products on ints through `_int_product`, each
-        making its rows y^b self anew, with one Rat per term at the end."""
+        """self^n by n products through `_int_product`, each making its rows
+        y^b self anew.  The power stays integer `Rows` over den^n from one
+        product to the next and is flattened once at the end, one Rat a
+        term."""
         if n < 0:
             raise ValueError("negative powers are not normal-form elements")
         result = WeylElement()
@@ -225,11 +269,10 @@ class WeylElement:
                 result.terms = {(i * n, j * n): c**n}
                 return result
         right, den = _integer_terms(self.terms)
-        acc: Dict[Monomial, int] = {(0, 0): 1}
+        acc: Rows = {0: {0: 1}}
         for _ in range(n):
-            acc = _int_product([(i, j, c) for (i, j), c in acc.items()], right)
-        den **= n
-        result.terms = {key: Rat(c, den) for key, c in acc.items()}
+            acc = _int_product(acc, right)
+        result.terms = _rats(acc, den**n)
         return result
 
     __add__ = add

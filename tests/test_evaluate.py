@@ -33,7 +33,7 @@ from weylval import (
     sign,
     strongly_abelian_sample,
 )
-from weylval import cli, evaluate
+from weylval import cli, descriptor, evaluate
 from weylval.coeff import two_adic_valuation
 from weylval.descriptor import data_window, omega_integer_form, validate
 
@@ -467,6 +467,34 @@ class TestDescriptorTables:
             assert omega_integer_form(fresh, 1)[1] != 1
 
 
+    def test_kept_rows_stay_within_their_budget(self, monkeypatch):
+        # high y-degree elements on one halving descriptor ask for more rows
+        # y^b w_i than the budget holds; the rows past it are made per
+        # division and dropped, and every answer is a fresh descriptor's
+        data, budget = FIXTURE_JSONS["halving"], descriptor.TOWER_ROW_TERM_BUDGET
+        batch = [Y.pow(64), Y.pow(68), X.pow(7).mul(Y.pow(66)).add(Y.pow(65)), Y.pow(72),
+                 elem({(3, 70): 2, (1, 40): -1}), Y.pow(76)]
+
+        def kept(desc):
+            return sum(sum(len(entries) for _, entries in row)
+                       for table, _ in desc._tower_ints.values() for row in table.rows.values())
+
+        def answers(desc_for):
+            return [_outcome(evaluate.leading_data, Valuation(desc_for(), 64), f) for f in batch]
+
+        want = answers(lambda: OmegaDescriptor.from_json(data))
+        assert "ok" in {outcome[0] for outcome in want}
+        shared = OmegaDescriptor.from_json(data)
+        assert answers(lambda: shared) == want
+        assert kept(shared) <= budget
+        assert kept(shared) + shared._row_room[0] == budget
+        # without the budget the same batch keeps more rows than it allows
+        monkeypatch.setattr(descriptor, "TOWER_ROW_TERM_BUDGET", 1 << 30)
+        unbounded = OmegaDescriptor.from_json(data)
+        assert answers(lambda: unbounded) == want
+        assert kept(unbounded) > budget
+
+
 class TestSession:
     @pytest.mark.parametrize(
         "fixture", ["worked", "single_terminal", "halving", "constant131", "single24"]
@@ -566,6 +594,45 @@ class TestLevelScan:
         assert data.value == expected
         element = word_element(worked, word).mul(WeylElement.scalar(3)).add(commutator(Y, X))
         assert data.value == eval_element(worked, element)
+
+
+    @staticmethod
+    def _count(monkeypatch, compared, keyed):
+        cmp, key = evaluate._key_cmp, Valuation.word_key
+        monkeypatch.setattr(evaluate, "_key_cmp", lambda *args: compared.append(args) or cmp(*args))
+        monkeypatch.setattr(Valuation, "word_key", lambda self, w: keyed.append(w) or key(self, w))
+
+    def test_a_certifying_pool_compares_each_word_once(self, halving, monkeypatch):
+        # x w_1^3 + 2 y^5 - 7 x^2 w_2 certifies its first level: one key
+        # comparison per pool word, and no word is keyed again
+        w1, w2 = omega_element(halving, 1), omega_element(halving, 2)
+        element = X.mul(w1.pow(3)).add(elem({(0, 5): 2})).sub(elem({(2, 0): 7}).mul(w2))
+        session = Valuation(halving)
+        pool = evaluate._digit_pool(session, element)
+        compared, keyed = [], []
+        self._count(monkeypatch, compared, keyed)
+        assert evaluate._leading(session, pool).value == rational(-15, 8)
+        assert len(pool) == len(compared) == 12
+        assert keyed == []
+
+    def test_rest_words_keep_their_keys(self, worked, halving, monkeypatch):
+        compared, keyed = [], []
+        self._count(monkeypatch, compared, keyed)
+        # the rest word x y w_1 of the first pass is not keyed again on the
+        # second, which keys only the correction [y, x] = 1
+        yx, xy, word = ((1, 1), (0, 1)), ((0, 1), (1, 1)), ((0, 1), (1, 1), (2, 1))
+        session = Valuation(worked)
+        pool = [(w, c, session.word_key(w)) for w, c in ((yx, 1), (xy, -1), (word, 3))]
+        keyed.clear()
+        assert evaluate._leading(session, pool).value == rational(-1, 4)
+        assert keyed == [()]
+        # F5's element x y w_1^2 - 1 cancels on two levels; every word its
+        # sorts and expansions add is keyed once
+        keyed.clear()
+        f = X.mul(Y).mul(omega_element(halving, 1).pow(2)).sub(WeylElement.scalar(1))
+        session = Valuation(halving)
+        assert evaluate._leading(session, evaluate._digit_pool(session, f)).value == rational(1, 8)
+        assert keyed and len(set(keyed)) == len(keyed)
 
 
 def word_element(desc, word):

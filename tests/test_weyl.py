@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylval import Rat, WeylElement, apply_to_poly, commutator, normalize, weyl
-from weylval.weyl import LeftTable, _integer_terms
+from weylval.weyl import LeftTable, _int_product, _integer_terms
 
 
 def elem(terms):
@@ -106,11 +106,13 @@ laurent_elements = st.dictionaries(
     max_size=5,
 ).map(WeylElement)
 
+nonzero_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
+
 single_terms = st.builds(
     WeylElement.monomial,
     st.integers(-4, 5),
     st.integers(0, 5),
-    st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool),
+    nonzero_fractions,
 )
 
 
@@ -167,19 +169,32 @@ class TestIntegerKernel:
         assert a.mul(b).terms[(0, 0)] == Rat(3, 8)
 
 
+def row_element(row, den=1):
+    """A grouped row [(d, [(c, q), ...])] over `den` as an element."""
+    return WeylElement({(c, d): Rat(q, den) for d, entries in row for c, q in entries})
+
+
+def rows_element(rows, den=1):
+    """Integer rows {d: {c: q}} over `den` as an element."""
+    return WeylElement({(c, d): Rat(q, den) for d, row in rows.items() for c, q in row.items()})
+
+
 class TestLeftTable:
     @settings(max_examples=200, deadline=None)
     @given(laurent_elements, st.integers(0, 12))
     def test_row_is_y_power_times_operand(self, right, b):
-        terms, den = _integer_terms(right.terms)
-        row = LeftTable(terms).row(b)
-        assert len({(i, j) for i, j, _ in row}) == len(row)
-        assert all(c != 0 for _, _, c in row)
-        got = WeylElement({(i, j): Rat(c, den) for i, j, c in row})
-        assert got == reference_mul(Y.pow(b), right)
+        rows, den = _integer_terms(right.terms)
+        row = LeftTable(rows, [1 << 20]).row(b)
+        degrees = [d for d, _ in row]
+        assert len(set(degrees)) == len(degrees)
+        for _, entries in row:
+            assert entries
+            assert len({c for c, _ in entries}) == len(entries)
+            assert all(q != 0 for _, q in entries)
+        assert row_element(row, den) == reference_mul(Y.pow(b), right)
 
     def test_a_row_is_made_once(self):
-        table = LeftTable([(2, 1, 3), (-1, 0, -2)])
+        table = LeftTable({1: {2: 3}, 0: {-1: -2}}, [1 << 20])
         row = table.row(4)
         assert table.row(4) is row
         assert list(table.rows) == [4]
@@ -187,15 +202,60 @@ class TestLeftTable:
     def test_a_high_row_is_made_alone(self):
         # y^500 x^3 = x^3 y^500 + 1500 x^2 y^499 + 748500 x y^498 + 124251000 y^497,
         # made without the 500 rows below it
-        table = LeftTable([(3, 0, 1)])
+        table = LeftTable({0: {3: 1}}, [1 << 20])
         row = table.row(500)
         assert list(table.rows) == [500]
         assert sorted(row, reverse=True) == [
-            (3, 500, 1), (2, 499, 1500), (1, 498, 748500), (0, 497, 124251000)
+            (500, [(3, 1)]), (499, [(2, 1500)]), (498, [(1, 748500)]), (497, [(0, 124251000)])
         ]
+
+    def test_rows_past_the_room_are_made_not_kept(self):
+        # for R = (1 + x)^3, row y^1 R holds 7 terms and row y^2 R holds 9
+        room = [10]
+        table = LeftTable({0: {0: 1, 1: 3, 2: 3, 3: 1}}, room)
+        kept = table.row(1)
+        assert room == [3] and list(table.rows) == [1]
+        row = table.row(2)
+        assert table.row(2) is not row and table.row(2) == row
+        assert room == [3] and list(table.rows) == [1]
+        assert table.row(1) is kept
+        assert row_element(row) == reference_mul(Y.pow(2), ONE.add(X).pow(3))
+
+    def test_lead_and_size_of_a_tower_element(self):
+        # w = x y^2 - 3 has top term x y^2 and two terms
+        table = LeftTable({2: {1: 1}, 0: {0: -3}}, [0])
+        assert (table.lead, table.size) == (1, 2)
 
 
 class TestIntProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_elements, laurent_elements)
+    def test_matches_reference(self, a, b):
+        left, da = _integer_terms(a.terms)
+        right, db = _integer_terms(b.terms)
+        out = _int_product(left, right)
+        assert all(row and all(q != 0 for q in row.values()) for row in out.values())
+        assert rows_element(out, da * db) == reference_mul(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-4, 5), st.integers(0, 5), nonzero_fractions, nonzero_fractions,
+           laurent_elements)
+    def test_a_cancelled_y_degree_leaves_no_row(self, i, j, p, q, extra):
+        # p x^i (y - x) * q (y + x) y^j: the x^{i+1} y^{j+1} of x^i y x y^j
+        # cancels the one of -x^{i+1} y y^j, and with it the whole row j + 1;
+        # `extra`, moved to y-degrees j + 3 and up, adds rows the left
+        # operand cannot bring down to j + 1
+        a = elem({(i, 1): p, (i + 1, 0): -p})
+        b = elem({(0, j + 1): q, (1, j): q})
+        shifted = elem({(k, d + j + 3): c for (k, d), c in extra.terms.items()})
+        for right_operand in (b, b.add(shifted)):
+            left, da = _integer_terms(a.terms)
+            right, db = _integer_terms(right_operand.terms)
+            out = _int_product(left, right)
+            assert j + 1 not in out
+            assert all(row and all(c != 0 for c in row.values()) for row in out.values())
+            assert rows_element(out, da * db) == reference_mul(a, right_operand)
+
     def test_a_row_is_made_per_shared_y_degree(self, monkeypatch):
         # (1 + x)(1 + y)^6 holds two terms at each y-degree 0..6, so each
         # row y^b (1 + x)^3 is made once; (1 + y)^6 holds one, and takes the
