@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
 )
 from .valuegroup import Value, ValueGroupElement
-from .weyl import LeftTable, WeylElement, _integer_terms
+from .weyl import LeftTable, WeylElement
 
 
 @dataclass(frozen=True)
@@ -420,17 +420,18 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
 
 
 def omega_integer_form(desc: OmegaDescriptor, i: int) -> Tuple[LeftTable, int]:
-    """w_i as a `LeftTable` of integer `Rows` {b: {a: c}} over one
-    denominator E, so that w_i = sum c x^a y^b / E, and E.
+    """w_i as a `LeftTable` of its stored `Rows` {b: {a: c}}, and their
+    denominator E, so that w_i = sum c x^a y^b / E.
 
-    Scaled once per descriptor.  The table keeps the rows y^b w_i that a
-    digit expansion has asked for, for the next one on the descriptor, until
-    the tables of the descriptor hold TOWER_ROW_TERM_BUDGET row terms.
+    The table is made once per descriptor and shares the element's rows.
+    It keeps the rows y^b w_i that a digit expansion has asked for, for the
+    next one on the descriptor, until the tables of the descriptor hold
+    TOWER_ROW_TERM_BUDGET row terms.
     """
     form = desc._tower_ints.get(i)
     if form is None:
-        rows, scale = _integer_terms(omega_element(desc, i).terms)
-        form = desc._tower_ints[i] = (LeftTable(rows, desc._row_room), scale)
+        w = omega_element(desc, i)
+        form = desc._tower_ints[i] = (LeftTable(w.rows, desc._row_room), w.den)
     return form
 
 

@@ -31,7 +31,7 @@ from .coeff import Rat, nth_root, sgn, two_adic_valuation
 from .descriptor import OmegaDescriptor, alpha, data_window, digit_walk, omega_integer_form, pair_data
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2
-from .weyl import Rows, WeylElement, WeylFraction, _add_shifted, _integer_terms
+from .weyl import Rows, WeylElement, WeylFraction, _add_shifted
 
 if TYPE_CHECKING:
     from .orderings import OrderingDescriptor
@@ -692,8 +692,9 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
     down the recursion, and the coefficient is the row's int numerator when
     the row's denominator is 1, and one Rat otherwise.
 
-    The expansion runs on integer `Rows` over one denominator, the product
-    kernel's format.  A division by a tower element with top term
+    The expansion runs on a copy of the element's stored `Rows` and
+    denominator, the product kernel's format, as each division subtracts
+    from the rows in place.  A division by a tower element with top term
     x^lead y^d walks the y-degrees from the top down to d: the row at degree
     deg becomes the quotient row x^{i - lead} y^{deg - d}, and `_add_shifted`
     subtracts its product with the divisor straight from the dividend's
@@ -721,9 +722,10 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
         top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
         max_index = min(max_index, top)
     pool: List[Keyed] = []
-    if not element.terms:
+    if not element.rows:
         return pool
-    rows, den = _integer_terms(element.terms)
+    rows = {j: dict(row) for j, row in element.rows.items()}
+    den = element.den
     # the y-degrees n_1 ... n_i of the divisors w_1 .. w_i, up to the element's
     deg_y, d_index = max(rows), 1
     degrees: List[int] = []

@@ -17,21 +17,21 @@ The texts the CLI and the benchmark hand to `parse_expr` are mostly printed
 normal forms: an optional leading '-', then terms joined by '+' or '-', each
 an optional integer or p/q coefficient, then optional x[^i], then optional
 y[^j], joined by '*'.  `parse_expr` reads that shape term by term with one
-anchored pattern and adds each term's key and coefficient straight into the
-terms dict, skipping the tokenizer and the grammar walk.  Any other text,
-including every malformed one, takes the grammar path, so its result and
-its errors are the grammar's.
+anchored pattern and adds each term's coefficient straight into the
+element's integer rows, skipping the tokenizer and the grammar walk.  Any
+other text, including every malformed one, takes the grammar path, so its
+result and its errors are the grammar's.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict
+from math import gcd
 
-from .coeff import Rat, parse_rat
+from .coeff import parse_rat
 from .errors import BudgetExceeded, ParseError
-from .weyl import Monomial, WeylElement, _integer_terms
+from .weyl import Rows, WeylElement, _element
 
 # Work units one power in an expression may cost: the term pairs that
 # `WeylElement.pow`'s linear loop hands to the product kernel, each weighed
@@ -52,9 +52,9 @@ def _power_work(base: WeylElement, n: int) -> int:
     most (k dx + 1)(k dy + 1) terms, dx and dy being the largest x and y
     exponents of base, and each meets every term of base once.
     """
-    if not base.terms:
+    rows, den = base.rows, base.den
+    if not rows:
         return 0
-    rows, den = _integer_terms(base.terms)
     coeffs = [c for row in rows.values() for c in row.values()]
     bits = n * (sum(map(abs, coeffs)).bit_length() + den.bit_length() - 2)
     dx = max(max(row) for row in rows.values())
@@ -192,12 +192,15 @@ _NF_NEXT = re.compile(r"([-+])(?=\s*[0-9xy])" + _NF_TERM)
 def _normal_form(text: str) -> WeylElement | None:
     """The element a printed normal form names, or None for any other text.
 
-    Terms add up as `WeylElement.add` adds them: a repeated key accumulates
-    in place and a key that cancels leaves the dict, so the items and their
-    order are the grammar path's.  A zero denominator and a literal past
-    int's text-conversion limit give None, and the grammar reports them.
+    Terms add up into integer rows over a common denominator `scale`, as
+    `WeylElement.add` adds them: a repeated key accumulates in place, a key
+    that cancels leaves its row and a row left empty leaves, so the stored
+    rows and their order are the grammar path's.  A zero denominator and a
+    literal past int's text-conversion limit give None, and the grammar
+    reports them.
     """
-    terms: Dict[Monomial, Rat] = {}
+    rows: Rows = {}
+    scale = 1
     end = len(text)
     match = _NF_FIRST.match(text)
     while match is not None:
@@ -205,8 +208,8 @@ def _normal_form(text: str) -> WeylElement | None:
         try:
             num = 1 if p is None else int(p)
             den = 1 if q is None else int(q)
-            key = (0 if x is None else 1 if i is None else int(i),
-                   0 if y is None else 1 if j is None else int(j))
+            xi = 0 if x is None else 1 if i is None else int(i)
+            yj = 0 if y is None else 1 if j is None else int(j)
         except ValueError:
             return None
         if not den:
@@ -214,19 +217,23 @@ def _normal_form(text: str) -> WeylElement | None:
         if num:
             if sign == "-":
                 num = -num
-            coeff = Rat(num) if q is None else Rat(num, den)
-            acc = terms.get(key)
-            if acc is not None:
-                coeff += acc
-            if coeff:
-                terms[key] = coeff
+            if scale % den:
+                step = den // gcd(scale, den)
+                for row in rows.values():
+                    for k in row:
+                        row[k] *= step
+                scale *= step
+            row = rows.setdefault(yj, {})
+            acc = row.get(xi, 0) + num * (scale // den)
+            if acc:
+                row[xi] = acc
             else:
-                del terms[key]
+                del row[xi]
+                if not row:
+                    del rows[yj]
         pos = match.end()
         if pos == end:
-            result = WeylElement()
-            result.terms = terms
-            return result
+            return _element(rows, scale)
         match = _NF_NEXT.match(text, pos)
     return None
 

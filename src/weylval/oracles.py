@@ -177,11 +177,7 @@ def shadow_eval(
     a_s - beta_s = w_s alone.
     """
     ctx = Valuation(desc, depth_limit)
-    pool: Dict[SKey, Rat] = {}
-    for (i, j), c in element.terms.items():
-        key = _skey({0: i, 1: j})
-        pool[key] = pool.get(key, Rat(0)) + c
-    pool = {k: c for k, c in pool.items() if c}
+    pool = {_skey({0: i, 1: j}): c for (i, j), c in element.terms.items()}
     while pool:
         values = {key: _shadow_value(ctx, key) for key in pool}
         level: Optional[ValueGroupElement] = None

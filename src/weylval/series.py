@@ -357,11 +357,11 @@ def shift_variable(f: OrePoly, a: PuiseuxSeries) -> OrePoly:
 
 def embed(element: WeylElement) -> OrePoly:
     """Exact image of a Weyl element: x^i y^j with y as the skew variable."""
-    degree = max((j for (_, j) in element.terms), default=0)
-    pairs: List[List[Tuple[Rat, Rat]]] = [[] for _ in range(degree + 1)]
-    for (i, j), c in element.terms.items():
-        pairs[j].append((Rat(-i), c))
-    return OrePoly.make([PuiseuxSeries.make(p) for p in pairs])
+    rows, den = element.rows, element.den
+    return OrePoly.make([
+        PuiseuxSeries.make([(Rat(-i), Rat(c, den)) for i, c in rows.get(j, {}).items()])
+        for j in range(max(rows, default=0) + 1)
+    ])
 
 
 # -- z-sequences --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Main valuation engine: values, residues, fractions, sessions, and the shadow oracle."""
 
+import copy
 import json
 import math
 import random
@@ -466,6 +467,28 @@ class TestDescriptorTables:
         if name.startswith("rational"):
             assert omega_integer_form(fresh, 1)[1] != 1
 
+
+    @pytest.mark.parametrize("name", list(FIXTURE_JSONS))
+    def test_evaluation_leaves_its_inputs_unchanged(self, name):
+        # the digit expansion subtracts from a copy of the element's stored
+        # rows, and the divisors' tables share the tower elements' rows
+        desc = OmegaDescriptor.from_json(FIXTURE_JSONS[name])
+        rng = random.Random(f"read-only:{name}")
+        batch = [sample_element(rng, max_degree=9) for _ in range(4)]
+        batch += [Y.pow(27), elem({(3, 9): Rat(2, 3), (1, 2): -1, (0, 0): 5}), Y.pow(40)]
+        for i in range(1, 4):
+            try:
+                batch.append(omega_element(desc, i))
+            except (WeylvalError, IndexError):
+                break
+        before = [(copy.deepcopy(f.rows), f.den, hash(f)) for f in batch]
+        for f in batch:
+            _outcome(evaluate.leading_data, Valuation(desc, 64), f)
+        assert [(f.rows, f.den, hash(f)) for f in batch] == before
+        if name.startswith("rational") and desc._tower_ints:
+            assert omega_integer_form(desc, 1)[1] != 1
+        for i in desc._tower_ints:
+            assert any(omega_element(desc, i) is f for f in batch)
 
     def test_kept_rows_stay_within_their_budget(self, monkeypatch):
         # high y-degree elements on one halving descriptor ask for more rows

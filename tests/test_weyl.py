@@ -2,12 +2,12 @@
 
 import random
 import tracemalloc
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylval import Rat, WeylElement, apply_to_poly, commutator, normalize, weyl
+from weylval import Rat, Valuation, WeylElement, apply_to_poly, commutator, evaluate, normalize, weyl
 from weylval.weyl import LeftTable, _int_product, _integer_terms
 
 
@@ -331,6 +331,51 @@ class TestPow:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             X.pow(-1)
+
+
+def assert_canonical(f):
+    """den >= 1 and prime to every numerator, no empty row, no zero; so
+    zero is stored as ({}, 1)."""
+    numerators = [c for row in f.rows.values() for c in row.values()]
+    assert f.den >= 1 and gcd(f.den, *numerators) == 1
+    assert all(f.rows.values()) and all(numerators)
+
+
+class TestStoredForm:
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_elements, laurent_elements)
+    def test_every_route_stores_the_canonical_form(self, a, b):
+        for f in (a, a.add(b), a.sub(b), a.neg(), a.mul(b), a.pow(2), a.sub(a)):
+            assert_canonical(f)
+            rebuilt = WeylElement(f.terms)
+            assert rebuilt == f and hash(rebuilt) == hash(f)
+
+    def test_two_routes_give_one_element(self, monkeypatch, worked):
+        # (x/2 + 1/2)*2 is formed over the denominator 2 before its gcd
+        # pass, and y*x - x*y cancels the whole row of y-degree 1
+        pairs = [
+            (elem({(1, 0): Rat(1, 2), (0, 0): Rat(1, 2)}).mul(WeylElement.scalar(2)), X.add(ONE)),
+            (Y.mul(X).sub(X.mul(Y)), ONE),
+        ]
+        calls = []
+        real = evaluate.leading_data
+        monkeypatch.setattr(evaluate, "leading_data", lambda s, f: calls.append(f) or real(s, f))
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            session = Valuation(worked)
+            calls.clear()
+            assert session.leading(a) is session.leading(b)
+            assert len(calls) == 1
+
+    def test_terms_is_a_fresh_dict(self):
+        f = elem({(1, 2): Rat(3, 4), (0, 0): -1})
+        terms = f.terms
+        terms[(1, 2)] = Rat(7)
+        terms[(5, 5)] = Rat(1)
+        del terms[(0, 0)]
+        assert f == elem({(1, 2): Rat(3, 4), (0, 0): -1})
+        assert f.terms == {(1, 2): Rat(3, 4), (0, 0): Rat(-1)}
+        assert (f.rows, f.den) == ({2: {1: 3}, 0: {0: -4}}, 4)
 
 
 class TestCommutator:
