@@ -206,26 +206,45 @@ def _cmd_shadow_compare(args: argparse.Namespace) -> Outcome:
     return report, summary, not disagreements
 
 
-_HANDLERS: Dict[str, Callable[[argparse.Namespace], Outcome]] = {
-    "validate": _cmd_validate,
-    "eval": _cmd_eval,
-    "residue": _cmd_residue,
-    "sign": _cmd_sign,
-    "orderings": _cmd_orderings,
-    "extend-check": _cmd_extend_check,
-    "convert": _cmd_convert,
-    "roundtrip": _cmd_roundtrip,
-    "sample-strongly-abelian": _cmd_sample_strongly_abelian,
-    "shadow-compare": _cmd_shadow_compare,
+# Each subcommand with its handler, the flag groups of `_build_parser` it
+# takes, and its help text, in the order `weylval --help` lists them.
+_COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], Outcome], Tuple[str, ...], str]] = {
+    "validate": (_cmd_validate, ("desc",), "check descriptor well-formedness"),
+    "eval": (_cmd_eval, ("desc", "expr"), "value of an element"),
+    "residue": (_cmd_residue, ("desc", "expr"), "residue of a value-0 element"),
+    "sign": (
+        _cmd_sign, ("desc", "expr"), "sign of an element under every compatible ordering"
+    ),
+    "orderings": (_cmd_orderings, ("desc",), "enumerate compatible orderings"),
+    "extend-check": (
+        _cmd_extend_check, ("desc",), "extendability of the valuation and of each ordering"
+    ),
+    "convert": (_cmd_convert, ("desc", "choice"), "convert the tower to its z-sequence"),
+    "roundtrip": (
+        _cmd_roundtrip,
+        ("desc", "sample", "choice"),
+        "compare direct evaluation against the converted z-sequence",
+    ),
+    "sample-strongly-abelian": (
+        _cmd_sample_strongly_abelian, ("desc", "sample"), "sample the commutator value inequality"
+    ),
+    "shadow-compare": (
+        _cmd_shadow_compare,
+        ("desc", "sample"),
+        "compare the main evaluator against the commutative shadow",
+    ),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    desc_flags = argparse.ArgumentParser(add_help=False)
-    desc_flags.add_argument(
+    flags = {
+        group: argparse.ArgumentParser(add_help=False)
+        for group in ("desc", "expr", "sample", "choice")
+    }
+    flags["desc"].add_argument(
         "--desc", required=True, metavar="FILE", help="descriptor JSON file"
     )
-    desc_flags.add_argument(
+    flags["desc"].add_argument(
         "--depth",
         type=non_negative_int,
         default=None,
@@ -237,22 +256,19 @@ def _build_parser() -> argparse.ArgumentParser:
             "generator's value or chooses a divisor"
         ),
     )
-    expr_flags = argparse.ArgumentParser(add_help=False)
-    expr_flags.add_argument(
+    flags["expr"].add_argument(
         "--expr", required=True, help='element expression, e.g. "x^2*y^4 - 1"'
     )
-    sample_flags = argparse.ArgumentParser(add_help=False)
-    sample_flags.add_argument(
+    flags["sample"].add_argument(
         "--trials",
         type=positive_int,
         default=500,
         help="number of samples, at least 1 (default 500)",
     )
-    sample_flags.add_argument(
+    flags["sample"].add_argument(
         "--seed", type=int, default=0, help="RNG seed (default 0)"
     )
-    choice_flags = argparse.ArgumentParser(add_help=False)
-    choice_flags.add_argument(
+    flags["choice"].add_argument(
         "--sign-choice",
         choices=("+1", "-1"),
         help="sign of the free root in the non-2-divisible case",
@@ -263,55 +279,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact valuations on the Weyl algebra and their extensions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "validate", parents=[desc_flags], help="check descriptor well-formedness"
-    )
-    sub.add_parser(
-        "eval", parents=[desc_flags, expr_flags], help="value of an element"
-    )
-    sub.add_parser(
-        "residue", parents=[desc_flags, expr_flags], help="residue of a value-0 element"
-    )
-    sub.add_parser(
-        "sign",
-        parents=[desc_flags, expr_flags],
-        help="sign of an element under every compatible ordering",
-    )
-    sub.add_parser(
-        "orderings", parents=[desc_flags], help="enumerate compatible orderings"
-    )
-    sub.add_parser(
-        "extend-check",
-        parents=[desc_flags],
-        help="extendability of the valuation and of each ordering",
-    )
-    sub.add_parser(
-        "convert",
-        parents=[desc_flags, choice_flags],
-        help="convert the tower to its z-sequence",
-    )
-    sub.add_parser(
-        "roundtrip",
-        parents=[desc_flags, sample_flags, choice_flags],
-        help="compare direct evaluation against the converted z-sequence",
-    )
-    sub.add_parser(
-        "sample-strongly-abelian",
-        parents=[desc_flags, sample_flags],
-        help="sample the commutator value inequality",
-    )
-    sub.add_parser(
-        "shadow-compare",
-        parents=[desc_flags, sample_flags],
-        help="compare the main evaluator against the commutative shadow",
-    )
+    for name, (_, groups, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[flags[group] for group in groups], help=text)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
         report, summary, ok = handler(args)
     except WeylvalError as exc:

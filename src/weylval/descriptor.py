@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
 )
 from .valuegroup import Value, ValueGroupElement
-from .weyl import LeftTable, WeylElement
+from .weyl import Row, WeylElement, _leibniz_row
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,9 @@ class OmegaDescriptor:
                 )
         self._cache: Dict[int, OmegaStep] = {}
         # w_1 .. w_K, built by omega_element; always a contiguous prefix
-        self._tower: Dict[int, WeylElement] = {}
-        # the same elements as integer rows over one denominator, with the
-        # rows y^b w_i kept so far
-        self._tower_ints: Dict[int, Tuple[LeftTable, int]] = {}
-        # the row terms those tables may still keep, shared by all of them
-        self._row_room = [TOWER_ROW_TERM_BUDGET]
+        self._tower: Dict[int, TowerElement] = {}
+        # the row terms tower_row may still keep, over the whole tower
+        self._row_room = TOWER_ROW_TERM_BUDGET
         # digit walks over steps 1..r, keyed by r, built by digit_walk
         self._digit_walks: Dict[int, DigitWalk] = {}
         if isinstance(tail, IrrationalTerminal):
@@ -374,13 +371,37 @@ def alpha_sign(desc: OmegaDescriptor, i: int, j: int) -> int:
 # in 5 minutes.
 TOWER_Y_DEGREE_BUDGET = 256
 
-# Most row terms y^b w_i that the `LeftTable`s of one descriptor keep; past
-# it a row is made for each division that asks for it and dropped.  The
+# Most row terms y^b w_i that `tower_row` keeps on one descriptor; past it
+# a row is made for each division that asks for it and dropped.  The
 # benchmark keeps at most 1,678 on one descriptor.  One halving descriptor
 # serving 2000 random elements (total degree up to 40, every fourth a y^k,
 # k up to 160) would keep 84,045 row terms and peak at 30 MB; under this
-# budget it peaks at about 19.5 MB, against 18.9 MB keeping no row.
+# budget it peaks at about 19.5 MB, against 18.9 MB keeping no row.  The
+# cost is time: a row past the budget is made again at every division that
+# asks for it, so on a 2-vCPU Xeon those 2000 elements take about 42 s,
+# against 19.5 s keeping every row.  Clearing the kept rows when the budget
+# is full does not help: on 600 of the elements, making and dropping took
+# 13.6 s and 22 MB, clearing 14.5 s and 24 MB, and keeping every row 5.2 s
+# and 33 MB.
 TOWER_ROW_TERM_BUDGET = 2048
+
+
+class TowerElement:
+    """A built tower element w_i and what a digit expansion reads of it.
+
+    `lead` is the x exponent of its top term x^lead y^d (a divisor's top row
+    is that one term), `size` its term count, and `rows` the rows y^b w_i
+    that `tower_row` has kept so far, keyed by b.
+    """
+
+    __slots__ = ("element", "lead", "size", "rows")
+
+    def __init__(self, element: WeylElement):
+        rows = element.rows
+        self.element = element
+        self.lead = max(rows[max(rows)]) if rows else None
+        self.size = sum(map(len, rows.values()))
+        self.rows: Dict[int, Row] = {}
 
 
 def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
@@ -389,7 +410,7 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
     An m_k < 0 makes w_i Laurent in x.  Raises BudgetExceeded, before
     building anything, if the y-degree of w_i is above
     TOWER_Y_DEGREE_BUDGET.  Errors are raised afresh on every call; only
-    built elements are stored.
+    built elements are stored, each as a `TowerElement` in `desc._tower`.
     """
     if i < -1:
         raise ValueError("tower indices start at -1")
@@ -399,7 +420,7 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
         return WeylElement.y()
     tower = desc._tower
     if i in tower:
-        return tower[i]
+        return tower[i].element
     degree = 1
     for k in range(1, i + 1):
         degree *= desc.step(k).n
@@ -409,30 +430,31 @@ def omega_element(desc: OmegaDescriptor, i: int) -> WeylElement:
             f"of {TOWER_Y_DEGREE_BUDGET}"
         )
     built = len(tower)
-    element = tower[built] if built else WeylElement.y()
+    element = tower[built].element if built else WeylElement.y()
     for k in range(built + 1, i + 1):
         step = desc.step(k)
         element = WeylElement.monomial(step.m, 0).mul(element.pow(step.n)).sub(
             WeylElement.scalar(step.beta)
         )
-        tower[k] = element
+        tower[k] = TowerElement(element)
     return element
 
 
-def omega_integer_form(desc: OmegaDescriptor, i: int) -> Tuple[LeftTable, int]:
-    """w_i as a `LeftTable` of its stored `Rows` {b: {a: c}}, and their
-    denominator E, so that w_i = sum c x^a y^b / E.
+def tower_row(desc: OmegaDescriptor, record: TowerElement, b: int) -> Row:
+    """The row y^b w_i of a tower element of `desc`, made once and kept.
 
-    The table is made once per descriptor and shares the element's rows.
-    It keeps the rows y^b w_i that a digit expansion has asked for, for the
-    next one on the descriptor, until the tables of the descriptor hold
-    TOWER_ROW_TERM_BUDGET row terms.
+    Every digit expansion on the descriptor reuses the rows the ones before
+    it made, until they hold TOWER_ROW_TERM_BUDGET terms; a row that does
+    not fit in what is left is made and returned, not kept.
     """
-    form = desc._tower_ints.get(i)
-    if form is None:
-        w = omega_element(desc, i)
-        form = desc._tower_ints[i] = (LeftTable(w.rows, desc._row_room), w.den)
-    return form
+    row = record.rows.get(b)
+    if row is None:
+        row = _leibniz_row(record.element.rows, b)
+        size = sum(len(entries) for _, entries in row)
+        if size <= desc._row_room:
+            desc._row_room -= size
+            record.rows[b] = row
+    return row
 
 
 # -- value group shape ---------------------------------------------------------

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, two_adic_valuation
-from .descriptor import OmegaDescriptor, alpha, data_window, digit_walk, omega_integer_form, pair_data
+from .descriptor import (
+    OmegaDescriptor, alpha, data_window, digit_walk, omega_element, pair_data, tower_row,
+)
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
 from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2
 from .weyl import Rows, WeylElement, WeylFraction, _add_shifted
@@ -698,14 +700,14 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
     x^lead y^d walks the y-degrees from the top down to d: the row at degree
     deg becomes the quotient row x^{i - lead} y^{deg - d}, and `_add_shifted`
     subtracts its product with the divisor straight from the dividend's
-    rows, shifting one row y^{deg - d} w_i of the divisor's `LeftTable` by
-    each negated quotient term.  That cancels the row at deg and changes only
-    lower ones.  The table keeps its rows on the descriptor for every later
-    expansion, with the divisor's lead and term count.  The denominator
-    grows, by E, only when the divisor's integer form has a denominator
-    E != 1, so it can differ between branches.  The term pairs (quotient
-    term, divisor term) are counted per element; past DIGIT_WORK_BUDGET the
-    expansion raises BudgetExceeded.
+    rows, shifting the row y^{deg - d} w_i by each negated quotient term.
+    That cancels the row at deg and changes only lower ones.  The divisor's
+    lead, term count and denominator E are read from its `TowerElement` on
+    the descriptor, and its rows from `tower_row`, which keeps them there
+    for every later expansion within TOWER_ROW_TERM_BUDGET.  The row
+    denominator grows, by E, only when E != 1, so it can differ between
+    branches.  The term pairs (quotient term, divisor term) are counted per
+    element; past DIGIT_WORK_BUDGET the expansion raises BudgetExceeded.
 
     The deepest divisor is the last tower element whose value is declared:
     w_N under an irrational terminal after N steps, w_{N-1} on a bare prefix
@@ -768,8 +770,11 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
                     pool.append((word, c if den == 1 else Rat(c, den), word_key))
             return
         d_index = degrees[index - 1]
-        table, scale = omega_integer_form(desc, index)
-        lead, size = table.lead, table.size
+        record = desc._tower.get(index)
+        if record is None:
+            omega_element(desc, index)
+            record = desc._tower[index]
+        lead, size, scale = record.lead, record.size, record.element.den
         power = 0
         while rows:
             quotient: Rows = {}
@@ -791,7 +796,7 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
                         for r in part.values():
                             for i in r:
                                 r[i] *= scale
-                _add_shifted(rows, table.row(deg - d_index), negated)
+                _add_shifted(rows, tower_row(desc, record, deg - d_index), negated)
             if rows:
                 if power:
                     digit_key = _key_add(key, read_key(index), power)

@@ -36,7 +36,7 @@ from weylval import (
 )
 from weylval import cli, descriptor, evaluate
 from weylval.coeff import two_adic_valuation
-from weylval.descriptor import data_window, omega_integer_form, validate
+from weylval.descriptor import data_window, validate
 
 from conftest import SINGLE_TERMINAL_JSON, WORKED_JSON
 from test_weyl import reference_mul
@@ -364,7 +364,7 @@ class TestDigitPool:
         d = OmegaDescriptor.from_json(data)
         # the tower's integer forms have denominators E != 1, so the rows'
         # denominator grows during the division
-        assert omega_integer_form(d, 1)[1] != 1
+        assert omega_element(d, 1).den != 1
         top = 1
         for _, n, _ in steps:
             top *= n
@@ -462,16 +462,16 @@ class TestDescriptorTables:
             }
             assert got == want
             # single24 never divides: its bare prefix declares no v(w_1)
-            warm = any(table.rows for table, _ in shared._tower_ints.values())
+            warm = any(record.rows for record in shared._tower.values())
             assert warm == (name != "single24")
         if name.startswith("rational"):
-            assert omega_integer_form(fresh, 1)[1] != 1
+            assert omega_element(fresh, 1).den != 1
 
 
     @pytest.mark.parametrize("name", list(FIXTURE_JSONS))
     def test_evaluation_leaves_its_inputs_unchanged(self, name):
         # the digit expansion subtracts from a copy of the element's stored
-        # rows, and the divisors' tables share the tower elements' rows
+        # rows, and the divisors' records hold the tower elements handed out
         desc = OmegaDescriptor.from_json(FIXTURE_JSONS[name])
         rng = random.Random(f"read-only:{name}")
         batch = [sample_element(rng, max_degree=9) for _ in range(4)]
@@ -485,10 +485,10 @@ class TestDescriptorTables:
         for f in batch:
             _outcome(evaluate.leading_data, Valuation(desc, 64), f)
         assert [(f.rows, f.den, hash(f)) for f in batch] == before
-        if name.startswith("rational") and desc._tower_ints:
-            assert omega_integer_form(desc, 1)[1] != 1
-        for i in desc._tower_ints:
-            assert any(omega_element(desc, i) is f for f in batch)
+        if name.startswith("rational") and desc._tower:
+            assert omega_element(desc, 1).den != 1
+        for record in desc._tower.values():
+            assert any(record.element is f for f in batch)
 
     def test_kept_rows_stay_within_their_budget(self, monkeypatch):
         # high y-degree elements on one halving descriptor ask for more rows
@@ -500,7 +500,7 @@ class TestDescriptorTables:
 
         def kept(desc):
             return sum(sum(len(entries) for _, entries in row)
-                       for table, _ in desc._tower_ints.values() for row in table.rows.values())
+                       for record in desc._tower.values() for row in record.rows.values())
 
         def answers(desc_for):
             return [_outcome(evaluate.leading_data, Valuation(desc_for(), 64), f) for f in batch]
@@ -510,7 +510,7 @@ class TestDescriptorTables:
         shared = OmegaDescriptor.from_json(data)
         assert answers(lambda: shared) == want
         assert kept(shared) <= budget
-        assert kept(shared) + shared._row_room[0] == budget
+        assert kept(shared) + shared._row_room == budget
         # without the budget the same batch keeps more rows than it allows
         monkeypatch.setattr(descriptor, "TOWER_ROW_TERM_BUDGET", 1 << 30)
         unbounded = OmegaDescriptor.from_json(data)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylval import Rat, Valuation, WeylElement, apply_to_poly, commutator, evaluate, normalize, weyl
-from weylval.weyl import LeftTable, _int_product, _integer_terms
+from weylval.descriptor import OmegaDescriptor, OmegaStep, TowerElement, omega_element, tower_row
+from weylval.weyl import _int_product
 
 
 def elem(terms):
@@ -180,59 +181,63 @@ def rows_element(rows, den=1):
 
 
 class TestLeftTable:
+    """The table of rows y^b w_i that a descriptor keeps for each tower element."""
+
     @settings(max_examples=200, deadline=None)
     @given(laurent_elements, st.integers(0, 12))
     def test_row_is_y_power_times_operand(self, right, b):
-        rows, den = _integer_terms(right.terms)
-        row = LeftTable(rows, [1 << 20]).row(b)
+        row = tower_row(OmegaDescriptor([]), TowerElement(right), b)
         degrees = [d for d, _ in row]
         assert len(set(degrees)) == len(degrees)
         for _, entries in row:
             assert entries
             assert len({c for c, _ in entries}) == len(entries)
             assert all(q != 0 for _, q in entries)
-        assert row_element(row, den) == reference_mul(Y.pow(b), right)
+        assert row_element(row, right.den) == reference_mul(Y.pow(b), right)
 
     def test_a_row_is_made_once(self):
-        table = LeftTable({1: {2: 3}, 0: {-1: -2}}, [1 << 20])
-        row = table.row(4)
-        assert table.row(4) is row
-        assert list(table.rows) == [4]
+        desc, record = OmegaDescriptor([]), TowerElement(rows_element({1: {2: 3}, 0: {-1: -2}}))
+        row = tower_row(desc, record, 4)
+        assert tower_row(desc, record, 4) is row
+        assert list(record.rows) == [4]
 
     def test_a_high_row_is_made_alone(self):
         # y^500 x^3 = x^3 y^500 + 1500 x^2 y^499 + 748500 x y^498 + 124251000 y^497,
         # made without the 500 rows below it
-        table = LeftTable({0: {3: 1}}, [1 << 20])
-        row = table.row(500)
-        assert list(table.rows) == [500]
+        record = TowerElement(X.pow(3))
+        row = tower_row(OmegaDescriptor([]), record, 500)
+        assert list(record.rows) == [500]
         assert sorted(row, reverse=True) == [
             (500, [(3, 1)]), (499, [(2, 1500)]), (498, [(1, 748500)]), (497, [(0, 124251000)])
         ]
 
     def test_rows_past_the_room_are_made_not_kept(self):
         # for R = (1 + x)^3, row y^1 R holds 7 terms and row y^2 R holds 9
-        room = [10]
-        table = LeftTable({0: {0: 1, 1: 3, 2: 3, 3: 1}}, room)
-        kept = table.row(1)
-        assert room == [3] and list(table.rows) == [1]
-        row = table.row(2)
-        assert table.row(2) is not row and table.row(2) == row
-        assert room == [3] and list(table.rows) == [1]
-        assert table.row(1) is kept
+        desc, record = OmegaDescriptor([]), TowerElement(ONE.add(X).pow(3))
+        desc._row_room = 10
+        kept = tower_row(desc, record, 1)
+        assert desc._row_room == 3 and list(record.rows) == [1]
+        row = tower_row(desc, record, 2)
+        assert tower_row(desc, record, 2) is not row and tower_row(desc, record, 2) == row
+        assert desc._row_room == 3 and list(record.rows) == [1]
+        assert tower_row(desc, record, 1) is kept
         assert row_element(row) == reference_mul(Y.pow(2), ONE.add(X).pow(3))
 
     def test_lead_and_size_of_a_tower_element(self):
-        # w = x y^2 - 3 has top term x y^2 and two terms
-        table = LeftTable({2: {1: 1}, 0: {0: -3}}, [0])
-        assert (table.lead, table.size) == (1, 2)
+        # w_1 = x y^2 - 3 has top term x y^2 and two terms
+        desc = OmegaDescriptor([OmegaStep(1, 2, Rat(3))])
+        w1 = omega_element(desc, 1)
+        record = desc._tower[1]
+        assert record.element is w1
+        assert (record.lead, record.size) == (1, 2)
 
 
 class TestIntProduct:
     @settings(max_examples=200, deadline=None)
     @given(laurent_elements, laurent_elements)
     def test_matches_reference(self, a, b):
-        left, da = _integer_terms(a.terms)
-        right, db = _integer_terms(b.terms)
+        left, da = a.rows, a.den
+        right, db = b.rows, b.den
         out = _int_product(left, right)
         assert all(row and all(q != 0 for q in row.values()) for row in out.values())
         assert rows_element(out, da * db) == reference_mul(a, b)
@@ -249,8 +254,8 @@ class TestIntProduct:
         b = elem({(0, j + 1): q, (1, j): q})
         shifted = elem({(k, d + j + 3): c for (k, d), c in extra.terms.items()})
         for right_operand in (b, b.add(shifted)):
-            left, da = _integer_terms(a.terms)
-            right, db = _integer_terms(right_operand.terms)
+            left, da = a.rows, a.den
+            right, db = right_operand.rows, right_operand.den
             out = _int_product(left, right)
             assert j + 1 not in out
             assert all(row and all(c != 0 for c in row.values()) for row in out.values())
