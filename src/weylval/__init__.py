@@ -40,7 +40,7 @@ from .errors import (
     TruncationLoss,
     WeylvalError,
 )
-from .evaluate import Valuation, eval_element, leading_data, residue
+from .evaluate import Valuation, eval_element, leading_data
 from .expr import format_expr, parse_expr
 from .extension import (
     ExtendViolation,
@@ -80,7 +80,7 @@ from .series import (
     z_residue,
 )
 from .valuegroup import INFINITY, ValueGroupElement, cmp
-from .weyl import WeylElement, WeylFraction, apply_to_poly, commutator, normalize
+from .weyl import WeylElement, WeylFraction, apply_to_poly, commutator
 
 __version__ = "0.1.0"
 
@@ -135,13 +135,11 @@ __all__ = [
     "format_rat",
     "group_kind",
     "leading_data",
-    "normalize",
     "omega_element",
     "omega_to_z",
     "ore_mul",
     "parse_expr",
     "parse_rat",
-    "residue",
     "resolve_gammas",
     "roundtrip_check",
     "sample_element",

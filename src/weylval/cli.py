@@ -35,6 +35,8 @@ def _read_descriptor(path: str) -> OmegaDescriptor:
         raise ParseError(f"cannot read descriptor file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests too deeply to read as JSON") from None
     return OmegaDescriptor.from_json(data)
 
 

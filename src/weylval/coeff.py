@@ -108,35 +108,19 @@ def nth_root(value: Rat, n: int) -> Rat:
     return Rat(sign * num, den)
 
 
-def two_adic_valuation(value: Rat) -> int:
-    """v_2 of a nonzero rational: v_2(p) - v_2(q) for p/q in lowest terms.
+def v2(value: Rat | int) -> int:
+    """2-adic valuation of a nonzero rational or int: v_2(p) - v_2(q) for
+    p/q in lowest terms, read off the lowest set bits.
 
-    >>> two_adic_valuation(Rat(12))
+    >>> v2(12)
     2
-    >>> two_adic_valuation(Rat(1, 4))
+    >>> v2(Rat(1, 4))
     -2
     """
-    if value == 0:
+    p, q = value.numerator, value.denominator
+    if not p:
         raise ValueError("v_2(0) is undefined")
-
-    def v2(k: int) -> int:
-        k = abs(k)
-        count = 0
-        while k % 2 == 0:
-            k //= 2
-            count += 1
-        return count
-
-    return v2(value.numerator) - v2(value.denominator)
-
-
-def odd_part(k: int) -> int:
-    """Largest odd divisor of a positive integer."""
-    if k <= 0:
-        raise ValueError("odd_part needs a positive integer")
-    while k % 2 == 0:
-        k //= 2
-    return k
+    return (p & -p).bit_length() - (q & -q).bit_length()
 
 
 def sgn(value: Rat) -> int:

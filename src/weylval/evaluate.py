@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
-from .coeff import Rat, nth_root, sgn, two_adic_valuation
+from .coeff import Rat, nth_root, sgn, v2
 from .descriptor import (
     OmegaDescriptor, alpha, data_window, digit_walk, omega_element, pair_data, tower_row,
 )
@@ -135,7 +135,7 @@ class Valuation:
 
     `value`, `residue` and `sign` read each element's `LeadingData`, which
     is computed at most once, by `leading_data`; the free functions
-    `eval_element`, `residue` and `orderings.sign` open one session per call.
+    `eval_element` and `orderings.sign` open one session per call.
     A step counts against the depth limit when a generator's value is read
     (`gen_key`) or a divisor is chosen (`_digit_pool` divides by w_i for
     i <= depth_limit only).  Residues, commutators and the canonical
@@ -556,7 +556,7 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
         r += 1
         walk = digit_walk(desc, r)
     lcm_r, h_max, b, slot_value, digits = walk
-    eps_b = 1 if q and two_adic_valuation(q) == -h_max else 0
+    eps_b = 1 if q and v2(q) == -h_max else 0
     # scaled = H_r = (q - eps_b v_b) L_r / 2
     twice = q.numerator * (lcm_r // q.denominator) - eps_b * slot_value
     assert twice % 2 == 0
@@ -825,8 +825,3 @@ def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
 def eval_element(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Value:
     """The valuation of an element or left fraction; Infinity for zero."""
     return Valuation(desc, depth_limit).value(element)
-
-
-def residue(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Rat:
-    """Residue of a value-0 element or left fraction; NonzeroValue otherwise."""
-    return Valuation(desc, depth_limit).residue(element)

@@ -246,7 +246,11 @@ def parse_expr(text: str) -> WeylElement:
     """
     element = _normal_form(text)
     if element is None:
-        element = _Parser(text).parse()
+        try:
+            element = _Parser(text).parse()
+        except RecursionError:
+            # the grammar walk recurses once per '(' and per unary '-'
+            raise ParseError("expression nests too deeply to parse") from None
     return element
 
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from .coeff import json_int
 from .descriptor import OmegaDescriptor, basis_slot
-from .errors import DeclarationInconsistent, NotExtendable, ParseError
+from .errors import DeclarationInconsistent, NotExtendable
 from .evaluate import Valuation
 from .extension import free_step
 from .weyl import WeylElement, WeylFraction
@@ -71,39 +70,6 @@ class OrderingDescriptor:
             signs.append(self.terminal_sign)
         return {"basis": basis, "signs": signs}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "OrderingDescriptor":
-        if not isinstance(data, dict):
-            raise ParseError("ordering JSON must be an object")
-        basis = data.get("basis", {})
-        if not isinstance(basis, dict):
-            raise ParseError("ordering basis must be an object")
-        omega_index = basis.get("omega_index")
-        terminal = basis.get("terminal", False)
-        if not isinstance(terminal, bool):
-            raise ParseError("ordering basis terminal must be true or false")
-        signs = data.get("signs", [])
-        if not isinstance(signs, list):
-            raise ParseError("ordering signs must be a list")
-        expected = (omega_index is not None) + terminal
-        if len(signs) != expected:
-            raise ParseError(
-                f"ordering needs {expected} signs for its basis, got {len(signs)}"
-            )
-        try:
-            omega_sign = json_int(signs[0]) if omega_index is not None else 1
-            terminal_sign = json_int(signs[-1]) if terminal else 1
-            return cls(
-                None if omega_index is None else json_int(omega_index),
-                terminal,
-                omega_sign,
-                terminal_sign,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad ordering {data!r}: {exc}") from None
-        except DeclarationInconsistent as exc:
-            raise ParseError(str(exc)) from None
-
 
 def enumerate_orderings(desc: OmegaDescriptor) -> List[OrderingDescriptor]:
     """All orderings compatible with the descriptor's valuation: 1, 2, or 4."""
@@ -136,12 +102,6 @@ class ExtensionResult:
 
     sign_choice: Optional[int]
     ordering: OrderingDescriptor
-
-    def to_json(self) -> dict:
-        return {
-            "sign_choice": self.sign_choice,
-            "ordering": self.ordering.to_json(),
-        }
 
 
 def extend_ordering(desc: OmegaDescriptor, ordering: OrderingDescriptor) -> ExtensionResult:

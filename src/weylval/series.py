@@ -207,17 +207,6 @@ class OrePoly:
         but left coefficients multiply on the left, so this is exact)."""
         return OrePoly.make([p.mul(c) for c in self.coeffs])
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_exact_zero():
-                continue
-            head = f"({c})"
-            parts.append(head if i == 0 else f"{head}*t^{i}")
-        return " + ".join(parts) if parts else "0"
-
 
 # -- the Ore product kernel ------------------------------------------------------------
 

@@ -176,12 +176,6 @@ class VInfinity:
     def cmp(self, other) -> int:
         return 0 if isinstance(other, VInfinity) else 1
 
-    def __eq__(self, other):
-        return isinstance(other, VInfinity)
-
-    def __hash__(self):
-        return hash("weylval-infinity")
-
     def __str__(self) -> str:
         return "infinity"
 

@@ -12,7 +12,7 @@ exponents only; `apply_to_poly` enforces that.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
 from .coeff import Rat, format_rat
 from .errors import NegativeXPower, NonzeroRequired
@@ -259,11 +259,6 @@ class WeylElement:
             )))
             return self._hash
 
-    def max_degrees(self) -> Tuple[int, int]:
-        if not self.rows:
-            return (0, 0)
-        return max(map(max, self.rows.values())), max(self.rows)
-
     def __str__(self) -> str:
         if not self.rows:
             return "0"
@@ -289,34 +284,6 @@ class WeylElement:
         return " ".join(pieces)
 
     __repr__ = __str__
-
-
-Word = Iterable[Union[str, Rat, int, WeylElement]]
-
-
-def normalize(word: Word) -> WeylElement:
-    """Multiply a written-order sequence of generators/scalars into normal form.
-
-    Each item is "x", "y", a rational scalar, or an already-built element.
-
-    >>> str(normalize(["y", "y", "x"]))
-    'x*y^2 + 2*y'
-    """
-    result = WeylElement.scalar(1)
-    for item in word:
-        if isinstance(item, str):
-            if item == "x":
-                factor = WeylElement.x()
-            elif item == "y":
-                factor = WeylElement.y()
-            else:
-                raise ValueError(f"unknown generator {item!r}")
-        elif isinstance(item, WeylElement):
-            factor = item
-        else:
-            factor = WeylElement.scalar(item)
-        result = result.mul(factor)
-    return result
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:

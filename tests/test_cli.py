@@ -111,6 +111,46 @@ class TestSuccessReports:
         assert run(capsys, argv) == (0, {"trials": 20, "violations": []})
 
 
+class TestZeroElement:
+    def test_eval_is_infinity(self, capsys, desc_file):
+        argv = ["eval", "--desc", desc_file(WORKED_JSON), "--expr", "0"]
+        assert run(capsys, argv) == (0, {"value": "infinity"})
+
+    def test_sign_needs_a_nonzero_element(self, capsys, desc_file):
+        code, report = run(capsys, ["sign", "--desc", desc_file(WORKED_JSON), "--expr", "0"])
+        assert code == 1
+        assert report["error"]["type"] == "NonzeroRequired"
+
+    def test_residue_needs_value_zero(self, capsys, desc_file):
+        code, report = run(capsys, ["residue", "--desc", desc_file(WORKED_JSON), "--expr", "0"])
+        assert code == 1
+        assert report["error"] == {
+            "type": "NonzeroValue",
+            "detail": "element has value infinity, not 0",
+        }
+
+
+HALVING_JSON = {"steps": [], "tail": {"kind": "rule", "rule": "halving"}}
+
+
+class TestNesting:
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"],
+        ids=["parentheses", "unary_minus"],
+    )
+    def test_deep_expression_is_a_parse_error(self, capsys, desc_file, text):
+        argv = ["eval", "--desc", desc_file(HALVING_JSON), f"--expr={text}"]
+        code, report = run(capsys, argv)
+        assert code == 1
+        assert report["error"]["type"] == "ParseError"
+
+    def test_hundred_parentheses_still_answer(self, capsys, desc_file):
+        text = "(" * 100 + "x" + ")" * 100
+        argv = ["eval", "--desc", desc_file(HALVING_JSON), "--expr", text]
+        assert run(capsys, argv) == (0, {"value": {"q": "-1", "k_xi": 0, "k_mu": 0}})
+
+
 def _terminal_value(**fields) -> dict:
     value = {**WORKED_JSON["tail"]["value"], **fields}
     return {**WORKED_JSON, "tail": {"kind": "irrational", "value": value}}
@@ -171,6 +211,15 @@ class TestMalformedJson:
         assert code == 1
         assert report["error"]["type"] == "ParseError"
         assert "is not valid JSON" in report["error"]["detail"]
+
+    def test_file_that_nests_too_deeply(self, capsys, tmp_path):
+        # deeper than the JSON decoder's recursion limit on every Python
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, report = run(capsys, ["validate", "--desc", str(path)])
+        assert code == 1
+        assert report["error"]["type"] == "ParseError"
+        assert str(path) in report["error"]["detail"]
 
 
 class TestTrialCount:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weylval import Rat, format_rat, parse_rat
-from weylval.coeff import nth_root, odd_part, sgn, two_adic_valuation
+from weylval.coeff import nth_root, sgn, v2
 from weylval.errors import BudgetExceeded, EvenRootOfNegative, NoRationalRoot, ParseError
 
 
@@ -89,24 +89,25 @@ class TestNthRoot:
 
 class TestTwoAdic:
     def test_even_integer(self):
-        assert two_adic_valuation(Rat(12)) == 2
+        assert v2(Rat(12)) == 2
+        assert v2(12) == 2
 
     def test_odd_denominator_negative(self):
-        assert two_adic_valuation(Rat(3, 8)) == -3
+        assert v2(Rat(3, 8)) == -3
 
     def test_odd(self):
-        assert two_adic_valuation(Rat(5)) == 0
+        assert v2(Rat(5)) == 0
 
     @given(rationals.filter(lambda q: q != 0), rationals.filter(lambda q: q != 0))
     def test_additive_on_products(self, a, b):
-        assert two_adic_valuation(Rat(a) * Rat(b)) == two_adic_valuation(
-            Rat(a)
-        ) + two_adic_valuation(Rat(b))
+        assert v2(Rat(a) * Rat(b)) == v2(Rat(a)) + v2(Rat(b))
 
     def test_odd_part(self):
-        assert odd_part(24) == 3
+        # the odd part of k is k >> v2(k), as `descriptor` takes it
+        assert 24 >> v2(24) == 3
+        assert -40 >> v2(-40) == -5
         with pytest.raises(ValueError):
-            odd_part(-40)
+            v2(0)
 
     def test_sgn(self):
         assert sgn(Rat(3, 7)) == 1

@@ -9,7 +9,6 @@ from weylval import (
     NotExtendable,
     OmegaDescriptor,
     OrderingDescriptor,
-    ParseError,
     Rat,
     WeylElement,
     WeylFraction,
@@ -54,41 +53,12 @@ class TestOrderingDescriptor:
         with pytest.raises(DeclarationInconsistent):
             OrderingDescriptor(terminal=False, terminal_sign=-1)
 
-    def test_json_roundtrip(self):
-        for o in (
-            OrderingDescriptor(),
-            OrderingDescriptor(omega_index=-1, omega_sign=-1),
-            OrderingDescriptor(omega_index=1, terminal=True, omega_sign=-1, terminal_sign=1),
-        ):
-            assert OrderingDescriptor.from_json(o.to_json()) == o
-
     def test_json_shape(self):
         o = OrderingDescriptor(omega_index=1, terminal=True, omega_sign=1, terminal_sign=-1)
         assert o.to_json() == {
             "basis": {"omega_index": 1, "terminal": True},
             "signs": [1, -1],
         }
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            "not a dict",
-            {"basis": "not a dict"},
-            {"basis": {"omega_index": 0}, "signs": []},
-            {"basis": {"omega_index": 0}, "signs": [1, -1]},
-            {"basis": {}, "signs": [1]},
-            {"basis": {"omega_index": 0}, "signs": [2]},
-            {"basis": {"omega_index": 1}, "signs": ["a"]},
-            {"basis": {"omega_index": "b"}, "signs": [1]},
-            {"basis": {}, "signs": None},
-            {"basis": {"terminal": "false"}, "signs": [1]},
-            {"basis": {"omega_index": 1.7}, "signs": [1]},
-            {"basis": {"omega_index": 0}, "signs": [True]},
-        ],
-    )
-    def test_from_json_rejects_bad_shapes(self, data):
-        with pytest.raises(ParseError):
-            OrderingDescriptor.from_json(data)
 
 
 class TestEnumerate:
@@ -200,10 +170,7 @@ class TestExtendOrdering:
         result = extend_ordering(halving, enumerate_orderings(halving)[0])
         assert result.sign_choice is None
         assert result.ordering == OrderingDescriptor()
-        assert result.to_json() == {
-            "sign_choice": None,
-            "ordering": {"basis": {}, "signs": []},
-        }
+        assert result.ordering.to_json() == {"basis": {}, "signs": []}
 
     def test_finite_orderings_biject_with_root_signs(self, single24):
         seen = {}
