@@ -11,7 +11,13 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import BudgetExceeded, EvenRootOfNegative, NoRationalRoot, ParseError
+from .errors import (
+    BudgetExceeded,
+    EvenRootOfNegative,
+    NoRationalRoot,
+    ParseError,
+    clipped,
+)
 
 Rat = Fraction
 
@@ -25,14 +31,16 @@ def parse_rat(text: str) -> Rat:
     try:
         return Rat(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+        raise ParseError(
+            f"bad rational literal {clipped(repr(text))}: {clipped(str(exc))}"
+        ) from None
 
 
 def json_int(value) -> int:
     """int() of a JSON field; a JSON boolean is not taken as 0 or 1, and a
     JSON float is not truncated."""
     if isinstance(value, (bool, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise TypeError(f"expected an integer, got {clipped(repr(value))}")
     return int(value)
 
 

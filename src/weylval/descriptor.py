@@ -23,6 +23,7 @@ from .errors import (
     DepthExceeded,
     MissingSignChoice,
     ParseError,
+    clipped,
 )
 from .valuegroup import Value, ValueGroupElement
 from .weyl import Row, WeylElement, _leibniz_row
@@ -101,7 +102,7 @@ def builtin_rule(name: str) -> InfiniteRule:
             kind,
             Rat(m, n - 1) if m > 0 else None,
         )
-    raise ParseError(f"unknown builtin rule {name!r}")
+    raise ParseError(f"unknown builtin rule {clipped(repr(name))}")
 
 
 class OmegaDescriptor:
@@ -235,7 +236,7 @@ class OmegaDescriptor:
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad step entry {entry!r}: {exc}") from None
+                raise ParseError(f"bad step entry {clipped(repr(entry))}: {exc}") from None
         tail_data = data.get("tail")
         tail: Tail = None
         if tail_data is not None:
@@ -255,14 +256,14 @@ class OmegaDescriptor:
                         f"not {declared}"
                     )
             else:
-                raise ParseError(f"unknown tail kind {kind!r}")
+                raise ParseError(f"unknown tail kind {clipped(repr(kind))}")
         alpha_signs: Dict[Tuple[int, int], int] = {}
         for entry in data.get("alpha_signs", []):
             try:
                 key = (json_int(entry["i"]), json_int(entry["j"]))
                 alpha_signs[key] = json_int(entry["sign"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad alpha sign entry {entry!r}: {exc}") from None
+                raise ParseError(f"bad alpha sign entry {clipped(repr(entry))}: {exc}") from None
         return cls(steps, tail, alpha_signs)
 
 

@@ -83,3 +83,10 @@ class ConversionInternalError(WeylvalError):
 
 class ParseError(WeylvalError):
     """Malformed textual input (expression, series, rational, JSON shape)."""
+
+
+def clipped(text: str) -> str:
+    """Input echoed in an error message (a repr, or an error text that quotes
+    the input), cut to 80 characters ending in "...", so that a report stays
+    small whatever input it rejects."""
+    return text if len(text) <= 80 else text[:77] + "..."

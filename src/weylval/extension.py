@@ -294,6 +294,7 @@ class _Conversion:
         self.k = 0
         self.sigma = Rat(0)  # sum of m_i/n_i over closed steps
         self.bbar = Rat(1)   # product of the residues of S_{i,0}
+        self.b_atoms: Tuple[_Atom, ...] = ()  # S_{1,0} ... S_{k,0}, as atoms
         self.C: List[_Record] = []
         self.devs: Dict[int, List[_Record]] = {}
         self.iteration = 0
@@ -322,11 +323,9 @@ class _Conversion:
         """S_{i,j} as atoms: none for the constant last tail."""
         return (_Atom(i, j),) if j < self.desc.step(i).n - 1 else ()
 
-    def _b_atoms(self, upto: int) -> Tuple[_Atom, ...]:
-        return tuple(a for i in range(1, upto + 1) for a in self._tail(i, 0))
-
-    def _below_cut(self, rec: _Record) -> bool:
-        """Whether rec sits below the cut min(1, r*); no other record is kept.
+    def _below_cut(self, xexp: Rat, z: Optional[int]) -> bool:
+        """Whether a record of x-exponent xexp and z variable z sits below
+        the cut min(1, r*); no other record is kept.
 
         A z-free record's level is sigma - xexp, the entry exponent r it
         would emit as a head.  Nothing at or above the cut can ever be
@@ -344,16 +343,25 @@ class _Conversion:
           increase strictly to r*, so that is below r*, and every entry
           exponent is below 1.
         """
-        if rec.z is None:
-            return rec.xexp > self.floor
-        return self.zfloor is None or rec.xexp > self.zfloor
+        if z is None:
+            return xexp > self.floor
+        return self.zfloor is None or xexp > self.zfloor
 
     def _telescope(self, rec: _Record) -> List[_Record]:
         """rec minus its residue part, below the cut: replace each atom in
         turn by its deviation S_{i,j} - residue = (b_i - gamma) S_{i,j+1},
         read from the live deviation store, folding the residues of the
-        atoms after it."""
+        atoms after it.  The cut reads only a child's xexp and z, so each
+        child is tested before it is built: the same children are kept, in
+        the same order, and scalars, atoms and suffix residues are made only
+        for a record that keeps one."""
         assert rec.z is None
+        kept = [
+            [d for d in self.devs[a.i] if self._below_cut(rec.xexp + d.xexp, d.z)]
+            for a in rec.atoms
+        ]
+        if not any(kept):
+            return []
         # suffixes[p] is the product of the residues after atom p
         suffixes = [Rat(1)]
         for a in reversed(rec.atoms[1:]):
@@ -361,14 +369,13 @@ class _Conversion:
         suffixes.reverse()
         out: List[_Record] = []
         for p, a in enumerate(rec.atoms):
-            scalar = rec.scalar * suffixes[p]
-            head, tail = rec.atoms[:p], self._tail(a.i, a.j + 1)
-            for d in self.devs[a.i]:
-                child = _Record(
-                    scalar * d.scalar, rec.xexp + d.xexp, head + d.atoms + tail, d.z
+            if kept[p]:
+                scalar = rec.scalar * suffixes[p]
+                head, tail = rec.atoms[:p], self._tail(a.i, a.j + 1)
+                out.extend(
+                    _Record(scalar * d.scalar, rec.xexp + d.xexp, head + d.atoms + tail, d.z)
+                    for d in kept[p]
                 )
-                if self._below_cut(child):
-                    out.append(child)
         return out
 
     # -- maintenance -----------------------------------------------------------
@@ -418,7 +425,7 @@ class _Conversion:
         as each batch is added."""
         if emitted:
             r, gamma = self.entries[-1]
-            heads = heads + [_Record(gamma, self.sigma - r, self._b_atoms(self.k), None)]
+            heads = heads + [_Record(gamma, self.sigma - r, self.b_atoms, None)]
         for rec in heads:
             self.C.extend(self._telescope(rec))
             self._check_budget()
@@ -435,16 +442,18 @@ class _Conversion:
             self.zfloor = self.floor + self.entries[-1][0]
         # the deviation store keeps its xexp, so its levels rose by m/n
         for i, recs in self.devs.items():
-            self.devs[i] = [rec for rec in recs if self._below_cut(rec)]
+            self.devs[i] = [rec for rec in recs if self._below_cut(rec.xexp, rec.z)]
         self.C = [_Record(rec.scalar, rec.xexp + mn, rec.atoms, rec.z) for rec in self.C]
         self._fold(
             [_Record(rec.scalar, rec.xexp + mn, rec.atoms, rec.z) for rec in heads], emitted
         )
-        primary = _Record(Rat(1), self.sigma, self._b_atoms(self.k), len(self.entries))
-        self.devs[self.k + 1] = ([primary] if self._below_cut(primary) else []) + self.C
+        primary = _Record(Rat(1), self.sigma, self.b_atoms, len(self.entries))
+        below = self._below_cut(primary.xexp, primary.z)
+        self.devs[self.k + 1] = ([primary] if below else []) + self.C
         self._check_budget()
         b_new = self._tail(self.k + 1, 0)
         self.C = [_Record(rec.scalar, rec.xexp, rec.atoms + b_new, rec.z) for rec in self.C]
+        self.b_atoms += b_new
         self.bbar *= cofactor_tail_residue(self.desc, self.res, self.k + 1, 0)
         self.k += 1
 

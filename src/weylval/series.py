@@ -26,6 +26,7 @@ from .errors import (
     NonzeroValue,
     ParseError,
     TruncationLoss,
+    clipped,
 )
 from .valuegroup import INFINITY, Value, ValueGroupElement
 from .weyl import WeylElement
@@ -378,7 +379,7 @@ def builtin_z_rule(name: str) -> ZRule:
         return ZRule(
             "halving_to_one", lambda i: (1 - Rat(1, 2**i), Rat(1)), Rat(1)
         )
-    raise ParseError(f"unknown builtin z rule {name!r}")
+    raise ParseError(f"unknown builtin z rule {clipped(repr(name))}")
 
 
 class ZSequence:
@@ -460,7 +461,7 @@ class ZSequence:
             try:
                 entries.append((parse_rat(str(e["r"])), parse_rat(str(e["gamma"]))))
             except (KeyError, TypeError) as exc:
-                raise ParseError(f"bad z-sequence entry {e!r}: {exc}") from None
+                raise ParseError(f"bad z-sequence entry {clipped(repr(e))}: {exc}") from None
         tail_data = data.get("tail")
         tail: Optional[object] = None
         if tail_data is not None:
@@ -472,7 +473,7 @@ class ZSequence:
             elif kind == "rule":
                 tail = builtin_z_rule(str(tail_data.get("rule", "")))
             else:
-                raise ParseError(f"unknown z tail kind {kind!r}")
+                raise ParseError(f"unknown z tail kind {clipped(repr(kind))}")
         return cls(entries, tail)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .coeff import Rat, format_rat, json_int, parse_rat
-from .errors import ParseError
+from .errors import ParseError, clipped
 
 
 def _sign_a_plus_b_sqrt2(a: Rat, b: Rat) -> int:
@@ -150,7 +150,7 @@ class ValueGroupElement:
                 parse_rat(str(data.get("scale", "1"))),
             )
         except (TypeError, AttributeError, ValueError) as exc:
-            raise ParseError(f"bad value object {data!r}: {exc}") from None
+            raise ParseError(f"bad value object {clipped(repr(data))}: {exc}") from None
 
     @classmethod
     def rational(cls, q) -> "ValueGroupElement":

@@ -222,6 +222,33 @@ class TestMalformedJson:
         assert str(path) in report["error"]["detail"]
 
 
+NESTED = "[" * 900 + "]" * 900
+LONG = json.dumps("x" * 100000)
+
+# descriptor files whose errors once echoed the rejected input whole
+ECHOING_INPUT = {
+    "step_entry": '{"steps": [%s]}' % NESTED,
+    "builtin_rule": '{"steps": [], "tail": {"kind": "rule", "rule": %s}}' % LONG,
+    "value_object": '{"steps": [], "tail": {"kind": "irrational", "value": %s}}' % NESTED,
+    "tail_kind": '{"steps": [], "tail": {"kind": %s}}' % LONG,
+    "alpha_sign_entry": '{"steps": [], "alpha_signs": [%s]}' % NESTED,
+    "rational_literal": '{"steps": [{"m": 1, "n": 2, "beta": %s}]}' % LONG,
+    "integer_field": '{"steps": [{"m": [%s], "n": 2, "beta": "1"}]}' % LONG,
+}
+
+
+class TestErrorEcho:
+    @pytest.mark.parametrize("shape", sorted(ECHOING_INPUT))
+    def test_report_stays_small(self, capsys, tmp_path, shape):
+        path = tmp_path / "desc.json"
+        path.write_text(ECHOING_INPUT[shape])
+        code = main(["validate", "--desc", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ParseError"
+        assert len(out) < 500
+
+
 class TestTrialCount:
     @pytest.mark.parametrize("trials", ["0", "-3"])
     @pytest.mark.parametrize("command", ["roundtrip", "sample-strongly-abelian", "shadow-compare"])

@@ -488,6 +488,24 @@ class TestCofactorAlgebra:
         assert cofactor_tail_residue(worked, res, 1, 0) == Rat(2)
 
 
+CLOSED_FORM_RULES = [
+    ("constant(1,3,1)", 3),
+    ("constant(1,5,1)", 5),
+    ("constant(2,5,1)", 5),
+    ("halving", 2),
+]
+
+
+def assert_closed_form_entries(rule, n, depth):
+    """r_i = h_i, the i-th tower level, and gamma_i = n^{-i(i-1)/2}."""
+    d = desc([], tail={"kind": "rule", "rule": rule})
+    z = omega_to_z(d, resolve_gammas(d), depth)
+    levels = [sum(d.step(k).ratio() for k in range(1, i + 1)) for i in range(1, depth + 1)]
+    assert z.explicit_entries == [
+        (levels[i - 1], Rat(1, n ** (i * (i - 1) // 2))) for i in range(1, depth + 1)
+    ]
+
+
 class TestConversion:
     def test_single_step_first_emission_is_the_root(self):
         d = desc([(1, 2, 1)], tail=IRRATIONAL_THIRD)
@@ -537,23 +555,31 @@ class TestConversion:
             (Rat(13, 27), Rat(1, 27)),
         ]
 
-    @pytest.mark.parametrize(
-        "rule, n",
-        [
-            ("constant(1,3,1)", 3),
-            ("constant(1,5,1)", 5),
-            ("constant(2,5,1)", 5),
-            ("halving", 2),
-        ],
-    )
+    @pytest.mark.parametrize("rule, n", CLOSED_FORM_RULES)
     def test_rule_entries_in_closed_form_to_depth_20(self, rule, n):
-        # r_i = h_i, the i-th tower level, and gamma_i = n^{-i(i-1)/2}
+        assert_closed_form_entries(rule, n, 20)
+
+    @pytest.mark.parametrize("rule, n", CLOSED_FORM_RULES)
+    def test_rule_entries_in_closed_form_to_depth_256(self, rule, n):
+        # far past depth 169, where the CLI can no longer print halving's gamma
+        assert_closed_form_entries(rule, n, 256)
+
+    @pytest.mark.parametrize("rule", ["halving", "constant(1,3,1)"])
+    def test_one_cofactor_residue_per_closed_step(self, rule, monkeypatch):
+        # children are tested against the cut before they are built, so a
+        # telescoped record that keeps none takes no suffix residues: on a
+        # rule the residues left are bbar's, one per closed step
+        calls = []
+        residue = extension.cofactor_tail_residue
+        monkeypatch.setattr(
+            extension,
+            "cofactor_tail_residue",
+            lambda *args: calls.append(args[2:]) or residue(*args),
+        )
         d = desc([], tail={"kind": "rule", "rule": rule})
-        z = omega_to_z(d, resolve_gammas(d), depth=20)
-        levels = [sum(d.step(k).ratio() for k in range(1, i + 1)) for i in range(1, 21)]
-        assert z.explicit_entries == [
-            (levels[i - 1], Rat(1, n ** (i * (i - 1) // 2))) for i in range(1, 21)
-        ]
+        assert len(omega_to_z(d, resolve_gammas(d), 64).explicit_entries) == 64
+        assert len(calls) == 64
+        assert calls == [(i, 0) for i in range(1, 65)]
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_cofactor_tails_of_a_sixth_root_step(self, rng, sign):

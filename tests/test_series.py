@@ -343,6 +343,19 @@ class TestZSequence:
         with pytest.raises(ParseError):
             ZSequence.from_json(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"entries": ["x" * 100000]},
+            {"entries": [], "tail": {"kind": "x" * 100000}},
+            {"entries": [], "tail": {"kind": "rule", "rule": "x" * 100000}},
+        ],
+    )
+    def test_errors_do_not_echo_the_whole_input(self, data):
+        with pytest.raises(ParseError) as info:
+            ZSequence.from_json(data)
+        assert len(str(info.value)) < 200
+
     def test_terminal_must_lie_above_the_last_exponent(self):
         # xi/2 = sqrt(2)/2 is about 0.707
         for r in (Rat(3, 4), Rat(71, 100)):
