@@ -15,6 +15,10 @@ certified as v(F) as soon as the relative residues of its terms do not
 cancel, otherwise every term is rewritten exactly into terms of strictly
 larger value.  The scan compares words on int `Key`s, (num, den, k_xi) for
 num/den + k_xi xi, and builds one `ValueGroupElement` per certified level.
+The digit pool is level-first: v(F) is the least level of F's tower-digit
+expansion when that level does not cancel, so the pool builds only that
+level's words, found from one key per row of each leaf of the expansion,
+and keeps every other word in unbuilt chunks until the level cancels.
 
 The cross-checks of this evaluator (the commutative shadow, the samplers)
 live in `oracles`; of this module they use only `Valuation` and `_rho`.
@@ -54,6 +58,10 @@ _ZERO_VALUE = ValueGroupElement.rational(0)
 Key = Tuple[int, int, int]
 # A word with its coefficient and key; a digit pool's coefficients may be ints.
 Keyed = Tuple[Word, Union[int, Rat], Key]
+# A leaf of the digit expansion, kept unbuilt: its rows of int numerators
+# over one denominator, and the suffix word of its divisor powers with the
+# suffix's key.  Row j, entry i stands for the word x^i y^j suffix.
+Chunk = Tuple[Rows, int, Word, Key]
 
 
 def _key_cmp(a: Key, b: Key, scale: Rat) -> int:
@@ -150,9 +158,10 @@ class Valuation:
     its own `ValueGroupElement` arithmetic.
 
     The session memoizes only what its traffic re-reads: `_gen_keys`, as
-    every digit pool, every division in it and every word key reads
-    generator keys (19,008 of 39,611 lookups hit on bench `query`, seed 1,
-    15 s, whose levels all certify, so that `word_key` is never called);
+    every digit pool, every division in it, every leaf row that holds y and
+    every word key reads generator keys (21,204 of 36,202 lookups hit over
+    the 1,600 ops of 40 seed-1 rounds of bench `query`, whose levels all
+    certify, so that `word_key` is never called);
     `_commutators`, as nested commutators recurse into the same pairs
     (1,249 of 2,336 lookups hit over the tests); and `_elements`, as the
     CLI's `sign` reads every ordering from one session.  Word keys and
@@ -610,8 +619,28 @@ def _accumulate(pool: Dict[Word, Rat], word: Word, c: Rat) -> None:
     pool[word] = c if old is None else old + c
 
 
-def _leading(ctx: Valuation, keyed: List[Keyed]) -> LeadingData:
-    """Certify the leading level of a keyed list of words.
+def _chunk_words(ctx: Valuation, chunks: Iterable[Chunk]) -> List[Keyed]:
+    """The keyed words x^i y^j suffix of digit chunks, one per row entry,
+    each coefficient over its chunk's denominator."""
+    x_key = ctx.gen_key(-1)
+    out: List[Keyed] = []
+    for rows, den, suffix, key in chunks:
+        for j, row in rows.items():
+            if j:
+                tail, tail_key = ((1, j),) + suffix, _key_add(key, ctx.gen_key(0), j)
+            else:
+                tail, tail_key = suffix, key
+            for i, c in row.items():
+                if i:
+                    word, word_key = ((0, i),) + tail, _key_add(tail_key, x_key, i)
+                else:
+                    word, word_key = tail, tail_key
+                out.append((word, c if den == 1 else Rat(c, den), word_key))
+    return out
+
+
+def _leading(ctx: Valuation, keyed: List[Keyed], chunks: List[Chunk]) -> LeadingData:
+    """Certify the leading level of a keyed list of words and digit chunks.
 
     One pass per level keeps the scan exact yet lazy.  A pass compares each
     word's key once with the least so far, which splits the least level
@@ -620,11 +649,17 @@ def _leading(ctx: Valuation, keyed: List[Keyed]) -> LeadingData:
     keeps a word's value, so ``canon`` holds the level alone: the pass
     certifies it, or finds it empty, or rewrites all of it at strictly
     larger values.  Only then is ``pending`` built, from the rest, the
-    sorts' corrections (which sit strictly above the level and join
-    unsorted) and the level's expansions.  The rest keeps its keys, and the
-    next pass keys only the words the corrections and expansions add, with
-    `word_key`.  The first list is the digit pool, whose words are
-    distinct, so it needs no merge; its coefficients may be ints.
+    chunks' words, the sorts' corrections (which sit strictly above the
+    level and join unsorted) and the level's expansions.  The rest keeps its
+    keys, and the next pass keys only the words the corrections and
+    expansions add, with `word_key`.
+
+    From the digit pool, ``keyed`` holds the least level's words alone and
+    ``chunks`` every other word, strictly above that level, unbuilt: a
+    level that certifies never builds them, and the first level that does
+    not expands them all.  Digit words are distinct and in slot order, so
+    they need no merge and sort without swaps; their coefficients may be
+    ints.
     """
     word_key, scale = ctx.word_key, ctx.scale
     while keyed:
@@ -661,6 +696,8 @@ def _leading(ctx: Valuation, keyed: List[Keyed]) -> LeadingData:
                 lam += c * res
             if lam != 0:
                 return LeadingData(value, lam, ref.word, ref.eps_basis, ref.eps_terminal)
+        rest += _chunk_words(ctx, chunks)
+        chunks = []
         pending = {w: c for w, c, _ in rest}
         keys = {w: key for w, _, key in rest}
         for c, corrections in sorts:
@@ -682,17 +719,16 @@ def _leading(ctx: Valuation, keyed: List[Keyed]) -> LeadingData:
 DIGIT_WORK_BUDGET = 65536
 
 
-def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
-    """Expand an element into the tower digit basis, as keyed emissions.
+def _digit_pool(ctx: Valuation, element: WeylElement) -> Tuple[List[Keyed], List[Chunk]]:
+    """Expand an element into the tower digit basis: the least level's words,
+    keyed, and every other word left in deferred chunks.
 
-    Result words have the form x^i w_0^{j_0} ... w_K^{j_K} with every digit
+    Digit words have the form x^i w_0^{j_0} ... w_K^{j_K} with every digit
     below the next step's power, obtained by successive right division by
     tower elements from the deepest one down.  The division absorbs the bulk
     cancellation between plain monomials algebraically, so the level scan
-    afterwards starts from words whose values rarely collide.  Each word is
-    emitted once, as (word, coefficient, key): the key of its value rides
-    down the recursion, and the coefficient is the row's int numerator when
-    the row's denominator is 1, and one Rat otherwise.
+    afterwards starts from words whose values rarely collide.  Digit
+    expansions are unique, so each word occurs once.
 
     The expansion runs on a copy of the element's stored `Rows` and
     denominator, the product kernel's format, as each division subtracts
@@ -709,23 +745,35 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
     branches.  The term pairs (quotient term, divisor term) are counted per
     element; past DIGIT_WORK_BUDGET the expansion raises BudgetExceeded.
 
+    A leaf of the recursion, whose rows no divisor fits, is kept whole as a
+    `Chunk`: its rows, their denominator, and the suffix of divisor powers
+    with its key, which rides down the recursion.  Its words x^i y^j suffix
+    are not built here.  As v(x) = -1, the word of row j with the largest i
+    lies strictly below every other word of that row; so one key per leaf
+    row, that word's, compared with the least so far, finds the least level
+    and every word on it.  Only those words are built, each with its
+    coefficient (the row's int numerator over a denominator of 1, one Rat
+    otherwise), and taken out of their chunks, whose words thus all lie
+    strictly above the level.  `_chunk_words` builds the rest if the level
+    cancels.
+
     The deepest divisor is the last tower element whose value is declared:
     w_N under an irrational terminal after N steps, w_{N-1} on a bare prefix
     of N steps (which leaves v(w_N) undeclared), and any w_i under an
     infinite rule; its index is capped at depth_limit in every case, so the
     divisors read steps 1..depth_limit only.  A division by w_i reads
-    v(w_i) (`gen_key`) when it emits its first power, and an emission reads
-    v(y) only when it holds y.  A depth refusal there is raised once the
-    expansion is done, so BudgetExceeded takes precedence over it.
+    v(w_i) (`gen_key`) when it descends with its first power, and a leaf
+    reads v(y) only for a row that holds y.  A depth refusal there is raised
+    once the expansion is done, so BudgetExceeded takes precedence over it.
     """
     desc = ctx.desc
     max_index = ctx.depth_limit
     if desc.rule is None:
         top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
         max_index = min(max_index, top)
-    pool: List[Keyed] = []
+    chunks: List[Chunk] = []
     if not element.rows:
-        return pool
+        return [], chunks
     rows = {j: dict(row) for j, row in element.rows.items()}
     den = element.den
     # the y-degrees n_1 ... n_i of the divisors w_1 .. w_i, up to the element's
@@ -736,8 +784,11 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
         if d_index > deg_y:
             break
         degrees.append(d_index)
-    x_key = ctx.gen_key(-1)
+    x_key, scale = ctx.gen_key(-1), ctx.scale
     refusals: List[DepthExceeded] = []
+    # the least level's key, and (chunk, j, i) for each word on it
+    level: Key = (0, 1, 0)
+    least: List[Tuple[Chunk, int, int]] = []
     work = 0
 
     def read_key(index: int) -> Key:
@@ -750,31 +801,34 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
             return (0, 1, 0)
 
     def rec(rows: Rows, den: int, suffix: Word, key: Key) -> None:
-        # digit expansions are unique, so each word is emitted at most once:
         # the suffix holds one factor (slot, power >= 1) per enclosing
         # division of nonzero power, in rising slots >= 2, and x^i y^j sits
         # in slots 0 and 1; `key` is the suffix's
-        nonlocal work
+        nonlocal work, level
         index = bisect_right(degrees, max(rows))
         if index == 0:
+            chunk = (rows, den, suffix, key)
+            chunks.append(chunk)
             for j, row in rows.items():
-                if j:
-                    tail, tail_key = ((1, j),) + suffix, _key_add(key, read_key(0), j)
-                else:
-                    tail, tail_key = suffix, key
-                for i, c in row.items():
-                    if i:
-                        word, word_key = ((0, i),) + tail, _key_add(tail_key, x_key, i)
-                    else:
-                        word, word_key = tail, tail_key
-                    pool.append((word, c if den == 1 else Rat(c, den), word_key))
+                # v(x) = -1: the largest x power is the row's least word
+                i = max(row)
+                row_key = _key_add(key, read_key(0), j) if j else key
+                word_key = _key_add(row_key, x_key, i)
+                if least:
+                    order = _key_cmp(word_key, level, scale)
+                    if order > 0:
+                        continue
+                    if order < 0:
+                        least.clear()
+                level = word_key
+                least.append((chunk, j, i))
             return
         d_index = degrees[index - 1]
         record = desc._tower.get(index)
         if record is None:
             omega_element(desc, index)
             record = desc._tower[index]
-        lead, size, scale = record.lead, record.size, record.element.den
+        lead, size, e_den = record.lead, record.size, record.element.den
         power = 0
         while rows:
             quotient: Rows = {}
@@ -790,12 +844,12 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
                     )
                 quotient[deg - d_index] = {i - lead: c for i, c in row.items()}
                 negated = [(i - lead, -c) for i, c in row.items()]
-                if scale != 1:
-                    den *= scale
+                if e_den != 1:
+                    den *= e_den
                     for part in (rows, quotient):
                         for r in part.values():
                             for i in r:
-                                r[i] *= scale
+                                r[i] *= e_den
                 _add_shifted(rows, tower_row(desc, record, deg - d_index), negated)
             if rows:
                 if power:
@@ -809,7 +863,9 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> List[Keyed]:
     rec(rows, den, (), (0, 1, 0))
     if refusals:
         raise refusals[0]
-    return pool
+    # the level's words are built alone, and taken out of their chunks
+    level_chunks = [({j: {i: chunk[0][j].pop(i)}},) + chunk[1:] for chunk, j, i in least]
+    return _chunk_words(ctx, level_chunks), chunks
 
 
 def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
@@ -819,7 +875,7 @@ def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
     Every leading computation runs here, so code that wraps this name (the
     benchmark's tracer) sees each one.
     """
-    return _leading(session, _digit_pool(session, element))
+    return _leading(session, *_digit_pool(session, element))
 
 
 def eval_element(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Value:

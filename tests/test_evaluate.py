@@ -54,9 +54,9 @@ Y = WeylElement.y()
 
 
 def keyed_pool(session, pool):
-    """A pool {word: coeff} as the keyed list `_leading` takes, zero words
-    dropped."""
-    return [(w, c, session.word_key(w)) for w, c in pool.items() if c]
+    """A pool {word: coeff} as the keyed list and the empty chunk list that
+    `_leading` takes, zero words dropped."""
+    return [(w, c, session.word_key(w)) for w, c in pool.items() if c], []
 
 
 def monomial_gap_value(desc, exponents):
@@ -71,7 +71,7 @@ def monomial_gap_value(desc, exponents):
         raise NonzeroValue("monomial must have value 0")
     pool = {word: Rat(1)}
     pool[()] = pool.get((), Rat(0)) - evaluate._word_residue(session, word)
-    return evaluate._leading(session, keyed_pool(session, pool)).value
+    return evaluate._leading(session, *keyed_pool(session, pool)).value
 
 
 def equivalent(desc, a, b):
@@ -335,13 +335,20 @@ def reference_digit_pool(desc, element, depth_limit=64):
 
 
 def checked_digit_pool(session, element):
-    """The digit pool of `_digit_pool` as {word: coeff}, after checking that
-    each word is emitted once and carries the key of its value."""
-    keyed = evaluate._digit_pool(session, element)
+    """The digit pool of `_digit_pool` as {word: coeff}, its level's words
+    and its chunks' together, after checking that each word occurs once and
+    carries the key of its value, and that the built words are the least
+    level's, which every chunk word lies strictly above."""
+    level_words, chunks = evaluate._digit_pool(session, element)
+    keyed = level_words + evaluate._chunk_words(session, chunks)
     pool = {w: c for w, c, _ in keyed}
     assert len(pool) == len(keyed)
     for w, _, key in keyed:
         assert evaluate._key_cmp(key, session.word_key(w), session.scale) == 0
+    if keyed:
+        level = level_words[0][2]
+        for k, (_, _, key) in enumerate(keyed):
+            assert evaluate._key_cmp(key, level, session.scale) == (k >= len(level_words))
     return pool
 
 
@@ -552,9 +559,9 @@ class TestSession:
         runs = []
         original = evaluate._leading
 
-        def counted(ctx, pool):
+        def counted(ctx, keyed, chunks):
             runs.append(1)
-            return original(ctx, pool)
+            return original(ctx, keyed, chunks)
 
         monkeypatch.setattr(evaluate, "_leading", counted)
         assert cli.main(["sign", "--desc", str(path), "--expr", "x*y^2 - 1 + y^3"]) == 0
@@ -597,7 +604,7 @@ class TestLevelScan:
         )
         yx, xy = ((1, 1), (0, 1)), ((0, 1), (1, 1))
         session = Valuation(worked)
-        data = evaluate._leading(session, keyed_pool(session, {yx: Rat(1), xy: Rat(-1)}))
+        data = evaluate._leading(session, *keyed_pool(session, {yx: Rat(1), xy: Rat(-1)}))
         assert (data.value, data.lam, data.ref) == (rational(0), Rat(1), ())
         assert certified == [rational(0)]
 
@@ -611,7 +618,7 @@ class TestLevelScan:
         # -1/4, or else the correction, under w_1 of value 1/4
         yx, xy = ((1, 1), (0, 1)), ((0, 1), (1, 1))
         session = Valuation(worked)
-        data = evaluate._leading(session, keyed_pool(session, {yx: Rat(1), xy: Rat(-1), word: 3}))
+        data = evaluate._leading(session, *keyed_pool(session, {yx: Rat(1), xy: Rat(-1), word: 3}))
         assert data.value == expected
         element = word_element(worked, word).mul(WeylElement.scalar(3)).add(commutator(Y, X))
         assert data.value == eval_element(worked, element)
@@ -624,17 +631,31 @@ class TestLevelScan:
         monkeypatch.setattr(Valuation, "word_key", lambda self, w: keyed.append(w) or key(self, w))
 
     def test_a_certifying_pool_compares_each_word_once(self, halving, monkeypatch):
-        # x w_1^3 + 2 y^5 - 7 x^2 w_2 certifies its first level: one key
-        # comparison per pool word, and no word is keyed again
+        # x w_1^3 + 2 y^5 - 7 x^2 w_2 certifies its first level, -7 x^2 w_2:
+        # one key comparison per leaf row finds it and one per level word
+        # splits it, only its word is built, and no word is keyed again
         w1, w2 = omega_element(halving, 1), omega_element(halving, 2)
         element = X.mul(w1.pow(3)).add(elem({(0, 5): 2})).sub(elem({(2, 0): 7}).mul(w2))
         session = Valuation(halving)
-        pool = evaluate._digit_pool(session, element)
-        compared, keyed = [], []
+        compared, keyed, built = [], [], []
         self._count(monkeypatch, compared, keyed)
-        assert evaluate._leading(session, pool).value == rational(-15, 8)
-        assert len(pool) == len(compared) == 12
+        chunk_words = evaluate._chunk_words
+
+        def counted(ctx, chunks):
+            words = chunk_words(ctx, chunks)
+            built.extend(words)
+            return words
+
+        monkeypatch.setattr(evaluate, "_chunk_words", counted)
+        level_words, chunks = evaluate._digit_pool(session, element)
+        rows = sum(len(chunk[0]) for chunk in chunks)
+        assert (len(chunks), rows, len(compared)) == (5, 8, 7)
+        assert evaluate._leading(session, level_words, chunks).value == rational(-15, 8)
+        assert len(compared) == rows
+        assert built == level_words == [(((0, 2), (3, 1)), -7, (-15, 8, 0))]
         assert keyed == []
+        # the other 11 of the pool's 12 words stay in the chunks
+        assert len(chunk_words(session, chunks)) == 11
 
     def test_rest_words_keep_their_keys(self, worked, halving, monkeypatch):
         compared, keyed = [], []
@@ -645,15 +666,134 @@ class TestLevelScan:
         session = Valuation(worked)
         pool = [(w, c, session.word_key(w)) for w, c in ((yx, 1), (xy, -1), (word, 3))]
         keyed.clear()
-        assert evaluate._leading(session, pool).value == rational(-1, 4)
+        assert evaluate._leading(session, pool, []).value == rational(-1, 4)
         assert keyed == [()]
         # F5's element x y w_1^2 - 1 cancels on two levels; every word its
         # sorts and expansions add is keyed once
         keyed.clear()
         f = X.mul(Y).mul(omega_element(halving, 1).pow(2)).sub(WeylElement.scalar(1))
         session = Valuation(halving)
-        assert evaluate._leading(session, evaluate._digit_pool(session, f)).value == rational(1, 8)
+        assert evaluate._leading(session, *evaluate._digit_pool(session, f)).value == rational(1, 8)
         assert keyed and len(set(keyed)) == len(keyed)
+
+
+# Every element of this suite whose first level cancels or whose sorts swap,
+# as `leading_data` meets it (some at several depth limits), with its
+# fixture; among them F5's x y w_1^2 - 1 on worked and halving, and the
+# constant(1,3,1) element whose sort splices 162 correction words.
+CANCELLING_ELEMENTS = [
+    ("single24", "x*y^2 - 4"),
+    ("single24", "x^2*y^2 - 4*x"),
+    ("single24", "x^2*y^4 + 2*x*y^3 - 8*x*y^2 + y + 16"),
+    ("single24", "x^2*y^7 + 5*x*y^6 - 4*x*y^5"),
+    ("single24", "x^3*y^3 + x^2*y^2 - 4*x^2*y - 4*x*y^2 + 19"),
+    ("single24", "5*x^4*y^2 - 20*x^3 + x^2*y^3 + x*y^2 - 4*x*y + 3"),
+    ("single24", "-8*x^5*y^2 + 32*x^4 - 5*x^3*y^2 + 20*x^2 + 3"),
+    ("single24", "5*x^3*y^2 - 20*x^2 + 3"),
+    ("single24", "x^5*y^2 - 4*x^4 - 3*x^3*y^3 - 3*x^2*y^2 + 12*x^2*y + 3"),
+    ("single24", "-3*x^3*y^3 + 2*x^2*y^4 - 3*x^2*y^2 + 12*x^2*y + 4*x*y^3 - 13*x*y^2 + 2*x*y + 20"),
+    ("single24", "-2*x^4*y^3 - 2*x^3*y^2 + 8*x^3*y - 5*y^2"),
+    ("single24", "4*x^4*y^3 + 4*x^3*y^2 - 16*x^3*y + 5*y"),
+    ("single24", "-x^2*y^4 - 2*x^2*y^3 - 2*x*y^3 + 2*x*y^2 + 8*x*y - 4*y"),
+    ("single24", "-x^5*y^2 + 4*x^4 + 4*x*y^4 - 3*x*y + 8*y^3 - 16*y^2"),
+    ("single24", "5*x^5*y^2 - 20*x^4 + 5*x^3*y^2 - 22*x^2"),
+    ("single24", "4*x^4*y^3 - 3*x^4*y^2 + 4*x^3*y^3 + 4*x^3*y^2 - 16*x^3*y + 12*x^3"
+                 " + 4*x^2*y^2 - 16*x^2*y - 3*x^2 - 5*y"),
+    ("single24", "4*x^4*y^2 - 16*x^3 - 4*y^2"),
+    ("single24", "-x^5*y^2 + 4*x^4 + x^2*y^3 + x*y^2 - 4*x*y - y"),
+    ("single24", "-2*x*y^3 + y^2 + 8*y"),
+    ("single24", "5*x^5*y^2 + 4*x^4*y^2 - 20*x^4 - 5*x^3*y^3 - 16*x^3 - 5*x^2*y^2"
+                 " + 20*x^2*y + 3*x^2"),
+    ("single24", "-5*x^4*y^2 + 20*x^3 - 5*x^2 + x*y"),
+    ("single24", "2*x^4*y^3 + x^4*y^2 + 2*x^3*y^2 - 8*x^3*y - 4*x^3 - y"),
+    ("single24", "-2*x^5*y^2 + 8*x^4 - 3*x^2 + 5*x"),
+    ("single24", "4*x^5*y^2 - 16*x^4 + 6*x^2"),
+    ("single24", "-5*x^4*y^3 - 7*x^3*y^2 + 20*x^3*y + 8*x^2 - 2*x*y"),
+    ("single24", "x^4*y^2 - 4*x^3 - 8*x^2 + 3*x*y^5 + 9*y^4 - 12*y^3"),
+    ("single24", "5*x^4*y^2 - 20*x^3 - 2*x^2*y^3 - 5*x*y^6 - 2*x*y^2 + 4*x*y - 20*y^5 + 20*y^4"),
+    ("single24", "5*x^4*y^2 + 4*x^3*y^4 - 20*x^3 + 8*x^2*y^3 - 16*x^2*y^2 + 5*x*y^2 - 3*x*y - 19"),
+    ("single24", "2*x*y^5 - 2*x*y^2 + 6*y^4 - 8*y^3 - y^2 + 8"),
+    ("single24", "-5*x^4*y^2 - 3*x^3*y^3 + 20*x^3 - 3*x^2*y^2 + 12*x^2*y + 4*x*y"),
+    ("single24", "3*x^4*y^2 - 12*x^3 - 1"),
+    ("single24", "5*x^5*y^2 - 20*x^4 - 2*x*y"),
+    ("single24", "4*x^5*y^2 - 16*x^4 - 5"),
+    ("single24", "-5*x^4*y^3 - 5*x^3*y^2 + 20*x^3*y + 3*x*y^4 + 6*y^3 - 16*y^2"),
+    ("single24", "x^5*y^2 + 4*x^4*y^2 - 4*x^4 - 16*x^3 + 5*y^2"),
+    ("single24", "-2*x^5*y^2 + 8*x^4 - 3*x^3*y^3 - 3*x^2*y^2 + 12*x^2*y - 4*x^2"),
+    ("single24", "2*x^4*y^2 - 8*x^3 + 2*x*y"),
+    ("worked", "x^3*y^5 + 4*x^2*y^4 - 2*x^2*y^3 + 2*x*y^3 - 2*x*y^2 + x*y - 1"),
+    ("halving", "x^3*y^5 + 4*x^2*y^4 - 2*x^2*y^3 + 2*x*y^3 - 2*x*y^2 + x*y - 1"),
+    ("halving", "x^4*y^7 + 8*x^3*y^6 - 2*x^3*y^5 + 12*x^2*y^5 - 6*x^2*y^4 + x^2*y^3 - 1"),
+    ("constant131", "x^4*y^11 + 15*x^3*y^10 - 3*x^3*y^8 + 57*x^2*y^9 - 21*x^2*y^7"
+                    " + 3*x^2*y^5 + 48*x*y^8 - 24*x*y^6 + 6*x*y^4 - x*y^2 - 1"),
+]
+
+
+def expanded_leading(session, element):
+    """`_leading` over the whole digit pool keyed at once, every chunk word
+    built, as the scan ran before the pool put its chunks off."""
+    level_words, chunks = evaluate._digit_pool(session, element)
+    return evaluate._leading(session, level_words + evaluate._chunk_words(session, chunks), [])
+
+
+class TestLevelFirstPool:
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_deferred_chunks_lead_as_the_expanded_pool(self, request, fixture):
+        # value, lam, ref and parities, or the refusal's type and message,
+        # equal the expanded pool's at depth limits 0, 1, 2 and 64
+        desc = request.getfixturevalue(fixture)
+        cancelling = [parse_expr(expr) for name, expr in CANCELLING_ELEMENTS if name == fixture]
+        cancelling.append(X.mul(Y).mul(omega_element(desc, 1).pow(2)).sub(WeylElement.scalar(1)))
+        # a tower element added to a cancelling element may wait in a chunk
+        # above the cancelled level and lead after it
+        batch = cancelling + [f.add(w) for f in cancelling for w in tower_elements(desc, 3)]
+        batch.append(parse_expr("(x^3*y^5 + 2*x*y^2 - 5)*(x^2*y^4 - 3*x*y + 7)"))
+        if desc.rule is not None:
+            batch.append(Y.pow(100))
+        rng = random.Random(f"level-first:{fixture}")
+        for _ in range(8):
+            f, g = sample_element(rng, max_degree=6), sample_element(rng, max_degree=6)
+            batch += [f, f.mul(g)]
+        kinds = set()
+        for depth in (0, 1, 2, 64):
+            for element in batch:
+                got = _outcome(evaluate.leading_data, Valuation(desc, depth), element)
+                assert got == _outcome(expanded_leading, Valuation(desc, depth), element)
+                kinds.add(got[0])
+        assert "ok" in kinds and "DepthExceeded" in kinds
+        assert ("BudgetExceeded" in kinds) == (desc.rule is not None)
+
+    @pytest.mark.parametrize(
+        "fixture, word, expected",
+        [
+            ("halving", ((4, 1),), {"q": "1/16"}),
+            ("worked", ((0, 1), (2, 3), (3, 2)), {"q": "-1/4", "k_xi": 2, "k_mu": 0, "scale": "1/8"}),
+        ],
+    )
+    def test_a_chunk_word_above_a_cancelling_level_leads(self, request, fixture, word, expected):
+        # F5's x y w_1^2 - 1 cancels at level 0 and leads at 1/8 on halving,
+        # at xi on worked; the digit word w_3, or x w_1^3 w_2^2, lies between
+        # the two, waits in a chunk while level 0 is scanned, and then leads
+        desc = request.getfixturevalue(fixture)
+        f5 = X.mul(Y).mul(omega_element(desc, 1).pow(2)).sub(WeylElement.scalar(1))
+        session = Valuation(desc)
+        level_words, chunks = evaluate._digit_pool(session, f5.add(word_element(desc, word)))
+        assert [w for w, _, _ in level_words] == [(), ((0, 1), (1, 1), (2, 2))]
+        assert word in {w for w, _, _ in evaluate._chunk_words(session, chunks)}
+        data = evaluate._leading(session, level_words, chunks)
+        assert data.value == ValueGroupElement.from_json(expected)
+        assert data.value.cmp(eval_element(desc, f5)) < 0
+
+
+def tower_elements(desc, top):
+    """w_1 .. w_top, as far as the descriptor builds them."""
+    out = []
+    for i in range(1, top + 1):
+        try:
+            out.append(omega_element(desc, i))
+        except WeylvalError:
+            break
+    return out
 
 
 def word_element(desc, word):
@@ -786,12 +926,12 @@ class TestMonomialGap:
         for word in (((0, -2), (1, -3), (2, -2)), ((0, 1), (1, 1), (2, 2))):
             rho = evaluate._word_residue(session, word)
             pool = keyed_pool(session, {word: Rat(1), (): -rho})
-            gaps.append((word, rho, evaluate._leading(session, pool)))
+            gaps.append((word, rho, evaluate._leading(session, *pool)))
         (a, rho_a, lead_a), (b, rho_b, lead_b) = gaps
         assert lead_a.value == lead_b.value
         assert not calls
         pool = {a: lead_b.lam, b: -lead_a.lam, (): lead_a.lam * rho_b - lead_b.lam * rho_a}
-        combined = evaluate._leading(session, keyed_pool(session, pool))
+        combined = evaluate._leading(session, *keyed_pool(session, pool))
         assert combined.value.cmp(lead_a.value) > 0
         assert (combined.value, combined.lam) == (rational(1, 4), Rat(-3, 2))
         assert calls
