@@ -18,7 +18,8 @@ num/den + k_xi xi, and builds one `ValueGroupElement` per certified level.
 The digit pool is level-first: v(F) is the least level of F's tower-digit
 expansion when that level does not cancel, so the pool builds only that
 level's words, found from one key per row of each leaf of the expansion,
-and keeps every other word in unbuilt chunks until the level cancels.
+and keeps every other word in unbuilt chunks, and every quotient whose
+words all lie above the level undivided, until the level cancels.
 
 The cross-checks of this evaluator (the commutative shadow, the samplers)
 live in `oracles`; of this module they use only `Valuation` and `_rho`.
@@ -62,6 +63,10 @@ Keyed = Tuple[Word, Union[int, Rat], Key]
 # over one denominator, and the suffix word of its divisor powers with the
 # suffix's key.  Row j, entry i stands for the word x^i y^j suffix.
 Chunk = Tuple[Rows, int, Word, Key]
+# A quotient of the digit expansion left undivided: its rows over their
+# denominator, the suffix and its key, the divisor's index and the power of
+# the divisor that the quotient stands at.
+Tail = Tuple[Rows, int, Word, Key, int, int]
 
 
 def _key_cmp(a: Key, b: Key, scale: Rat) -> int:
@@ -145,7 +150,7 @@ class Valuation:
     is computed at most once, by `leading_data`; the free functions
     `eval_element` and `orderings.sign` open one session per call.
     A step counts against the depth limit when a generator's value is read
-    (`gen_key`) or a divisor is chosen (`_digit_pool` divides by w_i for
+    (`gen_key`) or a divisor is chosen (`_DigitPool` divides by w_i for
     i <= depth_limit only).  Residues, commutators and the canonical
     representative read the descriptor directly: they serve words whose
     generator values were read first, or a level already certified.
@@ -159,7 +164,7 @@ class Valuation:
 
     The session memoizes only what its traffic re-reads: `_gen_keys`, as
     every digit pool, every division in it, every leaf row that holds y and
-    every word key reads generator keys (21,204 of 36,202 lookups hit over
+    every word key reads generator keys (6,676 of 21,851 lookups hit over
     the 1,600 ops of 40 seed-1 rounds of bench `query`, whose levels all
     certify, so that `word_key` is never called);
     `_commutators`, as nested commutators recurse into the same pairs
@@ -619,6 +624,13 @@ def _accumulate(pool: Dict[Word, Rat], word: Word, c: Rat) -> None:
     pool[word] = c if old is None else old + c
 
 
+def _digit_word(i: int, j: int, suffix: Word) -> Word:
+    """The digit word x^i y^j suffix."""
+    if j:
+        suffix = ((1, j),) + suffix
+    return ((0, i),) + suffix if i else suffix
+
+
 def _chunk_words(ctx: Valuation, chunks: Iterable[Chunk]) -> List[Keyed]:
     """The keyed words x^i y^j suffix of digit chunks, one per row entry,
     each coefficient over its chunk's denominator."""
@@ -626,21 +638,15 @@ def _chunk_words(ctx: Valuation, chunks: Iterable[Chunk]) -> List[Keyed]:
     out: List[Keyed] = []
     for rows, den, suffix, key in chunks:
         for j, row in rows.items():
-            if j:
-                tail, tail_key = ((1, j),) + suffix, _key_add(key, ctx.gen_key(0), j)
-            else:
-                tail, tail_key = suffix, key
+            row_key = _key_add(key, ctx.gen_key(0), j) if j else key
             for i, c in row.items():
-                if i:
-                    word, word_key = ((0, i),) + tail, _key_add(tail_key, x_key, i)
-                else:
-                    word, word_key = tail, tail_key
-                out.append((word, c if den == 1 else Rat(c, den), word_key))
+                word_key = _key_add(row_key, x_key, i) if i else row_key
+                out.append((_digit_word(i, j, suffix), c if den == 1 else Rat(c, den), word_key))
     return out
 
 
-def _leading(ctx: Valuation, keyed: List[Keyed], chunks: List[Chunk]) -> LeadingData:
-    """Certify the leading level of a keyed list of words and digit chunks.
+def _leading(ctx: Valuation, keyed: List[Keyed], pool: Optional[_DigitPool]) -> LeadingData:
+    """Certify the leading level of a keyed list of words and a digit pool.
 
     One pass per level keeps the scan exact yet lazy.  A pass compares each
     word's key once with the least so far, which splits the least level
@@ -649,17 +655,18 @@ def _leading(ctx: Valuation, keyed: List[Keyed], chunks: List[Chunk]) -> Leading
     keeps a word's value, so ``canon`` holds the level alone: the pass
     certifies it, or finds it empty, or rewrites all of it at strictly
     larger values.  Only then is ``pending`` built, from the rest, the
-    chunks' words, the sorts' corrections (which sit strictly above the
-    level and join unsorted) and the level's expansions.  The rest keeps its
-    keys, and the next pass keys only the words the corrections and
+    pool's other words, the sorts' corrections (which sit strictly above
+    the level and join unsorted) and the level's expansions.  The rest keeps
+    its keys, and the next pass keys only the words the corrections and
     expansions add, with `word_key`.
 
-    From the digit pool, ``keyed`` holds the least level's words alone and
-    ``chunks`` every other word, strictly above that level, unbuilt: a
-    level that certifies never builds them, and the first level that does
-    not expands them all.  Digit words are distinct and in slot order, so
-    they need no merge and sort without swaps; their coefficients may be
-    ints.
+    From a `_DigitPool`, ``keyed`` holds the least level's words alone, and
+    the pool every other word, strictly above that level, in unbuilt chunks
+    and undivided tails: a level that certifies never builds them, and the
+    first level that does not has the pool build them all (`rest`).  Digit
+    words are distinct and in slot order, so they need no merge and sort
+    without swaps; their coefficients may be ints.  A keyed list from
+    elsewhere comes with no pool.
     """
     word_key, scale = ctx.word_key, ctx.scale
     while keyed:
@@ -696,8 +703,9 @@ def _leading(ctx: Valuation, keyed: List[Keyed], chunks: List[Chunk]) -> Leading
                 lam += c * res
             if lam != 0:
                 return LeadingData(value, lam, ref.word, ref.eps_basis, ref.eps_terminal)
-        rest += _chunk_words(ctx, chunks)
-        chunks = []
+        if pool is not None:
+            rest += pool.rest()
+            pool = None
         pending = {w: c for w, c, _ in rest}
         keys = {w: key for w, _, key in rest}
         for c, corrections in sorts:
@@ -712,16 +720,26 @@ def _leading(ctx: Valuation, keyed: List[Keyed], chunks: List[Chunk]) -> Leading
 
 
 # Term pairs (quotient term, divisor term) that the digit expansion of one
-# element may hand to the product kernel.  The benchmark's elements need at
-# most 7,692 and y^54 on constant(1,3,1) needs 11,195 (0.02 s on a 2-vCPU
-# Xeon); y^108 there needs 141,352 (0.1 s), and y^728 would run for about
-# 90 s and take 140 MB.
+# element may hand to the product kernel, counted over the divisions done.
+# The benchmark's elements need at most 7,692 and y^54 on constant(1,3,1)
+# needs 7,752 (0.01 s on a 2-vCPU Xeon); y^108 there needs 82,236 (0.08 s)
+# before its least level certifies, and y^728 would need 7.5 million, for
+# about 6.4 s and 86 MB.
 DIGIT_WORK_BUDGET = 65536
 
 
-def _digit_pool(ctx: Valuation, element: WeylElement) -> Tuple[List[Keyed], List[Chunk]]:
-    """Expand an element into the tower digit basis: the least level's words,
-    keyed, and every other word left in deferred chunks.
+def _least_weight(rows: Rows, y_key: Key) -> Key:
+    """The key of mu_0(rows), the least weight -i + j v(y) of their terms
+    x^i y^j: as v(x) = -1, the weight of each row's largest x power.  v(y)
+    is m_1/n_1, rational."""
+    num, den, _ = y_key
+    return (min(j * num - max(row) * den for j, row in rows.items()), den, 0)
+
+
+class _DigitPool:
+    """The digit pool of one element: its tower-digit expansion, read
+    level-first.  `keyed` holds the least level's words, and `rest` builds
+    every other word.
 
     Digit words have the form x^i w_0^{j_0} ... w_K^{j_K} with every digit
     below the next step's power, obtained by successive right division by
@@ -742,8 +760,9 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Tuple[List[Keyed], List
     the descriptor, and its rows from `tower_row`, which keeps them there
     for every later expansion within TOWER_ROW_TERM_BUDGET.  The row
     denominator grows, by E, only when E != 1, so it can differ between
-    branches.  The term pairs (quotient term, divisor term) are counted per
-    element; past DIGIT_WORK_BUDGET the expansion raises BudgetExceeded.
+    branches.  The term pairs (quotient term, divisor term) of the divisions
+    done are counted per element, those of resumed tails included; past
+    DIGIT_WORK_BUDGET the expansion raises BudgetExceeded.
 
     A leaf of the recursion, whose rows no divisor fits, is kept whole as a
     `Chunk`: its rows, their denominator, and the suffix of divisor powers
@@ -753,93 +772,167 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Tuple[List[Keyed], List
     row, that word's, compared with the least so far, finds the least level
     and every word on it.  Only those words are built, each with its
     coefficient (the row's int numerator over a denominator of 1, one Rat
-    otherwise), and taken out of their chunks, whose words thus all lie
-    strictly above the level.  `_chunk_words` builds the rest if the level
-    cancels.
+    otherwise) and the level's key, and taken out of their chunks, whose
+    words thus all lie strictly above the level.
+
+    Quotients are put off as well.  `_divide` divides by w_k at powers
+    0, 1, 2, ...; before it divides the quotient Q left at power p >= 1, it
+    bounds every word Q can still emit from below by
+    B = key + p v(w_k) + mu_0(Q), with `key` the suffix's and mu_0(Q) the
+    least weight -i + j v(y) of Q's terms x^i y^j (`_least_weight`).  If B
+    lies strictly above the least key found so far, Q is kept undivided as
+    a `Tail` and the division stops.  `rest` resumes each tail through
+    `_divide`, as it stands, and then builds the chunks' words; so a level
+    that certifies never divides a tail.
+
+    Why B bounds the tail.  The proof uses `validate`'s StepShape checks,
+    m_1/n_1 < 1 and m_i > 0 past step 1, and its TerminalShape check that a
+    terminal value is positive.  Weigh x^i y^j by -i + j v(y), v(y) =
+    m_1/n_1, and let mu_0(F) be the least weight of F's terms.
+    1. In the normal form of x^a y^b x^c y^e, the Leibniz term that drops t
+       pairs y x weighs t (1 - v(y)) >= 0 more than the two factors' weights
+       together.  So mu_0(FG) >= mu_0(F) + mu_0(G).
+    2. Let tau_k be the weight of w_k's top term x^lead y^d.  The top term
+       of a product is the product of the top terms, so tau_1 =
+       -m_1 + n_1 v(y) = 0 and tau_k = -m_k + n_k tau_{k-1} < 0 for k >= 2.
+       By 1 and induction on k, every term of w_k = x^{m_k} w_{k-1}^{n_k}
+       - beta_k weighs at least tau_k, beta_k's 0 too.  And v(w_k) > 0 for
+       k >= 1, as m_{k+1} > 0 or the terminal value is positive, so
+       tau_k < v(w_k).
+    3. A division step subtracts q w_k, where the quotient term q =
+       x^{i - lead} y^{deg - d} weighs t - tau_k for the weight t of the
+       dividend's term x^i y^deg.  By 1 and 2, q w_k weighs at least t, so
+       the dividend's mu_0 never falls, and each quotient term weighs at
+       least mu_0(R) - tau_k for the dividend R.
+    4. Divide R by w_k: let Q_0 = R, Q_{p+1} the quotient of Q_p and R_p
+       its remainder.  By 3, mu_0(Q_{p'}) >= mu_0(Q_p) - (p' - p) tau_k for
+       p' >= p, and mu_0(R_{p'}) >= mu_0(Q_{p'}).  R_{p'} has y-degree below
+       d, so by induction on the y-degree (a leaf's word x^i y^j has v equal
+       to its weight) each digit word u of R_{p'} has v(u) >= mu_0(R_{p'}).
+       So every word u w_k^{p'} suffix with p' >= p has value at least
+       key + mu_0(Q_p) + p v(w_k) + (p' - p)(v(w_k) - tau_k) >= B.  With
+       p = 0 and an empty suffix this is the induction step: every digit
+       word of R has value at least mu_0(R).
+    On a descriptor that fails these checks, which the CLI refuses to read,
+    B is not a bound and the level found may be wrong.
 
     The deepest divisor is the last tower element whose value is declared:
     w_N under an irrational terminal after N steps, w_{N-1} on a bare prefix
     of N steps (which leaves v(w_N) undeclared), and any w_i under an
     infinite rule; its index is capped at depth_limit in every case, so the
     divisors read steps 1..depth_limit only.  A division by w_i reads
-    v(w_i) (`gen_key`) when it descends with its first power, and a leaf
-    reads v(y) only for a row that holds y.  A depth refusal there is raised
-    once the expansion is done, so BudgetExceeded takes precedence over it.
+    v(w_i) (`gen_key`) once it is past power 0, and a leaf reads v(y) only
+    for a row that holds y.  A depth refusal there is raised once the
+    expansion is done, so BudgetExceeded takes precedence over it.  No
+    quotient is put off once a refusal is pending, as the key read then is
+    a placeholder, and a bound built on it does not hold.  So a resumed
+    tail reads no key past the depth limit: it reads only v(y) and v(w_i)
+    for i up to its divisor's index k, whose steps lie at or below that of
+    v(w_k), which was read without a refusal when the tail was put off.
     """
-    desc = ctx.desc
-    max_index = ctx.depth_limit
-    if desc.rule is None:
-        top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
-        max_index = min(max_index, top)
-    chunks: List[Chunk] = []
-    if not element.rows:
-        return [], chunks
-    rows = {j: dict(row) for j, row in element.rows.items()}
-    den = element.den
-    # the y-degrees n_1 ... n_i of the divisors w_1 .. w_i, up to the element's
-    deg_y, d_index = max(rows), 1
-    degrees: List[int] = []
-    while len(degrees) < max_index:
-        d_index *= abs(desc.step(len(degrees) + 1).n)
-        if d_index > deg_y:
-            break
-        degrees.append(d_index)
-    x_key, scale = ctx.gen_key(-1), ctx.scale
-    refusals: List[DepthExceeded] = []
-    # the least level's key, and (chunk, j, i) for each word on it
-    level: Key = (0, 1, 0)
-    least: List[Tuple[Chunk, int, int]] = []
-    work = 0
 
-    def read_key(index: int) -> Key:
+    __slots__ = (
+        "ctx", "degrees", "x_key", "y_key", "chunks", "tails", "refusals", "level", "least",
+        "work", "keyed",
+    )
+
+    def __init__(self, ctx: Valuation, element: WeylElement):
+        desc = ctx.desc
+        max_index = ctx.depth_limit
+        if desc.rule is None:
+            top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
+            max_index = min(max_index, top)
+        self.ctx = ctx
+        self.chunks: List[Chunk] = []
+        self.tails: List[Tail] = []
+        self.refusals: List[DepthExceeded] = []
+        # the least level's key, and (chunk, j, i) for each word on it
+        self.level: Key = (0, 1, 0)
+        self.least: List[Tuple[Chunk, int, int]] = []
+        self.work = 0
+        self.keyed: List[Keyed] = []
+        # the y-degrees n_1 ... n_i of the divisors w_1 .. w_i, up to the element's
+        self.degrees: List[int] = []
+        self.x_key: Key = ctx.gen_key(-1)
+        self.y_key: Optional[Key] = None
+        if not element.rows:
+            return
+        rows = {j: dict(row) for j, row in element.rows.items()}
+        deg_y, d_index = max(rows), 1
+        while len(self.degrees) < max_index:
+            d_index *= abs(desc.step(len(self.degrees) + 1).n)
+            if d_index > deg_y:
+                break
+            self.degrees.append(d_index)
+        if self.degrees:
+            # a division needs step 1, so v(y) is then read without a refusal
+            self.y_key = ctx.gen_key(0)
+        self._rec(rows, element.den, (), (0, 1, 0))
+        if self.refusals:
+            raise self.refusals[0]
+        # the level's words are built alone, and taken out of their chunks
+        for (chunk_rows, chunk_den, suffix, _), j, i in self.least:
+            c = chunk_rows[j].pop(i)
+            self.keyed.append(
+                (_digit_word(i, j, suffix), c if chunk_den == 1 else Rat(c, chunk_den), self.level)
+            )
+
+    def _read_key(self, index: int) -> Key:
         # a depth refusal waits until the expansion ends, as a budget
         # refusal takes precedence over it
         try:
-            return ctx.gen_key(index)
+            return self.ctx.gen_key(index)
         except DepthExceeded as exc:
-            refusals.append(exc)
+            self.refusals.append(exc)
             return (0, 1, 0)
 
-    def rec(rows: Rows, den: int, suffix: Word, key: Key) -> None:
+    def _rec(self, rows: Rows, den: int, suffix: Word, key: Key) -> None:
         # the suffix holds one factor (slot, power >= 1) per enclosing
         # division of nonzero power, in rising slots >= 2, and x^i y^j sits
         # in slots 0 and 1; `key` is the suffix's
-        nonlocal work, level
-        index = bisect_right(degrees, max(rows))
-        if index == 0:
-            chunk = (rows, den, suffix, key)
-            chunks.append(chunk)
-            for j, row in rows.items():
-                # v(x) = -1: the largest x power is the row's least word
-                i = max(row)
-                row_key = _key_add(key, read_key(0), j) if j else key
-                word_key = _key_add(row_key, x_key, i)
-                if least:
-                    order = _key_cmp(word_key, level, scale)
-                    if order > 0:
-                        continue
-                    if order < 0:
-                        least.clear()
-                level = word_key
-                least.append((chunk, j, i))
+        index = bisect_right(self.degrees, max(rows))
+        if index:
+            self._divide(rows, den, suffix, key, index, 0)
             return
-        d_index = degrees[index - 1]
+        chunk = (rows, den, suffix, key)
+        self.chunks.append(chunk)
+        x_key, scale, least = self.x_key, self.ctx.scale, self.least
+        for j, row in rows.items():
+            # v(x) = -1: the largest x power is the row's least word
+            i = max(row)
+            row_key = _key_add(key, self._read_key(0), j) if j else key
+            word_key = _key_add(row_key, x_key, i)
+            if least:
+                order = _key_cmp(word_key, self.level, scale)
+                if order > 0:
+                    continue
+                if order < 0:
+                    least.clear()
+            self.level = word_key
+            least.append((chunk, j, i))
+
+    def _divide(self, rows: Rows, den: int, suffix: Word, key: Key, index: int, power: int) -> None:
+        # divide `rows`, the quotient at `power`, by w_index until no
+        # quotient is left or the next one is put off, and expand each
+        # remainder
+        desc = self.ctx.desc
+        d_index = self.degrees[index - 1]
         record = desc._tower.get(index)
         if record is None:
             omega_element(desc, index)
             record = desc._tower[index]
         lead, size, e_den = record.lead, record.size, record.element.den
-        power = 0
-        while rows:
+        digit_key = _key_add(key, self._read_key(index), power) if power else key
+        while True:
             quotient: Rows = {}
             for deg in range(max(rows), d_index - 1, -1):
                 row = rows.get(deg)
                 if row is None:
                     continue
-                work += len(row) * size
-                if work > DIGIT_WORK_BUDGET:
+                self.work += len(row) * size
+                if self.work > DIGIT_WORK_BUDGET:
                     raise BudgetExceeded(
-                        f"digit expansion by w_{index} handed {work} term pairs "
+                        f"digit expansion by w_{index} handed {self.work} term pairs "
                         f"to the product kernel, above the budget of {DIGIT_WORK_BUDGET}"
                     )
                 quotient[deg - d_index] = {i - lead: c for i, c in row.items()}
@@ -852,20 +945,23 @@ def _digit_pool(ctx: Valuation, element: WeylElement) -> Tuple[List[Keyed], List
                                 r[i] *= e_den
                 _add_shifted(rows, tower_row(desc, record, deg - d_index), negated)
             if rows:
-                if power:
-                    digit_key = _key_add(key, read_key(index), power)
-                    rec(rows, den, ((index + 1, power),) + suffix, digit_key)
-                else:
-                    rec(rows, den, suffix, key)
-            rows = quotient
-            power += 1
+                self._rec(rows, den, ((index + 1, power),) + suffix if power else suffix, digit_key)
+            if not quotient:
+                return
+            rows, power = quotient, power + 1
+            digit_key = _key_add(key, self._read_key(index), power)
+            if self.least and not self.refusals:
+                bound = _key_add(digit_key, _least_weight(rows, self.y_key), 1)
+                if _key_cmp(bound, self.level, self.ctx.scale) > 0:
+                    self.tails.append((rows, den, suffix, key, index, power))
+                    return
 
-    rec(rows, den, (), (0, 1, 0))
-    if refusals:
-        raise refusals[0]
-    # the level's words are built alone, and taken out of their chunks
-    level_chunks = [({j: {i: chunk[0][j].pop(i)}},) + chunk[1:] for chunk, j, i in least]
-    return _chunk_words(ctx, level_chunks), chunks
+    def rest(self) -> List[Keyed]:
+        """The keyed words besides the level's: the tails are divided first,
+        through `_divide`, and then every chunk's words are built."""
+        while self.tails:
+            self._divide(*self.tails.pop())
+        return _chunk_words(self.ctx, self.chunks)
 
 
 def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
@@ -875,7 +971,8 @@ def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
     Every leading computation runs here, so code that wraps this name (the
     benchmark's tracer) sees each one.
     """
-    return _leading(session, *_digit_pool(session, element))
+    pool = _DigitPool(session, element)
+    return _leading(session, pool.keyed, pool)
 
 
 def eval_element(desc: OmegaDescriptor, element: Element, depth_limit: int = 64) -> Value:

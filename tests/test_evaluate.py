@@ -38,6 +38,7 @@ from weylval.coeff import v2
 from weylval.descriptor import data_window, validate
 
 from conftest import SINGLE_TERMINAL_JSON, WORKED_JSON
+from test_extension import random_extendable
 from test_weyl import reference_mul
 
 
@@ -54,9 +55,9 @@ Y = WeylElement.y()
 
 
 def keyed_pool(session, pool):
-    """A pool {word: coeff} as the keyed list and the empty chunk list that
-    `_leading` takes, zero words dropped."""
-    return [(w, c, session.word_key(w)) for w, c in pool.items() if c], []
+    """A pool {word: coeff} as the keyed list that `_leading` takes, with no
+    digit pool behind it, zero words dropped."""
+    return [(w, c, session.word_key(w)) for w, c in pool.items() if c], None
 
 
 def monomial_gap_value(desc, exponents):
@@ -204,13 +205,18 @@ class TestDepthFloor:
     def test_a_budget_refusal_comes_before_a_depth_refusal(self, halving, constant131):
         # under depth limit 1 or 2, y^100 is divided by w_1 or w_2, whose
         # value lies past the limit; on halving that division also runs past
-        # the work budget, and the budget refusal wins
+        # the work budget, and the budget refusal wins.  The budget counts the
+        # divisions done, and at limit 2 the expansion puts off quotients by
+        # w_1 before it first reads v(w_2), so it crosses the budget at a
+        # later division than the full expansion, whose count there is 65,612
+        # (and 65,604 by w_1 on constant(1,3,1))
         y100 = Y.pow(100)
-        for limit in (1, 2):
+        for desc, limit, index, work in ((halving, 1, 1, 65562), (halving, 2, 2, 65890),
+                                         (constant131, 2, 2, 65577)):
             with pytest.raises(BudgetExceeded) as budget:
-                Valuation(halving, limit).leading(y100)
+                Valuation(desc, limit).leading(y100)
             assert str(budget.value) == (
-                f"digit expansion by w_{limit} handed {(65562, 65612)[limit - 1]} "
+                f"digit expansion by w_{index} handed {work} "
                 "term pairs to the product kernel, above the budget of 65536"
             )
         with pytest.raises(DepthExceeded) as depth:
@@ -335,12 +341,13 @@ def reference_digit_pool(desc, element, depth_limit=64):
 
 
 def checked_digit_pool(session, element):
-    """The digit pool of `_digit_pool` as {word: coeff}, its level's words
-    and its chunks' together, after checking that each word occurs once and
-    carries the key of its value, and that the built words are the least
-    level's, which every chunk word lies strictly above."""
-    level_words, chunks = evaluate._digit_pool(session, element)
-    keyed = level_words + evaluate._chunk_words(session, chunks)
+    """The digit pool of `_DigitPool` as {word: coeff}, its level's words and
+    the rest together, after checking that each word occurs once and carries
+    the key of its value, and that the built words are the least level's,
+    which every other word lies strictly above."""
+    digits = evaluate._DigitPool(session, element)
+    level_words = digits.keyed
+    keyed = level_words + digits.rest()
     pool = {w: c for w, c, _ in keyed}
     assert len(pool) == len(keyed)
     for w, _, key in keyed:
@@ -559,9 +566,9 @@ class TestSession:
         runs = []
         original = evaluate._leading
 
-        def counted(ctx, keyed, chunks):
+        def counted(ctx, keyed, pool):
             runs.append(1)
-            return original(ctx, keyed, chunks)
+            return original(ctx, keyed, pool)
 
         monkeypatch.setattr(evaluate, "_leading", counted)
         assert cli.main(["sign", "--desc", str(path), "--expr", "x*y^2 - 1 + y^3"]) == 0
@@ -632,30 +639,29 @@ class TestLevelScan:
 
     def test_a_certifying_pool_compares_each_word_once(self, halving, monkeypatch):
         # x w_1^3 + 2 y^5 - 7 x^2 w_2 certifies its first level, -7 x^2 w_2:
-        # one key comparison per leaf row finds it and one per level word
-        # splits it, only its word is built, and no word is keyed again
+        # one key comparison per leaf row after the first finds it, one per
+        # quotient left at a power >= 1 once a level is found tests its bound
+        # (4, none above the level), and one per level word splits it; only
+        # its word is built, with the level's key, and no word is keyed again
         w1, w2 = omega_element(halving, 1), omega_element(halving, 2)
         element = X.mul(w1.pow(3)).add(elem({(0, 5): 2})).sub(elem({(2, 0): 7}).mul(w2))
         session = Valuation(halving)
         compared, keyed, built = [], [], []
         self._count(monkeypatch, compared, keyed)
-        chunk_words = evaluate._chunk_words
-
-        def counted(ctx, chunks):
-            words = chunk_words(ctx, chunks)
-            built.extend(words)
-            return words
-
-        monkeypatch.setattr(evaluate, "_chunk_words", counted)
-        level_words, chunks = evaluate._digit_pool(session, element)
-        rows = sum(len(chunk[0]) for chunk in chunks)
-        assert (len(chunks), rows, len(compared)) == (5, 8, 7)
-        assert evaluate._leading(session, level_words, chunks).value == rational(-15, 8)
-        assert len(compared) == rows
-        assert built == level_words == [(((0, 2), (3, 1)), -7, (-15, 8, 0))]
+        digit_word = evaluate._digit_word
+        monkeypatch.setattr(
+            evaluate, "_digit_word", lambda *args: built.append(args) or digit_word(*args)
+        )
+        digits = evaluate._DigitPool(session, element)
+        rows = sum(len(chunk[0]) for chunk in digits.chunks)
+        assert (len(digits.chunks), rows, len(digits.tails), len(compared)) == (5, 8, 0, 11)
+        assert evaluate._leading(session, digits.keyed, digits).value == rational(-15, 8)
+        assert len(compared) == 12
+        assert built == [(2, 0, ((3, 1),))]
+        assert digits.keyed == [(((0, 2), (3, 1)), -7, (-15, 8, 0))]
         assert keyed == []
         # the other 11 of the pool's 12 words stay in the chunks
-        assert len(chunk_words(session, chunks)) == 11
+        assert len(evaluate._chunk_words(session, digits.chunks)) == 11
 
     def test_rest_words_keep_their_keys(self, worked, halving, monkeypatch):
         compared, keyed = [], []
@@ -666,14 +672,14 @@ class TestLevelScan:
         session = Valuation(worked)
         pool = [(w, c, session.word_key(w)) for w, c in ((yx, 1), (xy, -1), (word, 3))]
         keyed.clear()
-        assert evaluate._leading(session, pool, []).value == rational(-1, 4)
+        assert evaluate._leading(session, pool, None).value == rational(-1, 4)
         assert keyed == [()]
         # F5's element x y w_1^2 - 1 cancels on two levels; every word its
         # sorts and expansions add is keyed once
         keyed.clear()
         f = X.mul(Y).mul(omega_element(halving, 1).pow(2)).sub(WeylElement.scalar(1))
         session = Valuation(halving)
-        assert evaluate._leading(session, *evaluate._digit_pool(session, f)).value == rational(1, 8)
+        assert evaluate.leading_data(session, f).value == rational(1, 8)
         assert keyed and len(set(keyed)) == len(keyed)
 
 
@@ -730,17 +736,21 @@ CANCELLING_ELEMENTS = [
 
 
 def expanded_leading(session, element):
-    """`_leading` over the whole digit pool keyed at once, every chunk word
-    built, as the scan ran before the pool put its chunks off."""
-    level_words, chunks = evaluate._digit_pool(session, element)
-    return evaluate._leading(session, level_words + evaluate._chunk_words(session, chunks), [])
+    """`_leading` over the whole digit pool keyed at once, every tail divided
+    and every chunk word built, as the scan ran before the pool put its
+    chunks and tails off."""
+    digits = evaluate._DigitPool(session, element)
+    return evaluate._leading(session, digits.keyed + digits.rest(), None)
 
 
 class TestLevelFirstPool:
     @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
-    def test_deferred_chunks_lead_as_the_expanded_pool(self, request, fixture):
+    def test_deferred_chunks_lead_as_the_expanded_pool(self, request, fixture, monkeypatch):
         # value, lam, ref and parities, or the refusal's type and message,
-        # equal the expanded pool's at depth limits 0, 1, 2 and 64
+        # equal the expanded pool's at depth limits 0, 1, 2 and 64; the
+        # budget counts the divisions done, so an element whose expansion
+        # runs past it may still certify on a level below its undivided
+        # tails, and its expanded pool is then read under a raised budget
         desc = request.getfixturevalue(fixture)
         cancelling = [parse_expr(expr) for name, expr in CANCELLING_ELEMENTS if name == fixture]
         cancelling.append(X.mul(Y).mul(omega_element(desc, 1).pow(2)).sub(WeylElement.scalar(1)))
@@ -749,19 +759,30 @@ class TestLevelFirstPool:
         batch = cancelling + [f.add(w) for f in cancelling for w in tower_elements(desc, 3)]
         batch.append(parse_expr("(x^3*y^5 + 2*x*y^2 - 5)*(x^2*y^4 - 3*x*y + 7)"))
         if desc.rule is not None:
-            batch.append(Y.pow(100))
+            batch += [Y.pow(76), Y.pow(100)]
         rng = random.Random(f"level-first:{fixture}")
         for _ in range(8):
             f, g = sample_element(rng, max_degree=6), sample_element(rng, max_degree=6)
             batch += [f, f.mul(g)]
-        kinds = set()
+        kinds, past_budget = set(), []
         for depth in (0, 1, 2, 64):
             for element in batch:
                 got = _outcome(evaluate.leading_data, Valuation(desc, depth), element)
-                assert got == _outcome(expanded_leading, Valuation(desc, depth), element)
+                want = _outcome(expanded_leading, Valuation(desc, depth), element)
+                if got[0] == "ok" and want[0] == "BudgetExceeded":
+                    past_budget.append((depth, element))
+                    with monkeypatch.context() as raised:
+                        raised.setattr(evaluate, "DIGIT_WORK_BUDGET", 1 << 20)
+                        want = _outcome(expanded_leading, Valuation(desc, depth), element)
+                assert got == want
                 kinds.add(got[0])
         assert "ok" in kinds and "DepthExceeded" in kinds
         assert ("BudgetExceeded" in kinds) == (desc.rule is not None)
+        # y^100 on constant(1,3,1) certifies at 100/3 after 65,436 term pairs,
+        # and y^76 on halving at 38, each below undivided tails whose
+        # division runs past the budget
+        power = {"halving": [Y.pow(76)], "constant131": [Y.pow(100)]}.get(fixture, [])
+        assert past_budget == [(64, f) for f in power]
 
     @pytest.mark.parametrize(
         "fixture, word, expected",
@@ -773,16 +794,115 @@ class TestLevelFirstPool:
     def test_a_chunk_word_above_a_cancelling_level_leads(self, request, fixture, word, expected):
         # F5's x y w_1^2 - 1 cancels at level 0 and leads at 1/8 on halving,
         # at xi on worked; the digit word w_3, or x w_1^3 w_2^2, lies between
-        # the two, waits in a chunk while level 0 is scanned, and then leads
+        # the two, waits in an undivided tail while level 0 is scanned, and
+        # then leads
         desc = request.getfixturevalue(fixture)
         f5 = X.mul(Y).mul(omega_element(desc, 1).pow(2)).sub(WeylElement.scalar(1))
         session = Valuation(desc)
-        level_words, chunks = evaluate._digit_pool(session, f5.add(word_element(desc, word)))
-        assert [w for w, _, _ in level_words] == [(), ((0, 1), (1, 1), (2, 2))]
-        assert word in {w for w, _, _ in evaluate._chunk_words(session, chunks)}
-        data = evaluate._leading(session, level_words, chunks)
+        element = f5.add(word_element(desc, word))
+        digits = evaluate._DigitPool(session, element)
+        assert [w for w, _, _ in digits.keyed] == [(), ((0, 1), (1, 1), (2, 2))]
+        # the word waits in an undivided tail, which `_leading` resumes
+        assert word not in {w for w, _, _ in evaluate._chunk_words(session, digits.chunks)}
+        assert word in {w for w, _, _ in evaluate._DigitPool(session, element).rest()}
+        data = evaluate._leading(session, digits.keyed, digits)
         assert data.value == ValueGroupElement.from_json(expected)
         assert data.value.cmp(eval_element(desc, f5)) < 0
+
+
+def reference_tail_bound(session, tail):
+    """The key of key + p v(w_k) + mu_0(Q) for a tail, with mu_0(Q) the
+    least weight -i + j v(y) over every term x^i y^j of the quotient Q."""
+    rows, _, _, key, index, power = tail
+    v_y = session.desc.generator_value(0).q
+    mu_0 = min(j * v_y - i for j, row in rows.items() for i in row)
+    bound = evaluate._key_add(key, session.gen_key(index), power)
+    return evaluate._key_add(bound, (mu_0.numerator, mu_0.denominator, 0), 1)
+
+
+def tail_violations(session, element):
+    """Divide each undivided tail of an element's digit pool in full, through
+    the pool's own division, one tail at a time: the words that lie below
+    their tail's bound or not strictly above the least level, and the number
+    of tails."""
+    digits = evaluate._DigitPool(session, element)
+    tails, digits.tails = digits.tails, []
+    out = []
+    for tail in tails:
+        bound = reference_tail_bound(session, tail)
+        digits.chunks, digits.tails = [], [tail]
+        for word, _, _ in digits.rest():
+            key = session.word_key(word)
+            if (evaluate._key_cmp(key, bound, session.scale) < 0
+                    or evaluate._key_cmp(key, digits.level, session.scale) <= 0):
+                out.append(word)
+    return out, len(tails)
+
+
+def tail_batch(desc, seed):
+    """Products f g of sampled elements, alone and plus w_1 and w_2, after
+    y^6 (6 x y^2) + x y^2 - 1, whose least word on worked is w_1, found
+    only in the quotient by w_1 at power 1, under rows of several x powers."""
+    rng = random.Random(f"tails:{seed}")
+    out = [parse_expr("y^6*(6*x*y^2) + x*y^2 - 1")]
+    for _ in range(6):
+        fg = sample_element(rng, max_degree=6).mul(sample_element(rng, max_degree=6))
+        out += [fg] + [fg.add(w) for w in tower_elements(desc, 2)]
+    return out
+
+
+def tail_check(named_descs):
+    """(words off their bound, tails divided) over the tail batches of
+    several descriptors at depth limits 2 and 64."""
+    words, tails = [], 0
+    for name, desc in named_descs:
+        for element in tail_batch(desc, name):
+            for depth in (2, 64):
+                try:
+                    found, count = tail_violations(Valuation(desc, depth), element)
+                except DepthExceeded:
+                    continue
+                words += found
+                tails += count
+    return words, tails
+
+
+class TestTailBound:
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_tail_words_lie_at_or_above_their_bound(self, request, fixture):
+        # every word of an undivided tail has value at least key + p v(w_k)
+        # + mu_0(Q), and so lies strictly above the level; single24's bare
+        # prefix never divides, so it leaves no tail
+        words, tails = tail_check([(fixture, request.getfixturevalue(fixture))])
+        assert words == []
+        assert (tails > 0) == (fixture != "single24")
+
+    def test_random_descriptors_keep_the_bound(self):
+        # a seeded batch of valid descriptors, whose tails on m_1 < 0,
+        # terminal and rule towers are each checked
+        rng = random.Random(32)
+        words, tails = [], {"m_1 < 0": 0, "terminal": 0, "rule": 0}
+        for k in range(20):
+            desc = random_extendable(rng)
+            found, count = tail_check([(k, desc)])
+            words += found
+            for kind, holds in (("m_1 < 0", desc.step(1).m < 0), ("terminal", desc.terminal),
+                                ("rule", desc.rule)):
+                tails[kind] += count if holds else 0
+        assert words == []
+        assert all(tails.values()), tails
+
+    def test_the_smallest_x_power_is_no_bound(self, worked, monkeypatch):
+        # the least weight of a row sits at its largest x power, as v(x) = -1;
+        # a bound read off the smallest one puts off words at or below the
+        # level, such as w_1 of the first element of worked's batch
+        def smallest(rows, y_key):
+            num, den, _ = y_key
+            return (min(j * num - min(row) * den for j, row in rows.items()), den, 0)
+
+        monkeypatch.setattr(evaluate, "_least_weight", smallest)
+        words, _ = tail_check([("worked", worked)])
+        assert words
 
 
 def tower_elements(desc, top):
