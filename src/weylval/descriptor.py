@@ -123,6 +123,7 @@ class OmegaDescriptor:
                     f"alpha sign for ({i},{j}) must have 1 <= i < j and sign +-1"
                 )
         self._cache: Dict[int, OmegaStep] = {}
+        self._h: Dict[int, int] = {}  # h(i), read for every pair by the extension gate
         # w_1 .. w_K, built by omega_element; always a contiguous prefix
         self._tower: Dict[int, TowerElement] = {}
         # the row terms tower_row may still keep, over the whole tower
@@ -194,7 +195,10 @@ class OmegaDescriptor:
 
     def h(self, i: int) -> int:
         """2-adic depth of |n_i| (h_0 = 0)."""
-        return v2(self.pair_mn(i)[1])
+        h = self._h.get(i)
+        if h is None:
+            h = self._h[i] = v2(self.pair_mn(i)[1])
+        return h
 
     # -- JSON -----------------------------------------------------------------
 

@@ -31,13 +31,18 @@ deviation store, which keeps its frame, is cut again where sigma moves
 threefold per entry.  `CONVERSION_RECORD_BUDGET` is read in `_fold` as
 each telescoped batch is added, and once more when a step close stores
 its deviation.
+
+Every x-exponent the conversion keeps is an int over one running
+denominator (`_Conversion`), so exponents add and compare exactly as ints
+and equal exponents are equal ints; scalars and the roots gamma_i stay
+`Rat`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, count
-from math import comb
+from math import comb, gcd
 from typing import Dict, List, Optional, Tuple
 
 from .coeff import Rat, format_rat, nth_root
@@ -269,8 +274,11 @@ class _Atom:
 
 @dataclass(frozen=True)
 class _Record:
+    """scalar x^{xexp/den} (product of atoms) z_z, with den the running
+    denominator of the conversion that holds it, so xexp is an int."""
+
     scalar: Rat
-    xexp: Rat
+    xexp: int
     atoms: Tuple[_Atom, ...]
     z: Optional[int]
 
@@ -286,13 +294,27 @@ CONVERSION_RECORD_BUDGET = 4096
 
 
 class _Conversion:
+    """The conversion state machine of `omega_to_z`.
+
+    Every x-exponent it keeps (records' xexp, `sigma`, `floor`, `zfloor`
+    and `last_r`, the last entry's) is an int e standing for e/den, over
+    one shared denominator `den`: the cut's, made lcm(den, n) by `_widen`
+    before step k+1's ratio m/n is read, which scales every stored
+    exponent alike.  So exponents add and compare exactly as ints, equal
+    exponents are equal ints, and none is ever a float (depth 1024 on
+    halving has den = 2^1024).  A `Rat` is made for an emitted entry and
+    for the one comparison with an irrational terminal.
+
+    `devs[i]` holds omega_i's deviation from its root; a list that the cut
+    or a substitution empties is dropped, so each pass walks live records.
+    """
+
     def __init__(self, desc: OmegaDescriptor, res: GammaResolution, depth: int):
         self.desc = desc
         self.res = res
         self.depth = depth
         self.entries: List[Tuple[Rat, Rat]] = []
         self.k = 0
-        self.sigma = Rat(0)  # sum of m_i/n_i over closed steps
         self.bbar = Rat(1)   # product of the residues of S_{i,0}
         self.b_atoms: Tuple[_Atom, ...] = ()  # S_{1,0} ... S_{k,0}, as atoms
         self.C: List[_Record] = []
@@ -300,10 +322,37 @@ class _Conversion:
         self.iteration = 0
         limit = level_limit(desc)
         cut = Rat(1) if limit is None else min(Rat(1), limit)
+        self.den = cut.denominator
+        self.sigma = 0  # sum of m_i/n_i over closed steps
+        self.last_r: Optional[int] = None
         # xexp floors of the cut min(1, r*) (`_below_cut`): sigma - cut, and
         # sigma + last_r - cut for z-records (None before the first entry)
-        self.floor = -cut
-        self.zfloor: Optional[Rat] = None
+        self.floor = -cut.numerator
+        self.zfloor: Optional[int] = None
+
+    # -- exponents -------------------------------------------------------------
+
+    def _widen(self, n: int) -> None:
+        """Make den a multiple of n, scaling every stored exponent with it."""
+        f = n // gcd(self.den, n)
+        if f == 1:
+            return
+        self.den *= f
+        self.sigma *= f
+        self.floor *= f
+        if self.last_r is not None:
+            self.last_r *= f
+            self.zfloor *= f
+
+        def scaled(records: List[_Record]) -> List[_Record]:
+            return [_Record(rec.scalar, rec.xexp * f, rec.atoms, rec.z) for rec in records]
+
+        self.C = scaled(self.C)
+        self._map_devs(scaled)
+
+    def _map_devs(self, fn) -> None:
+        """Replace each deviation list by fn of it, dropping empty results."""
+        self.devs = {i: out for i, recs in self.devs.items() if (out := fn(recs))}
 
     # -- atom data -----------------------------------------------------------
 
@@ -323,7 +372,7 @@ class _Conversion:
         """S_{i,j} as atoms: none for the constant last tail."""
         return (_Atom(i, j),) if j < self.desc.step(i).n - 1 else ()
 
-    def _below_cut(self, xexp: Rat, z: Optional[int]) -> bool:
+    def _below_cut(self, xexp: int, z: Optional[int]) -> bool:
         """Whether a record of x-exponent xexp and z variable z sits below
         the cut min(1, r*); no other record is kept.
 
@@ -356,8 +405,10 @@ class _Conversion:
         the same order, and scalars, atoms and suffix residues are made only
         for a record that keeps one."""
         assert rec.z is None
+        devs = self.devs
         kept = [
-            [d for d in self.devs[a.i] if self._below_cut(rec.xexp + d.xexp, d.z)]
+            [d for d in devs[a.i] if self._below_cut(rec.xexp + d.xexp, d.z)]
+            if a.i in devs else []
             for a in rec.atoms
         ]
         if not any(kept):
@@ -381,23 +432,31 @@ class _Conversion:
     # -- maintenance -----------------------------------------------------------
 
     def _check_budget(self) -> None:
-        alive = len(self.C) + sum(len(recs) for recs in self.devs.values())
+        alive = len(self.C) + sum(map(len, self.devs.values()))
         if alive > CONVERSION_RECORD_BUDGET:
             raise BudgetExceeded(
                 f"conversion holds {alive} records at iteration {self.iteration}, "
                 f"above the budget of {CONVERSION_RECORD_BUDGET}"
             )
 
-    def _emit(self, r: Rat, gamma: Rat) -> None:
+    def _emit(self, r: int, gamma: Rat) -> None:
+        """Append the entry (r/den, gamma) and substitute it."""
         assert gamma != 0
-        assert r < 1
-        if self.entries:
-            assert r > self.entries[-1][0]
-        self.entries.append((r, gamma))
+        if r >= self.den:
+            raise ConversionInternalError(
+                f"entry exponent {format_rat(Rat(r, self.den))} is not below 1"
+            )
+        if self.last_r is not None and r <= self.last_r:
+            raise ConversionInternalError(
+                f"entry exponent {format_rat(Rat(r, self.den))} does not increase "
+                f"past {format_rat(self.entries[-1][0])}"
+            )
+        self.entries.append((Rat(r, self.den), gamma))
+        self.last_r = r
         self.zfloor = self.floor + r
         self._substitute(r, gamma)
 
-    def _substitute(self, r: Rat, gamma: Rat) -> None:
+    def _substitute(self, r: int, gamma: Rat) -> None:
         """z_l = gamma x^{-r} + z_{l+1} in every stored record, keeping the
         new records below the cut."""
 
@@ -415,8 +474,7 @@ class _Conversion:
             return out
 
         self.C = walk(self.C)
-        for i in list(self.devs):
-            self.devs[i] = walk(self.devs[i])
+        self._map_devs(walk)
 
     def _fold(self, heads: List[_Record], emitted: bool) -> None:
         """Add to the remainder the `_telescope` deviations of the consumed
@@ -424,32 +482,31 @@ class _Conversion:
         gamma x^{sigma - r} prod_{i<=k} S_{i,0}; the record budget is read
         as each batch is added."""
         if emitted:
-            r, gamma = self.entries[-1]
-            heads = heads + [_Record(gamma, self.sigma - r, self.b_atoms, None)]
+            gamma = self.entries[-1][1]
+            heads = heads + [_Record(gamma, self.sigma - self.last_r, self.b_atoms, None)]
         for rec in heads:
             self.C.extend(self._telescope(rec))
             self._check_budget()
 
-    def _close_step(self, heads: List[_Record], emitted: bool) -> None:
-        """Close step k+1: shift by m/n to the frame of sigma + m/n and fold
-        there, then store omega_{k+1}'s deviation from its root as
-        devs[k+1] and update bbar and k."""
-        step = self.desc.step(self.k + 1)
-        mn = Rat(step.m, step.n)
+    def _close_step(self, mn: int, heads: List[_Record], emitted: bool) -> None:
+        """Close step k+1, of ratio mn/den: shift by it to the frame of
+        sigma + mn and fold there, then store omega_{k+1}'s deviation from
+        its root as devs[k+1] and update bbar and k."""
         self.sigma += mn
         self.floor += mn
-        if self.entries:
-            self.zfloor = self.floor + self.entries[-1][0]
+        if self.last_r is not None:
+            self.zfloor = self.floor + self.last_r
         # the deviation store keeps its xexp, so its levels rose by m/n
-        for i, recs in self.devs.items():
-            self.devs[i] = [rec for rec in recs if self._below_cut(rec.xexp, rec.z)]
+        self._map_devs(lambda recs: [r for r in recs if self._below_cut(r.xexp, r.z)])
         self.C = [_Record(rec.scalar, rec.xexp + mn, rec.atoms, rec.z) for rec in self.C]
         self._fold(
             [_Record(rec.scalar, rec.xexp + mn, rec.atoms, rec.z) for rec in heads], emitted
         )
-        primary = _Record(Rat(1), self.sigma, self.b_atoms, len(self.entries))
-        below = self._below_cut(primary.xexp, primary.z)
-        self.devs[self.k + 1] = ([primary] if below else []) + self.C
+        z = len(self.entries)
+        below = self._below_cut(self.sigma, z)
+        stored = ([_Record(Rat(1), self.sigma, self.b_atoms, z)] if below else []) + self.C
+        if stored:
+            self.devs[self.k + 1] = stored
         self._check_budget()
         b_new = self._tail(self.k + 1, 0)
         self.C = [_Record(rec.scalar, rec.xexp, rec.atoms + b_new, rec.z) for rec in self.C]
@@ -459,10 +516,10 @@ class _Conversion:
 
     # -- the emission rule ---------------------------------------------------------
 
-    def _heads(self) -> Tuple[Optional[Rat], List[_Record], List[_Record]]:
+    def _heads(self) -> Tuple[Optional[int], List[_Record], List[_Record]]:
         """The least value among z-free records, the records attaining it,
         and the other records."""
-        best: Optional[Rat] = None
+        best: Optional[int] = None
         heads: List[_Record] = []
         rest: List[_Record] = []
         for rec in self.C:
@@ -475,16 +532,25 @@ class _Conversion:
                 if value == best:
                     heads.append(rec)
                     continue
-            else:
-                assert rec.xexp < self.sigma
+            elif rec.xexp >= self.sigma:
+                raise ConversionInternalError(
+                    f"a z-record at x-exponent {format_rat(Rat(rec.xexp, self.den))} "
+                    f"is not below sigma = {format_rat(Rat(self.sigma, self.den))}"
+                )
             rest.append(rec)
         return best, heads, rest
 
     def _omega_value(self):
-        try:
-            return self.desc.generator_value(self.k)
-        except DepthExceeded:
+        """v(omega_k): the irrational terminal value at the terminal index,
+        None past a bare prefix, else the ratio m/n of step k+1 as an int
+        over den, which is widened to hold it."""
+        if self.k == self.desc.terminal_index:
+            return self.desc.terminal.value
+        if not self.desc.has_step(self.k + 1):
             return None
+        step = self.desc.step(self.k + 1)
+        self._widen(step.n)
+        return step.m * (self.den // step.n)
 
     def run(self) -> ZSequence:
         """Emit entries at the least of v(omega_k) and the heads' value.
@@ -499,21 +565,24 @@ class _Conversion:
         max_iter = 8 * (self.depth + data_window(self.desc) + 4)
         for iteration in range(max_iter):
             self.iteration = iteration
-            head_val, heads, rest = self._heads()
+            # first: widening den rescales the records `_heads` hands out
             w = self._omega_value()
+            head_val, heads, rest = self._heads()
             if w is None and head_val is None:
                 return ZSequence(self.entries, None)
             if head_val is None:
                 order = -1
             elif w is None:
                 order = 1
+            elif isinstance(w, int):
+                order = (w > head_val) - (w < head_val)
             else:
-                order = value_cmp(w, ValueGroupElement.rational(head_val))
+                order = value_cmp(w, ValueGroupElement.rational(Rat(head_val, self.den)))
             omega_at = order <= 0
             if order < 0:
                 heads, rest = [], self.C
             if omega_at and self.k == self.desc.terminal_index:
-                total = w.add(ValueGroupElement.rational(self.sigma))
+                total = w.add(ValueGroupElement.rational(Rat(self.sigma, self.den)))
                 return ZSequence(self.entries, ZTerminal(total))
             # without heads gamma is gamma_{k+1}, never zero, and it is read
             # only once an entry is due
@@ -524,7 +593,7 @@ class _Conversion:
             if gamma == 0 and omega_at:
                 # omega_k's root cancels the heads: the step closes, no entry
                 self.C = rest
-                self._close_step(heads, emitted=False)
+                self._close_step(w, heads, emitted=False)
                 continue
             if len(self.entries) >= self.depth:
                 return ZSequence(self.entries, None)
@@ -535,11 +604,11 @@ class _Conversion:
                 )
             if gamma is None:
                 gamma = self.res.gamma(self.k + 1)
-            least = w.q if omega_at else head_val
+            least = w if omega_at else head_val
             self.C = rest
             self._emit(least + self.sigma, gamma / self.bbar)
             if omega_at:
-                self._close_step(heads, emitted=True)
+                self._close_step(w, heads, emitted=True)
             else:
                 self._fold(heads, emitted=True)
         raise DepthExceeded(

@@ -388,7 +388,10 @@ class ZSequence:
         entries: Sequence[Tuple[Rat, Rat]],
         tail: Optional[object] = None,
     ):
-        self.explicit_entries = [(Rat(r), Rat(g)) for r, g in entries]
+        self.explicit_entries = [
+            (r if isinstance(r, Rat) else Rat(r), g if isinstance(g, Rat) else Rat(g))
+            for r, g in entries
+        ]
         self.tail = tail
         self._cache: Dict[int, Tuple[Rat, Rat]] = {}
         last = None

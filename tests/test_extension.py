@@ -1,6 +1,8 @@
 """Extendability checks, root resolution, cofactor algebra, and the
 tower-to-z-sequence conversion with its round trip."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -8,6 +10,7 @@ import pytest
 
 from weylval import extension
 from weylval import (
+    ConversionInternalError,
     NotExtendable,
     OmegaDescriptor,
     OrePoly,
@@ -32,7 +35,7 @@ from weylval import (
     z_eval,
 )
 from weylval.descriptor import alpha_sign, data_window, level_limit, pair_data
-from weylval.extension import ExtendViolation, _Conversion, free_step
+from weylval.extension import ExtendViolation, _Conversion, _Record, free_step
 
 
 def desc(steps, tail=None, signs=None):
@@ -746,6 +749,137 @@ def conversion_outcome(d, sign, depth):
         return omega_to_z(d, resolve_gammas(d, sign), depth).to_json()
     except WeylvalError as exc:
         return (type(exc).__name__, str(exc))
+
+
+def outcome_batch(seed, size):
+    """Outcomes of `size` seeded conversions of valid descriptors: bare
+    prefixes, terminals and rules from `random_extendable` (m_1 = -1 among
+    them), rules that may not extend from `random_rule_descriptor`, each
+    under a sign choice of None, +1 or -1 and a depth of 0 to 12."""
+    rng = random.Random(seed)
+    batch = []
+    while len(batch) < size:
+        if rng.random() < 0.5:
+            d = random_extendable(rng)
+        else:
+            try:
+                d = random_rule_descriptor(rng)
+            except WeylvalError:
+                continue
+            if validate(d):
+                continue
+        batch.append((d, conversion_outcome(d, rng.choice([None, 1, -1]), rng.randint(0, 12))))
+    return batch
+
+
+def outcome_kind(outcome):
+    if isinstance(outcome, tuple):
+        return outcome[0]
+    if outcome["tail"] is not None:
+        return "terminal"
+    return "entries" if outcome["entries"] else "empty"
+
+
+def over(q, den):
+    """The rational q as an int over den, which q's denominator divides."""
+    e = q * den
+    assert e.denominator == 1
+    return e.numerator
+
+
+class TestIntExponents:
+    def test_widening_keeps_every_exponent(self, halving, constant131):
+        # every stored exponent, as an int over den, against its Fraction
+        # through widenings by denominators that do not nest (2, then 3),
+        # with negative exponents and the positive floor of a negative cut
+        halving_tail = {"kind": "rule", "rule": "halving"}
+        negative_cut = desc([(-1, 2, "1/4"), (1, 8, 1)], tail=halving_tail)
+        rng = random.Random(3303)
+        for d in (halving, constant131, negative_cut):
+            conversion = _Conversion(d, resolve_gammas(d), 0)
+            cut = min(Rat(1), level_limit(d))
+            assert Rat(conversion.floor, conversion.den) == -cut
+            assert Rat(conversion._omega_value(), conversion.den) == d.step(1).ratio()
+            sigma = Rat(rng.randint(-9, 9), 4)
+            last = sigma + Rat(rng.randint(-9, 9), 6)
+            conversion._widen(12)
+            den = conversion.den
+            conversion.sigma, conversion.last_r = over(sigma, den), over(last, den)
+            conversion.floor = conversion.sigma - over(cut, den)
+            conversion.zfloor = conversion.floor + conversion.last_r
+            held = []
+            widths = [2, 3] + [rng.choice([1, 2, 3, 4, 5, 7, 9, 12, 16, 25]) for _ in range(30)]
+            for n in widths:
+                conversion._widen(n)
+                den = conversion.den
+                assert den % n == 0
+                q = Rat(rng.randint(-60, 60), n)
+                z = rng.choice([None, 1])
+                record = _Record(Rat(1), over(q, den), (), z)
+                if rng.random() < 0.5:
+                    conversion.C.append(record)
+                else:
+                    conversion.devs.setdefault(rng.randint(1, 3), []).append(record)
+                held.append(q)
+                stored = conversion.C + [r for recs in conversion.devs.values() for r in recs]
+                assert sorted(Rat(rec.xexp, den) for rec in stored) == sorted(held)
+                state = (conversion.sigma, conversion.last_r, conversion.floor, conversion.zfloor)
+                assert {type(e) for e in state + tuple(r.xexp for r in stored)} == {int}
+                assert Rat(conversion.sigma, den) == sigma
+                assert Rat(conversion.last_r, den) == last
+                assert Rat(conversion.floor, den) == sigma - cut
+                assert Rat(conversion.zfloor, den) == sigma + last - cut
+                for a in stored:
+                    b = rng.choice(stored)
+                    qa, qb = Rat(a.xexp, den), Rat(b.xexp, den)
+                    assert Rat(a.xexp + b.xexp, den) == qa + qb
+                    assert (a.xexp < b.xexp, a.xexp == b.xexp) == (qa < qb, qa == qb)
+                    floor = sigma - cut + (0 if a.z is None else last)
+                    assert conversion._below_cut(a.xexp, a.z) == (qa > floor)
+            assert min(held) < 0 < max(held)
+
+    @pytest.mark.parametrize("rule", ["halving", "constant(1,3,1)"])
+    def test_deep_conversion_keeps_one_deviation_list(self, rule):
+        # the cut empties every deviation list but the newest, and an empty
+        # list is not kept
+        d = desc([], tail={"kind": "rule", "rule": rule})
+        conversion = _Conversion(d, resolve_gammas(d), 256)
+        conversion.run()
+        assert len(conversion.entries) == 256
+        assert len(conversion.devs) == 1
+
+    def test_exponent_faults_are_errors(self, halving):
+        # checks that python -O keeps: an entry exponent that does not
+        # increase or is not below 1, and a z-record not below sigma
+        conversion = _Conversion(halving, resolve_gammas(halving), 3)
+        conversion.run()
+        for r in (conversion.last_r, conversion.last_r - 1):
+            with pytest.raises(ConversionInternalError, match="does not increase"):
+                conversion._emit(r, Rat(1))
+        with pytest.raises(ConversionInternalError, match="is not below 1"):
+            conversion._emit(conversion.den, Rat(1))
+        assert len(conversion.entries) == 3
+        conversion.C = [_Record(Rat(1), conversion.sigma, (), 1)]
+        with pytest.raises(ConversionInternalError, match="not below sigma"):
+            conversion._heads()
+
+    def test_outcomes_are_pinned(self):
+        # conversions of 300 seeded valid descriptors, pinned by digest at
+        # the Fraction-exponent conversion this one replaced
+        batch = outcome_batch(3304, 300)
+        kinds = {}
+        for _, outcome in batch:
+            kinds[outcome_kind(outcome)] = kinds.get(outcome_kind(outcome), 0) + 1
+        assert kinds == {
+            "entries": 103, "empty": 17, "terminal": 14, "NotExtendable": 32,
+            "BudgetExceeded": 3, "NoRationalRoot": 11, "SignChoiceRequired": 49,
+            "SignChoiceForbidden": 71,
+        }
+        assert {d.tail is None for d, _ in batch} == {True, False}
+        assert any(d.step(1).m < 0 and outcome_kind(o) == "entries" for d, o in batch)
+        outcomes = [outcome for _, outcome in batch]
+        digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+        assert digest == "beccac8a357349a118d4a920f4a86e63c062d79ff45ce573712f380b982c5df3"
 
 
 class TestRecordCut:
