@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coeff import format_rat
 from .descriptor import OmegaDescriptor, validate
-from .errors import DeclarationInconsistent, NotExtendable, ParseError, WeylvalError
+from .errors import DeclarationInconsistent, NotExtendable, ParseError, WeylvalError, clipped
 from .evaluate import Valuation
 from .expr import parse_expr
 from .extension import check_extendable, omega_to_z, resolve_gammas
@@ -33,8 +33,8 @@ def _read_descriptor(path: str) -> OmegaDescriptor:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read descriptor file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path} is not valid JSON: {clipped(str(exc))}") from None
     except RecursionError:
         raise ParseError(f"{path} nests too deeply to read as JSON") from None
     return OmegaDescriptor.from_json(data)
@@ -70,13 +70,9 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _depth(args: argparse.Namespace, fallback: int = 64) -> int:
-    return args.depth if args.depth is not None else fallback
-
-
 def _cmd_validate(args: argparse.Namespace) -> Outcome:
     desc = _read_descriptor(args.desc)
-    violations = validate(desc, prefix_depth=_depth(args, 8))
+    violations = validate(desc)
     report = {
         "violations": [{"rule": v.rule, "detail": v.detail} for v in violations]
     }
@@ -88,21 +84,21 @@ def _cmd_validate(args: argparse.Namespace) -> Outcome:
 def _cmd_eval(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     element = parse_expr(args.expr)
-    value = Valuation(desc, _depth(args)).value(element)
+    value = Valuation(desc, args.depth).value(element)
     return {"value": value.to_json()}, f"value: {value}", True
 
 
 def _cmd_residue(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     element = parse_expr(args.expr)
-    res = Valuation(desc, _depth(args)).residue(element)
+    res = Valuation(desc, args.depth).residue(element)
     return {"residue": format_rat(res)}, f"residue: {format_rat(res)}", True
 
 
 def _cmd_sign(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     element = parse_expr(args.expr)
-    session = Valuation(desc, _depth(args))
+    session = Valuation(desc, args.depth)
     entries = []
     for ordering in enumerate_orderings(desc):
         s = session.sign(ordering, element)
@@ -148,7 +144,7 @@ def _cmd_extend_check(args: argparse.Namespace) -> Outcome:
 def _cmd_convert(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     res = resolve_gammas(desc, _sign_choice(args))
-    zseq = omega_to_z(desc, res, _depth(args))
+    zseq = omega_to_z(desc, res, args.depth)
     report = {"gammas": res.to_json(), "z_sequence": zseq.to_json()}
     tail = "terminal" if zseq.terminal else ("rule" if zseq.rule else "none")
     summary = f"{len(zseq.explicit_entries)} entries emitted, tail: {tail}"
@@ -160,7 +156,7 @@ def _cmd_roundtrip(args: argparse.Namespace) -> Outcome:
     res = resolve_gammas(desc, _sign_choice(args))
     rng = random.Random(args.seed)
     samples = [sample_element(rng, max_degree=6) for _ in range(args.trials)]
-    report = roundtrip_check(desc, res, samples, depth_limit=_depth(args))
+    report = roundtrip_check(desc, res, samples, depth_limit=args.depth)
     summary = (
         "round trip agreed on all samples"
         if report.ok
@@ -172,7 +168,7 @@ def _cmd_roundtrip(args: argparse.Namespace) -> Outcome:
 def _cmd_sample_strongly_abelian(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     report = strongly_abelian_sample(
-        desc, args.seed, args.trials, depth_limit=_depth(args)
+        desc, args.seed, args.trials, depth_limit=args.depth
     )
     summary = (
         "no violations"
@@ -185,12 +181,12 @@ def _cmd_sample_strongly_abelian(args: argparse.Namespace) -> Outcome:
 def _cmd_shadow_compare(args: argparse.Namespace) -> Outcome:
     desc = _load_descriptor(args.desc)
     rng = random.Random(args.seed)
-    session = Valuation(desc, _depth(args))
+    session = Valuation(desc, args.depth)
     disagreements: List[dict] = []
     for _ in range(args.trials):
         element = sample_element(rng, max_degree=6)
         main_value = session.value(element)
-        shadow_value = shadow_eval(desc, element, _depth(args))
+        shadow_value = shadow_eval(desc, element, args.depth)
         if value_cmp(main_value, shadow_value) != 0:
             disagreements.append(
                 {
@@ -249,13 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
     flags["desc"].add_argument(
         "--depth",
         type=non_negative_int,
-        default=None,
+        default=64,
         help=(
-            "at least 0; for validate, the rule steps to check (default 8); for "
-            "convert, the z-sequence entries to emit (default 64); orderings and "
-            "extend-check ignore it; otherwise the evaluation depth limit "
-            "(default 64), which counts a step when an evaluation reads a "
-            "generator's value or chooses a divisor"
+            "at least 0 (default 64); for convert, the z-sequence entries to "
+            "emit; validate, orderings and extend-check ignore it, as they read "
+            "the descriptor's data window; otherwise the evaluation depth limit, "
+            "which counts a step when an evaluation reads a generator's value or "
+            "chooses a divisor"
         ),
     )
     flags["expr"].add_argument(

@@ -1,7 +1,7 @@
 """Extending a Weyl-algebra valuation to the Ore ring over Puiseux series.
 
-Three stages: an extendability gate (two sign conditions over the step
-prefix), resolution of the per-step real roots gamma-tilde (with the one
+Three stages: an extendability gate (two sign conditions over the data
+window), resolution of the per-step real roots gamma-tilde (with the one
 free sign in the non-2-divisible case), and the conversion state machine
 that turns an omega tower into a z-sequence entry by entry.  The
 conversion reads the descriptor, the roots and closed-form residues only:
@@ -41,7 +41,7 @@ and equal exponents are equal ints; scalars and the roots gamma_i stay
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain
 from math import comb, gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -85,7 +85,8 @@ class ExtendViolation:
 
 
 def check_extendable(desc: OmegaDescriptor) -> Optional[ExtendViolation]:
-    """None when both extension conditions hold over the step prefix.
+    """None when both extension conditions hold over the data window, which
+    sees every step past it (`data_window`).
 
     Condition 1: every even-n step has a positive beta, so the real root
     gamma_i exists.  Condition 2: for h_i < h_j <= h_l the alpha signs
@@ -136,9 +137,9 @@ class GammaResolution:
     """Real roots gamma_i with gamma_i^{n_i} = beta_i, signs pinned by alpha.
 
     `gammas` holds the roots over the data window; `gamma(i)` is the one
-    accessor, and resolves a rule's deeper roots on demand by the same sign
-    rules, each once: `deeper` keeps them, since the conversion reads every
-    root again at each later entry.
+    accessor.  A step past the window has odd n or alpha(i, i + 1) = +1, so
+    its root is the real root, which `deeper` keeps, as the conversion
+    reads every root again at each later entry.
     """
 
     gammas: Tuple[Rat, ...]
@@ -154,8 +155,8 @@ class GammaResolution:
             return self.gammas[i - 1]
         root = self.deeper.get(i)
         if root is None:
-            root = _gamma_tilde(self.desc, i, self.free_choice_index, self.chosen_sign)
-            self.deeper[i] = root
+            step = self.desc.step(i)
+            root = self.deeper[i] = nth_root(step.beta, step.n)
         return root
 
     def to_json(self) -> dict:
@@ -167,21 +168,20 @@ class GammaResolution:
 
 
 def _gamma_tilde(
-    desc: OmegaDescriptor,
-    i: int,
-    free_index: Optional[int],
-    chosen_sign: Optional[int],
+    desc: OmegaDescriptor, i: int, window: int,
+    free_index: Optional[int], chosen_sign: Optional[int],
 ) -> Rat:
-    """gamma_i, the real n_i-th root of beta_i, with its sign.
+    """gamma_i for a step i of the data window, the real n_i-th root of
+    beta_i, with its sign.
 
     b_i = x^{m_i/n_i} w_{i-1} has residue gamma_i, and the x powers cancel in
     alpha's monomial, so alpha(i, j) = gamma_i^{K_ij} gamma_j^{-K_ji} (K from
     `pair_data`).  For h_j > h_i, K_ij is odd and K_ji even, so alpha(i, j)
     has the sign of gamma_i; for h_j = h_i both are odd.  An even step takes
     `chosen_sign` at the free step b; else its sign against a step of larger
-    h, later steps first (on a 2-divisible rule, whose h grows without bound,
-    past the window too); else it shares the largest h with b and takes
-    chosen_sign * alpha(b, i).
+    h in the window, later steps first; else, on a 2-divisible rule, it is
+    the window's last step, whose sign against the next is +1; else it
+    shares the largest h with b and takes chosen_sign * alpha(b, i).
     """
     step = desc.step(i)
     root = nth_root(step.beta, step.n)
@@ -190,14 +190,11 @@ def _gamma_tilde(
     if i == free_index:
         return chosen_sign * root
     hi = desc.h(i)
-    if free_index is None:
-        candidates = count(i + 1)
-    else:
-        last = max(data_window(desc), i + 1)
-        candidates = chain(range(i + 1, last + 1), range(1, i))
-    for j in candidates:
-        if desc.has_step(j) and desc.h(j) > hi:
+    for j in chain(range(i + 1, window + 1), range(1, i)):
+        if desc.h(j) > hi:
             return alpha_sign(desc, i, j) * root
+    if free_index is None:
+        return root
     return chosen_sign * alpha_sign(desc, free_index, i) * root
 
 
@@ -219,8 +216,8 @@ def free_step(desc: OmegaDescriptor) -> Optional[int]:
 def resolve_gammas(
     desc: OmegaDescriptor, sign_choice: Optional[int] = None
 ) -> GammaResolution:
-    """All gamma-tilde over the prefix; the free sign only where the value
-    group admits one (non-2-divisible with a deepest even step)."""
+    """All gamma-tilde over the data window; the free sign only where the
+    value group admits one (non-2-divisible with a deepest even step)."""
     free_index = free_step(desc)
     if free_index is None:
         if sign_choice is not None:
@@ -231,7 +228,8 @@ def resolve_gammas(
         raise SignChoiceRequired("sign choice must be +1 or -1")
     window = data_window(desc)
     gammas = tuple(
-        _gamma_tilde(desc, i, free_index, sign_choice) for i in range(1, window + 1)
+        _gamma_tilde(desc, i, window, free_index, sign_choice)
+        for i in range(1, window + 1)
     )
     return GammaResolution(gammas, free_index, sign_choice, desc)
 

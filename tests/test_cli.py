@@ -212,6 +212,15 @@ class TestMalformedJson:
         assert report["error"]["type"] == "ParseError"
         assert "is not valid JSON" in report["error"]["detail"]
 
+    def test_integer_too_long_to_read(self, capsys, tmp_path):
+        path = tmp_path / "desc.json"
+        path.write_text('{"steps": [{"m": 1, "n": 1%s, "beta": "1"}]}' % ("0" * 5000))
+        code, report = run(capsys, ["validate", "--desc", str(path)])
+        assert code == 1
+        assert report["error"]["type"] == "ParseError"
+        detail = report["error"]["detail"]
+        assert "is not valid JSON" in detail and len(detail) <= len(str(path)) + 100
+
     def test_file_that_nests_too_deeply(self, capsys, tmp_path):
         # deeper than the JSON decoder's recursion limit on every Python
         path = tmp_path / "deep.json"
@@ -283,8 +292,8 @@ class TestDepth:
         assert report["error"]["type"] == "DepthExceeded"
 
     def test_below_the_rule_window(self, capsys, desc_file):
-        # canonical representatives on a rule read 8 steps, which do not
-        # count against the limit
+        # canonical representatives on a rule read its data window, which
+        # does not count against the limit
         path = desc_file(HALVING_JSON)
         code, report = run(capsys, ["extend-check", "--desc", path, "--depth", "3"])
         assert code == 0
@@ -310,7 +319,7 @@ M1_NEGATIVE_JSON = {
 
 class TestStructuredLimits:
     def test_convert_past_the_gamma_window(self, capsys, desc_file):
-        # depth 16 runs past the 8 roots resolved up front; deeper roots
+        # depth 16 runs past the 2 roots of the data window; deeper roots
         # resolve on demand, and the entries sit at r_i = h_i
         for data, n in ((HALVING_JSON, 2), (CONSTANT131_JSON, 3)):
             path = desc_file(data)
@@ -352,6 +361,54 @@ class TestStructuredLimits:
         code, report = run(capsys, ["convert", "--desc", path, "--depth", "16"])
         assert code == 1
         assert report["error"]["type"] == "NotExtendable"
+
+    def test_convert_resolves_the_data_window(self, capsys, desc_file):
+        for data in (HALVING_JSON, CONSTANT131_JSON):
+            code, report = run(capsys, ["convert", "--desc", desc_file(data), "--depth", "4"])
+            assert code == 0
+            assert report["gammas"] == {"gammas": ["1", "1"]}
+
+    def test_triple_condition_with_a_rule_step_of_equal_depth(self, capsys, desc_file):
+        data = dict(
+            HALVING_JSON,
+            steps=[{"m": 1, "n": 512, "beta": "1"}, {"m": 3, "n": 512, "beta": "1"}],
+            alpha_signs=[{"i": 1, "j": 2, "sign": -1}],
+        )
+        path = desc_file(data)
+        code, report = run(capsys, ["validate", "--desc", path])
+        assert code == 1
+        assert {v["rule"] for v in report["violations"]} == {"TripleCondition"}
+        code, report = run(capsys, ["convert", "--desc", path])
+        assert code == 1
+        assert report["error"]["type"] == "DeclarationInconsistent"
+
+    def test_signs_against_deeper_rule_steps(self, capsys, desc_file):
+        # h_1 = h_10 = 10 > h_2 = 9: alpha(2,1) must agree with the default
+        # alpha(2,10) = +1, and with alpha(1,2) = -1 the triple (2,9,1),
+        # halving's step 9 sharing step 2's h, fails as well
+        def data(sign):
+            return dict(
+                HALVING_JSON,
+                steps=[{"m": 1, "n": 1024, "beta": "1"}, {"m": 1, "n": 512, "beta": "1"}],
+                alpha_signs=[{"i": 1, "j": 2, "sign": sign}],
+            )
+
+        path = desc_file(data(-1))
+        for command in ("extend-check", "convert"):
+            code, report = run(capsys, [command, "--desc", path])
+            assert code == 1
+            assert "TripleCondition" in report["error"]["detail"]
+        code, report = run(capsys, ["convert", "--desc", desc_file(data(1)), "--depth", "3"])
+        assert code == 0
+        assert report["gammas"]["gammas"] == ["1"] * 11
+
+    def test_data_window_budget_stops_a_process(self, desc_file):
+        # the window would reach step 4001; unbounded, validate ran past 30 s
+        data = dict(HALVING_JSON, steps=[{"m": 1, "n": 2**4000, "beta": "1"}])
+        code, report = run_process(["validate", "--desc", desc_file(data)], timeout=5)
+        assert code == 1
+        assert report["error"]["type"] == "BudgetExceeded"
+        assert "step 66" in report["error"]["detail"]
 
     def test_convert_inside_the_gamma_window(self, capsys, desc_file):
         code, _ = run(capsys, ["convert", "--desc", desc_file(HALVING_JSON), "--depth", "4"])
@@ -433,8 +490,7 @@ class TestStructuredLimits:
         assert report["error"]["type"] == "BudgetExceeded"
 
 
-# Steps (1,3^i,1) for i = 1..8: every one inside the rule's default window
-# of 8 has odd n
+# Steps (1,3^i,1) for i = 1..8, every one of odd n
 ODD_STEPS = [{"m": 1, "n": 3**i, "beta": "1"} for i in range(1, 9)]
 
 

@@ -32,7 +32,6 @@ from weylval.descriptor import (
     level_limit,
     pair_data,
     prefix_sum,
-    rule_data_window,
 )
 
 
@@ -398,19 +397,47 @@ class TestValidate:
 
     def test_rule_steps_past_the_first_are_checked_at_any_depth(self):
         d = desc([], tail={"kind": "rule", "rule": "constant(-1,3,1)"})
-        assert "StepShape" in self.rules(validate(d, prefix_depth=1))
+        assert "StepShape" in self.rules(validate(d))
 
     def test_data_window(self, worked, halving, constant131, single24, single_terminal):
         assert [
             data_window(d) for d in (worked, halving, constant131, single24, single_terminal)
-        ] == [2, 8, 8, 1, 1]
+        ] == [2, 2, 2, 1, 1]
         steps = [(1, 3**i, 1) for i in range(1, 10)]
         assert data_window(desc(steps)) == 9
         assert data_window(desc(steps, tail={"kind": "rule", "rule": "halving"})) == 10
 
     def test_rule_data_window(self):
         halving = {"kind": "rule", "rule": "halving"}
-        assert rule_data_window(desc([], tail=halving)) == 2
-        assert rule_data_window(desc([(1, 2, 1)] * 3, tail=halving)) == 4
+        assert data_window(desc([], tail=halving)) == 2
+        assert data_window(desc([(1, 2, 1)] * 3, tail=halving)) == 4
         signs = [{"i": 9, "j": 10, "sign": -1}]
-        assert rule_data_window(desc([], tail=halving, alpha_signs=signs)) == 11
+        assert data_window(desc([], tail=halving, alpha_signs=signs)) == 11
+
+    def test_data_window_budget(self):
+        halving = {"kind": "rule", "rule": "halving"}
+        assert data_window(desc([(1, 2**64, 1)], tail=halving)) == 65
+        with pytest.raises(BudgetExceeded, match="reaches step 66"):
+            data_window(desc([(1, 2**4000, 1)], tail=halving))
+        signs = [{"i": 1, "j": 10**9, "sign": 1}]
+        with pytest.raises(BudgetExceeded, match="reaches step 1000000001"):
+            validate(desc([], tail=halving, alpha_signs=signs))
+
+    def test_zero_n_before_a_two_divisible_rule(self):
+        # the window's h scan skips n = 0, which has no 2-adic depth
+        d = desc([(1, 0, 1)], tail={"kind": "rule", "rule": "halving"})
+        assert self.rules(validate(d)) == {"StepShape"}
+
+    def test_triple_condition_with_a_rule_step_of_equal_depth(self):
+        # h_1 = h_2 = 9 with alpha(1,2) = -1, while halving's step 9, of the
+        # same h, and every deeper step take the default +1
+        d = desc(
+            [(1, 512, 1), (3, 512, 1)],
+            tail={"kind": "rule", "rule": "halving"},
+            alpha_signs=[{"i": 1, "j": 2, "sign": -1}],
+        )
+        assert data_window(d) == 10
+        assert [v.detail for v in validate(d)] == [
+            f"residue-unit signs inconsistent on {t}"
+            for t in ("(1,2,9)", "(1,2,10)", "(1,9,2)", "(2,9,1)")
+        ]

@@ -187,8 +187,8 @@ def _reads(session, orderings, element):
 
 class TestDepthFloor:
     def test_generators_below_the_rule_window(self, halving):
-        # the canonical representative reads the 8-step data window, which
-        # does not count against the limit
+        # the canonical representative reads the data window, which does
+        # not count against the limit
         assert eval_element(halving, Y, depth_limit=1) == rational(1, 2)
         assert eval_element(halving, X, depth_limit=1) == rational(-1)
         # x reads no step at all, and y reads step 1
@@ -1119,7 +1119,7 @@ def reference_canonical_ref(session, g):
 
 
 # Steps (1,3^i,1) for i <= 8 and then (1,2,1) under constant(1,3,1): the
-# basis generator w_8 sits past the rule's default window
+# basis generator is w_8, behind eight odd steps
 DEEP_BASIS_JSON = {
     "steps": [{"m": 1, "n": 3**i, "beta": "1"} for i in range(1, 9)]
     + [{"m": 1, "n": 2, "beta": "1"}],

@@ -225,6 +225,30 @@ class TestCheckExtendable:
         assert isinstance(out["detail"], str) and out["detail"]
 
 
+class TestConditionTwoAgainstDeepRuleSteps:
+    # h_1 = 10 > h_2 = 9, and halving's step 10 has h = 10 too
+    STEPS = [(1, 1024, 1), (1, 512, 1)]
+    HALVING = {"kind": "rule", "rule": "halving"}
+
+    def test_opposite_signs_against_equal_depths(self):
+        d = desc(self.STEPS, self.HALVING, [(1, 2, -1)])
+        violation = check_extendable(d)
+        assert (violation.condition, violation.indices) == (2, (2, 1, 10))
+        with pytest.raises(NotExtendable):
+            resolve_gammas(d)
+        # halving's step 9 shares step 2's h, so the descriptor is invalid too
+        assert [v.detail for v in validate(d)] == [
+            "residue-unit signs inconsistent on (2,9,1)"
+        ]
+
+    def test_agreeing_signs_resolve(self):
+        d = desc(self.STEPS, self.HALVING, [(1, 2, 1)])
+        assert validate(d) == [] and check_extendable(d) is None
+        res = resolve_gammas(d)
+        assert res.gammas == (Rat(1),) * 11
+        assert sign_identity_failures(d, res) == []
+
+
 class TestResolveGammas:
     def test_odd_root_is_unique(self):
         res = resolve_gammas(desc([(1, 3, 8)]))
@@ -359,7 +383,7 @@ class TestRootSigns:
     def test_two_divisible_rule_scans_past_its_window(self):
         # h_1 = 9 and halving reaches a larger h first at step 10
         d = desc([(1, 512, 1)], {"kind": "rule", "rule": "halving"})
-        assert data_window(d) < 10
+        assert data_window(d) == 10
         assert resolve_gammas(d).gammas[0] == 1
 
     def test_fixtures_satisfy_the_sign_identity(
