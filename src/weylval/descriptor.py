@@ -370,23 +370,27 @@ def alpha_sign(desc: OmegaDescriptor, i: int, j: int) -> int:
 # Largest y-degree n_1 n_2 ... n_i of a tower element omega_element builds.
 # On a 2-vCPU Xeon, halving's w_3 (64) builds in 0.02 s; constant(1,3,1)'s
 # w_3 (729) takes 18 s and 85 MB, and halving's w_4 (1024) did not finish
-# in 5 minutes.
+# in 5 minutes.  The evaluator asks for a tower element only when an
+# element's least-weight terms cancel: y^729 on constant(1,3,1) reads 243
+# off its one term, while x y^731 - y^728 there needs w_3 and is refused.
 TOWER_Y_DEGREE_BUDGET = 256
 
 # Most row terms y^b w_i that `tower_row` keeps on one descriptor; past it
 # a row is made for each division that asks for it and dropped.  The
-# benchmark keeps at most 1,678 on one descriptor.  One halving descriptor
-# serving 2000 random elements (total degree up to 40, every fourth a y^k,
-# k up to 160) would keep 84,045 row terms and peak at 30 MB; under this
-# budget it peaks at about 19.5 MB, against 18.9 MB keeping no row.  The
-# cost is time: a row past the budget is made again at every division that
-# asks for it, so on a 2-vCPU Xeon those 2000 elements take about 42 s,
-# against 19.5 s keeping every row.  Clearing the kept rows when the budget
-# is full does not help: on 600 of the elements, making and dropping took
-# 13.6 s and 22 MB, clearing 14.5 s and 24 MB, and keeping every row 5.2 s
-# and 33 MB.  Keeping rows is what pays for this code: with no row kept, the
-# benchmark's `tower` workload (seed 4242, 4 alternating pairs of 15 s runs)
-# fell from 445.5 to 292.0 ops/s.
+# benchmark keeps at most 1,678 on one descriptor.  Rows serve only elements
+# whose least-weight terms cancel, as no other element is divided: 2000
+# random elements on one halving descriptor (total degree up to 40, every
+# fourth a y^k, k up to 160) all certify on their own terms, in 0.1 s on a
+# 2-vCPU Xeon, and make no row.  Each of the first 600 of them times w_1
+# does reach the digit expansion: keeping every row, they keep 85,761 row
+# terms and peak at 28.4 MB; under this budget they peak at 17.6 MB but
+# take 8.9 s against about 3 s, as a row past the budget is made again at
+# every division that asks for it.  Clearing the kept rows when the budget
+# is full does not help: on 600 of the plain elements, when each was still
+# divided, making and dropping took 13.6 s and 22 MB, clearing 14.5 s and
+# 24 MB, and keeping every row 5.2 s and 33 MB.  Keeping rows is what pays
+# for this code: with no row kept, the benchmark's `tower` workload (seed
+# 4242, 4 alternating pairs of 15 s runs) fell from 445.5 to 292.0 ops/s.
 TOWER_ROW_TERM_BUDGET = 2048
 
 
@@ -551,7 +555,8 @@ def level_limit(desc: OmegaDescriptor) -> Optional[Rat]:
 # Most rule steps a rule descriptor's data window may take in past its
 # explicit steps.  `validate` grows with the cube of a window of one 2-adic
 # depth: on a 2-vCPU Xeon, constant(1,3,1) with a stored sign on (1, 63)
-# validates in about 4 s, and with one on (1, 128) in 33 s.
+# validates in 0.12 s (0.36 s as a process), and with one on (1, 128) in
+# 0.9 s, its triple loop reading each pair's sign from a table.
 DATA_WINDOW_BUDGET = 64
 
 
@@ -690,6 +695,15 @@ def validate(desc: OmegaDescriptor) -> List[Violation]:
     # triple condition: alpha_{a,b} alpha_{a,c} alpha_{b,c} > 0 when
     # h_a = h_b <= h_c (indices include 0 = x with h_0 = 0)
     h = [desc.h(i) for i in range(depth + 1)]
+    # the sign of every pair the triples read, computed once and stored in
+    # both orders: (a, c) with c != a and h_c >= h_a, for each a whose
+    # depth another index shares
+    signs: Dict[Tuple[int, int], int] = {}
+    for a in range(depth + 1):
+        if h.count(h[a]) > 1:
+            for c in range(depth + 1):
+                if c != a and h[c] >= h[a] and (a, c) not in signs:
+                    signs[a, c] = signs[c, a] = alpha_sign(desc, min(a, c), max(a, c))
     for a in range(depth + 1):
         for b in range(a + 1, depth + 1):
             if h[a] != h[b]:
@@ -697,7 +711,7 @@ def validate(desc: OmegaDescriptor) -> List[Violation]:
             for c in range(depth + 1):
                 if c in (a, b) or h[c] < h[a]:
                     continue
-                if alpha_sign(desc, a, b) * alpha_sign(desc, a, c) * alpha_sign(desc, b, c) <= 0:
+                if signs[a, b] * signs[a, c] * signs[b, c] <= 0:
                     detail = f"residue-unit signs inconsistent on ({a},{b},{c})"
                     out.append(Violation("TripleCondition", detail))
     return out

@@ -8,6 +8,12 @@ and leading data (`Valuation` says why).  Sorts are recomputed, and word keys
 are not stored: a digit pool's words carry theirs from the digit recursion,
 and only the words of a level that does not certify are keyed again.
 
+An element is first read on its own terms (`_least_monomials`): weighed by
+-i + j v(y), its least-weight terms give v(F) at once, with no division,
+when their residues do not cancel, as in most elements of the benchmark's
+`query` and in every power y^k.  Only an element whose least-weight terms
+cancel, or that the digit pool would refuse for its depth, goes on.
+
 The main path works on pools of terms coeff * word, where a word is a product
 of two kinds of factor: generator powers x^k, w_i^k and formal sum-inverse
 blocks.  Levels are processed in increasing value order; a level is
@@ -36,7 +42,7 @@ from .coeff import Rat, nth_root, sgn, v2
 from .descriptor import (
     OmegaDescriptor, alpha, data_window, digit_walk, omega_element, pair_data, tower_row,
 )
-from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue
+from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue, WeylvalError
 from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2
 from .weyl import Rows, WeylElement, WeylFraction, _add_shifted
 
@@ -164,9 +170,11 @@ class Valuation:
 
     The session memoizes only what its traffic re-reads: `_gen_keys`, as
     every digit pool, every division in it, every leaf row that holds y and
-    every word key reads generator keys (6,676 of 21,851 lookups hit over
-    the 1,600 ops of 40 seed-1 rounds of bench `query`, whose levels all
-    certify, so that `word_key` is never called);
+    every word key reads generator keys (1,081 of 1,825 lookups hit over the
+    90 ops of 3 seed-1 rounds of bench `tower`; over the 1,600 ops of 40
+    seed-1 rounds of bench `query` every element certifies on its own
+    least-weight terms, which read v(y) and the deepest divisor's value once
+    per session, and none of 9,075 lookups hits);
     `_commutators`, as nested commutators recurse into the same pairs
     (1,249 of 2,336 lookups hit over the tests); and `_elements`, as the
     CLI's `sign` reads every ordering from one session.  Word keys and
@@ -721,10 +729,13 @@ def _leading(ctx: Valuation, keyed: List[Keyed], pool: Optional[_DigitPool]) -> 
 
 # Term pairs (quotient term, divisor term) that the digit expansion of one
 # element may hand to the product kernel, counted over the divisions done.
-# The benchmark's elements need at most 7,692 and y^54 on constant(1,3,1)
-# needs 7,752 (0.01 s on a 2-vCPU Xeon); y^108 there needs 82,236 (0.08 s)
-# before its least level certifies, and y^728 would need 7.5 million, for
-# about 6.4 s and 86 MB.
+# Only an element whose least-weight terms cancel is expanded
+# (`_least_monomials`), so a power y^k never reaches the budget.  The
+# benchmark's elements need at most 7,692, and on constant(1,3,1) x y^57 -
+# y^54 needs 10,325 before its least level certifies (0.02 s on a 2-vCPU
+# Xeon), x y^97 - y^94 61,605 and x y^111 - y^108 91,397, while x y^727 -
+# y^724 would need 7.5 million (68 million, 69 s and 146 MB, to expand it
+# whole).
 DIGIT_WORK_BUDGET = 65536
 
 
@@ -736,10 +747,30 @@ def _least_weight(rows: Rows, y_key: Key) -> Key:
     return (min(j * num - max(row) * den for j, row in rows.items()), den, 0)
 
 
+def _divisor_degrees(ctx: Valuation, deg_y: int) -> List[int]:
+    """The y-degrees n_1, n_1 n_2, ... of the divisors w_1 .. w_K that the
+    digit expansion of an element of y-degree deg_y divides by: every one
+    up to deg_y, with K capped at the deepest divisor (`_DigitPool`)."""
+    desc = ctx.desc
+    max_index = ctx.depth_limit
+    if desc.rule is None:
+        top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
+        max_index = min(max_index, top)
+    degrees: List[int] = []
+    d_index = 1
+    while len(degrees) < max_index:
+        d_index *= abs(desc.step(len(degrees) + 1).n)
+        if d_index > deg_y:
+            break
+        degrees.append(d_index)
+    return degrees
+
+
 class _DigitPool:
     """The digit pool of one element: its tower-digit expansion, read
     level-first.  `keyed` holds the least level's words, and `rest` builds
-    every other word.
+    every other word.  `leading_data` builds one only for an element that
+    `_least_monomials` leaves, and hands it the divisor degrees it read.
 
     Digit words have the form x^i w_0^{j_0} ... w_K^{j_K} with every digit
     below the next step's power, obtained by successive right division by
@@ -836,12 +867,7 @@ class _DigitPool:
         "work", "keyed",
     )
 
-    def __init__(self, ctx: Valuation, element: WeylElement):
-        desc = ctx.desc
-        max_index = ctx.depth_limit
-        if desc.rule is None:
-            top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
-            max_index = min(max_index, top)
+    def __init__(self, ctx: Valuation, element: WeylElement, degrees: Optional[List[int]] = None):
         self.ctx = ctx
         self.chunks: List[Chunk] = []
         self.tails: List[Tail] = []
@@ -851,19 +877,13 @@ class _DigitPool:
         self.least: List[Tuple[Chunk, int, int]] = []
         self.work = 0
         self.keyed: List[Keyed] = []
-        # the y-degrees n_1 ... n_i of the divisors w_1 .. w_i, up to the element's
         self.degrees: List[int] = []
         self.x_key: Key = ctx.gen_key(-1)
         self.y_key: Optional[Key] = None
         if not element.rows:
             return
         rows = {j: dict(row) for j, row in element.rows.items()}
-        deg_y, d_index = max(rows), 1
-        while len(self.degrees) < max_index:
-            d_index *= abs(desc.step(len(self.degrees) + 1).n)
-            if d_index > deg_y:
-                break
-            self.degrees.append(d_index)
+        self.degrees = _divisor_degrees(ctx, max(rows)) if degrees is None else degrees
         if self.degrees:
             # a division needs step 1, so v(y) is then read without a refusal
             self.y_key = ctx.gen_key(0)
@@ -964,14 +984,100 @@ class _DigitPool:
         return _chunk_words(self.ctx, self.chunks)
 
 
+def _least_monomials(ctx: Valuation, element: WeylElement, degrees: List[int]) -> Optional[LeadingData]:
+    """The leading data of a nonzero element read off its own least-weight
+    terms, with no division; None when their residues cancel, or when the
+    digit pool would refuse the element for its depth.
+
+    Weigh x^i y^j by -i + j v(y), v(y) = m_1/n_1, and let mu_0(F) be the
+    least weight of F's terms, as in `_DigitPool`.  Within a row the least
+    weight sits at the largest x power, so one int weight per row, j m_1 -
+    i n_1, finds the least-weight terms.  Two of them weigh the same iff
+    their exponents differ by a multiple of (m_1, n_1), as gcd(m_1, n_1) =
+    1: they are c_t x^{i0 + t m_1} y^{j0 + t n_1}, t = 0 .. T.  With S =
+    sum c_t beta_1^t != 0, v(F) = mu_0(F) and F's residue relative to the
+    canonical representative ref is S res(ref^-1 x^i0 y^j0).
+
+    Why.  The proof uses `validate`'s StepShape check m_1/n_1 < 1.
+    1. v(x^i y^j) = -i + j v(y), as v is multiplicative; so each other term
+       of F has value above mu_0, and so has their sum.
+    2. The normal form of x^i0 (x^{m_1} y^{n_1})^t y^j0 is x^{i0 + t m_1}
+       y^{j0 + t n_1} plus Leibniz terms that drop s >= 1 pairs y x, each of
+       weight s (1 - v(y)) > 0 above mu_0 (point 1 of `_DigitPool`).
+    3. x^{m_1} y^{n_1} = w_1 + beta_1 with v(w_1) > 0 (point 2 of
+       `_DigitPool`), so (x^{m_1} y^{n_1})^t - beta_1^t has value > 0.
+    By 1 to 3, F - S x^i0 y^j0 has value above mu_0, while S x^i0 y^j0 has
+    value mu_0; so v(F) = mu_0, with the relative residue above, which is
+    what `_DigitPool` and `_leading` certify, since v(F) is the least level
+    of F's digit expansion when that level does not cancel.  On a
+    descriptor that fails StepShape, which the CLI refuses to read, the
+    value found may be wrong.
+
+    The stage reads v(y) and v(w_K) for the deepest divisor w_K the pool
+    would divide by (`degrees`, from `_divisor_degrees`), the deepest step
+    the pool reads.  If either lies past the depth limit, or anything else
+    raises a WeylvalError, it returns None, so that the pool's answer or
+    refusal stands, and its budget refusal keeps precedence over a depth
+    refusal.  An element whose pool runs past DIGIT_WORK_BUDGET or
+    TOWER_Y_DEGREE_BUDGET is answered here when its least level certifies.
+    """
+    rows = element.rows
+    try:
+        if degrees:
+            ctx.gen_key(len(degrees))
+        # an element in x alone needs no v(y): its least term is its largest x power
+        num, den, k_xi = ctx.gen_key(0) if len(rows) > 1 or 0 not in rows else (0, 1, 0)
+        if k_xi:
+            return None
+        weights = [j * num - max(row) * den for j, row in rows.items()]
+        level = min(weights)
+        least = [j for j, weight in zip(rows, weights) if weight == level]
+        j0 = min(least)
+        i0 = max(rows[j0])
+        total, q_power = rows[j0][i0], 1
+        if len(least) > 1:
+            if math.gcd(num, den) != 1:
+                return None
+            # equal weights and gcd(m_1, n_1) = 1 put the term of row j at
+            # t = (j - j0)/n_1, an int, and x^{i0 + t m_1}
+            coeffs = [0] * ((max(least) - j0) // den + 1)
+            for j in least:
+                t = (j - j0) // den
+                coeffs[t] = rows[j][i0 + t * num]
+            # S q^T = sum c_t p^t q^(T - t) for beta_1 = p/q, by Horner on ints
+            beta = ctx.desc.beta(1)
+            p, q = beta.numerator, beta.denominator
+            total = 0
+            for c in reversed(coeffs):
+                total, q_power = total * p + c * q_power, q_power * q
+            if not total:
+                return None
+            q_power //= q
+        value = ctx.key_value((level, den, 0))
+        ref = _canonical_ref(ctx, value)
+        res = _word_residue(ctx, _concat(_invert_pure(ref.word), _digit_word(i0, j0, ())))
+    except WeylvalError:
+        return None
+    return LeadingData(value, Rat(total, q_power * element.den) * res, ref.word,
+                       ref.eps_basis, ref.eps_terminal)
+
+
 def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
     """Leading data of one element, computed afresh; `Valuation.leading`
     calls it once per element and keeps the result.
 
-    Every leading computation runs here, so code that wraps this name (the
-    benchmark's tracer) sees each one.
+    The element's own least-weight terms settle it when they do not cancel
+    (`_least_monomials`); otherwise its digit pool does.  Every leading
+    computation runs here, so code that wraps this name (the benchmark's
+    tracer) sees each one.
     """
-    pool = _DigitPool(session, element)
+    degrees = None
+    if element.rows:
+        degrees = _divisor_degrees(session, max(element.rows))
+        data = _least_monomials(session, element, degrees)
+        if data is not None:
+            return data
+    pool = _DigitPool(session, element, degrees)
     return _leading(session, pool.keyed, pool)
 
 

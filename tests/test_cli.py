@@ -415,18 +415,20 @@ class TestStructuredLimits:
         assert code == 0
 
     def test_tower_element_over_budget(self, capsys, desc_file):
-        # dividing y^729 needs w_3 of constant(1,3,1), of y-degree 3*9*27
-        argv = ["eval", "--desc", desc_file(CONSTANT131_JSON), "--expr", "y^729"]
+        # dividing x y^731 - y^728, whose least-weight terms cancel, needs w_3
+        # of constant(1,3,1), of y-degree 3*9*27
+        argv = ["eval", "--desc", desc_file(CONSTANT131_JSON), "--expr", "x*y^731 - y^728"]
         code, report = run(capsys, argv)
         assert code == 1
         assert report["error"]["type"] == "BudgetExceeded"
         assert "w_3" in report["error"]["detail"] and "729" in report["error"]["detail"]
 
     def test_digit_expansion_over_budget(self, capsys, desc_file):
-        # y^108 divides by w_2 (y-degree 27) four times over; its expansion
-        # needs 141,352 term pairs, y^81 needs 50,426 and evaluates
+        # x y^111 - y^108 cancels on its least-weight terms and divides by w_2
+        # (y-degree 27) four times over, past the budget; y^81 needs 50,426
+        # term pairs and evaluates
         path = desc_file(CONSTANT131_JSON)
-        code, report = run(capsys, ["eval", "--desc", path, "--expr", "y^108"])
+        code, report = run(capsys, ["eval", "--desc", path, "--expr", "x*y^111 - y^108"])
         assert code == 1
         assert report["error"]["type"] == "BudgetExceeded"
         detail = report["error"]["detail"]
@@ -437,9 +439,10 @@ class TestStructuredLimits:
         assert report == {"value": {"q": "27", "k_xi": 0, "k_mu": 0}}
 
     def test_digit_expansion_budget_stops_a_process(self, desc_file):
-        # y^728 is one below the tower budget's reach; unbounded, its digit
-        # expansion runs for minutes
-        argv = ["eval", "--desc", desc_file(CONSTANT131_JSON), "--expr", "y^728"]
+        # x y^727 - y^724 cancels on its least-weight terms and stays below
+        # the tower budget's reach; unbounded, its digit expansion runs for
+        # minutes
+        argv = ["eval", "--desc", desc_file(CONSTANT131_JSON), "--expr", "x*y^727 - y^724"]
         code, report = run_process(argv, timeout=5)
         assert code == 1
         assert report["error"]["type"] == "BudgetExceeded"

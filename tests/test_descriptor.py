@@ -22,6 +22,7 @@ from weylval import (
     shadow_eval,
     validate,
 )
+from weylval import descriptor
 from weylval.descriptor import (
     TOWER_Y_DEGREE_BUDGET,
     GroupKind,
@@ -375,6 +376,53 @@ class TestValidate:
             ],
         )
         assert validate(d) == []
+
+    def test_triple_condition_computes_each_sign_once(self, monkeypatch):
+        # the triple loop reads every residue-unit sign from a table filled
+        # once per pair, and reports the naive loop's violations, which
+        # computes three signs per triple, in the same order
+        def naive(d):
+            window = data_window(d)
+            h = [d.h(i) for i in range(window + 1)]
+            return [
+                f"residue-unit signs inconsistent on ({a},{b},{c})"
+                for a in range(window + 1)
+                for b in range(a + 1, window + 1)
+                if h[a] == h[b]
+                for c in range(window + 1)
+                if c not in (a, b) and h[c] >= h[a]
+                and alpha_sign(d, a, b) * alpha_sign(d, a, c) * alpha_sign(d, b, c) <= 0
+            ]
+
+        cases = [
+            desc([(1, 4, 1)] * 3, alpha_signs=[{"i": 1, "j": 2, "sign": 1},
+                                               {"i": 1, "j": 3, "sign": 1},
+                                               {"i": 2, "j": 3, "sign": -1}]),
+            desc([(1, 512, 1), (3, 512, 1)], tail={"kind": "rule", "rule": "halving"},
+                 alpha_signs=[{"i": 1, "j": 2, "sign": -1}]),
+            desc([(1, 4, -1), (1, 3, 2), (1, 4, -1), (1, 12, -1)],
+                 alpha_signs=[{"i": 1, "j": 3, "sign": -1}, {"i": 1, "j": 4, "sign": 1},
+                              {"i": 3, "j": 4, "sign": 1}]),
+            desc([], tail={"kind": "rule", "rule": "constant(1,3,1)"},
+                 alpha_signs=[{"i": 1, "j": 24, "sign": 1}]),
+        ]
+        calls = []
+        counted = descriptor.alpha_sign
+        monkeypatch.setattr(
+            descriptor, "alpha_sign", lambda d, i, j: calls.append((min(i, j), max(i, j))) or counted(d, i, j)
+        )
+        found = []
+        for d in cases:
+            calls.clear()
+            details = [v.detail for v in validate(d) if v.rule == "TripleCondition"]
+            assert calls and len(calls) == len(set(calls))
+            found.append(len(calls))
+            assert details == naive(d)
+        # every index of constant(1,3,1)'s window, x's included, has h = 0,
+        # so the triples read every pair
+        indices = data_window(cases[-1]) + 1
+        assert found[-1] == indices * (indices - 1) // 2
+        assert [bool(naive(d)) for d in cases] == [True, True, True, False]
 
     def test_rule_levels_below_one_past_the_window(self):
         # r* = 1 + 1/1024: h_k < 1 up to k = 9, and h_10 = 1

@@ -34,7 +34,7 @@ from weylval import (
     strongly_abelian_sample,
 )
 from weylval import cli, descriptor, evaluate
-from weylval.coeff import v2
+from weylval.coeff import sgn, v2
 from weylval.descriptor import data_window, validate
 
 from conftest import SINGLE_TERMINAL_JSON, WORKED_JSON
@@ -503,12 +503,15 @@ class TestDescriptorTables:
             assert any(record.element is f for f in batch)
 
     def test_kept_rows_stay_within_their_budget(self, monkeypatch):
-        # high y-degree elements on one halving descriptor ask for more rows
-        # y^b w_i than the budget holds; the rows past it are made per
-        # division and dropped, and every answer is a fresh descriptor's
+        # high y-degree elements on one halving descriptor, whose least-weight
+        # terms cancel, ask for more rows y^b w_i than the budget holds; the
+        # rows past it are made per division and dropped, and every answer is
+        # a fresh descriptor's
         data, budget = FIXTURE_JSONS["halving"], descriptor.TOWER_ROW_TERM_BUDGET
-        batch = [Y.pow(64), Y.pow(68), X.pow(7).mul(Y.pow(66)).add(Y.pow(65)), Y.pow(72),
-                 elem({(3, 70): 2, (1, 40): -1}), Y.pow(76)]
+        batch = [parse_expr(expr) for expr in (
+            "x*y^66 - y^64", "x*y^70 - y^68", "x^7*y^66 - x^6*y^64 + y^65", "x*y^74 - y^72",
+            "2*x^3*y^72 - 2*x^2*y^70 - x*y^40", "x*y^78 - y^76",
+        )]
 
         def kept(desc):
             return sum(sum(len(entries) for _, entries in row)
@@ -778,10 +781,10 @@ class TestLevelFirstPool:
                 kinds.add(got[0])
         assert "ok" in kinds and "DepthExceeded" in kinds
         assert ("BudgetExceeded" in kinds) == (desc.rule is not None)
-        # y^100 on constant(1,3,1) certifies at 100/3 after 65,436 term pairs,
-        # and y^76 on halving at 38, each below undivided tails whose
-        # division runs past the budget
-        power = {"halving": [Y.pow(76)], "constant131": [Y.pow(100)]}.get(fixture, [])
+        # y^100 on constant(1,3,1) certifies at 100/3, and y^76 and y^100 on
+        # halving at 38 and 50, on their own least-weight terms, where the
+        # expanded pool runs past the budget
+        power = {"halving": [Y.pow(76), Y.pow(100)], "constant131": [Y.pow(100)]}.get(fixture, [])
         assert past_budget == [(64, f) for f in power]
 
     @pytest.mark.parametrize(
@@ -808,6 +811,118 @@ class TestLevelFirstPool:
         data = evaluate._leading(session, digits.keyed, digits)
         assert data.value == ValueGroupElement.from_json(expected)
         assert data.value.cmp(eval_element(desc, f5)) < 0
+
+
+def random_valid_descriptor(rng):
+    """A random descriptor that `validate` accepts: 1-3 steps,
+    m_1 of either sign, residue units rational or not, random alpha signs,
+    and a terminal, a rule or a bare prefix."""
+    while True:
+        steps = []
+        for idx in range(1, rng.randint(1, 3) + 1):
+            n = rng.choice([1, 2, 3, 4, 6, 8])
+            m = rng.choice([-3, -1, 1, 3, 5]) if idx == 1 else rng.choice([1, 2, 3])
+            beta = Rat(rng.choice([1, 2, 3, -2]), rng.choice([1, 1, 2, 3]))
+            if rng.random() < 0.6:
+                beta = abs(beta) ** n * (rng.choice([1, -1]) if n % 2 else 1)
+            steps.append({"m": m, "n": n, "beta": str(beta)})
+        data = {"steps": steps}
+        tail = rng.choice(["prefix", "terminal", "halving", "constant(1,3,1)"])
+        if tail == "terminal":
+            data["tail"] = SINGLE_TERMINAL_JSON["tail"]
+        elif tail != "prefix":
+            data["tail"] = {"kind": "rule", "rule": tail}
+        data["alpha_signs"] = [
+            {"i": i, "j": j, "sign": rng.choice([1, -1])}
+            for i in range(1, len(steps) + 1)
+            for j in range(i + 1, len(steps) + 1)
+            if steps[i - 1]["n"] % 2 == 0 and steps[j - 1]["n"] % 2 == 0
+        ]
+        try:
+            desc = OmegaDescriptor.from_json(data)
+        except WeylvalError:
+            continue
+        if not validate(desc):
+            return desc
+
+
+def ordering_signs(orderings, data):
+    """Every ordering's sign of an element from its leading data."""
+    return [sgn(data.lam) * o.character(data.eps_basis, data.eps_terminal)
+            for o in orderings]
+
+
+class TestLeastMonomials:
+    @pytest.mark.parametrize("fixture", ["halving", "constant131"])
+    def test_powers_of_y_need_no_pool(self, request, fixture, monkeypatch):
+        # y^k has one term, of weight k m_1/n_1, which certifies with no
+        # division, past both budgets of the digit expansion; its data is
+        # the pool's where the pool answers, and its signs are sign(y)^k
+        desc = request.getfixturevalue(fixture)
+        orderings = enumerate_orderings(desc)
+        pooled = {k: expanded_leading(Valuation(desc), Y.pow(k)) for k in (1, 2, 3, 5, 8, 13, 30)}
+        y_signs = ordering_signs(orderings, pooled[1])
+
+        def refuse(*args):
+            raise AssertionError("the digit pool was reached")
+
+        monkeypatch.setattr(evaluate, "_DigitPool", refuse)
+        v_y = desc.step(1).ratio()
+        for k in range(1, 730):
+            data = Valuation(desc).leading(WeylElement.monomial(0, k))
+            assert data.value == rational(k * v_y)
+            assert ordering_signs(orderings, data) == [s**k for s in y_signs]
+            assert data == pooled.get(k, data)
+
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_cancelling_elements_reach_the_pool(self, request, fixture):
+        # a cancelling element's least-weight terms cancel, and so do those
+        # of every tower element and every product of two
+        desc = request.getfixturevalue(fixture)
+        towers = tower_elements(desc, 3)
+        batch = [parse_expr(expr) for name, expr in CANCELLING_ELEMENTS if name == fixture]
+        batch += towers + [f.mul(g) for k, f in enumerate(towers) for g in towers[k:]]
+        for element in batch:
+            session = Valuation(desc)
+            degrees = evaluate._divisor_degrees(session, max(element.rows))
+            assert evaluate._least_monomials(session, element, degrees) is None
+
+    def test_random_descriptors_lead_as_the_expanded_pool(self, monkeypatch):
+        # value, lam, ref and parities, or the refusal's type and message,
+        # equal the expanded pool's at depth limits 1 and 64; where the pool
+        # runs past its budget, its expansion under a raised budget
+        rng = random.Random(35)
+        certified, kinds, shapes = [], set(), set()
+        least_monomials = evaluate._least_monomials
+        monkeypatch.setattr(
+            evaluate, "_least_monomials",
+            lambda *args: certified.append(least_monomials(*args)) or certified[-1],
+        )
+        # y itself carries the terminal value of the first descriptor
+        irrational_y = OmegaDescriptor.from_json({"steps": [], "tail": SINGLE_TERMINAL_JSON["tail"]})
+        for desc in [irrational_y] + [random_valid_descriptor(rng) for _ in range(100)]:
+            shapes.add("terminal" if desc.terminal else "rule" if desc.rule else "prefix")
+            if desc.explicit_steps and desc.explicit_steps[0].m < 0:
+                shapes.add("m_1 < 0")
+            f, g = sample_element(rng, max_degree=5), sample_element(rng, max_degree=4)
+            batch = [f, f.mul(g).mul(WeylElement.scalar(Rat(1, rng.randint(2, 9)))),
+                     Y.pow(rng.randint(2, 40)),
+                     elem({(rng.randint(0, 4), rng.randint(1, 12)): 1, (0, 0): rng.randint(1, 5)})]
+            batch += [w.mul(g) for w in tower_elements(desc, 1)]
+            for depth in (1, 64):
+                for element in batch:
+                    got = _outcome(evaluate.leading_data, Valuation(desc, depth), element)
+                    want = _outcome(expanded_leading, Valuation(desc, depth), element)
+                    if got[0] == "ok" and want[0] == "BudgetExceeded":
+                        with monkeypatch.context() as raised:
+                            raised.setattr(evaluate, "DIGIT_WORK_BUDGET", 1 << 22)
+                            want = _outcome(expanded_leading, Valuation(desc, depth), element)
+                    assert got == want
+                    kinds.add(got[0])
+        assert shapes == {"terminal", "rule", "prefix", "m_1 < 0"}
+        assert {"ok", "DepthExceeded", "NoRationalRoot"} <= kinds
+        # most elements certify before the pool, and some reach it
+        assert None in certified and certified.count(None) < len(certified) / 2
 
 
 def reference_tail_bound(session, tail):
