@@ -130,6 +130,11 @@ class OmegaDescriptor:
         self._row_room = TOWER_ROW_TERM_BUDGET
         # digit walks over steps 1..r, keyed by r, built by digit_walk
         self._digit_walks: Dict[int, DigitWalk] = {}
+        # the data window once it lies within its budget, read by data_window
+        self._window: Optional[int] = None
+        # value classes (p, j) of the least-weight stage, built by
+        # evaluate._least_class: at most 2 n_1
+        self._classes: Dict[Tuple[int, int], tuple] = {}
         if isinstance(tail, IrrationalTerminal):
             t = tail.value
             if t.k_xi == 0 or t.k_mu != 0:
@@ -581,10 +586,15 @@ def data_window(desc: OmegaDescriptor) -> int:
     So every condition that `validate`, `check_extendable`, `basis_slot`
     and `resolve_gammas` read on steps past W is one they read on W.
     Raises BudgetExceeded, naming the step, when the window would take in
-    more than DATA_WINDOW_BUDGET rule steps.
+    more than DATA_WINDOW_BUDGET rule steps.  The window depends only on
+    the descriptor, so it is kept there once found; a window over the
+    budget is not kept, and raises on every call.
     """
+    if desc._window is not None:
+        return desc._window
     explicit = len(desc.explicit_steps)
     if desc.rule is None:
+        desc._window = explicit
         return explicit
     last = max(max((j for _, j in desc.alpha_signs), default=0), explicit, 1) + 1
     if desc.rule.declared_kind == GroupKind.TWO_DIVISIBLE:
@@ -596,6 +606,7 @@ def data_window(desc: OmegaDescriptor) -> int:
             f"the data window reaches step {last}, more than the budget of "
             f"{DATA_WINDOW_BUDGET} rule steps past the explicit ones"
         )
+    desc._window = last
     return last
 
 

@@ -852,6 +852,33 @@ def ordering_signs(orderings, data):
             for o in orderings]
 
 
+def direct_least_monomial(session, element, degrees):
+    """The least-weight stage on a monomial c x^i y^j with no value class:
+    its reference and residue computed afresh for its own value, as an
+    oracle.  The leading data; None where the stage leaves the monomial to
+    the pool before it reads them; or the WeylvalError that reading them
+    raises, which sends the monomial to the pool too."""
+    ((j, row),) = element.rows.items()
+    ((i, c),) = row.items()
+    try:
+        if degrees:
+            session.gen_key(len(degrees))
+        num, den, k_xi = session.gen_key(0) if j else (0, 1, 0)
+    except WeylvalError:
+        return None
+    if k_xi:
+        return None
+    value = session.key_value((j * num - i * den, den, 0))
+    try:
+        ref = evaluate._canonical_ref(session, value)
+        word = evaluate._concat(evaluate._invert_pure(ref.word), evaluate._digit_word(i, j, ()))
+        res = evaluate._word_residue(session, word)
+    except WeylvalError as exc:
+        return exc
+    return evaluate.LeadingData(value, Rat(c, element.den) * res, ref.word,
+                                ref.eps_basis, ref.eps_terminal)
+
+
 class TestLeastMonomials:
     @pytest.mark.parametrize("fixture", ["halving", "constant131"])
     def test_powers_of_y_need_no_pool(self, request, fixture, monkeypatch):
@@ -923,6 +950,79 @@ class TestLeastMonomials:
         assert {"ok", "DepthExceeded", "NoRationalRoot"} <= kinds
         # most elements certify before the pool, and some reach it
         assert None in certified and certified.count(None) < len(certified) / 2
+
+    def test_value_classes_answer_as_the_direct_computation(self):
+        # every c x^i y^j, 0 <= i <= 8 and 0 <= j <= 16, in shuffled order
+        # at depth limits 1 and 64 on one descriptor each: the stage's data
+        # from its value classes equals the direct computation's, and a
+        # class whose build refuses raises the direct refusal, type and
+        # message, and is not kept
+        rng = random.Random(36)
+        descs = [OmegaDescriptor.from_json(FIXTURE_JSONS[name]) for name in FIXTURE_NAMES]
+        descs += [random_valid_descriptor(rng) for _ in range(100)]
+        cases = [(i, j, depth) for i in range(9) for j in range(17) for depth in (1, 64)]
+        answered, refused = 0, 0
+        for desc in descs:
+            rng.shuffle(cases)
+            for i, j, depth in cases:
+                element = WeylElement({(i, j): Rat(rng.choice([1, -2, 3]), rng.choice([1, 5]))})
+                session = Valuation(desc, depth)
+                degrees = evaluate._divisor_degrees(session, j)
+                want = direct_least_monomial(session, element, degrees)
+                got = evaluate._least_monomials(session, element, degrees)
+                if not isinstance(want, WeylvalError):
+                    assert got == want
+                    answered += want is not None
+                    continue
+                assert got is None
+                refused += 1
+                num, den, _ = session.gen_key(0) if j else (0, 1, 0)
+                t, j_r = divmod(j, den)
+                p = (i - t * num) % 2
+                with pytest.raises(type(want)) as info:
+                    evaluate._least_class(session, p, j_r, num, den)
+                assert str(info.value) == str(want)
+                assert (p, j_r) not in desc._classes
+            assert len(desc._classes) <= 2 * desc.step(1).n
+        assert any(desc.step(1).m < 0 for desc in descs)
+        assert answered > 20000 and refused > 50
+
+    def test_a_warm_table_keeps_depth_refusals(self):
+        # the classes are read after the depth checks, so a table warmed at
+        # depth limit 64 leaves every shallower answer and refusal as on a
+        # fresh descriptor: y still reads step 1 at depth limit 0
+        data = FIXTURE_JSONS["halving"]
+        warm = OmegaDescriptor.from_json(data)
+        batch = [WeylElement.monomial(i, j) for i in range(5) for j in range(9)]
+        batch += [X.mul(Y).add(Y.pow(3)), Y.pow(2).add(X)]
+        for element in batch:
+            Valuation(warm, 64).leading(element)
+        assert len(warm._classes) == 4
+        for depth in range(4):
+            fresh = OmegaDescriptor.from_json(data)
+            for element in batch:
+                assert _outcome(Valuation(warm, depth).leading, element) == _outcome(
+                    Valuation(fresh, depth).leading, element)
+        with pytest.raises(DepthExceeded) as info:
+            Valuation(warm, 0).leading(Y)
+        assert info.value.consulted == 1
+
+    def test_a_window_over_its_budget_refuses_on_every_call(self):
+        # n_1 = 2^4000 over halving puts the data window past its budget,
+        # and the reference of every nonzero value reads it: 1 answers,
+        # while x^2, in 1's class of value 0, which never reads the window,
+        # refuses as x and x^4 do, in either order and on every call
+        data = {"steps": [{"m": 1, "n": 2**4000, "beta": "1"}],
+                "tail": {"kind": "rule", "rule": "halving"}}
+        refusal = ("BudgetExceeded", "the data window reaches step 66, more than the "
+                   "budget of 64 rule steps past the explicit ones", None)
+        one = ("ok", evaluate.LeadingData(rational(0), Rat(1), (), 0, 0))
+        for exprs in (["1", "x", "x^2", "2*x^2-1", "x^4"], ["x^2", "x^4", "2*x^2-1", "x", "1"]):
+            desc = OmegaDescriptor.from_json(data)
+            for expr in exprs * 2:
+                got = _outcome(Valuation(desc).leading, parse_expr(expr))
+                assert got == (one if expr == "1" else refusal)
+            assert desc._window is None and list(desc._classes) == [(0, 0)]
 
 
 def reference_tail_bound(session, tail):
