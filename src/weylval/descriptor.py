@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .coeff import Rat, format_rat, json_int, parse_rat, sgn, nth_root, v2
@@ -29,11 +28,22 @@ from .valuegroup import Value, ValueGroupElement
 from .weyl import Row, WeylElement, _leibniz_row
 
 
-@dataclass(frozen=True)
 class OmegaStep:
-    m: int
-    n: int
-    beta: Rat
+    """One step (m, n, beta): w_i = x^m w_{i-1}^n - beta."""
+
+    __slots__ = ("m", "n", "beta")
+
+    def __init__(self, m: int, n: int, beta: Rat):
+        self.m, self.n, self.beta = m, n, beta
+
+    def _key(self) -> tuple:
+        return (self.m, self.n, self.beta)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is OmegaStep and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def ratio(self) -> Rat:
         return Rat(self.m, self.n)
@@ -45,14 +55,21 @@ class GroupKind:
     RANK_TWO = "RankTwo"
 
 
-@dataclass(frozen=True)
 class IrrationalTerminal:
     """Tail declaring v(w_N) = value, a positive irrational."""
 
-    value: ValueGroupElement
+    __slots__ = ("value",)
+
+    def __init__(self, value: ValueGroupElement):
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is IrrationalTerminal and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
 
-@dataclass(frozen=True)
 class InfiniteRule:
     """Tail generating steps for every index >= 1.
 
@@ -61,10 +78,26 @@ class InfiniteRule:
     sums are not known to increase.
     """
 
-    name: str
-    step_fn: Callable[[int], OmegaStep]
-    declared_kind: str
-    limit: Optional[Rat]
+    __slots__ = ("name", "step_fn", "declared_kind", "limit")
+
+    def __init__(
+        self,
+        name: str,
+        step_fn: Callable[[int], OmegaStep],
+        declared_kind: str,
+        limit: Optional[Rat],
+    ):
+        self.name, self.step_fn = name, step_fn
+        self.declared_kind, self.limit = declared_kind, limit
+
+    def _key(self) -> tuple:
+        return (self.name, self.step_fn, self.declared_kind, self.limit)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is InfiniteRule and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 Tail = Optional[object]  # IrrationalTerminal | InfiniteRule | None
@@ -279,13 +312,20 @@ class OmegaDescriptor:
 # -- pair data ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PairData:
-    i: int
-    j: int
-    d: int
-    k_ij: int
-    k_ji: int
+    __slots__ = ("i", "j", "d", "k_ij", "k_ji")
+
+    def __init__(self, i: int, j: int, d: int, k_ij: int, k_ji: int):
+        self.i, self.j, self.d, self.k_ij, self.k_ji = i, j, d, k_ij, k_ji
+
+    def _key(self) -> tuple:
+        return (self.i, self.j, self.d, self.k_ij, self.k_ji)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is PairData and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def pair_data(desc: OmegaDescriptor, i: int, j: int) -> PairData:
@@ -613,10 +653,20 @@ def data_window(desc: OmegaDescriptor) -> int:
 # -- validation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Violation:
-    rule: str
-    detail: str
+    __slots__ = ("rule", "detail")
+
+    def __init__(self, rule: str, detail: str):
+        self.rule, self.detail = rule, detail
+
+    def _key(self) -> tuple:
+        return (self.rule, self.detail)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Violation and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def validate(desc: OmegaDescriptor) -> List[Violation]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from .coeff import Rat, nth_root, sgn, v2
@@ -551,11 +550,20 @@ def _expand_zero(ctx: Valuation, word: Word, res: Rat) -> List[Emission]:
 # -- canonical level representative ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class CanonicalRef:
-    word: Word
-    eps_basis: int
-    eps_terminal: int
+    __slots__ = ("word", "eps_basis", "eps_terminal")
+
+    def __init__(self, word: Word, eps_basis: int, eps_terminal: int):
+        self.word, self.eps_basis, self.eps_terminal = word, eps_basis, eps_terminal
+
+    def _key(self) -> tuple:
+        return (self.word, self.eps_basis, self.eps_terminal)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is CanonicalRef and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
@@ -624,7 +632,6 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
 # -- the worklist ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LeadingData:
     """Certified leading behavior of an element.
 
@@ -633,11 +640,22 @@ class LeadingData:
     powers; the parities feed the ordering sign computation.
     """
 
-    value: Value
-    lam: Optional[Rat]
-    ref: Word
-    eps_basis: int
-    eps_terminal: int
+    __slots__ = ("value", "lam", "ref", "eps_basis", "eps_terminal")
+
+    def __init__(
+        self, value: Value, lam: Optional[Rat], ref: Word, eps_basis: int, eps_terminal: int
+    ):
+        self.value, self.lam, self.ref = value, lam, ref
+        self.eps_basis, self.eps_terminal = eps_basis, eps_terminal
+
+    def _key(self) -> tuple:
+        return (self.value, self.lam, self.ref, self.eps_basis, self.eps_terminal)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LeadingData and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 _ZERO_LEADING = LeadingData(INFINITY, None, (), 0, 0)

@@ -10,8 +10,8 @@ Grammar (no juxtaposition; ^ binds tighter than *; * preserves written order):
 
 NUMBER is an integer or p/q rational literal.  Exponents must be nonnegative
 integers.  The printer in `weyl.WeylElement.__str__` emits this grammar, so
-parse/print round-trips.  A power whose estimated cost is above
-EXPR_WORK_BUDGET raises BudgetExceeded before it is computed.
+parse/print round-trips.  A power or a product whose estimated cost is
+above EXPR_WORK_BUDGET raises BudgetExceeded before it is computed.
 
 The texts the CLI and the benchmark hand to `parse_expr` are mostly printed
 normal forms: an optional leading '-', then terms joined by '+' or '-', each
@@ -26,7 +26,6 @@ result and its errors are the grammar's.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
 
 from .coeff import parse_rat
@@ -39,7 +38,9 @@ from .weyl import Rows, WeylElement, _element
 # bits.  On a 2-vCPU Xeon, (x+1)^600 costs 3,606,600 units and parses in
 # 0.1 s; (x+1)^2000 would cost 128 million and take 1.6 s, and 3^99999999
 # would build a 158-million-bit integer.  A power of c x^i or c y^j makes no pairs, so
-# x^100000000000000000000 costs nothing.  The normal-form path computes no
+# x^100000000000000000000 costs nothing.  A product is charged the same way
+# (`_product_work`): y^4000*x^4000 costs 3,504,876 units, and y^100000*x^100000,
+# which would run out of memory, 2,968,829,688.  The normal-form path computes no
 # powers and no products, so it never checks the budget.
 EXPR_WORK_BUDGET = 1 << 22
 
@@ -65,16 +66,47 @@ def _power_work(base: WeylElement, n: int) -> int:
     pairs = len(coeffs) * (n + (dx + dy) * s1 + dx * dy * s2)
     return pairs * (1 + bits // 64) + bits
 
+
+def _product_work(left: WeylElement, right: WeylElement) -> int:
+    """Work units of left * right, from bounds on its size: each Leibniz
+    term the product kernel makes counts as a term pair, weighed by the
+    64-bit words of its coefficient.
+
+    A term x^a y^b of left meets a term x^c y^d of right in t + 1 Leibniz
+    terms, t = min(b, c), or t = b when c < 0.  The t-th coefficient is p q
+    times C(b, t) c (c - 1) ... (c - t + 1), which is at most
+    min(2^b, b^t) (|c| + t)^t.  So with X the largest |c| of right, each
+    row y^b of left is bounded at once from its term count, and no pair of
+    terms is visited.
+    """
+    if not left.rows or not right.rows:
+        return 0
+    xs = [c for row in right.rows.values() for c in row]
+    big_x = max(map(abs, xs))
+    negative = min(xs) < 0
+    width = len(xs)
+    sizes = (
+        sum(abs(p) for row in left.rows.values() for p in row.values()).bit_length()
+        + sum(abs(q) for row in right.rows.values() for q in row.values()).bit_length()
+    )
+    work = 0
+    for b, row in left.rows.items():
+        t = b if negative else min(b, big_x)
+        bits = sizes + t * (big_x + t).bit_length() + min(b, t * b.bit_length())
+        work += len(row) * width * (t + 1) * (1 + bits // 64)
+    return work
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[xy])|(?P<op>[-+*^()]))"
 )
 
 
-@dataclass
 class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # "num" | "name" | "op" | "end"
+        self.text, self.pos = text, pos
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -130,8 +162,15 @@ class _Parser:
     def term(self) -> WeylElement:
         result = self.factor()
         while self.peek().kind == "op" and self.peek().text == "*":
-            self.take()
-            result = result.mul(self.factor())
+            token = self.take()
+            right = self.factor()
+            work = _product_work(result, right)
+            if work > EXPR_WORK_BUDGET:
+                raise BudgetExceeded(
+                    f"product at position {token.pos} needs {work} work units, "
+                    f"above the budget of {EXPR_WORK_BUDGET}"
+                )
+            result = result.mul(right)
         return result
 
     def factor(self) -> WeylElement:

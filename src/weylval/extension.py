@@ -40,7 +40,6 @@ and equal exponents are equal ints; scalars and the roots gamma_i stay
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from math import comb, gcd
 from typing import Dict, List, Optional, Tuple
@@ -68,13 +67,22 @@ from .valuegroup import ValueGroupElement, cmp as value_cmp
 # -- extendability ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExtendViolation:
     """Which of the two extension conditions failed, and where."""
 
-    condition: int
-    indices: Tuple[int, ...]
-    detail: str
+    __slots__ = ("condition", "indices", "detail")
+
+    def __init__(self, condition: int, indices: Tuple[int, ...], detail: str):
+        self.condition, self.indices, self.detail = condition, indices, detail
+
+    def _key(self) -> tuple:
+        return (self.condition, self.indices, self.detail)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ExtendViolation and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -132,21 +140,40 @@ def check_extendable(desc: OmegaDescriptor) -> Optional[ExtendViolation]:
 # -- gamma resolution ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GammaResolution:
     """Real roots gamma_i with gamma_i^{n_i} = beta_i, signs pinned by alpha.
 
     `gammas` holds the roots over the data window; `gamma(i)` is the one
     accessor.  A step past the window has odd n or alpha(i, i + 1) = +1, so
     its root is the real root, which `deeper` keeps, as the conversion
-    reads every root again at each later entry.
+    reads every root again at each later entry.  Equality and hashing read
+    the window's roots and the sign choice only, not `desc` or `deeper`.
     """
 
-    gammas: Tuple[Rat, ...]
-    free_choice_index: Optional[int]
-    chosen_sign: Optional[int]
-    desc: OmegaDescriptor = field(compare=False, repr=False)
-    deeper: Dict[int, Rat] = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("gammas", "free_choice_index", "chosen_sign", "desc", "deeper")
+
+    def __init__(
+        self,
+        gammas: Tuple[Rat, ...],
+        free_choice_index: Optional[int],
+        chosen_sign: Optional[int],
+        desc: OmegaDescriptor,
+        deeper: Optional[Dict[int, Rat]] = None,
+    ):
+        self.gammas = gammas
+        self.free_choice_index = free_choice_index
+        self.chosen_sign = chosen_sign
+        self.desc = desc
+        self.deeper: Dict[int, Rat] = {} if deeper is None else deeper
+
+    def _key(self) -> tuple:
+        return (self.gammas, self.free_choice_index, self.chosen_sign)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is GammaResolution and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def gamma(self, i: int) -> Rat:
         if i < 1:
@@ -262,23 +289,41 @@ def cofactor_tail_residue(
 # -- the conversion state machine -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Atom:
     """The cofactor tail S_{i,j}, for 0 <= j <= n_i - 2 (S_{i,n_i-1} is 1)."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        self.i, self.j = i, j
+
+    def _key(self) -> tuple:
+        return (self.i, self.j)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _Atom and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class _Record:
     """scalar x^{xexp/den} (product of atoms) z_z, with den the running
     denominator of the conversion that holds it, so xexp is an int."""
 
-    scalar: Rat
-    xexp: int
-    atoms: Tuple[_Atom, ...]
-    z: Optional[int]
+    __slots__ = ("scalar", "xexp", "atoms", "z")
+
+    def __init__(self, scalar: Rat, xexp: int, atoms: Tuple[_Atom, ...], z: Optional[int]):
+        self.scalar, self.xexp, self.atoms, self.z = scalar, xexp, atoms, z
+
+    def _key(self) -> tuple:
+        return (self.scalar, self.xexp, self.atoms, self.z)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _Record and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 # Records (remainder plus deviation store) a conversion may hold.  Every

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import Rat
@@ -240,10 +239,15 @@ def sample_element(
             return element
 
 
-@dataclass
 class SampleReport:
-    trials: int
-    violations: List[dict] = field(default_factory=list)
+    """A sampled check: its trial count and the violations it found, which
+    the check appends to."""
+
+    __slots__ = ("trials", "violations")
+
+    def __init__(self, trials: int, violations: Optional[List[dict]] = None):
+        self.trials = trials
+        self.violations: List[dict] = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -319,10 +323,20 @@ def compatibility_check(
 # -- round trip ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RoundtripReport:
-    trials: int
-    mismatches: Tuple[str, ...]
+    __slots__ = ("trials", "mismatches")
+
+    def __init__(self, trials: int, mismatches: Tuple[str, ...]):
+        self.trials, self.mismatches = trials, mismatches
+
+    def _key(self) -> tuple:
+        return (self.trials, self.mismatches)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is RoundtripReport and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def ok(self) -> bool:

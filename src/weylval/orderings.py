@@ -17,7 +17,6 @@ ordering axioms this sign must satisfy are sampled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from .descriptor import OmegaDescriptor, basis_slot
@@ -27,7 +26,6 @@ from .extension import free_step
 from .weyl import WeylElement, WeylFraction
 
 
-@dataclass(frozen=True)
 class OrderingDescriptor:
     """A character on the 2-torsion basis: one sign per basis slot.
 
@@ -37,18 +35,32 @@ class OrderingDescriptor:
     irrational slot of rank-two groups.  Signs of absent slots stay +1.
     """
 
-    omega_index: Optional[int] = None
-    terminal: bool = False
-    omega_sign: int = 1
-    terminal_sign: int = 1
+    __slots__ = ("omega_index", "terminal", "omega_sign", "terminal_sign")
 
-    def __post_init__(self) -> None:
-        if self.omega_sign not in (-1, 1) or self.terminal_sign not in (-1, 1):
+    def __init__(
+        self,
+        omega_index: Optional[int] = None,
+        terminal: bool = False,
+        omega_sign: int = 1,
+        terminal_sign: int = 1,
+    ):
+        if omega_sign not in (-1, 1) or terminal_sign not in (-1, 1):
             raise DeclarationInconsistent("ordering signs must be +1 or -1")
-        if self.omega_index is None and self.omega_sign != 1:
+        if omega_index is None and omega_sign != 1:
             raise DeclarationInconsistent("no omega slot to carry a -1 sign")
-        if not self.terminal and self.terminal_sign != 1:
+        if not terminal and terminal_sign != 1:
             raise DeclarationInconsistent("no terminal slot to carry a -1 sign")
+        self.omega_index, self.terminal = omega_index, terminal
+        self.omega_sign, self.terminal_sign = omega_sign, terminal_sign
+
+    def _key(self) -> tuple:
+        return (self.omega_index, self.terminal, self.omega_sign, self.terminal_sign)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is OrderingDescriptor and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def character(self, eps_omega: int, eps_terminal: int) -> int:
         """Character value on a vector given by its two basis parities."""
@@ -95,13 +107,23 @@ def sign(
     return Valuation(desc, depth_limit).sign(ordering, element)
 
 
-@dataclass(frozen=True)
 class ExtensionResult:
     """Extension data for one ordering: the forced root sign, if any, and
     the unique compatible ordering on the extension ring."""
 
-    sign_choice: Optional[int]
-    ordering: OrderingDescriptor
+    __slots__ = ("sign_choice", "ordering")
+
+    def __init__(self, sign_choice: Optional[int], ordering: OrderingDescriptor):
+        self.sign_choice, self.ordering = sign_choice, ordering
+
+    def _key(self) -> tuple:
+        return (self.sign_choice, self.ordering)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ExtensionResult and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def extend_ordering(desc: OmegaDescriptor, ordering: OrderingDescriptor) -> ExtensionResult:

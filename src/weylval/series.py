@@ -17,7 +17,6 @@ attained once, as in MacLane's key-polynomial expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coeff import Rat, format_rat, parse_rat
@@ -35,12 +34,21 @@ from .weyl import WeylElement
 # -- Puiseux series ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PuiseuxSeries:
     """Sum of c * x^{-q} with strictly increasing q; exact below known_up_to."""
 
-    terms: Tuple[Tuple[Rat, Rat], ...]
-    known_up_to: Optional[Rat] = None
+    __slots__ = ("terms", "known_up_to")
+
+    def __init__(self, terms: Tuple[Tuple[Rat, Rat], ...], known_up_to: Optional[Rat] = None):
+        self.terms, self.known_up_to = terms, known_up_to
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is PuiseuxSeries and (self.terms, self.known_up_to) == (
+            other.terms, other.known_up_to
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.known_up_to))
 
     @staticmethod
     def make(
@@ -160,11 +168,19 @@ def _product_horizon(lead_f, bound_f, lead_g, bound_g):
 # -- Ore polynomials ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class OrePoly:
     """Sum p_i(x) * t^i over Puiseux coefficients, with t p = p t + p'."""
 
-    coeffs: Tuple[PuiseuxSeries, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Tuple[PuiseuxSeries, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is OrePoly and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @staticmethod
     def make(coeffs: Sequence[PuiseuxSeries]) -> "OrePoly":
@@ -357,20 +373,37 @@ def embed(element: WeylElement) -> OrePoly:
 # -- z-sequences --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ZTerminal:
     """v(z_k) is this irrational value for the last index k."""
 
-    value: ValueGroupElement
+    __slots__ = ("value",)
+
+    def __init__(self, value: ValueGroupElement):
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ZTerminal and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
 
-@dataclass(frozen=True)
 class ZRule:
     """Entries continue forever along entry_fn; r_i increases to `limit`."""
 
-    name: str
-    entry_fn: Callable[[int], Tuple[Rat, Rat]]
-    limit: Rat
+    __slots__ = ("name", "entry_fn", "limit")
+
+    def __init__(self, name: str, entry_fn: Callable[[int], Tuple[Rat, Rat]], limit: Rat):
+        self.name, self.entry_fn, self.limit = name, entry_fn, limit
+
+    def _key(self) -> tuple:
+        return (self.name, self.entry_fn, self.limit)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ZRule and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def builtin_z_rule(name: str) -> ZRule:

@@ -12,7 +12,6 @@ keys of the evaluator's level scan (`evaluate._key_cmp`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .coeff import Rat, format_rat, json_int, parse_rat
@@ -35,23 +34,31 @@ def _sign_a_plus_b_sqrt2(a: Rat, b: Rat) -> int:
     return 1 if 2 * b * b > a * a else -1
 
 
-@dataclass(frozen=True)
 class ValueGroupElement:
-    """One value:  q + k_xi*(xi_scale*sqrt(2)) - k_mu*mu."""
+    """One value:  q + k_xi*(xi_scale*sqrt(2)) - k_mu*mu.
 
-    q: Rat = Rat(0)
-    k_xi: int = 0
-    k_mu: int = 0
-    xi_scale: Rat = Rat(1)
+    Immutable by convention, as `WeylElement`; equal fields make equal,
+    equally hashed values.
+    """
 
-    def __post_init__(self):
-        if self.k_xi == 0 and self.xi_scale == 1:
-            return
-        if self.xi_scale <= 0:
-            raise ValueError("xi_scale must be a positive rational")
-        # normalize: elements without an irrational part carry scale 1
-        if self.k_xi == 0:
-            object.__setattr__(self, "xi_scale", Rat(1))
+    __slots__ = ("q", "k_xi", "k_mu", "xi_scale")
+
+    def __init__(self, q: Rat = Rat(0), k_xi: int = 0, k_mu: int = 0, xi_scale: Rat = Rat(1)):
+        if k_xi or xi_scale != 1:
+            if xi_scale <= 0:
+                raise ValueError("xi_scale must be a positive rational")
+            # normalize: elements without an irrational part carry scale 1
+            if not k_xi:
+                xi_scale = Rat(1)
+        self.q, self.k_xi, self.k_mu, self.xi_scale = q, k_xi, k_mu, xi_scale
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ValueGroupElement and (
+            self.q, self.k_xi, self.k_mu, self.xi_scale
+        ) == (other.q, other.k_xi, other.k_mu, other.xi_scale)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.k_xi, self.k_mu, self.xi_scale))
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylval import (
-    BudgetExceeded, ParseError, Rat, WeylElement, WeylvalError, format_expr, parse_expr,
-    sample_element,
+    BudgetExceeded, ParseError, Rat, WeylElement, WeylvalError, eval_element, format_expr,
+    parse_expr, sample_element,
 )
-from weylval.expr import EXPR_WORK_BUDGET, _normal_form, _Parser
+from weylval.expr import EXPR_WORK_BUDGET, _normal_form, _Parser, _product_work
 
 
 def elem(terms):
@@ -108,6 +108,39 @@ class TestPowerBudget:
         base = elem({(1, 0): 1, (0, 0): 1})
         assert parse_expr("(x+1)^300") == base.pow(300)
         assert parse_expr("2^4000000") == WeylElement.scalar(Rat(2) ** 4000000)
+
+
+class TestProductBudget:
+    def test_over_budget_raises_before_multiplying(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the product was computed")
+
+        monkeypatch.setattr(WeylElement, "mul", refuse)
+        with pytest.raises(BudgetExceeded, match="product at position 8 needs 2968829688 work units"):
+            parse_expr("y^100000*x^100000")
+
+    def test_under_budget_products_as_before(self, halving):
+        product = parse_expr("y^2000*x^2000")
+        assert product == WeylElement.monomial(0, 2000).mul(WeylElement.monomial(2000, 0))
+        assert eval_element(halving, product).q == -1000
+
+    def test_printed_normal_forms_are_not_charged(self):
+        assert parse_expr("x^100000*y^100000") == elem({(100000, 100000): 1})
+
+    def test_bounds_the_leibniz_terms(self):
+        """Each term pair x^a y^b, x^c y^d makes min(b, c) + 1 Leibniz terms,
+        b + 1 when c < 0; the estimate counts at least that many."""
+        rng = random.Random(5)
+        for _ in range(200):
+            left, right = sample_element(rng, max_degree=6), sample_element(rng, max_degree=6)
+            if rng.random() < 0.3:
+                right = right.mul(WeylElement.monomial(-rng.randint(1, 4), 0))
+            terms = sum(
+                (b if c < 0 else min(b, c)) + 1
+                for (_, b) in left.terms
+                for (c, _) in right.terms
+            )
+            assert terms <= _product_work(left, right)
 
 
 class TestRoundtrip:
