@@ -131,8 +131,8 @@ def v2(value: Rat | int) -> int:
     return (p & -p).bit_length() - (q & -q).bit_length()
 
 
-def sgn(value: Rat) -> int:
-    """Sign of a rational as -1, 0, or 1."""
-    if value < 0:
-        return -1
-    return 1 if value > 0 else 0
+def sgn(value: Rat | int) -> int:
+    """Sign of a rational or int as -1, 0, or 1, read off its numerator, as
+    a Fraction keeps its sign there: no Fraction comparison is made."""
+    p = value.numerator
+    return (p > 0) - (p < 0)

@@ -168,6 +168,15 @@ class OmegaDescriptor:
         # value classes (p, j) of the least-weight stage, built by
         # evaluate._least_class: at most 2 n_1
         self._classes: Dict[Tuple[int, int], tuple] = {}
+        # what each evaluation session reads again: the int key of v(w_i)
+        # with the step it counts against the depth limit, keyed by i
+        # (Valuation.gen_key); the y-degrees 1, n_1, n_1 n_2, ... of
+        # w_0, w_1, w_2, ..., a prefix grown as far as one call asks
+        # (evaluate._divisor_degrees); and the compatible orderings
+        # (orderings.enumerate_orderings)
+        self._gen_keys: Dict[int, Tuple[int, Tuple[int, int, int]]] = {}
+        self._degrees: List[int] = [1]
+        self._orderings: Optional[tuple] = None
         if isinstance(tail, IrrationalTerminal):
             t = tail.value
             if t.k_xi == 0 or t.k_mu != 0:

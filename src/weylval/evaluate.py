@@ -3,10 +3,12 @@
 `Valuation(desc, depth_limit)` is the way into the evaluator: a session that
 computes each element's leading data once and reads value, residue and every
 ordering's sign from it.  The free functions open a session per call.  A
-session memoizes only what its traffic re-reads: generator keys, commutators
-and leading data (`Valuation` says why).  Sorts are recomputed, and word keys
-are not stored: a digit pool's words carry theirs from the digit recursion,
-and only the words of a level that does not certify are keyed again.
+session memoizes only what its traffic re-reads: commutators and leading
+data; the generator keys, like every other table that depends on the
+descriptor alone, are kept on the descriptor (`Valuation` says why).  Sorts
+are recomputed, and word keys are not stored: a digit pool's words carry
+theirs from the digit recursion, and only the words of a level that does
+not certify are keyed again.
 
 An element is first read on its own terms (`_least_monomials`): weighed by
 -i + j v(y), its least-weight terms give v(F) at once, with no division,
@@ -45,7 +47,7 @@ from .descriptor import (
     OmegaDescriptor, alpha, data_window, digit_walk, omega_element, pair_data, tower_row,
 )
 from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue, WeylvalError
-from .valuegroup import INFINITY, Value, ValueGroupElement, _sign_a_plus_b_sqrt2
+from .valuegroup import INFINITY, _ONE, Value, ValueGroupElement, _rational, _sign_a_plus_b_sqrt2
 from .weyl import Rows, WeylElement, WeylFraction, _add_shifted
 
 if TYPE_CHECKING:
@@ -174,34 +176,33 @@ class Valuation:
     `key_value(gen_key(i))`, the same value rebuilt from its key, and keeps
     its own `ValueGroupElement` arithmetic.
 
-    The session memoizes only what its traffic re-reads: `_gen_keys`, as
-    every digit pool, every division in it, every leaf row that holds y and
-    every word key reads generator keys (1,081 of 1,825 lookups hit over the
-    90 ops of 3 seed-1 rounds of bench `tower`; over the 1,600 ops of 40
-    seed-1 rounds of bench `query` every element certifies on its own
-    least-weight terms, which read v(y) and the deepest divisor's value once
-    per session, and none of 9,075 lookups hits);
-    `_commutators`, as nested commutators recurse into the same pairs
-    (1,249 of 2,336 lookups hit over the tests); and `_elements`, as the
-    CLI's `sign` reads every ordering from one session.  Word keys and
-    sorts are not memoized: a query certifies its first level in one pass,
-    so no word is keyed or sorted twice, and a lookup would hash the whole
-    word, which costs about as much as summing its key.
+    The session memoizes only what its traffic re-reads: `_commutators`,
+    as nested commutators recurse into the same pairs (1,249 of 2,336
+    lookups hit over the tests), and `_elements`, as the CLI's `sign` reads
+    every ordering from one session.  Word keys and sorts are not memoized:
+    a query certifies its first level in one pass, so no word is keyed or
+    sorted twice, and a lookup would hash the whole word, which costs about
+    as much as summing its key.
 
     What depends on the descriptor alone is kept on the descriptor, where
     every session reads it: the tower elements and their rows, the digit
-    walks, the data window and the least-weight stage's value classes
-    (`_least_class`).  The repeats there come from different elements, and
-    sessions, that share a value class: over the same 1,600 `query` ops,
-    5,738 of 5,760 class lookups hit, and 22 classes serve all five
-    descriptors.
+    walks, the data window, the least-weight stage's value classes
+    (`_least_class`), the generator keys (`gen_key`), the divisor degrees
+    (`_divisor_degrees`) and the orderings (`orderings.enumerate_orderings`).
+    The repeats there come from different elements and sessions: the bench
+    opens 1 + #orderings sessions for each `query` op, and over the 1,600
+    ops of 40 seed-1 rounds, 9,064 of 9,075 generator key lookups hit (11
+    keys serve all five descriptors, where no session-kept key was read
+    twice), as do 5,738 of 5,760 class lookups (22 classes); over the 90
+    ops of 3 seed-1 rounds of bench `tower`, whose digit pools, divisions,
+    leaf rows and word keys read keys again, 1,816 of 1,825 key lookups
+    hit, against 1,081 when each session kept its own.
     """
 
     def __init__(self, desc: OmegaDescriptor, depth_limit: int = 64):
         self.desc = desc
         self.depth_limit = depth_limit
-        self.scale = desc.terminal.value.xi_scale if desc.terminal else Rat(1)
-        self._gen_keys: Dict[int, Key] = {}
+        self.scale = desc.terminal.value.xi_scale if desc.terminal else _ONE
         self._commutators: Dict[tuple, Tuple[Emission, ...]] = {}
         self._elements: Dict[WeylElement, LeadingData] = {}
 
@@ -229,9 +230,11 @@ class Valuation:
         value = _quotient_value(num, den)
         if value is INFINITY or not value.is_zero():
             raise NonzeroValue(f"element has value {value}, not 0")
-        # equal values share their canonical representative, which cancels;
         # the representative of value 0 is the empty word, so over 1 the
         # relative residue is already the absolute one
+        if den is _UNIT_LEADING:
+            return num.lam
+        # equal values share their canonical representative, which cancels
         assert num.ref == den.ref
         return num.lam / den.lam
 
@@ -245,32 +248,34 @@ class Valuation:
         if num.value is INFINITY:
             raise NonzeroRequired("the zero element has no sign")
         assert num.lam and den.lam
-        return sgn(num.lam * den.lam) * ordering.character(
+        return sgn(num.lam) * sgn(den.lam) * ordering.character(
             num.eps_basis + den.eps_basis, num.eps_terminal + den.eps_terminal
         )
 
     def gen_key(self, i: int) -> Key:
-        """The key of v(w_i), read once; step i + 1 counts against the depth
-        limit, or step i when w_i carries the terminal value."""
-        key = self._gen_keys.get(i)
-        if key is None:
-            step = i if i == self.desc.terminal_index else i + 1
-            if i >= 0 and step > self.depth_limit:
-                raise DepthExceeded(
-                    f"depth limit {self.depth_limit} exceeded at step {step}",
-                    consulted=step,
-                )
-            if 0 <= i < step and (pair := self.desc.step(step)).n >= 1:
+        """The key of v(w_i); step i + 1 counts against the depth limit, or
+        step i when w_i carries the terminal value, on every call and before
+        the step is read.  The key is read once per descriptor, and kept
+        there with its step; a read that raises is not kept."""
+        desc = self.desc
+        entry = desc._gen_keys.get(i)
+        step = entry[0] if entry else (i if i == desc.terminal_index else i + 1)
+        if i >= 0 and step > self.depth_limit:
+            raise DepthExceeded(
+                f"depth limit {self.depth_limit} exceeded at step {step}",
+                consulted=step,
+            )
+        if entry is None:
+            if 0 <= i < step and (pair := desc.step(step)).n >= 1:
                 # m/n straight off the step, as `generator_value` builds two
-                # Fractions and a ValueGroupElement and a session misses once
-                # on each generator it reads; it still reads x, the terminal
-                # and any step that `validate` would refuse
+                # Fractions and a ValueGroupElement; it still reads x, the
+                # terminal and any step that `validate` would refuse
                 key = (pair.m, pair.n, 0)
             else:
-                value = self.desc.generator_value(i)
+                value = desc.generator_value(i)
                 key = (value.q.numerator, value.q.denominator, value.k_xi)
-            self._gen_keys[i] = key
-        return key
+            entry = desc._gen_keys[i] = (step, key)
+        return entry[1]
 
     def word_key(self, word: Word) -> Key:
         """The key of v(word), summed over its generator powers; sum-inverse
@@ -283,7 +288,9 @@ class Valuation:
 
     def key_value(self, key: Key) -> ValueGroupElement:
         num, den, k_xi = key
-        return ValueGroupElement(Rat(num, den), k_xi, 0, self.scale)
+        if k_xi:
+            return ValueGroupElement(Rat(num, den), k_xi, 0, self.scale)
+        return _rational(Rat(num, den))
 
 
 # -- kernel residue map rho -----------------------------------------------------
@@ -663,8 +670,9 @@ _UNIT_LEADING = LeadingData(_ZERO_VALUE, Rat(1), (), 0, 0)
 
 
 def _quotient_value(num: LeadingData, den: LeadingData) -> Value:
-    if num.value is INFINITY:
-        return INFINITY
+    # a plain element is read over the unit, whose value 0 takes nothing away
+    if den is _UNIT_LEADING or num.value is INFINITY:
+        return num.value
     return num.value.sub(den.value)
 
 
@@ -792,20 +800,23 @@ def _least_weight(rows: Rows, y_key: Key) -> Key:
 def _divisor_degrees(ctx: Valuation, deg_y: int) -> List[int]:
     """The y-degrees n_1, n_1 n_2, ... of the divisors w_1 .. w_K that the
     digit expansion of an element of y-degree deg_y divides by: every one
-    up to deg_y, with K capped at the deepest divisor (`_DigitPool`)."""
+    up to deg_y, with K capped at the deepest divisor (`_DigitPool`) and at
+    the depth limit.
+
+    The degrees are a slice of one prefix kept on the descriptor, which
+    grows only as far as a call asks: to its cap, or to the first degree
+    above deg_y.  With every n_i nonzero, as `validate` asks, the degrees
+    never fall, so a bisection finds the slice, as the pool's does.
+    """
     desc = ctx.desc
     max_index = ctx.depth_limit
     if desc.rule is None:
         top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
         max_index = min(max_index, top)
-    degrees: List[int] = []
-    d_index = 1
-    while len(degrees) < max_index:
-        d_index *= abs(desc.step(len(degrees) + 1).n)
-        if d_index > deg_y:
-            break
-        degrees.append(d_index)
-    return degrees
+    degrees = desc._degrees  # 1, n_1, n_1 n_2, ...: entry k is the degree of w_k
+    while len(degrees) <= max_index and degrees[-1] <= deg_y:
+        degrees.append(degrees[-1] * abs(desc.step(len(degrees)).n))
+    return degrees[1:bisect_right(degrees, deg_y, 1, max(1, min(max_index + 1, len(degrees))))]
 
 
 class _DigitPool:

@@ -10,8 +10,9 @@ Grammar (no juxtaposition; ^ binds tighter than *; * preserves written order):
 
 NUMBER is an integer or p/q rational literal.  Exponents must be nonnegative
 integers.  The printer in `weyl.WeylElement.__str__` emits this grammar, so
-parse/print round-trips.  A power or a product whose estimated cost is
-above EXPR_WORK_BUDGET raises BudgetExceeded before it is computed.
+parse/print round-trips.  The estimated costs of an expression's powers
+and products add up, and the first one that takes the total above
+EXPR_WORK_BUDGET raises BudgetExceeded before it is computed.
 
 The texts the CLI and the benchmark hand to `parse_expr` are mostly printed
 normal forms: an optional leading '-', then terms joined by '+' or '-', each
@@ -32,16 +33,21 @@ from .coeff import parse_rat
 from .errors import BudgetExceeded, ParseError
 from .weyl import Rows, WeylElement, _element
 
-# Work units one power in an expression may cost: the term pairs that
-# `WeylElement.pow`'s linear loop hands to the product kernel, each weighed
-# by the 64-bit words of the result's coefficients, plus those coefficients'
-# bits.  On a 2-vCPU Xeon, (x+1)^600 costs 3,606,600 units and parses in
-# 0.1 s; (x+1)^2000 would cost 128 million and take 1.6 s, and 3^99999999
-# would build a 158-million-bit integer.  A power of c x^i or c y^j makes no pairs, so
+# Work units the powers and products of one expression may cost together.
+# A power is charged the term pairs that `WeylElement.pow`'s linear loop
+# hands to the product kernel, each weighed by the 64-bit words of the
+# result's coefficients, plus those coefficients' bits.  On a 2-vCPU Xeon,
+# (x+1)^600 costs 3,606,600 units and parses in 0.1 s; (x+1)^2000 would cost
+# 128 million and take 1.6 s, and 3^99999999 would build a 158-million-bit
+# integer.  A power of c x^i or c y^j makes no pairs, so
 # x^100000000000000000000 costs nothing.  A product is charged the same way
-# (`_product_work`): y^4000*x^4000 costs 3,504,876 units, and y^100000*x^100000,
-# which would run out of memory, 2,968,829,688.  The normal-form path computes no
-# powers and no products, so it never checks the budget.
+# (`_product_work`): y^4000*x^4000 costs 3,504,876 units, and
+# y^100000*x^100000, which would run out of memory, 2,968,829,688.  The
+# charges of one expression add up (`_Parser.charge`), so a long text of
+# cheap operations is bounded too: (x+1)^600 parses, and (x+1)^600 +
+# (x+1)^600 is refused before its second power is computed.  The
+# normal-form path computes no powers and no products, so it never checks
+# the budget.
 EXPR_WORK_BUDGET = 1 << 22
 
 
@@ -130,6 +136,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.work = 0  # work units charged so far, by `charge`
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -138,6 +145,17 @@ class _Parser:
         token = self.tokens[self.index]
         self.index += 1
         return token
+
+    def charge(self, what: str, pos: int, work: int) -> None:
+        """Add one operation's work units to the expression's total, and
+        refuse it, naming its position, when the total passes the budget."""
+        self.work += work
+        if self.work > EXPR_WORK_BUDGET:
+            earlier = "" if self.work == work else f", {self.work} with the earlier operations"
+            raise BudgetExceeded(
+                f"{what} at position {pos} needs {work} work units{earlier}, "
+                f"above the budget of {EXPR_WORK_BUDGET}"
+            )
 
     def expect_op(self, op: str) -> None:
         token = self.take()
@@ -164,12 +182,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text == "*":
             token = self.take()
             right = self.factor()
-            work = _product_work(result, right)
-            if work > EXPR_WORK_BUDGET:
-                raise BudgetExceeded(
-                    f"product at position {token.pos} needs {work} work units, "
-                    f"above the budget of {EXPR_WORK_BUDGET}"
-                )
+            self.charge("product", token.pos, _product_work(result, right))
             result = result.mul(right)
         return result
 
@@ -192,12 +205,7 @@ class _Parser:
                     f"exponent must be a nonnegative integer at position {token.pos}"
                 )
             n = int(exponent)
-            work = _power_work(base, n)
-            if work > EXPR_WORK_BUDGET:
-                raise BudgetExceeded(
-                    f"power {n} at position {token.pos} needs {work} work units, "
-                    f"above the budget of {EXPR_WORK_BUDGET}"
-                )
+            self.charge(f"power {n}", token.pos, _power_work(base, n))
             base = base.pow(n)
         return base
 

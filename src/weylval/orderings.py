@@ -84,17 +84,25 @@ class OrderingDescriptor:
 
 
 def enumerate_orderings(desc: OmegaDescriptor) -> List[OrderingDescriptor]:
-    """All orderings compatible with the descriptor's valuation: 1, 2, or 4."""
-    slot = basis_slot(desc)
-    omega_index = None if slot is None else slot[1] - 1
-    has_terminal = desc.terminal is not None
-    omega_choices = (1, -1) if slot is not None else (1,)
-    terminal_choices = (1, -1) if has_terminal else (1,)
-    return [
-        OrderingDescriptor(omega_index, has_terminal, s_o, s_t)
-        for s_o in omega_choices
-        for s_t in terminal_choices
-    ]
+    """All orderings compatible with the descriptor's valuation: 1, 2, or 4.
+
+    They depend on the descriptor alone, so they are found once and kept
+    there, and each call returns a new list of them; a search that raises
+    is not kept, and raises on every call.
+    """
+    orderings = desc._orderings
+    if orderings is None:
+        slot = basis_slot(desc)
+        omega_index = None if slot is None else slot[1] - 1
+        has_terminal = desc.terminal is not None
+        omega_choices = (1, -1) if slot is not None else (1,)
+        terminal_choices = (1, -1) if has_terminal else (1,)
+        orderings = desc._orderings = tuple(
+            OrderingDescriptor(omega_index, has_terminal, s_o, s_t)
+            for s_o in omega_choices
+            for s_t in terminal_choices
+        )
+    return list(orderings)
 
 
 def sign(

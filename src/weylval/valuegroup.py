@@ -161,7 +161,18 @@ class ValueGroupElement:
 
     @classmethod
     def rational(cls, q) -> "ValueGroupElement":
-        return cls(Rat(q))
+        return _rational(Rat(q))
+
+
+_ONE = Rat(1)
+
+
+def _rational(q: Rat) -> ValueGroupElement:
+    """The value q of a Rat, with no sqrt(2) or mu part: built without
+    `__init__`, whose scale check such a value never needs."""
+    out = object.__new__(ValueGroupElement)
+    out.q, out.k_xi, out.k_mu, out.xi_scale = q, 0, 0, _ONE
+    return out
 
 
 class VInfinity:

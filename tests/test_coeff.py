@@ -113,3 +113,10 @@ class TestTwoAdic:
         assert sgn(Rat(3, 7)) == 1
         assert sgn(Rat(-2)) == -1
         assert sgn(Rat(0)) == 0
+
+    def test_sgn_reads_ints_and_rationals_off_the_numerator(self):
+        cases = [(7, 1), (-3, -1), (0, 0), (Rat(0), 0), (Rat(-10**60, 7), -1),
+                 (Rat(1, 10**60), 1), (Rat(-5, 3), -1)]
+        for value, want in cases:
+            got = sgn(value)
+            assert got == want and type(got) is int

@@ -532,6 +532,119 @@ class TestDescriptorTables:
         assert answers(lambda: unbounded) == want
         assert kept(unbounded) > budget
 
+    def test_session_tables_warmed_deep_keep_every_shallow_read(self):
+        # a depth-64 session fills the generator keys, the divisor degrees
+        # and the orderings kept on the descriptor; every value, residue and
+        # sign at depth limits 0-3, answer or refusal, is then a fresh
+        # descriptor's, as the depth check runs on every call
+        rng = random.Random(38)
+        datas = [FIXTURE_JSONS[name] for name in FIXTURE_NAMES]
+        datas += [random_valid_descriptor(rng).to_json() for _ in range(100)]
+        batch = [WeylElement.monomial(i, j) for i in range(3) for j in range(5)]
+        batch += [X.mul(Y).add(Y.pow(3)), Y.pow(2).add(X), Y.pow(9),
+                  WeylFraction(Y.pow(2), Y), WeylFraction(X, X.mul(Y))]
+
+        def reads(desc, depth, elements):
+            session = Valuation(desc, depth)
+            orderings = _outcome(enumerate_orderings, desc)
+            out = [orderings]
+            for f in elements:
+                out += [_outcome(session.value, f), _outcome(session.residue, f)]
+                if orderings[0] == "ok":
+                    out += [_outcome(session.sign, o, f) for o in orderings[1]]
+            return out
+
+        kinds = set()
+        for data in datas:
+            warm = OmegaDescriptor.from_json(data)
+            elements = batch + [w.mul(Y) for w in tower_elements(warm, 1)]
+            reads(warm, 64, elements)
+            assert warm._gen_keys and warm._orderings is not None
+            for depth in range(4):
+                got = reads(warm, depth, elements)
+                assert got == reads(OmegaDescriptor.from_json(data), depth, elements)
+                kinds.update(read[0] for read in got)
+        assert {"ok", "DepthExceeded", "NonzeroValue"} <= kinds
+        warm = OmegaDescriptor.from_json(FIXTURE_JSONS["halving"])
+        reads(warm, 64, batch)
+        with pytest.raises(DepthExceeded) as info:
+            Valuation(warm, 0).value(Y)
+        assert info.value.consulted == 1
+
+    def test_a_depth_refusal_reads_no_step(self):
+        # the depth check comes before the key is read, and a refused read
+        # keeps nothing
+        desc = OmegaDescriptor.from_json(FIXTURE_JSONS["halving"])
+        with pytest.raises(DepthExceeded) as info:
+            Valuation(desc, 2).gen_key(5)
+        assert info.value.consulted == 6
+        assert not desc._cache and 5 not in desc._gen_keys
+        assert Valuation(desc, 6).gen_key(5) == (1, 64, 0)
+        assert desc._gen_keys[5] == (6, (1, 64, 0))
+        with pytest.raises(DepthExceeded):
+            Valuation(desc, 5).gen_key(5)
+
+    def test_divisor_degrees_are_the_step_walk(self):
+        # the slices of the kept prefix equal the per-call walk over the
+        # steps, on one descriptor read at every depth limit and y-degree in
+        # shuffled order
+
+        def walk(desc, depth_limit, deg_y):
+            max_index = depth_limit
+            if desc.rule is None:
+                top = len(desc.explicit_steps) if desc.terminal else len(desc.explicit_steps) - 1
+                max_index = min(max_index, top)
+            degrees, d_index = [], 1
+            while len(degrees) < max_index:
+                d_index *= abs(desc.step(len(degrees) + 1).n)
+                if d_index > deg_y:
+                    break
+                degrees.append(d_index)
+            return degrees
+
+        rng = random.Random(381)
+        descs = [OmegaDescriptor.from_json(FIXTURE_JSONS[name]) for name in FIXTURE_NAMES]
+        descs += [random_valid_descriptor(rng) for _ in range(40)]
+        cases = [(depth, deg_y) for depth in [*range(9), 64] for deg_y in range(301)]
+        lengths = set()
+        for desc in descs:
+            rng.shuffle(cases)
+            for depth, deg_y in cases:
+                got = evaluate._divisor_degrees(Valuation(desc, depth), deg_y)
+                assert got == walk(desc, depth, deg_y)
+                lengths.add(len(got))
+        assert {0, 1, 2, 3} <= lengths
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_orderings_are_a_new_list_on_each_call(self, name):
+        desc = OmegaDescriptor.from_json(FIXTURE_JSONS[name])
+        first = enumerate_orderings(desc)
+        second = enumerate_orderings(desc)
+        assert first == second and first is not second
+        first.clear()
+        assert enumerate_orderings(desc) == second and len(second) in (1, 2, 4)
+
+    def test_orderings_past_the_window_budget_refuse_on_every_call(self):
+        # n_1 = 2^4000 over halving puts the data window past its budget,
+        # which a 2-divisible group never reads: its one ordering comes
+        # back on every call; a stored sign on (1, 70) over constant(1,3,1)
+        # puts the window past it too, and its slot needs the window, so
+        # every call raises and nothing is kept
+        deep = OmegaDescriptor.from_json({"steps": [{"m": 1, "n": 2**4000, "beta": "1"}],
+                                          "tail": {"kind": "rule", "rule": "halving"}})
+        for _ in range(3):
+            (only,) = enumerate_orderings(deep)
+            assert only.omega_index is None and not only.terminal
+        assert deep._window is None
+        far = OmegaDescriptor.from_json({"steps": [],
+                                         "tail": {"kind": "rule", "rule": "constant(1,3,1)"},
+                                         "alpha_signs": [{"i": 1, "j": 70, "sign": 1}]})
+        refusal = ("BudgetExceeded", "the data window reaches step 71, more than the budget "
+                   "of 64 rule steps past the explicit ones", None)
+        for _ in range(3):
+            assert _outcome(enumerate_orderings, far) == refusal
+        assert far._orderings is None and far._window is None
+
 
 class TestSession:
     @pytest.mark.parametrize(

@@ -143,6 +143,37 @@ class TestProductBudget:
             assert terms <= _product_work(left, right)
 
 
+class TestExpressionBudget:
+    def test_the_operations_of_one_expression_share_the_budget(self, monkeypatch):
+        # (x+1)^600 fits the budget on its own; a second one added to it
+        # takes the expression's total past the budget, and is refused
+        # before it is computed
+        single = parse_expr("(x+1)^600")
+        assert single == elem({(1, 0): 1, (0, 0): 1}).pow(600)
+        powers = []
+        pow_ = WeylElement.pow
+        monkeypatch.setattr(WeylElement, "pow", lambda self, n: powers.append(n) or pow_(self, n))
+        with pytest.raises(BudgetExceeded) as info:
+            parse_expr("(x+1)^600 + (x+1)^600")
+        assert powers == [600]
+        assert str(info.value) == (
+            "power 600 at position 18 needs 3606600 work units, 7213200 with the earlier "
+            "operations, above the budget of 4194304")
+
+    def test_products_and_powers_are_charged_together(self):
+        # y^4000*x^4000 and (x+1)^600 each fit; the product's charge after
+        # the power's passes the budget
+        parse_expr("y^4000*x^4000")
+        with pytest.raises(
+            BudgetExceeded, match="product at position 18 needs 3504876 work units, 7111476 with"
+        ):
+            parse_expr("(x+1)^600 + y^4000*x^4000")
+
+    def test_normal_forms_are_not_charged_however_long(self):
+        text = " + ".join(f"x^100000*y^{k}" for k in range(1, 201))
+        assert parse_expr(text) == WeylElement({(100000, k): Rat(1) for k in range(1, 201)})
+
+
 class TestRoundtrip:
     def test_examples(self):
         for text in ["x*y^2 + 2*y", "x^2*y^4 + 2*x*y^3 - 2*x*y^2 + 1", "0"]:
