@@ -11,13 +11,13 @@ samplers behind the axiom checks; the CLI's check subcommands run them.
 computes each element's leading data once and reads from it the value, the
 residue, and the sign under every compatible ordering.
 
-Record types (`ValueGroupElement`, `OrderingDescriptor`, `PuiseuxSeries`,
-...) are plain classes with `__slots__` and a hand-written `__init__`,
-immutable by convention as `WeylElement` is; the frozen ones compare and
-hash by their fields.  They are not `dataclasses`: the CLI runs one command
-per process, and importing `dataclasses` (with `inspect`) and applying its
-decorators made `import weylval` about 3.5 times slower (Python 3.11 on a
-2-vCPU Xeon, median of 25 cold imports: 61 ms with them, 17 ms without).
+Record types (`OmegaStep`, `OrderingDescriptor`, ...) are `__slots__`
+classes with a hand-written `__init__`, derived from `records.Record`, which
+compares, hashes and prints them by their fields.  They are not
+`dataclasses`: the CLI runs one command per process, and importing
+`dataclasses` (with `inspect`) and applying its decorators made
+`import weylval` about 3.5 times slower (Python 3.11 on a 2-vCPU Xeon,
+median of 25 cold imports: 61 ms with them, 17 ms without).
 """
 
 from .coeff import Rat, format_rat, parse_rat

@@ -283,8 +283,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--expr" in argv[:-1]:
+        at = argv.index("--expr")
+        value = argv[at + 1]
+        # argparse reads a value such as "-x*y" as an option; of the parser's
+        # options only -h has a single dash
+        if value[:1] == "-" and value[:2] != "--" and value != "-h":
+            argv[at:at + 2] = [f"--expr={value}"]
+    args = _build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
         report, summary, ok = handler(args)

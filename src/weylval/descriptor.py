@@ -24,26 +24,18 @@ from .errors import (
     ParseError,
     clipped,
 )
+from .records import Record
 from .valuegroup import Value, ValueGroupElement
 from .weyl import Row, WeylElement, _leibniz_row
 
 
-class OmegaStep:
+class OmegaStep(Record):
     """One step (m, n, beta): w_i = x^m w_{i-1}^n - beta."""
 
     __slots__ = ("m", "n", "beta")
 
     def __init__(self, m: int, n: int, beta: Rat):
         self.m, self.n, self.beta = m, n, beta
-
-    def _key(self) -> tuple:
-        return (self.m, self.n, self.beta)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is OmegaStep and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def ratio(self) -> Rat:
         return Rat(self.m, self.n)
@@ -55,7 +47,7 @@ class GroupKind:
     RANK_TWO = "RankTwo"
 
 
-class IrrationalTerminal:
+class IrrationalTerminal(Record):
     """Tail declaring v(w_N) = value, a positive irrational."""
 
     __slots__ = ("value",)
@@ -63,14 +55,8 @@ class IrrationalTerminal:
     def __init__(self, value: ValueGroupElement):
         self.value = value
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is IrrationalTerminal and self.value == other.value
 
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-
-class InfiniteRule:
+class InfiniteRule(Record):
     """Tail generating steps for every index >= 1.
 
     `limit` is the closed-form sum of the step ratios m_i/n_i over every
@@ -89,15 +75,6 @@ class InfiniteRule:
     ):
         self.name, self.step_fn = name, step_fn
         self.declared_kind, self.limit = declared_kind, limit
-
-    def _key(self) -> tuple:
-        return (self.name, self.step_fn, self.declared_kind, self.limit)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is InfiniteRule and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 Tail = Optional[object]  # IrrationalTerminal | InfiniteRule | None
@@ -177,6 +154,11 @@ class OmegaDescriptor:
         self._gen_keys: Dict[int, Tuple[int, Tuple[int, int, int]]] = {}
         self._degrees: List[int] = [1]
         self._orderings: Optional[tuple] = None
+        # the StepShape detail of the first explicit step with n < 1, read
+        # by every evaluation session (evaluate.Valuation)
+        self._n_defect = next(
+            (d for i, s in enumerate(self.explicit_steps, 1) if (d := n_defect(i, s))), None
+        )
         if isinstance(tail, IrrationalTerminal):
             t = tail.value
             if t.k_xi == 0 or t.k_mu != 0:
@@ -321,20 +303,11 @@ class OmegaDescriptor:
 # -- pair data ----------------------------------------------------------------
 
 
-class PairData:
+class PairData(Record):
     __slots__ = ("i", "j", "d", "k_ij", "k_ji")
 
     def __init__(self, i: int, j: int, d: int, k_ij: int, k_ji: int):
         self.i, self.j, self.d, self.k_ij, self.k_ji = i, j, d, k_ij, k_ji
-
-    def _key(self) -> tuple:
-        return (self.i, self.j, self.d, self.k_ij, self.k_ji)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is PairData and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def pair_data(desc: OmegaDescriptor, i: int, j: int) -> PairData:
@@ -662,20 +635,18 @@ def data_window(desc: OmegaDescriptor) -> int:
 # -- validation ----------------------------------------------------------------
 
 
-class Violation:
+class Violation(Record):
     __slots__ = ("rule", "detail")
 
     def __init__(self, rule: str, detail: str):
         self.rule, self.detail = rule, detail
 
-    def _key(self) -> tuple:
-        return (self.rule, self.detail)
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Violation and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+def n_defect(idx: int, step: OmegaStep) -> Optional[str]:
+    """StepShape's detail when step idx has n < 1, else None: `validate`
+    reports it, and `evaluate.Valuation` refuses an explicit such step, as
+    the evaluator divides by n and bisects the y-degrees n_1 n_2 ..."""
+    return f"step {idx}: n must be >= 1" if step.n < 1 else None
 
 
 def validate(desc: OmegaDescriptor) -> List[Violation]:
@@ -690,8 +661,9 @@ def validate(desc: OmegaDescriptor) -> List[Violation]:
     steps = [desc.step(i) for i in range(1, depth + 1)]
 
     for idx, step in enumerate(steps, start=1):
-        if step.n < 1:
-            out.append(Violation("StepShape", f"step {idx}: n must be >= 1"))
+        detail = n_defect(idx, step)
+        if detail:
+            out.append(Violation("StepShape", detail))
             continue
         if math.gcd(abs(step.m), step.n) != 1:
             out.append(

@@ -46,7 +46,11 @@ from .coeff import Rat, nth_root, sgn, v2
 from .descriptor import (
     OmegaDescriptor, alpha, data_window, digit_walk, omega_element, pair_data, tower_row,
 )
-from .errors import BudgetExceeded, DepthExceeded, NonzeroRequired, NonzeroValue, WeylvalError
+from .errors import (
+    BudgetExceeded, DeclarationInconsistent, DepthExceeded, NonzeroRequired, NonzeroValue,
+    WeylvalError,
+)
+from .records import Record
 from .valuegroup import INFINITY, _ONE, Value, ValueGroupElement, _rational, _sign_a_plus_b_sqrt2
 from .weyl import Rows, WeylElement, WeylFraction, _add_shifted
 
@@ -200,6 +204,8 @@ class Valuation:
     """
 
     def __init__(self, desc: OmegaDescriptor, depth_limit: int = 64):
+        if desc._n_defect:
+            raise DeclarationInconsistent(desc._n_defect)
         self.desc = desc
         self.depth_limit = depth_limit
         self.scale = desc.terminal.value.xi_scale if desc.terminal else _ONE
@@ -557,20 +563,11 @@ def _expand_zero(ctx: Valuation, word: Word, res: Rat) -> List[Emission]:
 # -- canonical level representative ---------------------------------------------
 
 
-class CanonicalRef:
+class CanonicalRef(Record):
     __slots__ = ("word", "eps_basis", "eps_terminal")
 
     def __init__(self, word: Word, eps_basis: int, eps_terminal: int):
         self.word, self.eps_basis, self.eps_terminal = word, eps_basis, eps_terminal
-
-    def _key(self) -> tuple:
-        return (self.word, self.eps_basis, self.eps_terminal)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is CanonicalRef and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
@@ -639,7 +636,7 @@ def _canonical_ref(ctx: Valuation, g: Value) -> CanonicalRef:
 # -- the worklist ----------------------------------------------------------------
 
 
-class LeadingData:
+class LeadingData(Record):
     """Certified leading behavior of an element.
 
     value: v(F); lam: residue of F relative to the canonical representative
@@ -654,15 +651,6 @@ class LeadingData:
     ):
         self.value, self.lam, self.ref = value, lam, ref
         self.eps_basis, self.eps_terminal = eps_basis, eps_terminal
-
-    def _key(self) -> tuple:
-        return (self.value, self.lam, self.ref, self.eps_basis, self.eps_terminal)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is LeadingData and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 _ZERO_LEADING = LeadingData(INFINITY, None, (), 0, 0)
@@ -920,8 +908,9 @@ class _DigitPool:
         "work", "keyed",
     )
 
-    def __init__(self, ctx: Valuation, element: WeylElement, degrees: Optional[List[int]] = None):
+    def __init__(self, ctx: Valuation, element: WeylElement, degrees: List[int]):
         self.ctx = ctx
+        self.degrees = degrees
         self.chunks: List[Chunk] = []
         self.tails: List[Tail] = []
         self.refusals: List[DepthExceeded] = []
@@ -930,14 +919,12 @@ class _DigitPool:
         self.least: List[Tuple[Chunk, int, int]] = []
         self.work = 0
         self.keyed: List[Keyed] = []
-        self.degrees: List[int] = []
         self.x_key: Key = ctx.gen_key(-1)
         self.y_key: Optional[Key] = None
         if not element.rows:
             return
         rows = {j: dict(row) for j, row in element.rows.items()}
-        self.degrees = _divisor_degrees(ctx, max(rows)) if degrees is None else degrees
-        if self.degrees:
+        if degrees:
             # a division needs step 1, so v(y) is then read without a refusal
             self.y_key = ctx.gen_key(0)
         self._rec(rows, element.den, (), (0, 1, 0))
@@ -1169,7 +1156,7 @@ def leading_data(session: Valuation, element: WeylElement) -> LeadingData:
     computation runs here, so code that wraps this name (the benchmark's
     tracer) sees each one.
     """
-    degrees = None
+    degrees: List[int] = []
     if element.rows:
         degrees = _divisor_degrees(session, max(element.rows))
         data = _least_monomials(session, element, degrees)

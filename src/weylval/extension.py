@@ -60,6 +60,7 @@ from .errors import (
     SignChoiceForbidden,
     SignChoiceRequired,
 )
+from .records import Record
 from .series import ZSequence, ZTerminal
 from .valuegroup import ValueGroupElement, cmp as value_cmp
 
@@ -67,22 +68,13 @@ from .valuegroup import ValueGroupElement, cmp as value_cmp
 # -- extendability ------------------------------------------------------------------
 
 
-class ExtendViolation:
+class ExtendViolation(Record):
     """Which of the two extension conditions failed, and where."""
 
     __slots__ = ("condition", "indices", "detail")
 
     def __init__(self, condition: int, indices: Tuple[int, ...], detail: str):
         self.condition, self.indices, self.detail = condition, indices, detail
-
-    def _key(self) -> tuple:
-        return (self.condition, self.indices, self.detail)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ExtendViolation and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -140,7 +132,7 @@ def check_extendable(desc: OmegaDescriptor) -> Optional[ExtendViolation]:
 # -- gamma resolution ----------------------------------------------------------------
 
 
-class GammaResolution:
+class GammaResolution(Record):
     """Real roots gamma_i with gamma_i^{n_i} = beta_i, signs pinned by alpha.
 
     `gammas` holds the roots over the data window; `gamma(i)` is the one
@@ -166,14 +158,13 @@ class GammaResolution:
         self.desc = desc
         self.deeper: Dict[int, Rat] = {} if deeper is None else deeper
 
-    def _key(self) -> tuple:
-        return (self.gammas, self.free_choice_index, self.chosen_sign)
-
     def __eq__(self, other: object) -> bool:
-        return type(other) is GammaResolution and self._key() == other._key()
+        return type(other) is GammaResolution and (
+            self.gammas, self.free_choice_index, self.chosen_sign
+        ) == (other.gammas, other.free_choice_index, other.chosen_sign)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.gammas, self.free_choice_index, self.chosen_sign))
 
     def gamma(self, i: int) -> Rat:
         if i < 1:
@@ -289,7 +280,7 @@ def cofactor_tail_residue(
 # -- the conversion state machine -----------------------------------------------------
 
 
-class _Atom:
+class _Atom(Record):
     """The cofactor tail S_{i,j}, for 0 <= j <= n_i - 2 (S_{i,n_i-1} is 1)."""
 
     __slots__ = ("i", "j")
@@ -297,17 +288,8 @@ class _Atom:
     def __init__(self, i: int, j: int):
         self.i, self.j = i, j
 
-    def _key(self) -> tuple:
-        return (self.i, self.j)
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is _Atom and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-class _Record:
+class _Record(Record):
     """scalar x^{xexp/den} (product of atoms) z_z, with den the running
     denominator of the conversion that holds it, so xexp is an int."""
 
@@ -315,15 +297,6 @@ class _Record:
 
     def __init__(self, scalar: Rat, xexp: int, atoms: Tuple[_Atom, ...], z: Optional[int]):
         self.scalar, self.xexp, self.atoms, self.z = scalar, xexp, atoms, z
-
-    def _key(self) -> tuple:
-        return (self.scalar, self.xexp, self.atoms, self.z)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is _Record and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 # Records (remainder plus deviation store) a conversion may hold.  Every

@@ -33,6 +33,7 @@ from .descriptor import OmegaDescriptor
 from .evaluate import Valuation, _rho
 from .extension import GammaResolution, omega_to_z
 from .orderings import OrderingDescriptor
+from .records import Record
 from .series import embed, z_eval
 from .valuegroup import INFINITY, Value, ValueGroupElement, cmp as value_cmp
 from .weyl import WeylElement, commutator
@@ -323,20 +324,11 @@ def compatibility_check(
 # -- round trip ------------------------------------------------------------------------
 
 
-class RoundtripReport:
+class RoundtripReport(Record):
     __slots__ = ("trials", "mismatches")
 
     def __init__(self, trials: int, mismatches: Tuple[str, ...]):
         self.trials, self.mismatches = trials, mismatches
-
-    def _key(self) -> tuple:
-        return (self.trials, self.mismatches)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is RoundtripReport and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def ok(self) -> bool:

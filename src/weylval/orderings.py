@@ -23,10 +23,11 @@ from .descriptor import OmegaDescriptor, basis_slot
 from .errors import DeclarationInconsistent, NotExtendable
 from .evaluate import Valuation
 from .extension import free_step
+from .records import Record
 from .weyl import WeylElement, WeylFraction
 
 
-class OrderingDescriptor:
+class OrderingDescriptor(Record):
     """A character on the 2-torsion basis: one sign per basis slot.
 
     omega_index is the tower index of the maximal-depth generator (-1 means
@@ -52,15 +53,6 @@ class OrderingDescriptor:
             raise DeclarationInconsistent("no terminal slot to carry a -1 sign")
         self.omega_index, self.terminal = omega_index, terminal
         self.omega_sign, self.terminal_sign = omega_sign, terminal_sign
-
-    def _key(self) -> tuple:
-        return (self.omega_index, self.terminal, self.omega_sign, self.terminal_sign)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is OrderingDescriptor and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def character(self, eps_omega: int, eps_terminal: int) -> int:
         """Character value on a vector given by its two basis parities."""
@@ -115,7 +107,7 @@ def sign(
     return Valuation(desc, depth_limit).sign(ordering, element)
 
 
-class ExtensionResult:
+class ExtensionResult(Record):
     """Extension data for one ordering: the forced root sign, if any, and
     the unique compatible ordering on the extension ring."""
 
@@ -123,15 +115,6 @@ class ExtensionResult:
 
     def __init__(self, sign_choice: Optional[int], ordering: OrderingDescriptor):
         self.sign_choice, self.ordering = sign_choice, ordering
-
-    def _key(self) -> tuple:
-        return (self.sign_choice, self.ordering)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ExtensionResult and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def extend_ordering(desc: OmegaDescriptor, ordering: OrderingDescriptor) -> ExtensionResult:

@@ -27,6 +27,7 @@ from .errors import (
     TruncationLoss,
     clipped,
 )
+from .records import Record
 from .valuegroup import INFINITY, Value, ValueGroupElement
 from .weyl import WeylElement
 
@@ -34,21 +35,13 @@ from .weyl import WeylElement
 # -- Puiseux series ---------------------------------------------------------------
 
 
-class PuiseuxSeries:
+class PuiseuxSeries(Record):
     """Sum of c * x^{-q} with strictly increasing q; exact below known_up_to."""
 
     __slots__ = ("terms", "known_up_to")
 
     def __init__(self, terms: Tuple[Tuple[Rat, Rat], ...], known_up_to: Optional[Rat] = None):
         self.terms, self.known_up_to = terms, known_up_to
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is PuiseuxSeries and (self.terms, self.known_up_to) == (
-            other.terms, other.known_up_to
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.terms, self.known_up_to))
 
     @staticmethod
     def make(
@@ -168,19 +161,13 @@ def _product_horizon(lead_f, bound_f, lead_g, bound_g):
 # -- Ore polynomials ---------------------------------------------------------------
 
 
-class OrePoly:
+class OrePoly(Record):
     """Sum p_i(x) * t^i over Puiseux coefficients, with t p = p t + p'."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Tuple[PuiseuxSeries, ...]):
         self.coeffs = coeffs
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is OrePoly and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     @staticmethod
     def make(coeffs: Sequence[PuiseuxSeries]) -> "OrePoly":
@@ -373,7 +360,7 @@ def embed(element: WeylElement) -> OrePoly:
 # -- z-sequences --------------------------------------------------------------------
 
 
-class ZTerminal:
+class ZTerminal(Record):
     """v(z_k) is this irrational value for the last index k."""
 
     __slots__ = ("value",)
@@ -381,29 +368,14 @@ class ZTerminal:
     def __init__(self, value: ValueGroupElement):
         self.value = value
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ZTerminal and self.value == other.value
 
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-
-class ZRule:
+class ZRule(Record):
     """Entries continue forever along entry_fn; r_i increases to `limit`."""
 
     __slots__ = ("name", "entry_fn", "limit")
 
     def __init__(self, name: str, entry_fn: Callable[[int], Tuple[Rat, Rat]], limit: Rat):
         self.name, self.entry_fn, self.limit = name, entry_fn, limit
-
-    def _key(self) -> tuple:
-        return (self.name, self.entry_fn, self.limit)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ZRule and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def builtin_z_rule(name: str) -> ZRule:

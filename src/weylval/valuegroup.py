@@ -16,6 +16,7 @@ from typing import Union
 
 from .coeff import Rat, format_rat, json_int, parse_rat
 from .errors import ParseError, clipped
+from .records import Record
 
 
 def _sign_a_plus_b_sqrt2(a: Rat, b: Rat) -> int:
@@ -34,7 +35,7 @@ def _sign_a_plus_b_sqrt2(a: Rat, b: Rat) -> int:
     return 1 if 2 * b * b > a * a else -1
 
 
-class ValueGroupElement:
+class ValueGroupElement(Record):
     """One value:  q + k_xi*(xi_scale*sqrt(2)) - k_mu*mu.
 
     Immutable by convention, as `WeylElement`; equal fields make equal,
@@ -51,14 +52,6 @@ class ValueGroupElement:
             if not k_xi:
                 xi_scale = Rat(1)
         self.q, self.k_xi, self.k_mu, self.xi_scale = q, k_xi, k_mu, xi_scale
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ValueGroupElement and (
-            self.q, self.k_xi, self.k_mu, self.xi_scale
-        ) == (other.q, other.k_xi, other.k_mu, other.xi_scale)
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.k_xi, self.k_mu, self.xi_scale))
 
     # -- arithmetic ---------------------------------------------------------
 

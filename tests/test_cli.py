@@ -151,6 +151,39 @@ class TestNesting:
         assert run(capsys, argv) == (0, {"value": {"q": "-1", "k_xi": 0, "k_mu": 0}})
 
 
+class TestLeadingMinus:
+    """An `--expr` value that starts with '-', as a printed normal form may,
+    is read as the value in the spaced form too."""
+
+    def test_eval(self, capsys, desc_file):
+        argv = ["eval", "--desc", desc_file(HALVING_JSON), "--expr", "-x*y"]
+        assert run(capsys, argv) == (0, {"value": {"q": "-1/2", "k_xi": 0, "k_mu": 0}})
+
+    def test_residue(self, capsys, desc_file):
+        argv = ["residue", "--desc", desc_file(WORKED_JSON), "--expr", "-x*y^2"]
+        assert run(capsys, argv) == (0, {"residue": "-1"})
+
+    @pytest.mark.parametrize("data", [HALVING_JSON, WORKED_JSON], ids=["halving", "worked"])
+    def test_sign(self, capsys, desc_file, data):
+        path = desc_file(data)
+        code, negated = run(capsys, ["sign", "--desc", path, "--expr", "-x*y"])
+        _, plain = run(capsys, ["sign", "--desc", path, "--expr", "x*y"])
+        assert code == 0 and len(negated["signs"]) == len(plain["signs"]) > 0
+        assert [s["sign"] for s in negated["signs"]] == [-s["sign"] for s in plain["signs"]]
+        assert run(capsys, ["sign", "--desc", path, "--expr=-x*y"]) == (0, negated)
+
+    def test_process(self, desc_file):
+        argv = ["eval", "--desc", desc_file(HALVING_JSON), "--expr", "-x*y"]
+        assert run_process(argv, timeout=60) == (0, {"value": {"q": "-1/2", "k_xi": 0, "k_mu": 0}})
+
+    def test_an_option_is_not_taken_as_the_value(self, capsys, desc_file):
+        argv = ["eval", "--desc", desc_file(HALVING_JSON), "--expr", "--depth", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --expr: expected one argument" in capsys.readouterr().err
+
+
 def _terminal_value(**fields) -> dict:
     value = {**WORKED_JSON["tail"]["value"], **fields}
     return {**WORKED_JSON, "tail": {"kind": "irrational", "value": value}}

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from weylval import (
     BudgetExceeded,
+    DeclarationInconsistent,
     DepthExceeded,
     INFINITY,
     NonzeroValue,
@@ -22,6 +23,7 @@ from weylval import (
     WeylElement,
     WeylFraction,
     WeylvalError,
+    builtin_rule,
     cmp,
     commutator,
     enumerate_orderings,
@@ -35,7 +37,7 @@ from weylval import (
 )
 from weylval import cli, descriptor, evaluate
 from weylval.coeff import sgn, v2
-from weylval.descriptor import data_window, validate
+from weylval.descriptor import OmegaStep, data_window, validate
 
 from conftest import SINGLE_TERMINAL_JSON, WORKED_JSON
 from test_extension import random_extendable
@@ -52,6 +54,13 @@ def elem(terms):
 
 X = WeylElement.x()
 Y = WeylElement.y()
+
+
+def digit_pool(session, element):
+    """`_DigitPool` of a nonzero element over its divisor degrees, as
+    `leading_data` builds it."""
+    degrees = evaluate._divisor_degrees(session, max(element.rows))
+    return evaluate._DigitPool(session, element, degrees)
 
 
 def keyed_pool(session, pool):
@@ -170,6 +179,26 @@ class TestZeroFirstRatio:
         path.write_text(json.dumps(ZERO_RATIO_JSON))
         assert cli.main(["shadow-compare", "--desc", str(path), "--trials", "50"]) == 0
         assert json.loads(capsys.readouterr().out) == {"trials": 50, "disagreements": []}
+
+
+class TestStepWithoutPositiveN:
+    """A descriptor built in process with a step n < 1, which `validate`
+    refuses as StepShape, is refused by the evaluator as well: it would
+    divide by n = 0, or bisect y-degrees that fall to 0."""
+
+    @pytest.mark.parametrize(
+        "steps, index", [([(1, 0, 1)], 1), ([(1, 2, 1), (1, 0, 1)], 2), ([(1, -2, 1)], 1)]
+    )
+    @pytest.mark.parametrize("tail", ["halving", None])
+    def test_is_refused_naming_the_step(self, steps, index, tail):
+        rule = builtin_rule(tail) if tail else None
+        desc = OmegaDescriptor([OmegaStep(m, n, Rat(b)) for m, n, b in steps], rule)
+        detail = f"step {index}: n must be >= 1"
+        for element in (Y, X, X.mul(Y.pow(2)).sub(WeylElement.scalar(1))):
+            for depth in (0, 64):
+                with pytest.raises(DeclarationInconsistent, match=f"^{detail}$"):
+                    eval_element(desc, element, depth)
+        assert [(v.rule, v.detail) for v in validate(desc)] == [("StepShape", detail)]
 
 
 FIXTURE_NAMES = ["worked", "single_terminal", "halving", "constant131", "single24"]
@@ -345,7 +374,7 @@ def checked_digit_pool(session, element):
     the rest together, after checking that each word occurs once and carries
     the key of its value, and that the built words are the least level's,
     which every other word lies strictly above."""
-    digits = evaluate._DigitPool(session, element)
+    digits = digit_pool(session, element)
     level_words = digits.keyed
     keyed = level_words + digits.rest()
     pool = {w: c for w, c, _ in keyed}
@@ -768,7 +797,7 @@ class TestLevelScan:
         monkeypatch.setattr(
             evaluate, "_digit_word", lambda *args: built.append(args) or digit_word(*args)
         )
-        digits = evaluate._DigitPool(session, element)
+        digits = digit_pool(session, element)
         rows = sum(len(chunk[0]) for chunk in digits.chunks)
         assert (len(digits.chunks), rows, len(digits.tails), len(compared)) == (5, 8, 0, 11)
         assert evaluate._leading(session, digits.keyed, digits).value == rational(-15, 8)
@@ -855,7 +884,7 @@ def expanded_leading(session, element):
     """`_leading` over the whole digit pool keyed at once, every tail divided
     and every chunk word built, as the scan ran before the pool put its
     chunks and tails off."""
-    digits = evaluate._DigitPool(session, element)
+    digits = digit_pool(session, element)
     return evaluate._leading(session, digits.keyed + digits.rest(), None)
 
 
@@ -916,11 +945,11 @@ class TestLevelFirstPool:
         f5 = X.mul(Y).mul(omega_element(desc, 1).pow(2)).sub(WeylElement.scalar(1))
         session = Valuation(desc)
         element = f5.add(word_element(desc, word))
-        digits = evaluate._DigitPool(session, element)
+        digits = digit_pool(session, element)
         assert [w for w, _, _ in digits.keyed] == [(), ((0, 1), (1, 1), (2, 2))]
         # the word waits in an undivided tail, which `_leading` resumes
         assert word not in {w for w, _, _ in evaluate._chunk_words(session, digits.chunks)}
-        assert word in {w for w, _, _ in evaluate._DigitPool(session, element).rest()}
+        assert word in {w for w, _, _ in digit_pool(session, element).rest()}
         data = evaluate._leading(session, digits.keyed, digits)
         assert data.value == ValueGroupElement.from_json(expected)
         assert data.value.cmp(eval_element(desc, f5)) < 0
@@ -1153,7 +1182,7 @@ def tail_violations(session, element):
     the pool's own division, one tail at a time: the words that lie below
     their tail's bound or not strictly above the least level, and the number
     of tails."""
-    digits = evaluate._DigitPool(session, element)
+    digits = digit_pool(session, element)
     tails, digits.tails = digits.tails, []
     out = []
     for tail in tails:

@@ -21,6 +21,7 @@ from weylval.evaluate import CanonicalRef, LeadingData
 from weylval.extension import ExtendViolation, GammaResolution, _Atom, _Record
 from weylval.oracles import RoundtripReport, SampleReport
 from weylval.orderings import ExtensionResult, OrderingDescriptor
+from weylval.records import Record
 from weylval.series import OrePoly, PuiseuxSeries, ZRule, ZTerminal
 
 from conftest import WORKED_JSON
@@ -76,6 +77,22 @@ def test_records_are_values(cls, args, other):
     # another type with the same fields, or the fields themselves, differ
     assert a != args and a != object()
     assert not hasattr(a, "__dict__")
+
+
+@pytest.mark.parametrize("cls, args, other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_repr_names_the_class_and_every_field(cls, args, other):
+    record = cls(*args)
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in cls.__slots__)
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_record_classes_are_slotted_and_covered():
+    """Every `Record` class keeps its instances without a `__dict__`, and
+    `RECORDS` checks its value semantics."""
+    classes = Record.__subclasses__()
+    assert classes and all("__slots__" in vars(cls) and cls.__dictoffset__ == 0 for cls in classes)
+    assert set(classes) == {r[0] for r in RECORDS}
+    assert not hasattr(Record(), "__dict__")
 
 
 class TestRecordConstruction:
