@@ -154,11 +154,12 @@ class OmegaDescriptor:
         self._gen_keys: Dict[int, Tuple[int, Tuple[int, int, int]]] = {}
         self._degrees: List[int] = [1]
         self._orderings: Optional[tuple] = None
-        # the StepShape detail of the first explicit step with n < 1, read
-        # by every evaluation session (evaluate.Valuation)
+        # the StepShape detail of the first explicit step with n < 1, and
+        # how many explicit steps `step` returns: all, or none if one has
         self._n_defect = next(
             (d for i, s in enumerate(self.explicit_steps, 1) if (d := n_defect(i, s))), None
         )
+        self._readable = 0 if self._n_defect else len(self.explicit_steps)
         if isinstance(tail, IrrationalTerminal):
             t = tail.value
             if t.k_xi == 0 or t.k_mu != 0:
@@ -172,15 +173,25 @@ class OmegaDescriptor:
         return i <= len(self.explicit_steps) or isinstance(self.tail, InfiniteRule)
 
     def step(self, i: int) -> OmegaStep:
-        """1-based step access; materializes rule steps on demand."""
+        """1-based step access; materializes rule steps on demand.  A step
+        with n < 1 raises DeclarationInconsistent with `n_defect`'s detail:
+        an explicit one on every explicit read, a rule step when it is made,
+        and it is not kept; `validate` reports explicit ones as StepShape."""
         if i < 1:
             raise ValueError("step indices are 1-based")
-        if i <= len(self.explicit_steps):
+        if i <= self._readable:
             return self.explicit_steps[i - 1]
+        if i <= len(self.explicit_steps):
+            raise DeclarationInconsistent(self._n_defect)
         if isinstance(self.tail, InfiniteRule):
-            if i not in self._cache:
-                self._cache[i] = self.tail.step_fn(i)
-            return self._cache[i]
+            step = self._cache.get(i)
+            if step is None:
+                step = self.tail.step_fn(i)
+                detail = n_defect(i, step)
+                if detail:
+                    raise DeclarationInconsistent(detail)
+                self._cache[i] = step
+            return step
         raise DepthExceeded(f"descriptor exhausted at step {i}", consulted=i)
 
     @property
@@ -572,7 +583,8 @@ def level_limit(desc: OmegaDescriptor) -> Optional[Rat]:
     if rule is None or rule.limit is None:
         return None
     total = rule.limit
-    for i, step in enumerate(desc.explicit_steps, start=1):
+    for i in range(1, len(desc.explicit_steps) + 1):
+        step = desc.step(i)
         if i >= 2 and step.m <= 0:
             return None
         total += step.ratio() - rule.step_fn(i).ratio()
@@ -644,8 +656,8 @@ class Violation(Record):
 
 def n_defect(idx: int, step: OmegaStep) -> Optional[str]:
     """StepShape's detail when step idx has n < 1, else None: `validate`
-    reports it, and `evaluate.Valuation` refuses an explicit such step, as
-    the evaluator divides by n and bisects the y-degrees n_1 n_2 ..."""
+    reports it for an explicit step, and `OmegaDescriptor.step` refuses
+    such a step, explicit or made by a rule."""
     return f"step {idx}: n must be >= 1" if step.n < 1 else None
 
 
@@ -658,7 +670,9 @@ def validate(desc: OmegaDescriptor) -> List[Violation]:
     out: List[Violation] = []
     depth = data_window(desc)
 
-    steps = [desc.step(i) for i in range(1, depth + 1)]
+    # explicit steps with n < 1 are reported here, where `step` refuses them
+    explicit = len(desc.explicit_steps)
+    steps = desc.explicit_steps + [desc.step(i) for i in range(explicit + 1, depth + 1)]
 
     for idx, step in enumerate(steps, start=1):
         detail = n_defect(idx, step)

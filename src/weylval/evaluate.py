@@ -26,11 +26,10 @@ certified as v(F) as soon as the relative residues of its terms do not
 cancel, otherwise every term is rewritten exactly into terms of strictly
 larger value.  The scan compares words on int `Key`s, (num, den, k_xi) for
 num/den + k_xi xi, and builds one `ValueGroupElement` per certified level.
-The digit pool is level-first: v(F) is the least level of F's tower-digit
-expansion when that level does not cancel, so the pool builds only that
-level's words, found from one key per row of each leaf of the expansion,
-and keeps every other word in unbuilt chunks, and every quotient whose
-words all lie above the level undivided, until the level cancels.
+The digit pool builds each leaf's words, keyed, as F's tower-digit
+expansion reaches them, and keeps undivided every quotient whose words all
+lie above the least key so far, until that level cancels: v(F) is the
+least level of the expansion when that level does not cancel.
 
 The cross-checks of this evaluator (the commutative shadow, the samplers)
 live in `oracles`; of this module they use only `Valuation` and `_rho`.
@@ -73,10 +72,6 @@ _ZERO_VALUE = ValueGroupElement.rational(0)
 Key = Tuple[int, int, int]
 # A word with its coefficient and key; a digit pool's coefficients may be ints.
 Keyed = Tuple[Word, Union[int, Rat], Key]
-# A leaf of the digit expansion, kept unbuilt: its rows of int numerators
-# over one denominator, and the suffix word of its divisor powers with the
-# suffix's key.  Row j, entry i stands for the word x^i y^j suffix.
-Chunk = Tuple[Rows, int, Word, Key]
 # A quotient of the digit expansion left undivided: its rows over their
 # denominator, the suffix and its key, the divisor's index and the power of
 # the divisor that the quotient stands at.
@@ -204,6 +199,7 @@ class Valuation:
     """
 
     def __init__(self, desc: OmegaDescriptor, depth_limit: int = 64):
+        # x alone reads no step, so a session refuses what `step` would
         if desc._n_defect:
             raise DeclarationInconsistent(desc._n_defect)
         self.desc = desc
@@ -272,10 +268,11 @@ class Valuation:
                 consulted=step,
             )
         if entry is None:
-            if 0 <= i < step and (pair := desc.step(step)).n >= 1:
+            if 0 <= i < step:
                 # m/n straight off the step, as `generator_value` builds two
-                # Fractions and a ValueGroupElement; it still reads x, the
-                # terminal and any step that `validate` would refuse
+                # Fractions and a ValueGroupElement; it still reads x and the
+                # terminal
+                pair = desc.step(step)
                 key = (pair.m, pair.n, 0)
             else:
                 value = desc.generator_value(i)
@@ -677,20 +674,6 @@ def _digit_word(i: int, j: int, suffix: Word) -> Word:
     return ((0, i),) + suffix if i else suffix
 
 
-def _chunk_words(ctx: Valuation, chunks: Iterable[Chunk]) -> List[Keyed]:
-    """The keyed words x^i y^j suffix of digit chunks, one per row entry,
-    each coefficient over its chunk's denominator."""
-    x_key = ctx.gen_key(-1)
-    out: List[Keyed] = []
-    for rows, den, suffix, key in chunks:
-        for j, row in rows.items():
-            row_key = _key_add(key, ctx.gen_key(0), j) if j else key
-            for i, c in row.items():
-                word_key = _key_add(row_key, x_key, i) if i else row_key
-                out.append((_digit_word(i, j, suffix), c if den == 1 else Rat(c, den), word_key))
-    return out
-
-
 def _leading(ctx: Valuation, keyed: List[Keyed], pool: Optional[_DigitPool]) -> LeadingData:
     """Certify the leading level of a keyed list of words and a digit pool.
 
@@ -701,17 +684,17 @@ def _leading(ctx: Valuation, keyed: List[Keyed], pool: Optional[_DigitPool]) -> 
     keeps a word's value, so ``canon`` holds the level alone: the pass
     certifies it, or finds it empty, or rewrites all of it at strictly
     larger values.  Only then is ``pending`` built, from the rest, the
-    pool's other words, the sorts' corrections (which sit strictly above
+    pool's tail words, the sorts' corrections (which sit strictly above
     the level and join unsorted) and the level's expansions.  The rest keeps
     its keys, and the next pass keys only the words the corrections and
     expansions add, with `word_key`.
 
-    From a `_DigitPool`, ``keyed`` holds the least level's words alone, and
-    the pool every other word, strictly above that level, in unbuilt chunks
-    and undivided tails: a level that certifies never builds them, and the
-    first level that does not has the pool build them all (`rest`).  Digit
-    words are distinct and in slot order, so they need no merge and sort
-    without swaps; their coefficients may be ints.  A keyed list from
+    From a `_DigitPool`, ``keyed`` holds the words of the expansion's
+    leaves, and the pool its undivided tails, whose words lie strictly
+    above the least level: a level that certifies never divides them, and
+    the first level that does not has the pool divide them all (`rest`).
+    Digit words are distinct and in slot order, so they need no merge and
+    sort without swaps; their coefficients may be ints.  A keyed list from
     elsewhere comes with no pool.
     """
     word_key, scale = ctx.word_key, ctx.scale
@@ -793,8 +776,8 @@ def _divisor_degrees(ctx: Valuation, deg_y: int) -> List[int]:
 
     The degrees are a slice of one prefix kept on the descriptor, which
     grows only as far as a call asks: to its cap, or to the first degree
-    above deg_y.  With every n_i nonzero, as `validate` asks, the degrees
-    never fall, so a bisection finds the slice, as the pool's does.
+    above deg_y.  As `OmegaDescriptor.step` refuses any n_i < 1, the
+    degrees never fall, so a bisection finds the slice, as the pool's does.
     """
     desc = ctx.desc
     max_index = ctx.depth_limit
@@ -803,14 +786,14 @@ def _divisor_degrees(ctx: Valuation, deg_y: int) -> List[int]:
         max_index = min(max_index, top)
     degrees = desc._degrees  # 1, n_1, n_1 n_2, ...: entry k is the degree of w_k
     while len(degrees) <= max_index and degrees[-1] <= deg_y:
-        degrees.append(degrees[-1] * abs(desc.step(len(degrees)).n))
+        degrees.append(degrees[-1] * desc.step(len(degrees)).n)
     return degrees[1:bisect_right(degrees, deg_y, 1, max(1, min(max_index + 1, len(degrees))))]
 
 
 class _DigitPool:
     """The digit pool of one element: its tower-digit expansion, read
-    level-first.  `keyed` holds the least level's words, and `rest` builds
-    every other word.  `leading_data` builds one only for an element that
+    level-first.  `keyed` holds its leaves' words, and `rest` divides its
+    tails.  `leading_data` builds one only for an element that
     `_least_monomials` leaves, and hands it the divisor degrees it read.
 
     Digit words have the form x^i w_0^{j_0} ... w_K^{j_K} with every digit
@@ -836,26 +819,23 @@ class _DigitPool:
     done are counted per element, those of resumed tails included; past
     DIGIT_WORK_BUDGET the expansion raises BudgetExceeded.
 
-    A leaf of the recursion, whose rows no divisor fits, is kept whole as a
-    `Chunk`: its rows, their denominator, and the suffix of divisor powers
-    with its key, which rides down the recursion.  Its words x^i y^j suffix
-    are not built here.  As v(x) = -1, the word of row j with the largest i
-    lies strictly below every other word of that row; so one key per leaf
-    row, that word's, compared with the least so far, finds the least level
-    and every word on it.  Only those words are built, each with its
-    coefficient (the row's int numerator over a denominator of 1, one Rat
-    otherwise) and the level's key, and taken out of their chunks, whose
-    words thus all lie strictly above the level.
+    A leaf of the recursion, whose rows no divisor fits, adds its words
+    x^i y^j suffix to `keyed` as it is reached, each with its coefficient
+    (the row's int numerator over a denominator of 1, one Rat otherwise)
+    and its key, from the key of the suffix of divisor powers, which rides
+    down the recursion.  As v(x) = -1, the word of row j with the largest i
+    lies strictly below every other word of that row; so one comparison
+    per leaf row keeps `level`, the least key of the words built so far.
 
-    Quotients are put off as well.  `_divide` divides by w_k at powers
+    Quotients may be put off.  `_divide` divides by w_k at powers
     0, 1, 2, ...; before it divides the quotient Q left at power p >= 1, it
     bounds every word Q can still emit from below by
     B = key + p v(w_k) + mu_0(Q), with `key` the suffix's and mu_0(Q) the
     least weight -i + j v(y) of Q's terms x^i y^j (`_least_weight`).  If B
     lies strictly above the least key found so far, Q is kept undivided as
     a `Tail` and the division stops.  `rest` resumes each tail through
-    `_divide`, as it stands, and then builds the chunks' words; so a level
-    that certifies never divides a tail.
+    `_divide`, as it stands; so a level that certifies never divides a
+    tail.
 
     Why B bounds the tail.  The proof uses `validate`'s StepShape checks,
     m_1/n_1 < 1 and m_i > 0 past step 1, and its TerminalShape check that a
@@ -903,20 +883,15 @@ class _DigitPool:
     v(w_k), which was read without a refusal when the tail was put off.
     """
 
-    __slots__ = (
-        "ctx", "degrees", "x_key", "y_key", "chunks", "tails", "refusals", "level", "least",
-        "work", "keyed",
-    )
+    __slots__ = ("ctx", "degrees", "x_key", "y_key", "tails", "refusals", "level", "work", "keyed")
 
     def __init__(self, ctx: Valuation, element: WeylElement, degrees: List[int]):
         self.ctx = ctx
         self.degrees = degrees
-        self.chunks: List[Chunk] = []
         self.tails: List[Tail] = []
         self.refusals: List[DepthExceeded] = []
-        # the least level's key, and (chunk, j, i) for each word on it
+        # the least key of `keyed`, once it holds a word
         self.level: Key = (0, 1, 0)
-        self.least: List[Tuple[Chunk, int, int]] = []
         self.work = 0
         self.keyed: List[Keyed] = []
         self.x_key: Key = ctx.gen_key(-1)
@@ -930,12 +905,6 @@ class _DigitPool:
         self._rec(rows, element.den, (), (0, 1, 0))
         if self.refusals:
             raise self.refusals[0]
-        # the level's words are built alone, and taken out of their chunks
-        for (chunk_rows, chunk_den, suffix, _), j, i in self.least:
-            c = chunk_rows[j].pop(i)
-            self.keyed.append(
-                (_digit_word(i, j, suffix), c if chunk_den == 1 else Rat(c, chunk_den), self.level)
-            )
 
     def _read_key(self, index: int) -> Key:
         # a depth refusal waits until the expansion ends, as a budget
@@ -954,22 +923,16 @@ class _DigitPool:
         if index:
             self._divide(rows, den, suffix, key, index, 0)
             return
-        chunk = (rows, den, suffix, key)
-        self.chunks.append(chunk)
-        x_key, scale, least = self.x_key, self.ctx.scale, self.least
+        x_key, keyed = self.x_key, self.keyed
         for j, row in rows.items():
-            # v(x) = -1: the largest x power is the row's least word
-            i = max(row)
             row_key = _key_add(key, self._read_key(0), j) if j else key
-            word_key = _key_add(row_key, x_key, i)
-            if least:
-                order = _key_cmp(word_key, self.level, scale)
-                if order > 0:
-                    continue
-                if order < 0:
-                    least.clear()
-            self.level = word_key
-            least.append((chunk, j, i))
+            # v(x) = -1: the largest x power is the row's least word
+            least = _key_add(row_key, x_key, max(row))
+            if not keyed or _key_cmp(least, self.level, self.ctx.scale) < 0:
+                self.level = least
+            for i, c in row.items():
+                keyed.append((_digit_word(i, j, suffix), c if den == 1 else Rat(c, den),
+                              _key_add(row_key, x_key, i) if i else row_key))
 
     def _divide(self, rows: Rows, den: int, suffix: Word, key: Key, index: int, power: int) -> None:
         # divide `rows`, the quotient at `power`, by w_index until no
@@ -1010,18 +973,19 @@ class _DigitPool:
                 return
             rows, power = quotient, power + 1
             digit_key = _key_add(key, self._read_key(index), power)
-            if self.least and not self.refusals:
+            if self.keyed and not self.refusals:
                 bound = _key_add(digit_key, _least_weight(rows, self.y_key), 1)
                 if _key_cmp(bound, self.level, self.ctx.scale) > 0:
                     self.tails.append((rows, den, suffix, key, index, power))
                     return
 
     def rest(self) -> List[Keyed]:
-        """The keyed words besides the level's: the tails are divided first,
-        through `_divide`, and then every chunk's words are built."""
+        """The keyed words of the tails, divided through `_divide`, which
+        adds them to `keyed` after the words it held."""
+        built = len(self.keyed)
         while self.tails:
             self._divide(*self.tails.pop())
-        return _chunk_words(self.ctx, self.chunks)
+        return self.keyed[built:]
 
 
 def _least_monomials(ctx: Valuation, element: WeylElement, degrees: List[int]) -> Optional[LeadingData]:

@@ -84,6 +84,9 @@ def enumerate_orderings(desc: OmegaDescriptor) -> List[OrderingDescriptor]:
     """
     orderings = desc._orderings
     if orderings is None:
+        if desc._n_defect:
+            # on a 2-divisible rule the search reads no step to refuse
+            raise DeclarationInconsistent(desc._n_defect)
         slot = basis_slot(desc)
         omega_index = None if slot is None else slot[1] - 1
         has_terminal = desc.terminal is not None

@@ -24,12 +24,15 @@ from weylval import (
     WeylFraction,
     WeylvalError,
     builtin_rule,
+    check_extendable,
     cmp,
     commutator,
     enumerate_orderings,
     eval_element,
     omega_element,
+    omega_to_z,
     parse_expr,
+    resolve_gammas,
     sample_element,
     shadow_eval,
     sign,
@@ -37,7 +40,7 @@ from weylval import (
 )
 from weylval import cli, descriptor, evaluate
 from weylval.coeff import sgn, v2
-from weylval.descriptor import OmegaStep, data_window, validate
+from weylval.descriptor import GroupKind, InfiniteRule, OmegaStep, data_window, validate
 
 from conftest import SINGLE_TERMINAL_JSON, WORKED_JSON
 from test_extension import random_extendable
@@ -199,6 +202,30 @@ class TestStepWithoutPositiveN:
                 with pytest.raises(DeclarationInconsistent, match=f"^{detail}$"):
                     eval_element(desc, element, depth)
         assert [(v.rule, v.detail) for v in validate(desc)] == [("StepShape", detail)]
+
+    def test_every_reader_of_the_steps_refuses_it(self):
+        # every reader of the steps refuses an explicit step (1, 0, 1) over
+        # halving, and a rule whose step 2 has n = 0, on every read, where
+        # it would divide by n, answer w_2 = x - 1, or divide y^3 by the
+        # y-degrees 2, 0, 0, ... without end; `validate` still reports the
+        # explicit step
+        explicit = OmegaDescriptor([OmegaStep(1, 0, Rat(1))], builtin_rule("halving"))
+        # the conversion refuses before it reads a gamma resolution
+        readers = [check_extendable, resolve_gammas, enumerate_orderings,
+                   lambda d: omega_to_z(d, None, 3)]
+        for reader in readers * 2:
+            with pytest.raises(DeclarationInconsistent, match="^step 1: n must be >= 1$"):
+                reader(explicit)
+        assert [(v.rule, v.detail) for v in validate(explicit)] == [
+            ("StepShape", "step 1: n must be >= 1")]
+        rule = InfiniteRule("n0", lambda i: OmegaStep(1, 2 if i == 1 else 0, Rat(1)),
+                            GroupKind.TWO_DIVISIBLE, Rat(1))
+        desc = OmegaDescriptor([], rule)
+        readers = [lambda d: omega_element(d, 2), lambda d: eval_element(d, Y.pow(3)), validate]
+        for reader in readers * 2:
+            with pytest.raises(DeclarationInconsistent, match="^step 2: n must be >= 1$"):
+                reader(desc)
+        assert desc.step(1) == OmegaStep(1, 2, Rat(1))
 
 
 FIXTURE_NAMES = ["worked", "single_terminal", "halving", "constant131", "single24"]
@@ -370,21 +397,21 @@ def reference_digit_pool(desc, element, depth_limit=64):
 
 
 def checked_digit_pool(session, element):
-    """The digit pool of `_DigitPool` as {word: coeff}, its level's words and
-    the rest together, after checking that each word occurs once and carries
-    the key of its value, and that the built words are the least level's,
-    which every other word lies strictly above."""
+    """The digit pool of `_DigitPool` as {word: coeff}, its leaf words and its
+    tails' together, after checking that each word occurs once and carries
+    the key of its value, that the pool's level is the least key of its leaf
+    words, and that every tail word lies strictly above that level."""
     digits = digit_pool(session, element)
-    level_words = digits.keyed
-    keyed = level_words + digits.rest()
+    leaves, level = list(digits.keyed), digits.level
+    tails = digits.rest()
+    keyed = leaves + tails
     pool = {w: c for w, c, _ in keyed}
     assert len(pool) == len(keyed)
     for w, _, key in keyed:
         assert evaluate._key_cmp(key, session.word_key(w), session.scale) == 0
     if keyed:
-        level = level_words[0][2]
-        for k, (_, _, key) in enumerate(keyed):
-            assert evaluate._key_cmp(key, level, session.scale) == (k >= len(level_words))
+        order = [evaluate._key_cmp(key, level, session.scale) for _, _, key in keyed]
+        assert min(order[:len(leaves)]) == 0 and min(order[len(leaves):], default=1) == 1
     return pool
 
 
@@ -786,8 +813,9 @@ class TestLevelScan:
         # x w_1^3 + 2 y^5 - 7 x^2 w_2 certifies its first level, -7 x^2 w_2:
         # one key comparison per leaf row after the first finds it, one per
         # quotient left at a power >= 1 once a level is found tests its bound
-        # (4, none above the level), and one per level word splits it; only
-        # its word is built, with the level's key, and no word is keyed again
+        # (4, none above the level), and one per word splits the level from
+        # the rest; each of the 12 words of its 8 rows in 5 leaves is built
+        # once, with its key, and no word is keyed again
         w1, w2 = omega_element(halving, 1), omega_element(halving, 2)
         element = X.mul(w1.pow(3)).add(elem({(0, 5): 2})).sub(elem({(2, 0): 7}).mul(w2))
         session = Valuation(halving)
@@ -798,15 +826,13 @@ class TestLevelScan:
             evaluate, "_digit_word", lambda *args: built.append(args) or digit_word(*args)
         )
         digits = digit_pool(session, element)
-        rows = sum(len(chunk[0]) for chunk in digits.chunks)
-        assert (len(digits.chunks), rows, len(digits.tails), len(compared)) == (5, 8, 0, 11)
+        leaves, rows = {args[2] for args in built}, {args[1:] for args in built}
+        assert (len(leaves), len(rows), len(digits.tails), len(compared)) == (5, 8, 0, 11)
         assert evaluate._leading(session, digits.keyed, digits).value == rational(-15, 8)
-        assert len(compared) == 12
-        assert built == [(2, 0, ((3, 1),))]
-        assert digits.keyed == [(((0, 2), (3, 1)), -7, (-15, 8, 0))]
+        assert len(compared) == 23
+        assert len(built) == len(set(built)) == len(digits.keyed) == 12
+        assert (((0, 2), (3, 1)), -7, (-15, 8, 0)) in digits.keyed
         assert keyed == []
-        # the other 11 of the pool's 12 words stay in the chunks
-        assert len(evaluate._chunk_words(session, digits.chunks)) == 11
 
     def test_rest_words_keep_their_keys(self, worked, halving, monkeypatch):
         compared, keyed = [], []
@@ -830,8 +856,10 @@ class TestLevelScan:
 
 # Every element of this suite whose first level cancels or whose sorts swap,
 # as `leading_data` meets it (some at several depth limits), with its
-# fixture; among them F5's x y w_1^2 - 1 on worked and halving, and the
-# constant(1,3,1) element whose sort splices 162 correction words.
+# fixture; among them F5's x y w_1^2 - 1 on worked and halving, the
+# constant(1,3,1) element whose sort splices 162 correction words, and the
+# five elements of the benchmark's `query` workload (seeds 1 and 2, rounds
+# -1 to 53) that reach a digit pool, which the last five entries are.
 CANCELLING_ELEMENTS = [
     ("single24", "x*y^2 - 4"),
     ("single24", "x^2*y^2 - 4*x"),
@@ -877,20 +905,34 @@ CANCELLING_ELEMENTS = [
     ("halving", "x^4*y^7 + 8*x^3*y^6 - 2*x^3*y^5 + 12*x^2*y^5 - 6*x^2*y^4 + x^2*y^3 - 1"),
     ("constant131", "x^4*y^11 + 15*x^3*y^10 - 3*x^3*y^8 + 57*x^2*y^9 - 21*x^2*y^7"
                     " + 3*x^2*y^5 + 48*x*y^8 - 24*x*y^6 + 6*x*y^4 - x*y^2 - 1"),
+    ("worked", "-3*x^4*y^2 + 2*x^3*y^2 + 3*x^3 + 2*x^2*y^2 + 5*x^2*y"),
+    ("worked", "-3*x^4*y^6 + 2*x^3*y^6 - 48*x^3*y^5 + 3*x^3*y^4 + 2*x^2*y^6 + 29*x^2*y^5"
+               " - 216*x^2*y^4 + 36*x^2*y^3 + 16*x*y^5 + 112*x*y^4 - 288*x*y^3 + 108*x*y^2 + 24*y^4"
+               " + 108*y^3 - 72*y^2 + 72*y"),
+    ("worked", "9*x^8*y^4 - 12*x^7*y^4 + 72*x^7*y^3 - 18*x^7*y^2 - 8*x^6*y^4 - 114*x^6*y^3"
+               " + 120*x^6*y^2 - 54*x^6*y + 9*x^6 + 8*x^5*y^4 - 28*x^5*y^3 - 216*x^5*y^2 + 66*x^5*y"
+               " - 54*x^5 + 4*x^4*y^4 + 60*x^4*y^3 + 35*x^4*y^2 + 6*x^4*y + 81*x^4 + 16*x^3*y^3"
+               " + 92*x^3*y^2 + 70*x^3*y + 36*x^3 + 8*x^2*y^2 + 20*x^2*y"),
+    ("halving", "5*x^4*y^2 - 7*x^3*y^2 - 5*x^3 + 3*y^3"),
+    ("halving", "20*x^10*y^2 - 35*x^9*y^3 - 28*x^9*y^2 + 240*x^9*y - 20*x^9 + 49*x^8*y^3"
+                " - 320*x^8*y^2 - 301*x^8*y + 600*x^8 + 448*x^7*y^2 - 460*x^7*y - 870*x^7"
+                " + 12*x^6*y^3 + 644*x^6*y + 360*x^6 - 21*x^5*y^4 + 216*x^5*y^2 - 504*x^5"
+                " - 20*x^4*y^6 - 297*x^4*y^3 + 1080*x^4*y + 28*x^3*y^6 + 20*x^3*y^4 - 1044*x^3*y^2"
+                " + 1440*x^3 - 612*x^2*y + 432*x - 12*y^7"),
 ]
 
 
 def expanded_leading(session, element):
     """`_leading` over the whole digit pool keyed at once, every tail divided
-    and every chunk word built, as the scan ran before the pool put its
-    chunks and tails off."""
+    before the scan, as it ran before the pool put its tails off."""
     digits = digit_pool(session, element)
-    return evaluate._leading(session, digits.keyed + digits.rest(), None)
+    digits.rest()
+    return evaluate._leading(session, digits.keyed, None)
 
 
-class TestLevelFirstPool:
+class TestPoolTails:
     @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
-    def test_deferred_chunks_lead_as_the_expanded_pool(self, request, fixture, monkeypatch):
+    def test_deferred_tails_lead_as_the_expanded_pool(self, request, fixture, monkeypatch):
         # value, lam, ref and parities, or the refusal's type and message,
         # equal the expanded pool's at depth limits 0, 1, 2 and 64; the
         # budget counts the divisions done, so an element whose expansion
@@ -899,7 +941,7 @@ class TestLevelFirstPool:
         desc = request.getfixturevalue(fixture)
         cancelling = [parse_expr(expr) for name, expr in CANCELLING_ELEMENTS if name == fixture]
         cancelling.append(X.mul(Y).mul(omega_element(desc, 1).pow(2)).sub(WeylElement.scalar(1)))
-        # a tower element added to a cancelling element may wait in a chunk
+        # a tower element added to a cancelling element may wait in a tail
         # above the cancelled level and lead after it
         batch = cancelling + [f.add(w) for f in cancelling for w in tower_elements(desc, 3)]
         batch.append(parse_expr("(x^3*y^5 + 2*x*y^2 - 5)*(x^2*y^4 - 3*x*y + 7)"))
@@ -936,7 +978,7 @@ class TestLevelFirstPool:
             ("worked", ((0, 1), (2, 3), (3, 2)), {"q": "-1/4", "k_xi": 2, "k_mu": 0, "scale": "1/8"}),
         ],
     )
-    def test_a_chunk_word_above_a_cancelling_level_leads(self, request, fixture, word, expected):
+    def test_a_tail_word_above_a_cancelling_level_leads(self, request, fixture, word, expected):
         # F5's x y w_1^2 - 1 cancels at level 0 and leads at 1/8 on halving,
         # at xi on worked; the digit word w_3, or x w_1^3 w_2^2, lies between
         # the two, waits in an undivided tail while level 0 is scanned, and
@@ -946,9 +988,11 @@ class TestLevelFirstPool:
         session = Valuation(desc)
         element = f5.add(word_element(desc, word))
         digits = digit_pool(session, element)
-        assert [w for w, _, _ in digits.keyed] == [(), ((0, 1), (1, 1), (2, 2))]
+        level = [w for w, _, key in digits.keyed
+                 if evaluate._key_cmp(key, digits.level, session.scale) == 0]
+        assert level == [(), ((0, 1), (1, 1), (2, 2))]
         # the word waits in an undivided tail, which `_leading` resumes
-        assert word not in {w for w, _, _ in evaluate._chunk_words(session, digits.chunks)}
+        assert word not in {w for w, _, _ in digits.keyed}
         assert word in {w for w, _, _ in digit_pool(session, element).rest()}
         data = evaluate._leading(session, digits.keyed, digits)
         assert data.value == ValueGroupElement.from_json(expected)
@@ -1187,7 +1231,7 @@ def tail_violations(session, element):
     out = []
     for tail in tails:
         bound = reference_tail_bound(session, tail)
-        digits.chunks, digits.tails = [], [tail]
+        digits.tails = [tail]
         for word, _, _ in digits.rest():
             key = session.word_key(word)
             if (evaluate._key_cmp(key, bound, session.scale) < 0
